@@ -6,98 +6,4 @@ same example stream, consuming those labels through snapshot-isolated
 reads. Everything is seed-deterministic end to end.
 """
 
-from .datagen import (
-    DEFAULT_TASKS,
-    Batch,
-    ExampleRecord,
-    GenConfig,
-    WorldState,
-    fork,
-    init_world,
-    next_batch,
-    true_task_value,
-)
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    OnlineKdError,
-    SchemaError,
-    StoreCorruptionError,
-    StoreError,
-    WriterLockError,
-)
-from .labelstore import (
-    LabelStore,
-    LookupStats,
-    SegmentData,
-    SegmentWriter,
-    Snapshot,
-    inspect_store,
-)
-from .metrics import (
-    OnlineSimConfig,
-    OnlineSimResult,
-    bootstrap_ci,
-    calibration_ratio,
-    lift_pct,
-    rank_auc,
-    rmse,
-    simulated_online,
-)
-from .nncore import (
-    AdamConfig,
-    ClippyConfig,
-    Layer,
-    Mlp,
-    OptState,
-    TrainConfig,
-    make_mlp,
-    mlp_backward,
-    mlp_forward,
-    optimizer_step,
-    warmup_factor,
-)
-from .pipeline import (
-    ConsistencyReport,
-    ExperimentConfig,
-    MetricRow,
-    MetricsLog,
-    ScheduleConfig,
-    StudentDef,
-    StudentJob,
-    TeacherDef,
-    TeacherJob,
-    build_runs,
-    make_student_job,
-    make_teacher_job,
-    read_metrics_csv,
-    run_experiment,
-    run_fleet_consistency,
-    run_online,
-    write_metrics_csv,
-)
-from .ranker import (
-    AUXILIARY,
-    BINARY,
-    DIRECT,
-    NO_DISTILL,
-    PET,
-    PST,
-    REGRESSION,
-    ModelConfig,
-    ModelOptimizer,
-    RankingModel,
-    SoftTargets,
-    TaskSpec,
-    apply_gradients,
-    build_model,
-    compute_loss_and_grads,
-    distill_loss,
-    hard_loss,
-    model_forward,
-    scale_config,
-    sharpen_probability,
-    total_loss,
-)
-
 __version__ = "0.1.0"

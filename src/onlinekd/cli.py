@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 import time
 from dataclasses import asdict
@@ -43,6 +44,7 @@ from .pipeline import (
     build_runs,
     read_metrics_csv,
     run_experiment,
+    split_job_name,
     write_metrics_csv,
 )
 from .ranker import NO_DISTILL, TaskSpec
@@ -188,7 +190,7 @@ def _parse_tasks(raw_tasks) -> tuple[TaskSpec, ...]:
     for i, item in enumerate(raw_tasks):
         if not isinstance(item, dict):
             raise ConfigError(f"stream.tasks[{i}]: expected a mapping")
-        _check_keys(item, ("name", "kind", "category", "distill"), f"stream.tasks[{i}]")
+        _check_keys(item, ("name", "kind", "category"), f"stream.tasks[{i}]")
         if "name" not in item or "kind" not in item:
             raise ConfigError(f"stream.tasks[{i}]: name and kind are required")
         specs.append(
@@ -196,7 +198,6 @@ def _parse_tasks(raw_tasks) -> tuple[TaskSpec, ...]:
                 name=str(item["name"]),
                 kind=str(item["kind"]),
                 category=str(item.get("category", "other")),
-                distill=bool(item.get("distill", False)),
             )
         )
     return tuple(specs)
@@ -470,13 +471,6 @@ def _fmt_ci(values: list[float]) -> str:
     return f"{_fmt(mean)} [{_fmt(lo)}, {_fmt(hi)}]"
 
 
-def _split_or_single(job: str) -> tuple[int, str]:
-    prefix, sep, rest = job.partition("/")
-    if sep and prefix.startswith("s") and prefix[1:].isdigit():
-        return int(prefix[1:]), rest
-    return -1, job
-
-
 def _infer_family(variants: list[str]) -> str:
     if "direct" in variants and "auxiliary" in variants:
         return FAMILY_DISTILL
@@ -500,7 +494,7 @@ def build_report(
     for r in rows:
         if r.step != final:
             continue
-        seed, variant = _split_or_single(r.job)
+        seed, variant = split_job_name(r.job)
         by_cell.setdefault((variant, r.task, r.metric), {})[seed] = r.value
     variants = sorted({v for v, _, _ in by_cell})
     if CONTROL_NAME in variants:
@@ -641,10 +635,13 @@ def cmd_run(args) -> int:
     digest = config_digest(cfg)
     out_dir = Path(args.out) if args.out else Path(f"runs/{cfg.family}-{digest[:8]}")
     out_dir.mkdir(parents=True, exist_ok=True)
+    stores = out_dir / "stores"
+    if stores.exists():  # a rerun must not read the segments of an earlier run
+        shutil.rmtree(stores)
     t0 = time.monotonic()
     log = run_experiment(
         cfg,
-        out_dir / "stores",
+        stores,
         threads=args.threads,
         progress=(lambda msg: print(msg, flush=True)) if args.verbose else None,
     )

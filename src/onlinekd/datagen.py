@@ -14,18 +14,18 @@ Identical (config, seed) pairs yield bit-identical streams.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .ranker import BINARY, OTHER, PET, PST, REGRESSION, TaskSpec, validate_tasks
+from .ranker import BINARY, OTHER, PET, PST, REGRESSION, TaskSpec, _sigmoid, validate_tasks
 
 DEFAULT_TASKS = (
-    TaskSpec("ctr", BINARY, PET, distill=True),
-    TaskSpec("sat", BINARY, PST, distill=True),
-    TaskSpec("ltv", REGRESSION, OTHER, distill=True),
-    TaskSpec("aux_click", BINARY, OTHER, distill=False),
+    TaskSpec("ctr", BINARY, PET),
+    TaskSpec("sat", BINARY, PST),
+    TaskSpec("ltv", REGRESSION, OTHER),
+    TaskSpec("aux_click", BINARY, OTHER),
 )
 
 
@@ -61,16 +61,6 @@ class GenConfig:
 
 
 @dataclass
-class ExampleRecord:
-    """One streamed example: stable id, draw step, features, hard labels."""
-
-    example_id: int
-    t: int
-    x: np.ndarray
-    labels: dict[str, float]
-
-
-@dataclass
 class Batch:
     """Columnar view of n consecutive stream examples."""
 
@@ -82,18 +72,6 @@ class Batch:
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    def record(self, i: int) -> ExampleRecord:
-        return ExampleRecord(
-            example_id=int(self.example_ids[i]),
-            t=self.t,
-            x=self.x[i],
-            labels={name: float(col[i]) for name, col in self.labels.items()},
-        )
-
-    def records(self):
-        for i in range(self.n):
-            yield self.record(i)
 
 
 @dataclass
@@ -153,15 +131,6 @@ def init_world(cfg: GenConfig, seed: int) -> WorldState:
 
 def _softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def next_batch(world: WorldState, n: int) -> Batch:
@@ -235,25 +204,3 @@ def fork(world: WorldState, label: str, *salts: int, freeze_drift: bool = True) 
         next_example_id=world.next_example_id,
         drift_frozen=freeze_drift or world.drift_frozen,
     )
-
-
-def export_stream(world: WorldState, n_batches: int, batch_size: int, path) -> int:
-    """Materialize a stream prefix to a record file for replay.
-
-    Uses the label-store binary conventions (magic, little-endian columns,
-    trailing crc32). Returns the number of rows written. Advances the world.
-    """
-    from . import labelstore  # local import: datagen owns no binary plumbing
-
-    batches = [next_batch(world, batch_size) for _ in range(n_batches)]
-    return labelstore.write_record_file(path, world.config.tasks, batches)
-
-
-def read_stream(path) -> tuple[tuple[TaskSpec, ...], list[Batch]]:
-    from . import labelstore
-
-    return labelstore.read_record_file(path)
-
-
-def with_drift(cfg: GenConfig, drift_rate: float) -> GenConfig:
-    return replace(cfg, drift_rate=drift_rate)

@@ -27,7 +27,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .ranker import BINARY, REGRESSION, TaskSpec
 
 SEGMENT_MAGIC = b"SLS1"
 MANIFEST_MAGIC = b"SLM1"
-RECORD_MAGIC = b"SLR1"
 FORMAT_VERSION = 1
 MANIFEST_NAME = "MANIFEST"
 LOCK_NAME = "WRITER.lock"
@@ -251,13 +250,6 @@ def read_manifest(root: Path) -> ManifestData:
     return decode_manifest(path.read_bytes(), path)
 
 
-@dataclass
-class LookupStats:
-    """Counts ordered probes of stored ids during a single lookup."""
-
-    comparisons: int = 0
-
-
 class Snapshot:
     """Immutable view over the segments of one manifest version.
 
@@ -269,10 +261,6 @@ class Snapshot:
         self.manifest_version = manifest_version
         self.segments = segments
         self._check_schema()
-        self._index_built = False
-        self._by_min: list[SegmentData] = []
-        self._min_ids: list[int] = []
-        self._prefix_max: list[int] = []
 
     def _check_schema(self) -> None:
         schemas = {seg.tasks for seg in self.segments}
@@ -288,81 +276,6 @@ class Snapshot:
 
     def row_count(self) -> int:
         return sum(seg.n_rows for seg in self.segments)
-
-    def _index(self):
-        # Segments sorted by min id, with a running max of max ids. A probe
-        # walks left from bisect(min_ids) while the running max can still
-        # cover the target; disjoint ranges stop after one segment.
-        if not self._index_built:
-            self._by_min = sorted(self.segments, key=lambda s: (s.min_id, s.segment_id))
-            self._min_ids = [s.min_id for s in self._by_min]
-            running = 0
-            self._prefix_max = []
-            for s in self._by_min:
-                running = max(running, s.max_id)
-                self._prefix_max.append(running)
-            self._index_built = True
-        return self._by_min, self._min_ids, self._prefix_max
-
-    def lookup(self, example_id: int, stats: LookupStats | None = None) -> dict[str, float] | None:
-        """Return the per-task float32 values for one example id, or None.
-
-        Values come back as Python floats carrying the stored 32-bit value
-        exactly. Pass a LookupStats to count id probes.
-        """
-        by_min, min_ids, prefix_max = self._index()
-        if not by_min:
-            return None
-        stats = stats if stats is not None else LookupStats()
-        j = self._bisect_min(min_ids, example_id, stats)
-        best_key = None
-        best: tuple[SegmentData, int] | None = None
-        while j >= 0:
-            stats.comparisons += 1
-            if prefix_max[j] < example_id:
-                break
-            seg = by_min[j]
-            stats.comparisons += 1
-            if seg.max_id >= example_id:
-                row = self._search_segment(seg, example_id, stats)
-                if row is not None:
-                    key = (seg.teacher_version, seg.segment_id)
-                    if best_key is None or key > best_key:
-                        best_key = key
-                        best = (seg, row)
-            j -= 1
-        if best is None:
-            return None
-        seg, row = best
-        return {name: float(seg.values[name][row]) for name, _ in seg.tasks}
-
-    @staticmethod
-    def _bisect_min(min_ids: list[int], target: int, stats: LookupStats) -> int:
-        lo, hi = 0, len(min_ids)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            stats.comparisons += 1
-            if min_ids[mid] <= target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo - 1
-
-    @staticmethod
-    def _search_segment(seg: SegmentData, target: int, stats: LookupStats) -> int | None:
-        ids = seg.example_ids
-        lo, hi = 0, seg.n_rows
-        while lo < hi:
-            mid = (lo + hi) // 2
-            stats.comparisons += 1
-            v = int(ids[mid])
-            if v == target:
-                return mid
-            if v < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return None
 
     def lookup_batch(self, example_ids: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Vectorized lookup. Returns (present mask, per-task float32 arrays).
@@ -625,72 +538,3 @@ def inspect_store(root) -> StoreReport:
     elif len(tasks_seen) > 1:
         report.error = "segments disagree on task schema"
     return report
-
-
-def write_record_file(path, tasks: Sequence, batches: Iterable) -> int:
-    """Persist streamed batches (ids, step, features, labels) for replay.
-
-    Same conventions as segments: magic, little-endian columns, trailing
-    crc32. Features and labels are stored as float32.
-    """
-    tasks = _normalize_tasks(tasks)
-    batches = list(batches)
-    if not batches:
-        raise StoreError("nothing to export")
-    d = batches[0].x.shape[1]
-    ids = np.concatenate([b.example_ids for b in batches]).astype("<u8")
-    steps = np.concatenate(
-        [np.full(b.n, b.t, dtype="<u8") for b in batches]
-    )
-    x = np.concatenate([b.x for b in batches]).astype("<f4")
-    parts = [
-        RECORD_MAGIC,
-        _U32.pack(FORMAT_VERSION),
-        _U32.pack(d),
-        _pack_task_dir(tasks),
-        _U64.pack(ids.shape[0]),
-        ids.tobytes(),
-        steps.tobytes(),
-        np.ascontiguousarray(x).tobytes(),
-    ]
-    for name, _ in tasks:
-        col = np.concatenate([b.labels[name] for b in batches]).astype("<f4")
-        parts.append(col.tobytes())
-    body = b"".join(parts)
-    Path(path).write_bytes(body + _U32.pack(_crc(body)))
-    return int(ids.shape[0])
-
-
-def read_record_file(path):
-    """Inverse of write_record_file: (tasks, batches split on step changes)."""
-    from .datagen import Batch  # record files transport stream batches
-
-    path = Path(path)
-    cur = _Cursor(path.read_bytes(), path)
-    if cur.take(4) != RECORD_MAGIC:
-        raise StoreCorruptionError(f"{path}: bad record magic")
-    if cur.u32() != FORMAT_VERSION:
-        raise StoreCorruptionError(f"{path}: unsupported format version")
-    d = cur.u32()
-    tasks = _read_task_dir(cur)
-    n = cur.u64()
-    ids = cur.array(np.dtype("<u8"), n)
-    steps = cur.array(np.dtype("<u8"), n)
-    x = cur.array(np.dtype("<f4"), n * d).reshape(n, d).astype(np.float64)
-    labels = {
-        name: cur.array(np.dtype("<f4"), n).astype(np.float64) for name, _ in tasks
-    }
-    _check_crc(cur)
-    batches = []
-    starts = [0] + [i for i in range(1, n) if steps[i] != steps[i - 1]] + [n]
-    for a, b in zip(starts[:-1], starts[1:]):
-        batches.append(
-            Batch(
-                example_ids=ids[a:b].copy(),
-                t=int(steps[a]),
-                x=x[a:b],
-                labels={name: col[a:b] for name, col in labels.items()},
-            )
-        )
-    specs = tuple(TaskSpec(name, kind) for name, kind in tasks)
-    return specs, batches

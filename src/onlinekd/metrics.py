@@ -5,15 +5,14 @@ bit) to the brute-force count over all positive/negative pairs with ties
 worth one half: average ranks are exact halves in binary floating point, so
 both routes form the identical numerator before one identical division.
 
-The online simulator is paired: treatment and control policies rank the
-same candidate slates, so shared sampling noise cancels in reported lifts
-and a policy compared against itself yields exactly zero.
+The slate simulation is paired when every policy scores the same drawn
+slates: shared sampling noise then cancels in reported lifts, and a policy
+compared against itself yields exactly zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -159,42 +158,3 @@ def lift_pct(treatment: float, control: float) -> float:
     if treatment == control:
         return 0.0
     return (treatment - control) / control * 100.0
-
-
-@dataclass
-class OnlineSimResult:
-    engagement: float
-    satisfaction: float
-    control_engagement: float
-    control_satisfaction: float
-
-    @property
-    def engagement_lift_pct(self) -> float:
-        return lift_pct(self.engagement, self.control_engagement)
-
-    @property
-    def satisfaction_lift_pct(self) -> float:
-        return lift_pct(self.satisfaction, self.control_satisfaction)
-
-
-ScoreFn = Callable[[np.ndarray], np.ndarray]
-
-
-def simulated_online(
-    score_fn: ScoreFn,
-    control_fn: ScoreFn,
-    world: WorldState,
-    cfg: OnlineSimConfig,
-    rng: np.random.Generator,
-) -> OnlineSimResult:
-    """Paired policy comparison on shared slates.
-
-    Both score functions receive the same (n_slates*m, d) feature matrix and
-    return one score per row; higher means ranked first.
-    """
-    slates = draw_slates(world, cfg, rng)
-    flat = slates.x.reshape(-1, world.config.feature_dim)
-    shape = slates.true_policy.shape
-    e_t, s_t = policy_metrics(slates, np.asarray(score_fn(flat)).reshape(shape))
-    e_c, s_c = policy_metrics(slates, np.asarray(control_fn(flat)).reshape(shape))
-    return OnlineSimResult(e_t, s_t, e_c, s_c)

@@ -5,7 +5,7 @@ selected tasks into the columnar store, and a fleet of students trains on
 the same stream consuming those labels through per-step snapshots. Students
 never touch each other's state; a student's trajectory depends only on its
 own init, the stream, and the store bytes, so adding or removing fleet
-members (or changing the thread count) cannot change anyone else's params.
+members cannot change anyone else's params.
 
 Per step t:
   1. draw batch_t from the stream
@@ -25,17 +25,24 @@ from __future__ import annotations
 import csv
 import hashlib
 import struct
-import threading
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .datagen import Batch, GenConfig, WorldState, fork, init_world, next_batch, true_task_value
-from .errors import ConfigError, SchemaError
-from .labelstore import LabelStore, Snapshot
+from .datagen import (
+    Batch,
+    GenConfig,
+    WorldState,
+    _domain,
+    fork,
+    init_world,
+    next_batch,
+    true_task_value,
+)
+from .errors import ConfigError, SchemaError, StoreError
+from .labelstore import LabelStore, Snapshot, read_manifest
 from .metrics import (
     OnlineSimConfig,
     calibration_ratio,
@@ -65,10 +72,6 @@ from .ranker import (
 
 CSV_HEADER = ("step", "job", "task", "metric", "value", "lo", "hi")
 JOB_LEVEL_TASK = "-"
-
-
-def _domain(label: str) -> int:
-    return zlib.crc32(label.encode("utf-8"))
 
 
 def model_init_rng(seed: int, job_name: str) -> np.random.Generator:
@@ -275,8 +278,7 @@ def _teacher_write(teacher: TeacherJob, writer, batch: Batch) -> None:
     values = {}
     for name in teacher.write_tasks:
         kind = teacher.model.config.task(name).kind
-        col = preds.prob(name) if kind == BINARY else preds.value(name)
-        values[name] = col.astype(np.float32)
+        values[name] = preds.score(name, kind).astype(np.float32)
     writer.append(batch.example_ids, values, teacher_version=teacher.version)
 
 
@@ -397,11 +399,7 @@ def _eval_point(
         for name, model, train in jobs:
             preds = model_forward(model, flat, clip=train.activation_clip, job=name)
             kind = model.config.task(sim.policy_task).kind
-            scores = (
-                preds.prob(sim.policy_task)
-                if kind == BINARY
-                else preds.value(sim.policy_task)
-            )
+            scores = preds.score(sim.policy_task, kind)
             engagement, satisfaction = policy_metrics(slates, scores.reshape(shape))
             log.add(step, name, JOB_LEVEL_TASK, "engagement", engagement)
             log.add(step, name, JOB_LEVEL_TASK, "satisfaction", satisfaction)
@@ -414,13 +412,12 @@ def run_online(
     sched: ScheduleConfig,
     store_root,
     *,
-    threads: int = 1,
     soft_collector=None,
 ) -> MetricsLog:
     """Drive the full loop; returns the metrics log.
 
-    threads parallelizes the student updates within a step (results are
-    bit-identical to the sequential order). soft_collector, when given, is
+    store_root must hold no committed segments: students would read them as
+    if this run's teacher had written them. soft_collector, when given, is
     called per student per step with (step, student name, manifest_version,
     present mask, value columns) for consistency auditing.
     """
@@ -429,17 +426,14 @@ def run_online(
         raise ConfigError("job names must be unique")
     store_root = Path(store_root)
     store_root.mkdir(parents=True, exist_ok=True)
+    if read_manifest(store_root).segment_ids:
+        raise StoreError(f"store {store_root} already holds segments; use an empty directory")
     store = LabelStore(store_root)
     log = MetricsLog()
     pending: dict[int, Batch] = {}  # recent batches awaiting delayed writes
     cov_sum = {s.name: 0.0 for s in students}
     cov_n = {s.name: 0 for s in students}
     eval_idx = 0
-    pool = (
-        ThreadPoolExecutor(max_workers=threads)
-        if threads > 1 and len(students) > 1
-        else None
-    )
     task_specs = {t.name: t for t in teacher.model.tasks}
     write_schema = [task_specs[n] for n in teacher.write_tasks]
     writer_cm = (
@@ -459,8 +453,7 @@ def run_online(
             for old in [k for k in pending if k <= src]:
                 del pending[old]
             snapshot = store.open_snapshot()
-
-            def train_one(student: StudentJob):
+            for student in students:
                 coverage, present, values = _student_step(student, batch, snapshot)
                 if student.distill_tasks:
                     cov_sum[student.name] += coverage
@@ -469,12 +462,6 @@ def run_online(
                         soft_collector(
                             t, student.name, snapshot.manifest_version, present, values
                         )
-
-            if pool is not None:
-                list(pool.map(train_one, students))
-            else:
-                for s in students:
-                    train_one(s)
             final = t == sched.total_steps - 1
             periodic = sched.eval_every > 0 and (t + 1) % sched.eval_every == 0
             if final or periodic:
@@ -496,8 +483,6 @@ def run_online(
                         cov_sum[s.name] = 0.0
                         cov_n[s.name] = 0
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
         if writer_cm is not None:
             writer_cm.__exit__(None, None, None)
     return log
@@ -523,8 +508,6 @@ def run_fleet_consistency(
     students: list[StudentJob],
     sched: ScheduleConfig,
     store_root,
-    *,
-    threads: int = 1,
 ) -> ConsistencyReport:
     """Run the loop with k students and audit that every student consumed
     byte-identical soft labels at every step (same manifest version, same
@@ -532,7 +515,6 @@ def run_fleet_consistency(
     if len(students) < 2:
         raise ConfigError("consistency audit needs at least 2 students")
     digests: dict[int, dict[str, str]] = {}
-    lock = threading.Lock()
 
     def collector(t, name, manifest_version, present, values):
         h = hashlib.sha256()
@@ -541,14 +523,9 @@ def run_fleet_consistency(
         for task in sorted(values):
             h.update(task.encode("utf-8"))
             h.update(np.ascontiguousarray(values[task], dtype="<f4").tobytes())
-        digest = h.hexdigest()
-        with lock:
-            digests.setdefault(t, {})[name] = digest
+        digests.setdefault(t, {})[name] = h.hexdigest()
 
-    log = run_online(
-        world, teacher, students, sched, store_root,
-        threads=threads, soft_collector=collector,
-    )
+    log = run_online(world, teacher, students, sched, store_root, soft_collector=collector)
     violations = []
     for t in range(sched.total_steps):
         per_student = digests.get(t, {})
@@ -766,10 +743,12 @@ def seed_job_name(seed: int, job: str) -> str:
 
 
 def split_job_name(job: str) -> tuple[int, str]:
-    prefix, _, rest = job.partition("/")
-    if not prefix.startswith("s") or not rest:
-        raise ValueError(f"job name {job!r} lacks the s<seed>/ prefix")
-    return int(prefix[1:]), rest
+    """Inverse of seed_job_name. A name without the s<seed>/ prefix, as in
+    a CSV written from a bare run_online log, comes back whole with seed -1."""
+    prefix, sep, rest = job.partition("/")
+    if sep and prefix.startswith("s") and prefix[1:].isdigit():
+        return int(prefix[1:]), rest
+    return -1, job
 
 
 def run_experiment(

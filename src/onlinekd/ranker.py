@@ -51,7 +51,6 @@ class TaskSpec:
     name: str
     kind: str
     category: str = OTHER
-    distill: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in (BINARY, REGRESSION):
@@ -121,26 +120,6 @@ class ModelConfig:
         return n
 
 
-def scale_config(cfg: ModelConfig, multiplier: int) -> ModelConfig:
-    """Widen every trunk layer by an integer factor; towers keep their widths.
-
-    This is how a teacher of "size Nx" is derived from the student
-    architecture. Tower hidden widths are unchanged (their input dim follows
-    the widened trunk output). Parameter counts are exact via
-    ModelConfig.parameter_count().
-    """
-    if multiplier < 1:
-        raise ConfigError("scale multiplier must be >= 1")
-    return ModelConfig(
-        feature_dim=cfg.feature_dim,
-        trunk_widths=tuple(w * multiplier for w in cfg.trunk_widths),
-        tower_widths=cfg.tower_widths,
-        tasks=cfg.tasks,
-        mode=cfg.mode,
-        distill_tasks=cfg.distill_tasks,
-    )
-
-
 @dataclass
 class RankingModel:
     config: ModelConfig
@@ -199,10 +178,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def sigmoid(z) -> np.ndarray:
-    return _sigmoid(np.asarray(z, dtype=np.float64))
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """CLI: config resolution, report rendering, subcommands, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from onlinekd import cli
 from onlinekd.cli import (
@@ -30,6 +32,7 @@ from onlinekd.pipeline import (
     MetricRow,
     build_runs,
     read_metrics_csv,
+    split_job_name,
     write_metrics_csv,
 )
 from onlinekd.ranker import AUXILIARY, BINARY, NO_DISTILL
@@ -74,7 +77,7 @@ def test_build_config_overrides_and_merging():
             "feature_dim": 8,
             "drift_rate": 0.99,
             "tasks": [
-                {"name": "ctr", "kind": "binary", "category": "pet", "distill": True},
+                {"name": "ctr", "kind": "binary", "category": "pet"},
                 {"name": "spend", "kind": "regression"},
             ],
         },
@@ -103,7 +106,7 @@ def test_build_config_overrides_and_merging():
     assert cfg.gen.feature_dim == 8
     assert cfg.gen.drift_rate == 0.99
     assert [t.name for t in cfg.gen.tasks] == ["ctr", "spend"]
-    assert cfg.gen.tasks[0].distill is True
+    assert cfg.gen.tasks[0].category == "pet"
     assert cfg.gen.tasks[1].kind == "regression"
     assert cfg.schedule.total_steps == 12
     assert cfg.schedule.online_sim.slate_size == 4
@@ -133,6 +136,11 @@ def test_build_config_rejects_bad_input():
         build_config({"family": FAMILY_DISTILL, "stream": {"nope": 1}})
     with pytest.raises(ConfigError, match="seeds"):
         build_config({"family": FAMILY_DISTILL, "seeds": "zero"})
+    with pytest.raises(ConfigError, match=r"unknown keys under stream.tasks\[0\]: distill"):
+        build_config({
+            "family": FAMILY_DISTILL,
+            "stream": {"tasks": [{"name": "x", "kind": "binary", "distill": True}]},
+        })
     with pytest.raises(ConfigError, match="name and kind"):
         build_config({
             "family": FAMILY_DISTILL,
@@ -153,6 +161,15 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
 
 
+def test_readme_yaml_example_is_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## YAML config", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = build_config(yaml.safe_load(example))
+    assert cfg.family == "custom"
+    assert [s.name for s in cfg.students] == ["control", "pupil"]
+
+
 def test_config_digest_stable_and_sensitive():
     a = default_experiment(FAMILY_SCALE, (0, 1))
     b = default_experiment(FAMILY_SCALE, (0, 1))
@@ -164,9 +181,9 @@ def test_config_digest_stable_and_sensitive():
 
 
 def test_job_name_split_and_family_inference():
-    assert cli._split_or_single("s3/direct") == (3, "direct")
-    assert cli._split_or_single("teacher") == (-1, "teacher")
-    assert cli._split_or_single("snake/case") == (-1, "snake/case")
+    assert split_job_name("s3/direct") == (3, "direct")
+    assert split_job_name("teacher") == (-1, "teacher")
+    assert split_job_name("snake/case") == (-1, "snake/case")
     assert cli._infer_family(["control", "direct", "auxiliary"]) == FAMILY_DISTILL
     assert cli._infer_family(["control", "student-2x"]) == FAMILY_SCALE
     assert cli._infer_family(["pet", "pet-pst"]) == FAMILY_OBJECTIVE
@@ -290,6 +307,27 @@ def test_cmd_run_writes_artifacts(tmp_path, capsys):
     assert (out / "stores" / "main-s0" / "MANIFEST").exists()
     assert (out / "stores" / "main-s1" / "MANIFEST").exists()
     assert "metrics.csv" in capsys.readouterr().out
+
+
+def test_cmd_run_twice_into_one_out_gives_identical_metrics(tmp_path):
+    # label_delay 3 leaves the current batch uncovered within one run; a
+    # rerun that read the first run's segments would cover it
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(
+        "family: custom\n"
+        "seeds: [0]\n"
+        "schedule: {total_steps: 40, batch_size: 32, eval_every: 20, eval_batches: 2}\n"
+        "teacher: {label_delay: 3}\n"
+        "students:\n"
+        "  - {name: control}\n"
+        "  - {name: pupil, mode: auxiliary, distill: [ctr]}\n"
+    )
+    out = tmp_path / "out"
+    csvs = []
+    for _ in range(2):
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+        csvs.append((out / "metrics.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_cmd_run_bad_config_exit_code(tmp_path, capsys):

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from onlinekd.datagen import (
-    DEFAULT_TASKS,
     GenConfig,
-    WorldState,
-    export_stream,
     fork,
     init_world,
     next_batch,
-    read_stream,
     true_task_value,
-    with_drift,
 )
 from onlinekd.errors import ConfigError
 from onlinekd.ranker import BINARY, PET, PST, REGRESSION, TaskSpec
@@ -88,16 +83,6 @@ def test_next_batch_shapes_and_ids():
     assert np.all(b1.labels["ltv"] > 0.0)
     with pytest.raises(ValueError):
         next_batch(world, 0)
-
-
-def test_batch_records_roundtrip_fields():
-    world = init_world(static_config(), 4)
-    batch = next_batch(world, 3)
-    recs = list(batch.records())
-    assert [r.example_id for r in recs] == [0, 1, 2]
-    assert recs[1].t == 0
-    assert np.array_equal(recs[2].x, batch.x[2])
-    assert recs[0].labels["ctr"] == batch.labels["ctr"][0]
 
 
 def test_stream_reproducibility_and_independence_from_drift_rate():
@@ -228,30 +213,3 @@ def test_fork_freezes_drift_by_default():
     for _ in range(5):
         next_batch(moving, 3)
     assert not np.array_equal(moving.latent("ctr"), w0)
-
-
-def test_with_drift_returns_new_config():
-    cfg = GenConfig(drift_rate=0.9)
-    assert with_drift(cfg, 0.5).drift_rate == 0.5
-    assert cfg.drift_rate == 0.9
-
-
-def test_export_read_stream_roundtrip(tmp_path):
-    world = init_world(GenConfig(drift_rate=0.99), 17)
-    path = tmp_path / "stream.bin"
-    rows = export_stream(world, 3, 16, path)
-    assert rows == 48
-    tasks, batches = read_stream(path)
-    # the record format persists (name, kind) pairs; category/distill are
-    # generator-side concepts and not part of the serialized schema
-    assert [(t.name, t.kind) for t in tasks] == [
-        (t.name, t.kind) for t in DEFAULT_TASKS
-    ]
-    assert [b.t for b in batches] == [0, 1, 2]
-    replay = init_world(GenConfig(drift_rate=0.99), 17)
-    for got in batches:
-        want = next_batch(replay, 16)
-        assert np.array_equal(got.example_ids, want.example_ids)
-        np.testing.assert_allclose(got.x, want.x, rtol=1e-6)  # f32 storage
-        for name in want.labels:
-            np.testing.assert_allclose(got.labels[name], want.labels[name], rtol=1e-6)

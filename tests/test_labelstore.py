@@ -9,7 +9,6 @@ import pytest
 from onlinekd.errors import StoreCorruptionError, StoreError, WriterLockError
 from onlinekd.labelstore import (
     LabelStore,
-    LookupStats,
     ManifestData,
     MANIFEST_NAME,
     Snapshot,
@@ -30,6 +29,14 @@ TASKS = [("ctr", BINARY), ("ltv", REGRESSION)]
 
 def make_store(tmp_path, name="store"):
     return LabelStore(tmp_path / name)
+
+
+def lookup_one(snap, eid):
+    """One id through lookup_batch: its per-task values as floats, or None."""
+    present, cols = snap.lookup_batch(np.array([eid], dtype=np.uint64))
+    if not present[0]:
+        return None
+    return {name: float(col[0]) for name, col in cols.items()}
 
 
 def seed_store(store, rows):
@@ -127,12 +134,12 @@ def test_writer_append_and_read_back(tmp_path):
     assert snap.row_count() == 3
     assert snap.task_names == ("ctr", "ltv")
     # rows were sorted by example id, values carried along
-    assert snap.lookup(1) == {"ctr": np.float32(0.1), "ltv": 10.0}
-    assert snap.lookup(3) == {"ctr": np.float32(0.3), "ltv": 30.0}
-    assert snap.lookup(5) == {"ctr": 0.5, "ltv": 50.0}
-    assert snap.lookup(2) is None
-    assert snap.lookup(0) is None
-    assert snap.lookup(99) is None
+    assert lookup_one(snap, 1) == {"ctr": np.float32(0.1), "ltv": 10.0}
+    assert lookup_one(snap, 3) == {"ctr": np.float32(0.3), "ltv": 30.0}
+    assert lookup_one(snap, 5) == {"ctr": 0.5, "ltv": 50.0}
+    assert lookup_one(snap, 2) is None
+    assert lookup_one(snap, 0) is None
+    assert lookup_one(snap, 99) is None
 
 
 def test_float32_values_round_trip_bit_exact(tmp_path):
@@ -220,12 +227,12 @@ def test_snapshot_isolation_under_concurrent_appends(tmp_path):
     # the pinned snapshot is oblivious to every later commit
     assert old.manifest_version == 1
     assert old.row_count() == 2
-    assert old.lookup(10) is None
-    assert old.lookup(2) == {"ctr": np.float32(0.2), "ltv": 2.0}
+    assert lookup_one(old, 10) is None
+    assert lookup_one(old, 2) == {"ctr": np.float32(0.2), "ltv": 2.0}
     fresh = store.open_snapshot()
     assert fresh.manifest_version == 4
     assert fresh.row_count() == 5
-    assert fresh.lookup(12) is not None
+    assert lookup_one(fresh, 12) is not None
 
 
 def test_interleaved_opens_linearize(tmp_path):
@@ -266,7 +273,7 @@ def test_duplicate_resolution_matches_replay_oracle(tmp_path):
     snap = store.open_snapshot()
     expected = replay_store_contents(appends)
     for eid in range(100):
-        got = snap.lookup(eid)
+        got = lookup_one(snap, eid)
         if eid in expected:
             assert got == expected[eid]
         else:
@@ -287,33 +294,14 @@ def test_higher_teacher_version_beats_later_segment(tmp_path):
     ])
     snap = store.open_snapshot()
     # segment 2 is newer on disk but carries an older teacher version
-    assert snap.lookup(7) == {"ctr": np.float32(0.9), "ltv": 9.0}
+    assert lookup_one(snap, 7) == {"ctr": np.float32(0.9), "ltv": 9.0}
     _, cols = snap.lookup_batch(one)
     assert cols["ltv"][0] == 9.0
     # equal teacher versions: the later segment wins
     seed_store(store, [
         (one, {"ctr": np.array([0.5], np.float32), "ltv": np.array([5.0], np.float32)}, 5),
     ])
-    assert store.open_snapshot().lookup(7)["ltv"] == 5.0
-
-
-def test_lookup_probe_count_is_logarithmic(tmp_path):
-    store = make_store(tmp_path)
-    n_segments, rows_per = 64, 512
-    with store.writer(TASKS) as w:
-        for k in range(n_segments):
-            ids = np.arange(k * rows_per, (k + 1) * rows_per, dtype=np.uint64)
-            w.append(ids, {"ctr": np.zeros(rows_per, np.float32),
-                           "ltv": np.zeros(rows_per, np.float32)}, k)
-    snap = store.open_snapshot()
-    budget = 4 * (np.log2(n_segments) + np.log2(rows_per))
-    rng = np.random.default_rng(1)
-    targets = list(rng.integers(0, n_segments * rows_per, size=200))
-    targets += [n_segments * rows_per + 5, 2**63]  # misses above the range
-    for eid in targets:
-        stats = LookupStats()
-        snap.lookup(int(eid), stats)
-        assert stats.comparisons <= budget, f"id {eid}: {stats.comparisons} probes"
+    assert lookup_one(store.open_snapshot(), 7)["ltv"] == 5.0
 
 
 def test_empty_and_missing_store(tmp_path):
@@ -324,7 +312,7 @@ def test_empty_and_missing_store(tmp_path):
     snap = LabelStore(root).open_snapshot()
     assert snap.manifest_version == 0
     assert snap.row_count() == 0
-    assert snap.lookup(1) is None
+    assert lookup_one(snap, 1) is None
     assert snap.coverage(np.array([1, 2], dtype=np.uint64)) == 0.0
     present, out = snap.lookup_batch(np.array([1], dtype=np.uint64))
     assert not present.any() and out == {}
@@ -346,8 +334,8 @@ def test_huge_example_ids(tmp_path):
     seed_store(store, [(ids, {"ctr": np.array([0.25, 0.75], np.float32),
                               "ltv": np.array([1.0, 2.0], np.float32)}, 0)])
     snap = store.open_snapshot()
-    assert snap.lookup(2**64 - 1) == {"ctr": 0.75, "ltv": 2.0}
-    assert snap.lookup(2**64 - 2) is None
+    assert lookup_one(snap, 2**64 - 1) == {"ctr": 0.75, "ltv": 2.0}
+    assert lookup_one(snap, 2**64 - 2) is None
     present, cols = snap.lookup_batch(ids)
     assert present.all() and cols["ctr"][0] == np.float32(0.25)
 
@@ -366,7 +354,7 @@ def test_crash_leftovers_do_not_affect_readers(tmp_path):
     snap = LabelStore(store.root).open_snapshot()
     assert snap.manifest_version == 1
     assert snap.row_count() == 2
-    assert snap.lookup(9) is None
+    assert lookup_one(snap, 9) is None
     report = inspect_store(store.root)
     assert report.ok
     assert segment_filename(2) + ".tmp" in report.stray_files
@@ -375,7 +363,7 @@ def test_crash_leftovers_do_not_affect_readers(tmp_path):
     with LabelStore(store.root).writer(TASKS) as w:
         w.append(np.array([20], dtype=np.uint64),
                  {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}, 1)
-    assert LabelStore(store.root).open_snapshot().lookup(20) is not None
+    assert lookup_one(LabelStore(store.root).open_snapshot(), 20) is not None
 
 
 def test_corrupted_segment_detected(tmp_path):

@@ -13,7 +13,6 @@ from onlinekd.metrics import (
     policy_metrics,
     rank_auc,
     rmse,
-    simulated_online,
 )
 
 from oracles import argmax_policy_metrics, brute_force_auc
@@ -165,14 +164,23 @@ def test_lift_pct():
         lift_pct(1.0, 0.0)
 
 
+def paired_policy_metrics(score_fns, world, cfg, seed):
+    """(engagement, satisfaction) per scorer, every scorer ranking the same
+    drawn slates from one flat feature matrix, as the online loop's eval does."""
+    slates = draw_slates(world, cfg, np.random.default_rng(seed))
+    flat = slates.x.reshape(-1, world.config.feature_dim)
+    shape = slates.true_policy.shape
+    return [policy_metrics(slates, fn(flat).reshape(shape)) for fn in score_fns]
+
+
 def test_simulated_online_self_comparison_is_exactly_zero():
     world = init_world(GenConfig(), 21)
     cfg = OnlineSimConfig(slate_size=6, n_slates=50)
     w = np.random.default_rng(0).standard_normal(32)
     fn = lambda x: x @ w
-    result = simulated_online(fn, fn, world, cfg, np.random.default_rng(9))
-    assert result.engagement_lift_pct == 0.0
-    assert result.satisfaction_lift_pct == 0.0
+    (e_t, s_t), (e_c, s_c) = paired_policy_metrics([fn, fn], world, cfg, 9)
+    assert lift_pct(e_t, e_c) == 0.0
+    assert lift_pct(s_t, s_c) == 0.0
 
 
 def test_simulated_online_is_paired_and_deterministic():
@@ -180,11 +188,9 @@ def test_simulated_online_is_paired_and_deterministic():
     cfg = OnlineSimConfig(slate_size=6, n_slates=50)
     a = lambda x: x @ np.ones(32)
     b = lambda x: x @ np.arange(32.0)
-    r1 = simulated_online(a, b, world, cfg, np.random.default_rng(9))
-    r2 = simulated_online(a, b, world, cfg, np.random.default_rng(9))
-    assert (r1.engagement, r1.satisfaction) == (r2.engagement, r2.satisfaction)
-    assert (r1.control_engagement, r1.control_satisfaction) == (
-        r2.control_engagement, r2.control_satisfaction)
+    r1 = paired_policy_metrics([a, b], world, cfg, 9)
+    r2 = paired_policy_metrics([a, b], world, cfg, 9)
+    assert r1 == r2
 
 
 def test_oracle_policy_dominates_any_other_scorer():

@@ -1,5 +1,6 @@
 """Multi-task ranking model: losses, distillation wiring, exact gradients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from onlinekd.errors import ConfigError
 from onlinekd.nncore import IDENTITY, RELU, TrainConfig
+from onlinekd.pipeline import _scaled
 from onlinekd.ranker import (
     AUXILIARY,
     BINARY,
@@ -25,7 +27,6 @@ from onlinekd.ranker import (
     distill_loss,
     hard_loss,
     model_forward,
-    scale_config,
     sharpen_probability,
     total_loss,
     validate_tasks,
@@ -40,8 +41,8 @@ from oracles import (
 )
 
 TASKS = (
-    TaskSpec("ctr", BINARY, distill=True),
-    TaskSpec("ltv", REGRESSION, distill=True),
+    TaskSpec("ctr", BINARY),
+    TaskSpec("ltv", REGRESSION),
     TaskSpec("aux_click", BINARY),
 )
 
@@ -97,13 +98,13 @@ def test_parameter_count_by_hand():
 
 def test_scale_config_widens_trunk_only():
     cfg = small_config(DIRECT)
-    big = scale_config(cfg, 4)
+    big = dataclasses.replace(cfg, trunk_widths=_scaled(cfg.trunk_widths, 4))
     assert big.trunk_widths == (20,)
     assert big.tower_widths == cfg.tower_widths
     assert big.parameter_count() > cfg.parameter_count()
-    assert scale_config(cfg, 1) == cfg
+    assert _scaled(cfg.trunk_widths, 1) == cfg.trunk_widths
     with pytest.raises(ConfigError):
-        scale_config(cfg, 0)
+        _scaled(cfg.trunk_widths, 0)
 
 
 def test_build_model_structure():
