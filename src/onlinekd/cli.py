@@ -15,16 +15,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import shutil
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
-from .datagen import DEFAULT_TASKS, GenConfig
+from .datagen import GenConfig
 from .errors import ConfigError, DivergenceError, SchemaError, StoreCorruptionError
 from .labelstore import inspect_store
 from .metrics import OnlineSimConfig, bootstrap_ci, lift_pct
@@ -47,7 +50,6 @@ from .pipeline import (
     split_job_name,
     write_metrics_csv,
 )
-from .ranker import NO_DISTILL, TaskSpec
 
 _CI_SEED = 1234
 _CI_RESAMPLES = 2000
@@ -159,15 +161,30 @@ def default_experiment(family: str, seeds: tuple[int, ...]) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # YAML -> ExperimentConfig
+#
+# A config is the family's defaults with the YAML's values laid over them.
+# Each YAML key names one dataclass field: _YAML_FIELDS holds the top level,
+# where the YAML name differs or where one section (model, training, distill,
+# teacher) groups several ExperimentConfig fields; below it the YAML keys are
+# the field names. Every value is checked against its field's type hint.
 
-
-def _expect(raw, key, typ, where):
-    val = raw[key]
-    if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, typ) or isinstance(val, bool) and typ is not bool:
-        raise ConfigError(f"{where}.{key}: expected {typ.__name__}, got {type(val).__name__}")
-    return val
+_YAML_FIELDS = {
+    "family": "family",
+    "seeds": "seeds",
+    "stream": "gen",
+    "schedule": "schedule",
+    "model": {
+        "teacher_trunk": "teacher_trunk",
+        "student_trunk": "student_trunk",
+        "tower": "tower_widths",
+        "teacher_scale": "teacher_scale",
+        "teacher_scales": "teacher_scales",
+    },
+    "training": {"teacher": "teacher_train", "student": "student_train"},
+    "distill": {"mode": "distill_mode", "tasks": "distill_tasks", "alpha": "alpha"},
+    "teacher": {"bias": "bias", "freeze_at": "freeze_at", "write_every": "write_every"},
+    "students": "students",
+}
 
 
 def _check_keys(raw, allowed, where):
@@ -176,255 +193,84 @@ def _check_keys(raw, allowed, where):
         raise ConfigError(f"unknown keys under {where}: {', '.join(unknown)}")
 
 
-def _int_tuple(raw, key, where):
-    val = raw[key]
-    if not isinstance(val, (list, tuple)) or not val or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in val
+def _value(hint, raw, base, where):
+    """raw checked against a field's type hint; a mapping onto a dataclass
+    overrides only the keys it names in base (a fresh instance if None)."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None
+        if raw is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _value(hint, raw, base, where)
+    if is_dataclass(hint):
+        return _override(hint if base is None else base, raw, where)
+    if origin is tuple:  # tuple[X, ...]
+        if not isinstance(raw, list) or args[0] is int and not raw:
+            raise ConfigError(
+                f"{where}: expected a {'non-empty list of ints' if args[0] is int else 'list'}"
+            )
+        return tuple(_value(args[0], v, None, f"{where}[{i}]") for i, v in enumerate(raw))
+    if origin is dict:  # dict[str, float]
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{where}: expected a mapping")
+        return {
+            _value(args[0], k, None, where): _value(args[1], v, None, f"{where}.{k}")
+            for k, v in raw.items()
+        }
+    if hint is float and isinstance(raw, (int, str)) and not isinstance(raw, bool):
+        try:  # ints widen; PyYAML reads 1e-9 (no dot) as a string
+            raw = float(raw)
+        except (OverflowError, ValueError):
+            pass
+    if isinstance(raw, bool) and hint is not bool or not isinstance(raw, hint) or (
+        hint is float and not math.isfinite(raw)
     ):
-        raise ConfigError(f"{where}.{key}: expected a non-empty list of ints")
-    return tuple(val)
+        raise ConfigError(f"{where}: expected {hint.__name__}, got {raw!r}")
+    return raw
 
 
-def _parse_tasks(raw_tasks) -> tuple[TaskSpec, ...]:
-    specs = []
-    for i, item in enumerate(raw_tasks):
-        if not isinstance(item, dict):
-            raise ConfigError(f"stream.tasks[{i}]: expected a mapping")
-        _check_keys(item, ("name", "kind", "category"), f"stream.tasks[{i}]")
-        if "name" not in item or "kind" not in item:
-            raise ConfigError(f"stream.tasks[{i}]: name and kind are required")
-        specs.append(
-            TaskSpec(
-                name=str(item["name"]),
-                kind=str(item["kind"]),
-                category=str(item.get("category", "other")),
-            )
-        )
-    return tuple(specs)
-
-
-def _parse_train(raw, where, base: TrainConfig) -> TrainConfig:
-    _check_keys(
-        raw, ("base_lr", "warmup_steps", "activation_clip", "clippy", "adam"), where
-    )
-    clippy = base.clippy
-    if "clippy" in raw:
-        c = raw["clippy"]
-        if c is None:
-            clippy = None
+def _changes(cls, base, raw, where, names) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a mapping")
+    _check_keys(raw, names, where)
+    hints = get_type_hints(cls)
+    out = {}
+    for key, val in raw.items():
+        name, path = names[key], key if where == "config" else f"{where}.{key}"
+        if isinstance(name, dict):  # a YAML section of several fields
+            out.update(_changes(cls, base, val, path, name))
         else:
-            _check_keys(c, ("sigma_rel", "sigma_abs"), f"{where}.clippy")
-            clippy = ClippyConfig(
-                sigma_rel=float(c.get("sigma_rel", 0.1)),
-                sigma_abs=float(c.get("sigma_abs", 1e-3)),
-            )
-    adam = base.adam
-    if "adam" in raw:
-        a = raw["adam"]
-        _check_keys(a, ("beta1", "beta2", "epsilon"), f"{where}.adam")
-        adam = AdamConfig(
-            beta1=float(a.get("beta1", 0.9)),
-            beta2=float(a.get("beta2", 0.999)),
-            epsilon=float(a.get("epsilon", 1e-8)),
-        )
-    clip = base.activation_clip
-    if "activation_clip" in raw:
-        clip = None if raw["activation_clip"] is None else float(raw["activation_clip"])
-    return TrainConfig(
-        base_lr=float(raw.get("base_lr", base.base_lr)),
-        warmup_steps=int(raw.get("warmup_steps", base.warmup_steps)),
-        activation_clip=clip,
-        clippy=clippy,
-        adam=adam,
-    )
+            out[name] = _value(hints[name], val, getattr(base, name, None), path)
+    return out
 
 
-def _parse_students(raw_students) -> tuple[StudentDef, ...]:
-    out = []
-    for i, item in enumerate(raw_students):
-        if not isinstance(item, dict):
-            raise ConfigError(f"students[{i}]: expected a mapping")
-        _check_keys(item, ("name", "mode", "distill", "alpha", "scale"), f"students[{i}]")
-        if "name" not in item:
-            raise ConfigError(f"students[{i}]: name is required")
-        alpha = item.get("alpha", {})
-        if not isinstance(alpha, dict):
-            raise ConfigError(f"students[{i}].alpha: expected a mapping")
-        mode = str(item.get("mode", NO_DISTILL))
-        if mode == "none":
-            mode = NO_DISTILL
-        out.append(
-            StudentDef(
-                name=str(item["name"]),
-                mode=mode,
-                distill=tuple(str(t) for t in item.get("distill", ())),
-                alpha={str(k): float(v) for k, v in alpha.items()},
-                scale=int(item.get("scale", 1)),
-            )
-        )
-    return tuple(out)
-
-
-_TOP_KEYS = (
-    "family", "seeds", "stream", "schedule", "model", "training",
-    "distill", "teacher", "students",
-)
+def _override(base, raw, where, names=None):
+    """base, a dataclass instance or type, with the fields raw names replaced;
+    validation errors of the dataclass come back as ConfigError at where."""
+    fresh = isinstance(base, type)
+    cls = base if fresh else type(base)
+    changes = _changes(cls, base, raw, where, names or {f.name: f.name for f in fields(cls)})
+    required = [f.name for f in fields(cls) if f.default is f.default_factory is MISSING]
+    if fresh and not set(required) <= set(changes):
+        raise ConfigError(f"{where}: {' and '.join(required)} required")
+    try:
+        return cls(**changes) if fresh else replace(base, **changes)
+    except (ConfigError, TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def build_config(raw: dict, seeds_override: tuple[int, ...] | None = None) -> ExperimentConfig:
     """Resolve a parsed YAML mapping against family defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    _check_keys(raw, _TOP_KEYS, "config")
     if "family" not in raw:
         raise ConfigError("config.family is required")
-    family = _expect(raw, "family", str, "config")
-    seeds = seeds_override
-    if seeds is None:
-        raw_seeds = raw.get("seeds", list(range(10)))
-        if not isinstance(raw_seeds, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in raw_seeds
-        ):
-            raise ConfigError("config.seeds: expected a list of ints")
-        seeds = tuple(raw_seeds)
+    family = _value(str, raw["family"], None, "config.family")
+    seeds = tuple(range(10)) if seeds_override is None else seeds_override
     base = default_experiment(family, seeds)
-    gen = base.gen
-    if "stream" in raw:
-        s = raw["stream"]
-        _check_keys(
-            s,
-            ("feature_dim", "drift_rate", "logit_scale", "ltv_noise_sigma",
-             "conflict_angle", "tasks"),
-            "stream",
-        )
-        gen = GenConfig(
-            feature_dim=int(s.get("feature_dim", gen.feature_dim)),
-            drift_rate=float(s.get("drift_rate", gen.drift_rate)),
-            logit_scale=float(s.get("logit_scale", gen.logit_scale)),
-            ltv_noise_sigma=float(s.get("ltv_noise_sigma", gen.ltv_noise_sigma)),
-            conflict_angle=float(s.get("conflict_angle", gen.conflict_angle)),
-            tasks=_parse_tasks(s["tasks"]) if "tasks" in s else gen.tasks,
-        )
-    sched = base.schedule
-    if "schedule" in raw:
-        s = raw["schedule"]
-        _check_keys(
-            s,
-            ("total_steps", "batch_size", "eval_every", "eval_batches",
-             "online_sim", "online_sim_every", "durable_store"),
-            "schedule",
-        )
-        sim = sched.online_sim
-        if "online_sim" in s:
-            o = s["online_sim"]
-            if o is None:
-                sim = None
-            else:
-                _check_keys(
-                    o, ("slate_size", "n_slates", "policy_task", "satisfaction_task"),
-                    "schedule.online_sim",
-                )
-                sim = OnlineSimConfig(
-                    slate_size=int(o.get("slate_size", 8)),
-                    n_slates=int(o.get("n_slates", 2000)),
-                    policy_task=str(o.get("policy_task", "ctr")),
-                    satisfaction_task=str(o.get("satisfaction_task", "sat")),
-                )
-        sched = ScheduleConfig(
-            total_steps=int(s.get("total_steps", sched.total_steps)),
-            batch_size=int(s.get("batch_size", sched.batch_size)),
-            eval_every=int(s.get("eval_every", sched.eval_every)),
-            eval_batches=int(s.get("eval_batches", sched.eval_batches)),
-            online_sim=sim,
-            online_sim_every=int(s.get("online_sim_every", sched.online_sim_every)),
-            durable_store=bool(s.get("durable_store", sched.durable_store)),
-        )
-    teacher_trunk = base.teacher_trunk
-    student_trunk = base.student_trunk
-    tower = base.tower_widths
-    teacher_scale = base.teacher_scale
-    teacher_scales = base.teacher_scales
-    if "model" in raw:
-        m = raw["model"]
-        _check_keys(
-            m,
-            ("teacher_trunk", "student_trunk", "tower", "teacher_scale", "teacher_scales"),
-            "model",
-        )
-        if "teacher_trunk" in m:
-            teacher_trunk = _int_tuple(m, "teacher_trunk", "model")
-        if "student_trunk" in m:
-            student_trunk = _int_tuple(m, "student_trunk", "model")
-        if "tower" in m:
-            tower = _int_tuple(m, "tower", "model")
-        if "teacher_scale" in m:
-            teacher_scale = _expect(m, "teacher_scale", int, "model")
-        if "teacher_scales" in m:
-            teacher_scales = _int_tuple(m, "teacher_scales", "model")
-    teacher_train = base.teacher_train
-    student_train = base.student_train
-    if "training" in raw:
-        tr = raw["training"]
-        _check_keys(tr, ("teacher", "student"), "training")
-        if "teacher" in tr:
-            teacher_train = _parse_train(tr["teacher"], "training.teacher", teacher_train)
-        if "student" in tr:
-            student_train = _parse_train(tr["student"], "training.student", student_train)
-    distill_tasks = base.distill_tasks
-    distill_mode = base.distill_mode
-    alpha = dict(base.alpha)
-    if "distill" in raw:
-        d = raw["distill"]
-        _check_keys(d, ("mode", "tasks", "alpha"), "distill")
-        if "tasks" in d:
-            distill_tasks = tuple(str(t) for t in d["tasks"])
-        if "mode" in d:
-            distill_mode = str(d["mode"])
-        if "alpha" in d:
-            if not isinstance(d["alpha"], dict):
-                raise ConfigError("distill.alpha: expected a mapping")
-            alpha = {str(k): float(v) for k, v in d["alpha"].items()}
-    bias = dict(base.bias)
-    freeze_at = base.freeze_at
-    label_delay = base.label_delay
-    write_every = base.write_every
-    if "teacher" in raw:
-        te = raw["teacher"]
-        _check_keys(te, ("bias", "freeze_at", "label_delay", "write_every"), "teacher")
-        if "bias" in te:
-            if not isinstance(te["bias"], dict):
-                raise ConfigError("teacher.bias: expected a mapping")
-            bias = {str(k): float(v) for k, v in te["bias"].items()}
-        if "freeze_at" in te:
-            freeze_at = None if te["freeze_at"] is None else int(te["freeze_at"])
-        if "label_delay" in te:
-            label_delay = int(te["label_delay"])
-        if "write_every" in te:
-            write_every = int(te["write_every"])
-    students = base.students
-    if "students" in raw:
-        students = _parse_students(raw["students"])
-    return ExperimentConfig(
-        family=family,
-        seeds=seeds,
-        gen=gen,
-        schedule=sched,
-        teacher_trunk=teacher_trunk,
-        student_trunk=student_trunk,
-        tower_widths=tower,
-        teacher_train=teacher_train,
-        student_train=student_train,
-        teacher_scale=teacher_scale,
-        teacher_scales=teacher_scales,
-        distill_tasks=distill_tasks,
-        distill_mode=distill_mode,
-        alpha=alpha,
-        bias=bias,
-        freeze_at=freeze_at,
-        label_delay=label_delay,
-        write_every=write_every,
-        students=students,
-    )
+    if seeds_override is not None:
+        raw = {k: v for k, v in raw.items() if k != "seeds"}
+    return _override(base, raw, "config", _YAML_FIELDS)
 
 
 def load_config(path, seeds_override=None) -> ExperimentConfig:

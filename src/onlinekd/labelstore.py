@@ -274,9 +274,6 @@ class Snapshot:
     def task_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.tasks)
 
-    def row_count(self) -> int:
-        return sum(seg.n_rows for seg in self.segments)
-
     def lookup_batch(self, example_ids: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Vectorized lookup. Returns (present mask, per-task float32 arrays).
 
@@ -304,14 +301,6 @@ class Snapshot:
                 out[name][hit] = seg.values[name][rows]
             present |= hit
         return present, out
-
-    def coverage(self, example_ids: np.ndarray) -> float:
-        """Fraction of the given ids present in this snapshot."""
-        ids = np.ascontiguousarray(example_ids, dtype=np.uint64)
-        if ids.shape[0] == 0:
-            return 0.0
-        present, _ = self.lookup_batch(ids)
-        return float(present.mean())
 
 
 class LabelStore:

@@ -10,11 +10,11 @@ members cannot change anyone else's params.
 Per step t:
   1. draw batch_t from the stream
   2. teacher takes one gradient step on batch_t hard labels unless frozen
-  3. on write steps, teacher infers on batch_{t-D} (D = label_delay) and
-     appends one segment; a frozen teacher keeps writing (stale) labels
+  3. on write steps, teacher infers on batch_t and appends one segment; a
+     frozen teacher keeps writing (stale) labels
   4. open one snapshot, shared by every student this step
   5. students train on batch_t: hard labels plus whatever soft labels the
-     snapshot covers (coverage < 1 when D > 0 or writes are throttled)
+     snapshot covers (coverage < 1 when writes are throttled)
 
 A segment's teacher_version is the teacher's optimizer step count at the
 write.
@@ -198,7 +198,6 @@ class TeacherJob:
     train: TrainConfig
     write_tasks: tuple[str, ...]
     write_every: int = 1
-    label_delay: int = 0
     freeze_at: int | None = None
     bias: dict[str, float] = field(default_factory=dict)
 
@@ -216,8 +215,6 @@ class TeacherJob:
                 )
         if self.write_every < 1:
             raise ConfigError("write_every must be >= 1")
-        if self.label_delay < 0:
-            raise ConfigError("label_delay must be >= 0")
 
     @property
     def version(self) -> int:
@@ -232,7 +229,6 @@ class StudentJob:
     opt: ModelOptimizer
     train: TrainConfig
     alpha: dict[str, float] = field(default_factory=dict)
-    temperature: float = 1.0
 
     def __post_init__(self) -> None:
         distilled = set(self.model.config.distill_tasks)
@@ -342,7 +338,6 @@ def _student_step(
         soft_labels=soft,
         alpha=alpha,
         clip=student.train.activation_clip,
-        temperature=student.temperature,
         job=student.name,
     )
     apply_gradients(student.model, grads, student.opt, student.train, job=student.name)
@@ -430,7 +425,6 @@ def run_online(
         raise StoreError(f"store {store_root} already holds segments; use an empty directory")
     store = LabelStore(store_root)
     log = MetricsLog()
-    pending: dict[int, Batch] = {}  # recent batches awaiting delayed writes
     cov_sum = {s.name: 0.0 for s in students}
     cov_n = {s.name: 0 for s in students}
     eval_idx = 0
@@ -445,13 +439,9 @@ def run_online(
         writer = writer_cm.__enter__() if writer_cm is not None else None
         for t in range(sched.total_steps):
             batch = next_batch(world, sched.batch_size)
-            pending[t] = batch
             _teacher_train(teacher, batch, t)
-            src = t - teacher.label_delay
-            if writer is not None and src >= 0 and t % teacher.write_every == 0:
-                _teacher_write(teacher, writer, pending[src])
-            for old in [k for k in pending if k <= src]:
-                del pending[old]
+            if writer is not None and t % teacher.write_every == 0:
+                _teacher_write(teacher, writer, batch)
             snapshot = store.open_snapshot()
             for student in students:
                 coverage, present, values = _student_step(student, batch, snapshot)
@@ -569,6 +559,8 @@ class StudentDef:
     scale: int = 1
 
     def __post_init__(self) -> None:
+        if self.mode == "none":  # the YAML spelling of no distillation
+            self.mode = NO_DISTILL
         if self.mode not in MODES:
             raise ConfigError(f"unknown student mode {self.mode!r}")
         if self.mode == NO_DISTILL and self.distill:
@@ -611,7 +603,6 @@ class ExperimentConfig:
     alpha: dict[str, float] = field(default_factory=dict)
     bias: dict[str, float] = field(default_factory=dict)
     freeze_at: int | None = None
-    label_delay: int = 0
     write_every: int = 1
     students: tuple[StudentDef, ...] = ()
 
@@ -629,6 +620,13 @@ class ExperimentConfig:
         for task in list(self.alpha) + list(self.bias):
             if task not in names:
                 raise ConfigError(f"unknown task {task!r} in alpha/bias")
+        sim = self.schedule.online_sim
+        if sim is not None:
+            for task in (sim.policy_task, sim.satisfaction_task):
+                if task not in names:
+                    raise ConfigError(
+                        f"schedule.online_sim: task {task!r} not generated by the stream"
+                    )
         if self.distill_mode not in (DIRECT, AUXILIARY):
             raise ConfigError("distill_mode must be a distillation mode")
 
@@ -713,7 +711,6 @@ def make_teacher_job(cfg: ExperimentConfig, tdef: TeacherDef, seed: int) -> Teac
         train=cfg.teacher_train,
         write_tasks=tuple(tdef.write_tasks),
         write_every=cfg.write_every,
-        label_delay=cfg.label_delay,
         freeze_at=tdef.freeze_at,
         bias=dict(tdef.bias),
     )

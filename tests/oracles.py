@@ -119,6 +119,16 @@ def replay_store_contents(appends):
     return {eid: vals for eid, (_, vals) in best.items()}
 
 
+def stored_ids(snapshot) -> np.ndarray:
+    """Every example id in a snapshot's segments, one entry per stored row
+    (an id written twice appears twice), read from the segment columns.
+    Its length is the snapshot's row count; np.isin against it gives which
+    probe ids the snapshot covers."""
+    return np.concatenate(
+        [seg.example_ids for seg in snapshot.segments] + [np.zeros(0, np.uint64)]
+    )
+
+
 def argmax_policy_metrics(x_slates, true_policy, true_sat, score_rows):
     """Slate policy metrics recomputed with explicit python loops."""
     n, m = true_policy.shape

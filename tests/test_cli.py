@@ -1,6 +1,7 @@
 """CLI: config resolution, report rendering, subcommands, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from onlinekd.errors import (
     StoreCorruptionError,
 )
 from onlinekd.labelstore import LabelStore, SegmentWriter, segment_filename
+from onlinekd.metrics import OnlineSimConfig
+from onlinekd.nncore import AdamConfig
 from onlinekd.pipeline import (
     FAMILIES,
     FAMILY_DISTILL,
@@ -84,7 +87,7 @@ def test_build_config_overrides_and_merging():
         "schedule": {
             "total_steps": 12,
             "batch_size": 16,
-            "online_sim": {"slate_size": 4, "n_slates": 50},
+            "online_sim": {"slate_size": 4, "n_slates": 50, "satisfaction_task": "spend"},
         },
         "model": {"teacher_trunk": [10], "student_trunk": [8], "tower": [5]},
         "training": {
@@ -96,7 +99,7 @@ def test_build_config_overrides_and_merging():
             "student": {"clippy": None, "activation_clip": None},
         },
         "distill": {"tasks": ["ctr"], "mode": "auxiliary", "alpha": {"ctr": 0.25}},
-        "teacher": {"bias": {"spend": 2.0}, "write_every": 2, "label_delay": 1},
+        "teacher": {"bias": {"spend": 2.0}, "write_every": 2},
         "students": [
             {"name": "control", "mode": "none"},
             {"name": "aux", "mode": "auxiliary", "distill": ["ctr"], "alpha": {"ctr": 0.25}},
@@ -110,6 +113,7 @@ def test_build_config_overrides_and_merging():
     assert cfg.gen.tasks[1].kind == "regression"
     assert cfg.schedule.total_steps == 12
     assert cfg.schedule.online_sim.slate_size == 4
+    assert cfg.schedule.online_sim.satisfaction_task == "spend"
     assert cfg.teacher_trunk == (10,)
     assert cfg.teacher_train.base_lr == 0.05
     assert cfg.teacher_train.adam.beta1 == 0.8
@@ -120,9 +124,50 @@ def test_build_config_overrides_and_merging():
     assert cfg.distill_tasks == ("ctr",)
     assert cfg.alpha == {"ctr": 0.25}
     assert cfg.bias == {"spend": 2.0}
-    assert cfg.write_every == 2 and cfg.label_delay == 1
+    assert cfg.write_every == 2
     assert cfg.students[0].mode == NO_DISTILL
     assert cfg.students[1].mode == AUXILIARY
+    # the deleted teacher.label_delay knob is an unknown key
+    raw["teacher"]["label_delay"] = 1
+    with pytest.raises(ConfigError, match="unknown keys under teacher: label_delay"):
+        build_config(raw)
+
+
+def test_build_config_partial_mappings_keep_family_values():
+    cfg = build_config({
+        "family": FAMILY_SCALE,
+        "schedule": {"online_sim": {"slate_size": 4}},
+        "training": {"teacher": {"adam": {"epsilon": "1e-9"}}},
+    })
+    # the family tunes n_slates to 3000; naming slate_size alone keeps it
+    assert cfg.schedule.online_sim == OnlineSimConfig(slate_size=4, n_slates=3000)
+    # PyYAML reads 1e-9 (no dot) as a string; it is still a float
+    assert yaml.safe_load("epsilon: 1e-9") == {"epsilon": "1e-9"}
+    assert cfg.teacher_train.adam == AdamConfig(epsilon=1e-9)
+    assert cfg.teacher_train.base_lr == 0.02
+
+
+# (overrides of the custom family, the YAML path its error must name)
+STUDENT = {"name": "s", "mode": "auxiliary", "distill": ["ctr"]}
+BAD_VALUES = [
+    ({"schedule": {"durable_store": "no"}}, "schedule.durable_store"),
+    ({"schedule": {"total_steps": 12.7}}, "schedule.total_steps"),
+    ({"schedule": {"total_steps": "abc"}}, "schedule.total_steps"),
+    ({"teacher": {"write_every": 2.9}}, "teacher.write_every"),
+    ({"training": {"teacher": {"base_lr": -1}}}, "training.teacher"),
+    ({"training": {"student": {"clippy": {"sigma_rel": -1}}}}, "training.student.clippy"),
+    ({"schedule": {"online_sim": {"slate_size": 1}}}, "schedule.online_sim"),
+    ({"schedule": {"online_sim": {"policy_task": "nope"}}}, "schedule.online_sim"),
+    ({"schedule": {"online_sim": {"satisfaction_task": "nope"}}}, "schedule.online_sim"),
+    ({"stream": 5}, "stream"),
+    ({"students": 5}, "students"),
+    ({"training": {"teacher": {"adam": None}}}, "training.teacher.adam"),
+    # over tasks c, t and r a bare string once split into three tasks
+    ({"stream": {"tasks": [{"name": n, "kind": "binary"} for n in "ctr"]},
+      "distill": {"tasks": "ctr"}}, "distill.tasks"),
+    ({"students": [{**STUDENT, "alpha": {"ctr": "x"}}]}, "students[0].alpha.ctr"),
+    ({"teacher": {"freeze_at": "soon"}}, "teacher.freeze_at"),
+]
 
 
 def test_build_config_rejects_bad_input():
@@ -150,6 +195,11 @@ def test_build_config_rejects_bad_input():
         build_config({"family": FAMILY_DISTILL, "distill": {"alpha": [1]}})
     with pytest.raises(ConfigError, match="expected a non-empty list of ints"):
         build_config({"family": FAMILY_DISTILL, "model": {"tower": []}})
+    # each value below was once accepted, silently coerced, or escaped as a
+    # ValueError/TypeError; the error must name its YAML path
+    for override, path in BAD_VALUES:
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: ")):
+            build_config({"family": "custom", **override})
 
 
 def test_load_config_errors(tmp_path):
@@ -310,14 +360,14 @@ def test_cmd_run_writes_artifacts(tmp_path, capsys):
 
 
 def test_cmd_run_twice_into_one_out_gives_identical_metrics(tmp_path):
-    # label_delay 3 leaves the current batch uncovered within one run; a
-    # rerun that read the first run's segments would cover it
+    # the rerun must start from fresh stores: run_online refuses a store
+    # that already holds segments (StoreError), and reading the first run's
+    # labels would change the second run's metrics
     cfg_path = tmp_path / "exp.yaml"
     cfg_path.write_text(
         "family: custom\n"
         "seeds: [0]\n"
         "schedule: {total_steps: 40, batch_size: 32, eval_every: 20, eval_batches: 2}\n"
-        "teacher: {label_delay: 3}\n"
         "students:\n"
         "  - {name: control}\n"
         "  - {name: pupil, mode: auxiliary, distill: [ctr]}\n"
@@ -335,6 +385,13 @@ def test_cmd_run_bad_config_exit_code(tmp_path, capsys):
     cfg_path.write_text("family: nonsense\n")
     assert main(["run", str(cfg_path)]) == 1
     assert "config error" in capsys.readouterr().err
+    # a value the dataclass rejects with ValueError is a config error too
+    cfg_path.write_text("family: custom\ntraining:\n  teacher: {base_lr: -1}\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: training.teacher: base_lr must be positive")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def seed_store(root):
@@ -398,15 +455,16 @@ def test_main_maps_runtime_errors_to_exit_codes(tmp_path, monkeypatch, capsys):
     def boom_divergence(*a, **kw):
         raise DivergenceError("loss went non-finite", job="s0/aux")
 
+    out = ["--out", str(tmp_path / "out")]
     monkeypatch.setattr(cli, "run_experiment", boom_divergence)
-    assert main(["run", str(cfg_path)]) == 2
+    assert main(["run", str(cfg_path), *out]) == 2
     assert "divergence" in capsys.readouterr().err
 
     def boom_corrupt(*a, **kw):
         raise StoreCorruptionError("checksum mismatch")
 
     monkeypatch.setattr(cli, "run_experiment", boom_corrupt)
-    assert main(["run", str(cfg_path)]) == 3
+    assert main(["run", str(cfg_path), *out]) == 3
     assert "corruption" in capsys.readouterr().err
 
 

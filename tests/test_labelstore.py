@@ -22,7 +22,7 @@ from onlinekd.labelstore import (
 )
 from onlinekd.ranker import BINARY, REGRESSION
 
-from oracles import replay_store_contents
+from oracles import replay_store_contents, stored_ids
 
 TASKS = [("ctr", BINARY), ("ltv", REGRESSION)]
 
@@ -131,7 +131,7 @@ def test_writer_append_and_read_back(tmp_path):
         assert w.manifest_version == 1
     snap = store.open_snapshot()
     assert snap.manifest_version == 1
-    assert snap.row_count() == 3
+    assert len(stored_ids(snap)) == 3
     assert snap.task_names == ("ctr", "ltv")
     # rows were sorted by example id, values carried along
     assert lookup_one(snap, 1) == {"ctr": np.float32(0.1), "ltv": 10.0}
@@ -218,7 +218,7 @@ def test_snapshot_isolation_under_concurrent_appends(tmp_path):
         "ctr": np.array([0.1, 0.2], np.float32),
         "ltv": np.array([1.0, 2.0], np.float32)}, 0)])
     old = store.open_snapshot()
-    assert old.row_count() == 2
+    assert len(stored_ids(old)) == 2
     with store.writer(TASKS) as w:
         for k in range(3):
             w.append(np.array([10 + k], dtype=np.uint64),
@@ -226,12 +226,12 @@ def test_snapshot_isolation_under_concurrent_appends(tmp_path):
                      teacher_version=k + 1)
     # the pinned snapshot is oblivious to every later commit
     assert old.manifest_version == 1
-    assert old.row_count() == 2
+    assert len(stored_ids(old)) == 2
     assert lookup_one(old, 10) is None
     assert lookup_one(old, 2) == {"ctr": np.float32(0.2), "ltv": 2.0}
     fresh = store.open_snapshot()
     assert fresh.manifest_version == 4
-    assert fresh.row_count() == 5
+    assert len(stored_ids(fresh)) == 5
     assert lookup_one(fresh, 12) is not None
 
 
@@ -246,8 +246,8 @@ def test_interleaved_opens_linearize(tmp_path):
                      teacher_version=k)
             snap = LabelStore(store.root).open_snapshot()
             versions.append(snap.manifest_version)
-            coverages.append(snap.coverage(probe))
-            rows.append(snap.row_count())
+            coverages.append(np.isin(probe, stored_ids(snap)).mean())
+            rows.append(len(stored_ids(snap)))
     assert versions == sorted(versions) and len(set(versions)) == len(versions)
     assert all(b >= a for a, b in zip(coverages, coverages[1:]))
     assert all(b >= a for a, b in zip(rows, rows[1:]))
@@ -311,9 +311,9 @@ def test_empty_and_missing_store(tmp_path):
     root.mkdir()
     snap = LabelStore(root).open_snapshot()
     assert snap.manifest_version == 0
-    assert snap.row_count() == 0
+    assert len(stored_ids(snap)) == 0
     assert lookup_one(snap, 1) is None
-    assert snap.coverage(np.array([1, 2], dtype=np.uint64)) == 0.0
+    assert not np.isin(np.array([1, 2], dtype=np.uint64), stored_ids(snap)).any()
     present, out = snap.lookup_batch(np.array([1], dtype=np.uint64))
     assert not present.any() and out == {}
 
@@ -323,9 +323,10 @@ def test_coverage_fraction(tmp_path):
     seed_store(store, [(np.array([0, 1, 2, 3]), {
         "ctr": np.zeros(4, np.float32), "ltv": np.zeros(4, np.float32)}, 0)])
     snap = store.open_snapshot()
-    assert snap.coverage(np.array([0, 1, 2, 3], dtype=np.uint64)) == 1.0
-    assert snap.coverage(np.array([2, 3, 4, 5], dtype=np.uint64)) == 0.5
-    assert snap.coverage(np.array([], dtype=np.uint64)) == 0.0
+    for ids, coverage in (([0, 1, 2, 3], 1.0), ([2, 3, 4, 5], 0.5)):
+        probe = np.array(ids, dtype=np.uint64)
+        assert np.isin(probe, stored_ids(snap)).mean() == coverage
+        assert snap.lookup_batch(probe)[0].mean() == coverage
 
 
 def test_huge_example_ids(tmp_path):
@@ -353,7 +354,7 @@ def test_crash_leftovers_do_not_affect_readers(tmp_path):
     (store.root / segment_filename(3)).write_bytes(staged)
     snap = LabelStore(store.root).open_snapshot()
     assert snap.manifest_version == 1
-    assert snap.row_count() == 2
+    assert len(stored_ids(snap)) == 2
     assert lookup_one(snap, 9) is None
     report = inspect_store(store.root)
     assert report.ok
@@ -454,7 +455,7 @@ def test_durable_writer_roundtrip(tmp_path):
     with store.writer(TASKS, durable=True) as w:
         w.append(np.array([1], dtype=np.uint64),
                  {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}, 0)
-    assert store.open_snapshot().row_count() == 1
+    assert len(stored_ids(store.open_snapshot())) == 1
 
 
 def test_snapshot_schema_guard_direct():
