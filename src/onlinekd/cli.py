@@ -87,7 +87,6 @@ def default_experiment(family: str, seeds: tuple[int, ...]) -> ExperimentConfig:
             tower_widths=(12,),
             teacher_train=_train(0.02, 50, 6.0),
             student_train=_train(0.02, 50, None),
-            teacher_scale=2,
             distill_tasks=("ltv",),
             alpha={"ltv": 0.6},
             bias={"ltv": 1.3},
@@ -141,7 +140,6 @@ def default_experiment(family: str, seeds: tuple[int, ...]) -> ExperimentConfig:
             tower_widths=(12,),
             teacher_train=_train(0.02, 20, 6.0),
             student_train=_train(0.02, 20, None),
-            teacher_scale=2,
             alpha={"ctr": 2.0, "sat": 2.0},
         )
     if family == FAMILY_CUSTOM:
@@ -177,13 +175,20 @@ _YAML_FIELDS = {
         "teacher_trunk": "teacher_trunk",
         "student_trunk": "student_trunk",
         "tower": "tower_widths",
-        "teacher_scale": "teacher_scale",
         "teacher_scales": "teacher_scales",
     },
     "training": {"teacher": "teacher_train", "student": "student_train"},
     "distill": {"mode": "distill_mode", "tasks": "distill_tasks", "alpha": "alpha"},
     "teacher": {"bias": "bias", "freeze_at": "freeze_at", "write_every": "write_every"},
     "students": "students",
+}
+
+# The keys of _YAML_FIELDS a family does not read; setting one is an error.
+_UNREAD = {
+    FAMILY_DISTILL: ("distill.mode", "students"),  # it runs both modes
+    FAMILY_SCALE: ("students",),
+    FAMILY_OBJECTIVE: ("distill.tasks", "students"),  # the task sets are the sweep
+    FAMILY_CUSTOM: ("distill.mode", "distill.tasks", "distill.alpha"),  # per student
 }
 
 
@@ -268,6 +273,11 @@ def build_config(raw: dict, seeds_override: tuple[int, ...] | None = None) -> Ex
     family = _value(str, raw["family"], None, "config.family")
     seeds = tuple(range(10)) if seeds_override is None else seeds_override
     base = default_experiment(family, seeds)
+    for path in _UNREAD[family]:
+        section, _, key = path.partition(".")
+        value = raw.get(section)
+        if section in raw and (not key or isinstance(value, dict) and key in value):
+            raise ConfigError(f"{path}: the {family} family does not read this key")
     if seeds_override is not None:
         raw = {k: v for k, v in raw.items() if k != "seeds"}
     return _override(base, raw, "config", _YAML_FIELDS)
@@ -460,14 +470,17 @@ def _parse_seed_list(text: str) -> tuple[int, ...]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:
-            a, _, b = part.partition("-")
-            lo, hi = int(a), int(b)
-            if hi < lo:
-                raise ConfigError(f"bad seed range {part!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(part))
+        try:
+            if "-" in part[1:]:
+                a, _, b = part.partition("-")
+                lo, hi = int(a), int(b)
+            else:
+                lo = hi = int(part)
+        except ValueError:
+            raise ConfigError(f"bad seed {part!r}") from None
+        if hi < lo:
+            raise ConfigError(f"bad seed range {part!r}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ConfigError("empty seed list")
     if len(set(out)) != len(out):

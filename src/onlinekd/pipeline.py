@@ -104,9 +104,6 @@ class MetricsLog:
     def add(self, step, job, task, metric, value, lo=None, hi=None) -> None:
         self.rows.append(MetricRow(step, job, task, metric, float(value), lo, hi))
 
-    def extend(self, rows) -> None:
-        self.rows.extend(rows)
-
     def select(self, *, job=None, task=None, metric=None, step=None) -> list[MetricRow]:
         out = []
         for r in self.rows:
@@ -129,11 +126,6 @@ class MetricsLog:
                 f"step={step}, found {len(rows)}"
             )
         return rows[0].value
-
-    def last_step(self) -> int:
-        if not self.rows:
-            raise ValueError("no metric rows")
-        return max(r.step for r in self.rows)
 
 
 def write_metrics_csv(path, rows) -> None:
@@ -319,17 +311,9 @@ def _soft_targets_for(
 def _student_step(
     student: StudentJob, batch: Batch, snapshot: Snapshot
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    if not student.distill_tasks:
-        _, grads, _ = compute_loss_and_grads(
-            student.model,
-            batch.x,
-            batch.labels,
-            clip=student.train.activation_clip,
-            job=student.name,
-        )
-        apply_gradients(student.model, grads, student.opt, student.train, job=student.name)
-        return 0.0, np.zeros(0, dtype=bool), {}
-    soft, coverage, present, values = _soft_targets_for(student, snapshot, batch)
+    soft, coverage, present, values = {}, 0.0, np.zeros(0, dtype=bool), {}
+    if student.distill_tasks:
+        soft, coverage, present, values = _soft_targets_for(student, snapshot, batch)
     alpha = {task: student.alpha_for(task) for task in student.distill_tasks}
     _, grads, _ = compute_loss_and_grads(
         student.model,
@@ -596,9 +580,8 @@ class ExperimentConfig:
     tower_widths: tuple[int, ...] = (12,)
     teacher_train: TrainConfig = field(default_factory=TrainConfig)
     student_train: TrainConfig = field(default_factory=TrainConfig)
-    teacher_scale: int = 2
-    teacher_scales: tuple[int, ...] = (1, 2, 4)
-    distill_tasks: tuple[str, ...] = ("ctr",)
+    teacher_scales: tuple[int, ...] = (2,)  # one scale outside teacher-scale
+    distill_tasks: tuple[str, ...] = ()
     distill_mode: str = AUXILIARY
     alpha: dict[str, float] = field(default_factory=dict)
     bias: dict[str, float] = field(default_factory=dict)
@@ -613,6 +596,14 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds: must be >= 0, got {min(self.seeds)}")
+        if len(set(self.teacher_scales)) != len(self.teacher_scales):  # one run each
+            raise ConfigError("model.teacher_scales: duplicate scales")
+        if self.family != FAMILY_SCALE and len(self.teacher_scales) != 1:
+            raise ConfigError(
+                f"model.teacher_scales: the {self.family} family takes exactly one scale"
+            )
         names = {t.name for t in self.gen.tasks}
         for task in self.distill_tasks:
             if task not in names:
@@ -635,58 +626,50 @@ def _alpha_map(cfg: ExperimentConfig, tasks: tuple[str, ...]) -> dict[str, float
     return {t: cfg.alpha.get(t, 1.0) for t in tasks}
 
 
+def _run(cfg: ExperimentConfig, run_id, teacher_name, scale, students) -> RunDef:
+    """A run whose teacher writes the tasks its students distill, in stream
+    order, with the config's label bias and freeze step."""
+    distilled = {t for s in students for t in s.distill}
+    write = tuple(t.name for t in cfg.gen.tasks if t.name in distilled)
+    teacher = TeacherDef(teacher_name, scale, write, dict(cfg.bias), cfg.freeze_at)
+    return RunDef(run_id, teacher, students)
+
+
 def build_runs(cfg: ExperimentConfig) -> list[RunDef]:
     """Expand a family into concrete runs (teacher + student set per run)."""
-    if cfg.family == FAMILY_DISTILL:
-        teacher = TeacherDef(
-            "teacher", cfg.teacher_scale, cfg.distill_tasks, dict(cfg.bias), cfg.freeze_at
-        )
-        students = [
-            StudentDef(CONTROL_NAME),
-            StudentDef("direct", DIRECT, cfg.distill_tasks, _alpha_map(cfg, cfg.distill_tasks)),
-            StudentDef("auxiliary", AUXILIARY, cfg.distill_tasks, _alpha_map(cfg, cfg.distill_tasks)),
-        ]
-        return [RunDef("main", teacher, students)]
+    tasks, mode = cfg.distill_tasks, cfg.distill_mode
     if cfg.family == FAMILY_SCALE:
         runs = []
-        base = min(cfg.teacher_scales)
         for scale in cfg.teacher_scales:
-            students = [
-                StudentDef(
-                    f"student-{scale}x",
-                    cfg.distill_mode,
-                    cfg.distill_tasks,
-                    _alpha_map(cfg, cfg.distill_tasks),
-                )
-            ]
-            if scale == base:
+            students = [StudentDef(f"student-{scale}x", mode, tasks, _alpha_map(cfg, tasks))]
+            if scale == min(cfg.teacher_scales):  # control rides along in the base run
                 students.insert(0, StudentDef(CONTROL_NAME))
-            teacher = TeacherDef(f"teacher-{scale}x", scale, cfg.distill_tasks)
-            runs.append(RunDef(f"t{scale}x", teacher, students))
+            runs.append(_run(cfg, f"t{scale}x", f"teacher-{scale}x", scale, students))
         return runs
-    if cfg.family == FAMILY_OBJECTIVE:
+    if cfg.family == FAMILY_DISTILL:
+        students = [
+            StudentDef(CONTROL_NAME),
+            StudentDef("direct", DIRECT, tasks, _alpha_map(cfg, tasks)),
+            StudentDef("auxiliary", AUXILIARY, tasks, _alpha_map(cfg, tasks)),
+        ]
+    elif cfg.family == FAMILY_OBJECTIVE:
         all_tasks = tuple(t.name for t in cfg.gen.tasks)
         pet = tuple(t.name for t in cfg.gen.tasks if t.category == PET)
         pst = tuple(t.name for t in cfg.gen.tasks if t.category == PST)
         if not pet or not pst:
             raise ConfigError("objective-selection needs PET and PST tasks in the stream")
-        teacher = TeacherDef("teacher", cfg.teacher_scale, all_tasks)
-        mode = cfg.distill_mode
         students = [
             StudentDef(CONTROL_NAME),
             StudentDef("pet", mode, pet, _alpha_map(cfg, pet)),
             StudentDef("pet-pst", mode, pet + pst, _alpha_map(cfg, pet + pst)),
             StudentDef("pet-pst-others", mode, all_tasks, _alpha_map(cfg, all_tasks)),
         ]
-        return [RunDef("main", teacher, students)]
-    # custom: explicit students, one run
-    if not cfg.students:
+    elif cfg.students:  # custom: explicit students, one run
+        students = list(cfg.students)
+    else:
         raise ConfigError("custom family needs an explicit students list")
-    write = cfg.distill_tasks or tuple(
-        sorted({t for s in cfg.students for t in s.distill})
-    )
-    teacher = TeacherDef("teacher", cfg.teacher_scale, write, dict(cfg.bias), cfg.freeze_at)
-    return [RunDef("main", teacher, list(cfg.students))]
+    (scale,) = cfg.teacher_scales
+    return [_run(cfg, "main", "teacher", scale, students)]
 
 
 def _scaled(widths: tuple[int, ...], scale: int) -> tuple[int, ...]:

@@ -322,7 +322,6 @@ def test_c6_teacher_staleness(tmp_path):
         tower_widths=(12,),
         teacher_train=_train(0.02, 20, 6.0),
         student_train=_train(0.02, 20, None),
-        teacher_scale=1,
         distill_tasks=("ctr",),
         distill_mode=DIRECT,
         students=(StudentDef("pupil", DIRECT, ("ctr",), {"ctr": 2.0}),),
@@ -404,7 +403,6 @@ def test_c7_store_consistency_and_crash_safety(tmp_path):
         tower_widths=(5,),
         teacher_train=_train(0.05, 10, 6.0),
         student_train=_train(0.05, 10, None),
-        teacher_scale=1,
         distill_tasks=("ctr",),
         students=(
             StudentDef("fleet-a", AUXILIARY, ("ctr",), {"ctr": 1.0}),
@@ -502,7 +500,6 @@ def test_c8_degeneracy_identities(tmp_path):
         tower_widths=(5,),
         teacher_train=_train(0.05, 5, 6.0),
         student_train=_train(0.05, 5, None),
-        teacher_scale=1,
         distill_tasks=("ctr",),
         distill_mode=DIRECT,
         students=(StudentDef("mirror", DIRECT, ("ctr",), {"ctr": 0.0}),),

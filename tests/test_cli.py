@@ -28,6 +28,7 @@ from onlinekd.metrics import OnlineSimConfig
 from onlinekd.nncore import AdamConfig
 from onlinekd.pipeline import (
     FAMILIES,
+    FAMILY_CUSTOM,
     FAMILY_DISTILL,
     FAMILY_OBJECTIVE,
     FAMILY_SCALE,
@@ -62,6 +63,9 @@ def test_parse_seed_list():
         cli._parse_seed_list(",")
     with pytest.raises(ConfigError, match="duplicate"):
         cli._parse_seed_list("1,1")
+    for text in ("abc", "1-", "0,x"):
+        with pytest.raises(ConfigError, match="bad seed"):
+            cli._parse_seed_list(text)
 
 
 def test_build_config_minimal_uses_family_defaults():
@@ -98,7 +102,6 @@ def test_build_config_overrides_and_merging():
             },
             "student": {"clippy": None, "activation_clip": None},
         },
-        "distill": {"tasks": ["ctr"], "mode": "auxiliary", "alpha": {"ctr": 0.25}},
         "teacher": {"bias": {"spend": 2.0}, "write_every": 2},
         "students": [
             {"name": "control", "mode": "none"},
@@ -121,8 +124,6 @@ def test_build_config_overrides_and_merging():
     assert cfg.teacher_train.adam.beta2 == 0.999  # untouched default
     assert cfg.student_train.clippy is None
     assert cfg.student_train.activation_clip is None
-    assert cfg.distill_tasks == ("ctr",)
-    assert cfg.alpha == {"ctr": 0.25}
     assert cfg.bias == {"spend": 2.0}
     assert cfg.write_every == 2
     assert cfg.students[0].mode == NO_DISTILL
@@ -147,7 +148,8 @@ def test_build_config_partial_mappings_keep_family_values():
     assert cfg.teacher_train.base_lr == 0.02
 
 
-# (overrides of the custom family, the YAML path its error must name)
+# (overrides of the custom family unless they name another, the YAML path
+# its error must name)
 STUDENT = {"name": "s", "mode": "auxiliary", "distill": ["ctr"]}
 BAD_VALUES = [
     ({"schedule": {"durable_store": "no"}}, "schedule.durable_store"),
@@ -163,11 +165,75 @@ BAD_VALUES = [
     ({"students": 5}, "students"),
     ({"training": {"teacher": {"adam": None}}}, "training.teacher.adam"),
     # over tasks c, t and r a bare string once split into three tasks
-    ({"stream": {"tasks": [{"name": n, "kind": "binary"} for n in "ctr"]},
+    ({"family": FAMILY_DISTILL,
+      "stream": {"tasks": [{"name": n, "kind": "binary"} for n in "ctr"]},
       "distill": {"tasks": "ctr"}}, "distill.tasks"),
     ({"students": [{**STUDENT, "alpha": {"ctr": "x"}}]}, "students[0].alpha.ctr"),
     ({"teacher": {"freeze_at": "soon"}}, "teacher.freeze_at"),
+    ({"seeds": [-1]}, "seeds"),
+    ({"model": {"teacher_scales": [1, 2]}}, "model.teacher_scales"),
+    # two runs named t2x once shared one store and died with a StoreError
+    ({"family": FAMILY_SCALE, "model": {"teacher_scales": [2, 2]}}, "model.teacher_scales"),
 ]
+
+
+# (a key of _YAML_FIELDS that build_runs reads, a value unlike every family
+# default, the families that read it); the other keys reach the stream, the
+# models and the loop the same way in every family
+RUN_KEYS = [
+    ("model.teacher_scales", [3], FAMILIES),
+    ("distill.mode", "direct", (FAMILY_SCALE, FAMILY_OBJECTIVE)),
+    ("distill.tasks", ["sat"], (FAMILY_DISTILL, FAMILY_SCALE)),
+    ("distill.alpha", {"ctr": 0.5, "ltv": 0.5}, (FAMILY_DISTILL, FAMILY_SCALE, FAMILY_OBJECTIVE)),
+    ("teacher.bias", {"ltv": 1.5}, FAMILIES),
+    ("teacher.freeze_at", 7, FAMILIES),
+    ("students", [{"name": "pupil", "mode": "direct", "distill": ["ltv"]}], (FAMILY_CUSTOM,)),
+]
+SHARED_KEYS = {
+    "family", "seeds", "stream", "schedule", "model.teacher_trunk", "model.student_trunk",
+    "model.tower", "training.teacher", "training.student", "teacher.write_every",
+}
+
+
+def yaml_paths(table, prefix=""):
+    for key, name in table.items():
+        if isinstance(name, dict):
+            yield from yaml_paths(name, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_yaml_key_is_run_shaping_or_shared():
+    assert {path for path, _, _ in RUN_KEYS} | SHARED_KEYS == set(yaml_paths(cli._YAML_FIELDS))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("path, value, readers", RUN_KEYS, ids=[k[0] for k in RUN_KEYS])
+def test_every_family_key_changes_the_runs_or_is_rejected(family, path, value, readers):
+    section, _, key = path.partition(".")
+    raw = {"family": family, section: {key: value} if key else value}
+    if family in readers:
+        default = build_runs(build_config({"family": family}))
+        assert build_runs(build_config(raw)) != default
+    else:
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: the {family} family")):
+            build_config(raw)
+
+
+def test_objective_selection_accepts_a_stream_without_ctr():
+    cfg = build_config({
+        "family": FAMILY_OBJECTIVE,
+        "stream": {"tasks": [
+            {"name": "click", "kind": "binary", "category": "pet"},
+            {"name": "happy", "kind": "binary", "category": "pst"},
+        ]},
+        "schedule": {"online_sim": {"policy_task": "click", "satisfaction_task": "happy"}},
+        "distill": {"alpha": {"click": 2.0}},
+    })
+    (run,) = build_runs(cfg)
+    both = ("click", "happy")
+    assert run.teacher.write_tasks == both
+    assert [s.distill for s in run.students] == [(), ("click",), both, both]
 
 
 def test_build_config_rejects_bad_input():
@@ -324,9 +390,6 @@ model:
 training:
   teacher: {warmup_steps: 0}
   student: {warmup_steps: 0}
-distill:
-  tasks: [ctr]
-  alpha: {ctr: 0.5}
 students:
   - {name: control, mode: none}
   - {name: aux, mode: auxiliary, distill: [ctr], alpha: {ctr: 0.5}}
@@ -391,6 +454,16 @@ def test_cmd_run_bad_config_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: training.teacher: base_lr must be positive")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # seed lists the parser or the seed sequence cannot take
+    cfg_path.write_text("family: custom\n")
+    for seeds in ("abc", "1-", "-3"):
+        assert main(["run", str(cfg_path), "--seeds", seeds, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err, err
+    cfg_path.write_text("family: custom\nseeds: [-1]\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: config: seeds: must be >= 0")
     assert not (tmp_path / "out").exists()
 
 

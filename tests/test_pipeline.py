@@ -12,6 +12,7 @@ from onlinekd.pipeline import (
     CONTROL_NAME,
     CSV_HEADER,
     ExperimentConfig,
+    FAMILIES,
     FAMILY_CUSTOM,
     FAMILY_DISTILL,
     FAMILY_OBJECTIVE,
@@ -168,7 +169,7 @@ def test_run_online_basic_end_to_end(tmp_path):
         make_student(1, name="aux", mode=AUXILIARY, distill=("ctr", "ltv")),
     ]
     log = run_online(world, teacher, students, sched(10), tmp_path / "store")
-    assert log.last_step() == 10
+    assert max(r.step for r in log.rows) == 10
     # one segment per step at write_every=1
     snap = LabelStore(tmp_path / "store").open_snapshot()
     assert len(snap.segments) == 10
@@ -416,6 +417,9 @@ def exp_cfg(family, **kw):
     kw.setdefault("teacher_trunk", (10,))
     kw.setdefault("student_trunk", (8,))
     kw.setdefault("tower_widths", (5,))
+    if family == FAMILY_SCALE:  # the sweep and distill task of the family defaults
+        kw.setdefault("teacher_scales", (1, 2, 4))
+        kw.setdefault("distill_tasks", ("ctr",))
     return ExperimentConfig(family=family, **kw)
 
 
@@ -475,6 +479,33 @@ def test_build_runs_custom_and_validation():
         StudentDef("s", distill=("ctr",))
     with pytest.raises(ConfigError, match="without distill tasks"):
         StudentDef("s", mode=DIRECT)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bias_and_freeze_at_reach_every_teacher(family):
+    cfg = exp_cfg(
+        family,
+        distill_tasks=("ctr",),
+        bias={"ltv": 1.5},
+        freeze_at=3,
+        students=(StudentDef("pupil", AUXILIARY, ("ctr",)),),
+    )
+    for run in build_runs(cfg):
+        teacher = make_teacher_job(cfg, run.teacher, seed=0)
+        assert (teacher.bias, teacher.freeze_at) == ({"ltv": 1.5}, 3), run.run_id
+
+
+def test_custom_teacher_writes_what_its_students_distill(tmp_path):
+    cfg = exp_cfg(
+        FAMILY_CUSTOM,
+        students=(StudentDef("pupil", AUXILIARY, ("sat",)), StudentDef(CONTROL_NAME)),
+    )
+    (run,) = build_runs(cfg)
+    assert run.teacher.write_tasks == ("sat",)
+    run_experiment(cfg, tmp_path)
+    snapshot = LabelStore(tmp_path / "main-s0").open_snapshot()
+    assert snapshot.task_names == ("sat",)
+    assert len(stored_ids(snapshot)) == 5 * 16
 
 
 def test_make_jobs_scale_models():
