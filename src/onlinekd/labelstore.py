@@ -15,7 +15,17 @@ On-disk layout, all little-endian:
 
 The crc32 covers every preceding byte of the file. Commit order is segment
 file first (atomic rename), manifest second (atomic rename), so a crash at
-any byte leaves the store readable at the previous manifest version.
+any byte leaves the store readable at the previous manifest version. A
+writer whose task schema differs from the newest committed segment's is
+refused on open, before it writes anything.
+
+Each LabelStore handle keeps one growing index of the segments it has read,
+in manifest order, with their id ranges and precedence keys as numpy
+columns. Opening a snapshot checks the manifest crc, then decodes only the
+segments the index does not hold yet, so an open costs O(new segments) in
+Python plus one crc over the manifest bytes; a manifest that does not extend
+the index rebuilds it. A snapshot is a prefix view of the index, and the
+index never rewrites a position a view can see.
 """
 
 from __future__ import annotations
@@ -184,16 +194,21 @@ def encode_segment(
     return body + _U32.pack(_crc(body))
 
 
-def decode_segment(data: bytes, path: Path) -> SegmentData:
-    cur = _Cursor(data, path)
+def _decode_segment_header(cur: _Cursor) -> tuple[int, int, tuple[tuple[str, str], ...]]:
+    """(segment_id, teacher_version, tasks) from the start of a segment file."""
     if cur.take(4) != SEGMENT_MAGIC:
-        raise StoreCorruptionError(f"{path}: bad segment magic")
+        raise StoreCorruptionError(f"{cur.path}: bad segment magic")
     version = cur.u32()
     if version != FORMAT_VERSION:
-        raise StoreCorruptionError(f"{path}: unsupported format version {version}")
+        raise StoreCorruptionError(f"{cur.path}: unsupported format version {version}")
     segment_id = cur.u64()
     teacher_version = cur.u64()
-    tasks = _read_task_dir(cur)
+    return segment_id, teacher_version, _read_task_dir(cur)
+
+
+def decode_segment(data: bytes, path: Path) -> SegmentData:
+    cur = _Cursor(data, path)
+    segment_id, teacher_version, tasks = _decode_segment_header(cur)
     n_rows = cur.u64()
     if n_rows == 0:
         raise StoreCorruptionError(f"{path}: empty segment")
@@ -205,12 +220,15 @@ def decode_segment(data: bytes, path: Path) -> SegmentData:
     return SegmentData(segment_id, teacher_version, tasks, ids, values)
 
 
-def read_segment_file(path: Path) -> SegmentData:
+def _segment_bytes(path: Path) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except FileNotFoundError:
         raise StoreCorruptionError(f"{path}: segment file missing") from None
-    return decode_segment(data, Path(path))
+
+
+def read_segment_file(path: Path) -> SegmentData:
+    return decode_segment(_segment_bytes(path), Path(path))
 
 
 @dataclass
@@ -220,34 +238,83 @@ class ManifestData:
 
 
 def encode_manifest(manifest: ManifestData) -> bytes:
-    parts = [
+    body = b"".join([
         MANIFEST_MAGIC,
         _U64.pack(manifest.manifest_version),
         _U32.pack(len(manifest.segment_ids)),
-    ]
-    parts.extend(_U64.pack(sid) for sid in manifest.segment_ids)
-    body = b"".join(parts)
+        np.asarray(manifest.segment_ids, dtype="<u8").tobytes(),
+    ])
     return body + _U32.pack(_crc(body))
 
 
-def decode_manifest(data: bytes, path: Path) -> ManifestData:
+def _decode_manifest_ids(data: bytes, path: Path) -> tuple[int, np.ndarray]:
+    """(manifest_version, read-only uint64 segment ids in commit order)."""
     cur = _Cursor(data, path)
     if cur.take(4) != MANIFEST_MAGIC:
         raise StoreCorruptionError(f"{path}: bad manifest magic")
     version = cur.u64()
     n = cur.u32()
-    ids = tuple(cur.u64() for _ in range(n))
+    ids = np.frombuffer(cur.take(8 * n), dtype="<u8")
     _check_crc(cur)
-    if len(set(ids)) != len(ids):
+    # the writer commits rising ids, so the sort is only for hand-made manifests
+    if not np.all(ids[1:] > ids[:-1]) and np.unique(ids).size != n:
         raise StoreCorruptionError(f"{path}: duplicate segment ids in manifest")
-    return ManifestData(version, ids)
+    return version, ids
+
+
+def decode_manifest(data: bytes, path: Path) -> ManifestData:
+    version, ids = _decode_manifest_ids(data, path)
+    return ManifestData(version, tuple(ids.tolist()))
+
+
+def _read_manifest_ids(root: Path) -> tuple[int, np.ndarray]:
+    path = Path(root) / MANIFEST_NAME
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return 0, np.zeros(0, dtype="<u8")
+    return _decode_manifest_ids(data, path)
 
 
 def read_manifest(root: Path) -> ManifestData:
-    path = Path(root) / MANIFEST_NAME
-    if not path.exists():
-        return ManifestData(0, ())
-    return decode_manifest(path.read_bytes(), path)
+    version, ids = _read_manifest_ids(root)
+    return ManifestData(version, tuple(ids.tolist()))
+
+
+# rows of _SegmentIndex.cols
+_MIN_ID, _MAX_ID, _TEACHER_VERSION, _SEGMENT_ID = range(4)
+
+
+class _SegmentIndex:
+    """Segments in manifest order, with one uint64 column per segment of
+    (min id, max id, teacher_version, segment_id).
+
+    It only grows at the end, and reallocates its columns when full, so the
+    [:, :n] views a Snapshot holds never see a later write.
+    """
+
+    def __init__(self):
+        self.segments: list[SegmentData] = []
+        self.cols = np.zeros((4, 16), dtype=np.uint64)
+        # position of the first segment whose schema differs from segment 0
+        self.conflict: int | None = None
+
+    def extend(self, segments: list[SegmentData]) -> None:
+        n, k = len(self.segments), len(segments)
+        if n + k > self.cols.shape[1]:
+            grown = np.zeros((4, max(2 * self.cols.shape[1], n + k)), dtype=np.uint64)
+            grown[:, :n] = self.cols[:, :n]
+            self.cols = grown
+        self.cols[:, n : n + k] = np.array(
+            [(s.min_id, s.max_id, s.teacher_version, s.segment_id) for s in segments],
+            dtype=np.uint64,
+        ).reshape(k, 4).T
+        self.segments.extend(segments)
+        if self.conflict is None:
+            for pos in range(n, n + k):
+                if self.segments[pos].tasks != self.segments[0].tasks:
+                    self.conflict = pos
+                    break
 
 
 class Snapshot:
@@ -258,17 +325,25 @@ class Snapshot:
     """
 
     def __init__(self, manifest_version: int, segments: list[SegmentData]):
-        self.manifest_version = manifest_version
-        self.segments = segments
-        self._check_schema()
+        index = _SegmentIndex()
+        index.extend(segments)
+        self._pin(manifest_version, index)
 
-    def _check_schema(self) -> None:
-        schemas = {seg.tasks for seg in self.segments}
-        if len(schemas) > 1:
+    @classmethod
+    def _view(cls, manifest_version: int, index: _SegmentIndex) -> "Snapshot":
+        """Every segment a store handle's index holds now."""
+        snap = cls.__new__(cls)
+        snap._pin(manifest_version, index)
+        return snap
+
+    def _pin(self, manifest_version: int, index: _SegmentIndex) -> None:
+        if index.conflict is not None:
             raise StoreError("segments disagree on task schema")
-        self.tasks: tuple[tuple[str, str], ...] = (
-            self.segments[0].tasks if self.segments else ()
-        )
+        n = len(index.segments)
+        self.manifest_version = manifest_version
+        self.segments = list(index.segments)
+        self.tasks: tuple[tuple[str, str], ...] = self.segments[0].tasks if n else ()
+        self._cols = index.cols[:, :n]
 
     @property
     def task_names(self) -> tuple[str, ...]:
@@ -285,12 +360,12 @@ class Snapshot:
         out = {name: np.zeros(n, dtype=np.float32) for name in self.task_names}
         if not self.segments or n == 0:
             return present, out
-        lo, hi = int(ids.min()), int(ids.max())
+        cols = self._cols
+        cand = np.flatnonzero((cols[_MAX_ID] >= ids.min()) & (cols[_MIN_ID] <= ids.max()))
         # ascending precedence: later writes overwrite earlier ones
-        order = sorted(self.segments, key=lambda s: (s.teacher_version, s.segment_id))
-        for seg in order:
-            if seg.max_id < lo or seg.min_id > hi:
-                continue
+        cand = cand[np.lexsort((cols[_SEGMENT_ID, cand], cols[_TEACHER_VERSION, cand]))]
+        for i in cand.tolist():
+            seg = self.segments[i]
             pos = np.searchsorted(seg.example_ids, ids)
             pos_c = np.minimum(pos, seg.n_rows - 1)
             hit = seg.example_ids[pos_c] == ids
@@ -304,38 +379,39 @@ class Snapshot:
 
 
 class LabelStore:
-    """Handle on a store directory; loads segments once per process."""
+    """Handle on a store directory; decodes each committed segment once."""
 
     def __init__(self, root):
         self.root = Path(root)
-        self._cache: dict[int, SegmentData] = {}
-        self._cache_lock = threading.Lock()
+        self._index = _SegmentIndex()
+        self._index_lock = threading.Lock()
 
     def open_snapshot(self) -> Snapshot:
-        """Pin the current manifest and load its segments.
+        """Pin the current manifest and load the segments not yet indexed.
 
         An existing but empty store yields an empty snapshot; a missing
         directory is an error.
         """
         if not self.root.is_dir():
             raise StoreError(f"store directory missing: {self.root}")
-        manifest = read_manifest(self.root)
-        segments = [self._load_segment(sid) for sid in manifest.segment_ids]
-        return Snapshot(manifest.manifest_version, segments)
+        version, ids = _read_manifest_ids(self.root)
+        with self._index_lock:
+            index = self._index
+            n = len(index.segments)
+            if n > len(ids) or not np.array_equal(index.cols[_SEGMENT_ID, :n], ids[:n]):
+                # not an extension of what this handle has read: start over
+                index, n = _SegmentIndex(), 0
+            index.extend([self._load_segment(sid) for sid in ids[n:].tolist()])
+            self._index = index
+            return Snapshot._view(version, index)
 
     def _load_segment(self, segment_id: int) -> SegmentData:
-        with self._cache_lock:
-            seg = self._cache.get(segment_id)
-        if seg is not None:
-            return seg
         seg = read_segment_file(self.root / segment_filename(segment_id))
         if seg.segment_id != segment_id:
             raise StoreCorruptionError(
                 f"{segment_filename(segment_id)}: header id {seg.segment_id} "
                 "disagrees with filename"
             )
-        with self._cache_lock:
-            self._cache.setdefault(segment_id, seg)
         return seg
 
     def writer(self, tasks: Sequence, *, durable: bool = False) -> "SegmentWriter":
@@ -356,6 +432,7 @@ class SegmentWriter:
         self.durable = durable
         self._lock_fd: int | None = None
         self._manifest: ManifestData | None = None
+        self._next_sid = 0
 
     def __enter__(self) -> "SegmentWriter":
         self.store.root.mkdir(parents=True, exist_ok=True)
@@ -368,8 +445,27 @@ class SegmentWriter:
                 f"another writer holds the lock on {self.store.root}"
             ) from None
         self._lock_fd = fd
-        self._manifest = read_manifest(self.store.root)
+        try:
+            self._manifest = read_manifest(self.store.root)
+            ids = self._manifest.segment_ids
+            if ids:
+                self._check_committed_schema(ids[-1])
+        except BaseException:
+            self.__exit__()
+            raise
+        self._next_sid = max(ids) + 1 if ids else 1
         return self
+
+    def _check_committed_schema(self, segment_id: int) -> None:
+        """Refuse a schema the committed segments do not have: one such
+        commit would make every later open_snapshot fail."""
+        path = self.store.root / segment_filename(segment_id)
+        _, _, tasks = _decode_segment_header(_Cursor(_segment_bytes(path), path))
+        if tasks != self.tasks:
+            raise StoreError(
+                f"writer schema {list(self.tasks)} disagrees with the committed "
+                f"task schema {list(tasks)} of {self.store.root}"
+            )
 
     def __exit__(self, *exc) -> None:
         if self._lock_fd is not None:
@@ -399,7 +495,7 @@ class SegmentWriter:
         error. Returns the new segment id.
         """
         self._require_open()
-        sid = (max(self._manifest.segment_ids) + 1) if self._manifest.segment_ids else 1
+        sid = self._next_sid
         data = self._prepare(sid, example_ids, values, teacher_version)
         self._publish_file(segment_filename(sid), data)
         self._publish_manifest(
@@ -408,6 +504,7 @@ class SegmentWriter:
                 self._manifest.segment_ids + (sid,),
             )
         )
+        self._next_sid = sid + 1
         return sid
 
     def _prepare(

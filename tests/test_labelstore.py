@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from onlinekd import labelstore
 from onlinekd.errors import StoreCorruptionError, StoreError, WriterLockError
 from onlinekd.labelstore import (
     LabelStore,
@@ -116,6 +117,31 @@ def test_decode_rejects_malformed_segments():
         assert body[31] == 0
         body[31] = 7
         decode_segment(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF), "p")
+
+
+def test_decode_rejects_malformed_manifests():
+    def signed(body):
+        return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+    good = encode_manifest(ManifestData(3, (1, 2)))
+    with pytest.raises(StoreCorruptionError, match="magic"):
+        decode_manifest(b"XXXX" + good[4:], "p")
+    for cut in (2, 10, 15, len(good) - 1):
+        with pytest.raises(StoreCorruptionError, match="truncated"):
+            decode_manifest(good[:cut], "p")
+    with pytest.raises(StoreCorruptionError, match="checksum"):
+        flipped = bytearray(good)
+        flipped[17] ^= 0xFF  # inside the first segment id
+        decode_manifest(bytes(flipped), "p")
+    with pytest.raises(StoreCorruptionError, match="trailing"):
+        decode_manifest(good + b"\x00", "p")
+    for ids in ((1, 1), (5, 2, 5)):
+        body = b"SLM1" + struct.pack("<QI", 3, len(ids)) + struct.pack(f"<{len(ids)}Q", *ids)
+        with pytest.raises(StoreCorruptionError, match="duplicate segment ids"):
+            decode_manifest(signed(body), "p")
+    # ids out of commit order are legal as long as they are distinct
+    unordered = signed(b"SLM1" + struct.pack("<QI", 4, 3) + struct.pack("<3Q", 3, 1, 2))
+    assert decode_manifest(unordered, "p").segment_ids == (3, 1, 2)
 
 
 def test_writer_append_and_read_back(tmp_path):
@@ -285,6 +311,121 @@ def test_duplicate_resolution_matches_replay_oracle(tmp_path):
             assert {n: float(cols[n][eid]) for n in ("ctr", "ltv")} == expected[eid]
 
 
+def expected_columns(expected, probe):
+    """The replay oracle's answer for probe ids, shaped like lookup_batch."""
+    present = np.array([eid in expected for eid in probe.tolist()])
+    cols = {
+        name: np.array([expected[eid][name] if eid in expected else 0.0
+                        for eid in probe.tolist()], dtype=np.float32)
+        for name, _ in TASKS
+    }
+    return present, cols
+
+
+def assert_answers(snap, want, probe):
+    present, cols = snap.lookup_batch(probe)
+    assert np.array_equal(present, want[0])
+    for name, _ in TASKS:
+        assert np.array_equal(cols[name][present], want[1][name][present])
+
+
+def test_index_matches_replay_oracle_while_it_grows(tmp_path):
+    rng = np.random.default_rng(11)
+    store = make_store(tmp_path)
+    probe = np.arange(400, dtype=np.uint64)
+    appends, pinned, capacities = [], [], set()
+    with store.writer(TASKS) as w:
+        for k in range(70):
+            # ranges drift upward but overlap the last few segments
+            n = int(rng.integers(1, 20))
+            ids = (4 * k + rng.choice(60, size=n, replace=False)).astype(np.uint64)
+            vals = {"ctr": rng.random(n).astype(np.float32),
+                    "ltv": rng.standard_normal(n).astype(np.float32)}
+            tv = int(rng.integers(0, 8))  # repeats and arrives out of order
+            sid = w.append(ids, vals, tv)
+            appends.append((tv, sid, {
+                int(i): {"ctr": float(vals["ctr"][j]), "ltv": float(vals["ltv"][j])}
+                for j, i in enumerate(ids)
+            }))
+            want = expected_columns(replay_store_contents(appends), probe)
+            snap = store.open_snapshot()
+            capacities.add(store._index.cols.shape[1])
+            assert snap.manifest_version == k + 1
+            assert_answers(snap, want, probe)
+            assert_answers(LabelStore(store.root).open_snapshot(), want, probe)
+            pinned.append((snap, [a[1] for a in appends], want))
+    assert len(capacities) >= 3  # the index reallocated at least twice
+    for snap, sids, want in pinned:
+        assert [s.segment_id for s in snap.segments] == sids
+        assert_answers(snap, want, probe)
+
+
+def test_open_rebuilds_when_manifest_does_not_extend_the_index(tmp_path):
+    store = make_store(tmp_path)
+    seed_store(store, [
+        (np.array([k]), {"ctr": np.full(1, k, np.float32), "ltv": np.zeros(1, np.float32)}, 0)
+        for k in (1, 2, 3)
+    ])
+    old = store.open_snapshot()
+    # a manifest of the same length that drops segment 2 and adds segment 4
+    (store.root / segment_filename(4)).write_bytes(one_row_segment(4, TASKS, 4))
+    (store.root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(4, (1, 3, 4))))
+    snap = store.open_snapshot()
+    assert snap.manifest_version == 4
+    assert [s.segment_id for s in snap.segments] == [1, 3, 4]
+    assert lookup_one(snap, 2) is None
+    assert lookup_one(snap, 3) == {"ctr": 3.0, "ltv": 0.0}
+    assert lookup_one(snap, 4) == {"ctr": 0.0, "ltv": 0.0}
+    assert lookup_one(old, 2) == {"ctr": 2.0, "ltv": 0.0}
+    # the rebuilt index extends as usual
+    seed_store(store, [(np.array([5]), {
+        "ctr": np.full(1, 5, np.float32), "ltv": np.zeros(1, np.float32)}, 0)])
+    snap = store.open_snapshot()
+    assert [s.segment_id for s in snap.segments] == [1, 3, 4, 5]
+    assert lookup_one(snap, 5) == {"ctr": 5.0, "ltv": 0.0}
+
+
+def test_snapshot_before_a_schema_conflict_opens(tmp_path):
+    root = tmp_path / "store"
+    root.mkdir()
+    for sid in (1, 2):
+        (root / segment_filename(sid)).write_bytes(one_row_segment(sid, TASKS, sid))
+    (root / segment_filename(3)).write_bytes(one_row_segment(3, [("other", BINARY)], 3))
+    store = LabelStore(root)
+    (root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(2, (1, 2))))
+    before = store.open_snapshot()
+    (root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(3, (1, 2, 3))))
+    with pytest.raises(StoreError, match="disagree on task schema"):
+        store.open_snapshot()
+    with pytest.raises(StoreError, match="disagree on task schema"):
+        LabelStore(root).open_snapshot()
+    # the prefix before the conflict still opens, on the same handle too
+    (root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(2, (1, 2))))
+    snap = store.open_snapshot()
+    assert snap.task_names == before.task_names == ("ctr", "ltv")
+    assert [s.segment_id for s in snap.segments] == [1, 2]
+    assert lookup_one(snap, 2) == {"ctr": 0.0, "ltv": 0.0}
+
+
+def test_each_segment_file_is_decoded_once_per_handle(tmp_path, monkeypatch):
+    decoded = []
+    real = labelstore.read_segment_file
+
+    def counting(path):
+        decoded.append(path.name)
+        return real(path)
+
+    monkeypatch.setattr(labelstore, "read_segment_file", counting)
+    store = make_store(tmp_path)
+    n = 25
+    with store.writer(TASKS) as w:
+        for k in range(n):
+            w.append(np.array([k], dtype=np.uint64),
+                     {"ctr": np.zeros(1, np.float32), "ltv": np.zeros(1, np.float32)}, k)
+            assert len(store.open_snapshot().segments) == k + 1
+    assert len(decoded) == n and len(set(decoded)) == n
+
+
 def test_higher_teacher_version_beats_later_segment(tmp_path):
     store = make_store(tmp_path)
     one = np.array([7], dtype=np.uint64)
@@ -420,16 +561,39 @@ def test_missing_segment_file_detected(tmp_path):
     assert not report.ok
 
 
+def one_row_segment(sid, tasks, eid, tv=0):
+    """Encoded bytes of a one-row segment with zero values."""
+    return encode_segment(sid, tv, tuple(tasks), np.array([eid], dtype=np.uint64),
+                          {name: np.zeros(1, np.float32) for name, _ in tasks})
+
+
 def test_schema_disagreement_detected(tmp_path):
+    # hand-written: the writer refuses to commit a second schema
+    root = tmp_path / "store"
+    root.mkdir()
+    (root / segment_filename(1)).write_bytes(one_row_segment(1, TASKS, 1))
+    (root / segment_filename(2)).write_bytes(one_row_segment(2, [("other", BINARY)], 2, 1))
+    (root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(2, (1, 2))))
+    with pytest.raises(StoreError, match="disagree on task schema"):
+        LabelStore(root).open_snapshot()
+    report = inspect_store(root)
+    assert report.error == "segments disagree on task schema"
+
+
+def test_writer_refuses_a_schema_the_store_does_not_have(tmp_path):
     store = make_store(tmp_path)
     seed_store(store, [(np.array([1]), {
         "ctr": np.zeros(1, np.float32), "ltv": np.zeros(1, np.float32)}, 0)])
-    with LabelStore(store.root).writer([("other", BINARY)]) as w:
-        w.append(np.array([2], dtype=np.uint64), {"other": np.zeros(1, np.float32)}, 1)
-    with pytest.raises(StoreError, match="disagree on task schema"):
-        LabelStore(store.root).open_snapshot()
-    report = inspect_store(store.root)
-    assert report.error == "segments disagree on task schema"
+    before = {p.name: p.read_bytes() for p in store.root.iterdir()}
+    with pytest.raises(StoreError, match="disagrees with the committed task schema"):
+        with LabelStore(store.root).writer([("other", BINARY)]) as w:
+            w.append(np.array([2], dtype=np.uint64), {"other": np.zeros(1, np.float32)}, 1)
+    # nothing was written, the store still opens, and the lock was released
+    assert {p.name: p.read_bytes() for p in store.root.iterdir()} == before
+    assert LabelStore(store.root).open_snapshot().task_names == ("ctr", "ltv")
+    with store.writer(TASKS) as w:
+        assert w.append(np.array([3], dtype=np.uint64), {
+            "ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}, 1) == 2
 
 
 def test_inspect_clean_store(tmp_path):
