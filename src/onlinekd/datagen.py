@@ -86,9 +86,6 @@ class WorldState:
     next_example_id: int = 0
     drift_frozen: bool = False
 
-    def latent(self, task: str) -> np.ndarray:
-        return self.latents[task]
-
     def derive_rng(self, label: str, *salts: int) -> np.random.Generator:
         """Independent generator keyed by (seed, label, salts); reproducible
         regardless of how far the stream has advanced."""

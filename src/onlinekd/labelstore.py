@@ -24,8 +24,9 @@ in manifest order, with their id ranges and precedence keys as numpy
 columns. Opening a snapshot checks the manifest crc, then decodes only the
 segments the index does not hold yet, so an open costs O(new segments) in
 Python plus one crc over the manifest bytes; a manifest that does not extend
-the index rebuilds it. A snapshot is a prefix view of the index, and the
-index never rewrites a position a view can see.
+the index rebuilds it. A snapshot is the first n positions of the index it
+was opened on, a (manifest version, index, n) triple that copies nothing,
+and the index never rewrites a position a snapshot can see.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def read_segment_file(path: Path) -> SegmentData:
 @dataclass
 class ManifestData:
     manifest_version: int
-    segment_ids: tuple[int, ...]
+    segment_ids: np.ndarray  # read-only uint64, in commit order
 
 
 def encode_manifest(manifest: ManifestData) -> bytes:
@@ -247,8 +248,7 @@ def encode_manifest(manifest: ManifestData) -> bytes:
     return body + _U32.pack(_crc(body))
 
 
-def _decode_manifest_ids(data: bytes, path: Path) -> tuple[int, np.ndarray]:
-    """(manifest_version, read-only uint64 segment ids in commit order)."""
+def decode_manifest(data: bytes, path: Path) -> ManifestData:
     cur = _Cursor(data, path)
     if cur.take(4) != MANIFEST_MAGIC:
         raise StoreCorruptionError(f"{path}: bad manifest magic")
@@ -259,26 +259,17 @@ def _decode_manifest_ids(data: bytes, path: Path) -> tuple[int, np.ndarray]:
     # the writer commits rising ids, so the sort is only for hand-made manifests
     if not np.all(ids[1:] > ids[:-1]) and np.unique(ids).size != n:
         raise StoreCorruptionError(f"{path}: duplicate segment ids in manifest")
-    return version, ids
+    return ManifestData(version, ids)
 
 
-def decode_manifest(data: bytes, path: Path) -> ManifestData:
-    version, ids = _decode_manifest_ids(data, path)
-    return ManifestData(version, tuple(ids.tolist()))
-
-
-def _read_manifest_ids(root: Path) -> tuple[int, np.ndarray]:
+def read_manifest(root: Path) -> ManifestData:
+    """The committed manifest; version 0 with no ids when there is none."""
     path = Path(root) / MANIFEST_NAME
     try:
         data = path.read_bytes()
     except FileNotFoundError:
-        return 0, np.zeros(0, dtype="<u8")
-    return _decode_manifest_ids(data, path)
-
-
-def read_manifest(root: Path) -> ManifestData:
-    version, ids = _read_manifest_ids(root)
-    return ManifestData(version, tuple(ids.tolist()))
+        return ManifestData(0, np.frombuffer(b"", dtype="<u8"))
+    return decode_manifest(data, path)
 
 
 # rows of _SegmentIndex.cols
@@ -318,32 +309,25 @@ class _SegmentIndex:
 
 
 class Snapshot:
-    """Immutable view over the segments of one manifest version.
+    """Immutable view over the first n segments of an index, the segments of
+    one manifest version.
 
     Duplicate example ids across segments resolve to the value from the
     segment with the highest (teacher_version, segment_id).
     """
 
-    def __init__(self, manifest_version: int, segments: list[SegmentData]):
-        index = _SegmentIndex()
-        index.extend(segments)
-        self._pin(manifest_version, index)
-
-    @classmethod
-    def _view(cls, manifest_version: int, index: _SegmentIndex) -> "Snapshot":
-        """Every segment a store handle's index holds now."""
-        snap = cls.__new__(cls)
-        snap._pin(manifest_version, index)
-        return snap
-
-    def _pin(self, manifest_version: int, index: _SegmentIndex) -> None:
-        if index.conflict is not None:
+    def __init__(self, manifest_version: int, index: _SegmentIndex, n: int):
+        if index.conflict is not None and index.conflict < n:
             raise StoreError("segments disagree on task schema")
-        n = len(index.segments)
         self.manifest_version = manifest_version
-        self.segments = list(index.segments)
-        self.tasks: tuple[tuple[str, str], ...] = self.segments[0].tasks if n else ()
+        self._index = index
+        self._n = n
+        self.tasks: tuple[tuple[str, str], ...] = index.segments[0].tasks if n else ()
         self._cols = index.cols[:, :n]
+
+    @property
+    def segments(self) -> list[SegmentData]:
+        return self._index.segments[: self._n]
 
     @property
     def task_names(self) -> tuple[str, ...]:
@@ -358,14 +342,14 @@ class Snapshot:
         n = ids.shape[0]
         present = np.zeros(n, dtype=bool)
         out = {name: np.zeros(n, dtype=np.float32) for name in self.task_names}
-        if not self.segments or n == 0:
+        if not self._n or n == 0:
             return present, out
         cols = self._cols
         cand = np.flatnonzero((cols[_MAX_ID] >= ids.min()) & (cols[_MIN_ID] <= ids.max()))
         # ascending precedence: later writes overwrite earlier ones
         cand = cand[np.lexsort((cols[_SEGMENT_ID, cand], cols[_TEACHER_VERSION, cand]))]
         for i in cand.tolist():
-            seg = self.segments[i]
+            seg = self._index.segments[i]
             pos = np.searchsorted(seg.example_ids, ids)
             pos_c = np.minimum(pos, seg.n_rows - 1)
             hit = seg.example_ids[pos_c] == ids
@@ -394,7 +378,8 @@ class LabelStore:
         """
         if not self.root.is_dir():
             raise StoreError(f"store directory missing: {self.root}")
-        version, ids = _read_manifest_ids(self.root)
+        manifest = read_manifest(self.root)
+        ids = manifest.segment_ids
         with self._index_lock:
             index = self._index
             n = len(index.segments)
@@ -403,7 +388,7 @@ class LabelStore:
                 index, n = _SegmentIndex(), 0
             index.extend([self._load_segment(sid) for sid in ids[n:].tolist()])
             self._index = index
-            return Snapshot._view(version, index)
+            return Snapshot(manifest.manifest_version, index, len(ids))
 
     def _load_segment(self, segment_id: int) -> SegmentData:
         seg = read_segment_file(self.root / segment_filename(segment_id))
@@ -448,12 +433,12 @@ class SegmentWriter:
         try:
             self._manifest = read_manifest(self.store.root)
             ids = self._manifest.segment_ids
-            if ids:
-                self._check_committed_schema(ids[-1])
+            if ids.size:
+                self._check_committed_schema(int(ids[-1]))
         except BaseException:
             self.__exit__()
             raise
-        self._next_sid = max(ids) + 1 if ids else 1
+        self._next_sid = int(ids.max()) + 1 if ids.size else 1
         return self
 
     def _check_committed_schema(self, segment_id: int) -> None:
@@ -473,11 +458,6 @@ class SegmentWriter:
             os.close(self._lock_fd)
             self._lock_fd = None
         self._manifest = None
-
-    @property
-    def manifest_version(self) -> int:
-        self._require_open()
-        return self._manifest.manifest_version
 
     def _require_open(self) -> None:
         if self._lock_fd is None or self._manifest is None:
@@ -501,7 +481,7 @@ class SegmentWriter:
         self._publish_manifest(
             ManifestData(
                 self._manifest.manifest_version + 1,
-                self._manifest.segment_ids + (sid,),
+                np.append(self._manifest.segment_ids, np.uint64(sid)),
             )
         )
         self._next_sid = sid + 1
@@ -600,13 +580,14 @@ def inspect_store(root) -> StoreReport:
     except StoreCorruptionError as e:
         return StoreReport(str(root), 0, (), error=str(e))
     report = StoreReport(str(root), manifest.manifest_version, ())
-    expected = {segment_filename(sid) for sid in manifest.segment_ids}
+    segment_ids = manifest.segment_ids.tolist()
+    expected = {segment_filename(sid) for sid in segment_ids}
     for p in sorted(root.iterdir()):
         if p.name in (MANIFEST_NAME, LOCK_NAME) or p.name in expected:
             continue
         report.stray_files.append(p.name)
     tasks_seen: set[tuple[tuple[str, str], ...]] = set()
-    for sid in manifest.segment_ids:
+    for sid in segment_ids:
         try:
             seg = read_segment_file(root / segment_filename(sid))
             if seg.segment_id != sid:

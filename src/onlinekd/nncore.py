@@ -60,12 +60,6 @@ class Layer:
     def fan_out(self) -> int:
         return self.weights.shape[1]
 
-    def parameter_count(self) -> int:
-        return self.weights.size + self.bias.size
-
-    def copy(self) -> "Layer":
-        return Layer(self.weights.copy(), self.bias.copy(), self.activation)
-
 
 @dataclass
 class Mlp:
@@ -90,12 +84,6 @@ class Mlp:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].fan_out
-
-    def parameter_count(self) -> int:
-        return sum(layer.parameter_count() for layer in self.layers)
-
-    def copy(self) -> "Mlp":
-        return Mlp([layer.copy() for layer in self.layers])
 
 
 def make_mlp(

@@ -17,14 +17,15 @@ Per step t:
      snapshot covers (coverage < 1 when writes are throttled)
 
 A segment's teacher_version is the teacher's optimizer step count at the
-write.
+write. Because every student of a step looks its batch up in the same
+snapshot, the whole fleet consumes byte-identical soft labels; the tests
+audit this by wrapping _soft_targets_for, through which every student's
+soft targets pass.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -103,29 +104,6 @@ class MetricsLog:
 
     def add(self, step, job, task, metric, value, lo=None, hi=None) -> None:
         self.rows.append(MetricRow(step, job, task, metric, float(value), lo, hi))
-
-    def select(self, *, job=None, task=None, metric=None, step=None) -> list[MetricRow]:
-        out = []
-        for r in self.rows:
-            if job is not None and r.job != job:
-                continue
-            if task is not None and r.task != task:
-                continue
-            if metric is not None and r.metric != metric:
-                continue
-            if step is not None and r.step != step:
-                continue
-            out.append(r)
-        return out
-
-    def value(self, *, job, metric, task=JOB_LEVEL_TASK, step=None) -> float:
-        rows = self.select(job=job, task=task, metric=metric, step=step)
-        if len(rows) != 1:
-            raise KeyError(
-                f"expected one row for job={job} task={task} metric={metric} "
-                f"step={step}, found {len(rows)}"
-            )
-        return rows[0].value
 
 
 def write_metrics_csv(path, rows) -> None:
@@ -232,9 +210,6 @@ class StudentJob:
     def distill_tasks(self) -> tuple[str, ...]:
         return self.model.config.distill_tasks
 
-    def alpha_for(self, task: str) -> float:
-        return self.alpha.get(task, 1.0)
-
 
 @dataclass(frozen=True)
 class ScheduleConfig:
@@ -288,16 +263,13 @@ def _teacher_train(teacher: TeacherJob, batch: Batch, t: int) -> None:
 
 def _soft_targets_for(
     student: StudentJob, snapshot: Snapshot, batch: Batch
-) -> tuple[dict[str, SoftTargets], float, np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[dict[str, SoftTargets], float]:
+    """The student's soft targets for this batch, and their coverage."""
     n = batch.n
-    stored = set(snapshot.task_names)
-    if snapshot.segments:
-        present, values = snapshot.lookup_batch(batch.example_ids)
-    else:
-        present, values = np.zeros(n, dtype=bool), {}
+    present, values = snapshot.lookup_batch(batch.example_ids)
     soft: dict[str, SoftTargets] = {}
     for task in student.distill_tasks:
-        if task in stored:
+        if task in values:
             soft[task] = SoftTargets(
                 values=values[task].astype(np.float64), present=present.copy()
             )
@@ -305,27 +277,24 @@ def _soft_targets_for(
             soft[task] = SoftTargets(
                 values=np.zeros(n), present=np.zeros(n, dtype=bool)
             )
-    return soft, float(present.mean()) if n else 0.0, present, values
+    return soft, float(present.mean()) if n else 0.0
 
 
-def _student_step(
-    student: StudentJob, batch: Batch, snapshot: Snapshot
-) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    soft, coverage, present, values = {}, 0.0, np.zeros(0, dtype=bool), {}
+def _student_step(student: StudentJob, batch: Batch, snapshot: Snapshot) -> float:
+    soft, coverage = {}, 0.0
     if student.distill_tasks:
-        soft, coverage, present, values = _soft_targets_for(student, snapshot, batch)
-    alpha = {task: student.alpha_for(task) for task in student.distill_tasks}
+        soft, coverage = _soft_targets_for(student, snapshot, batch)
     _, grads, _ = compute_loss_and_grads(
         student.model,
         batch.x,
         batch.labels,
         soft_labels=soft,
-        alpha=alpha,
+        alpha=student.alpha,
         clip=student.train.activation_clip,
         job=student.name,
     )
     apply_gradients(student.model, grads, student.opt, student.train, job=student.name)
-    return coverage, present, values
+    return coverage
 
 
 def _eval_point(
@@ -390,22 +359,18 @@ def run_online(
     students: list[StudentJob],
     sched: ScheduleConfig,
     store_root,
-    *,
-    soft_collector=None,
 ) -> MetricsLog:
     """Drive the full loop; returns the metrics log.
 
     store_root must hold no committed segments: students would read them as
-    if this run's teacher had written them. soft_collector, when given, is
-    called per student per step with (step, student name, manifest_version,
-    present mask, value columns) for consistency auditing.
+    if this run's teacher had written them.
     """
     names = [teacher.name] + [s.name for s in students]
     if len(set(names)) != len(names):
         raise ConfigError("job names must be unique")
     store_root = Path(store_root)
     store_root.mkdir(parents=True, exist_ok=True)
-    if read_manifest(store_root).segment_ids:
+    if read_manifest(store_root).segment_ids.size:
         raise StoreError(f"store {store_root} already holds segments; use an empty directory")
     store = LabelStore(store_root)
     log = MetricsLog()
@@ -428,14 +393,10 @@ def run_online(
                 _teacher_write(teacher, writer, batch)
             snapshot = store.open_snapshot()
             for student in students:
-                coverage, present, values = _student_step(student, batch, snapshot)
+                coverage = _student_step(student, batch, snapshot)
                 if student.distill_tasks:
                     cov_sum[student.name] += coverage
                     cov_n[student.name] += 1
-                    if soft_collector is not None:
-                        soft_collector(
-                            t, student.name, snapshot.manifest_version, present, values
-                        )
             final = t == sched.total_steps - 1
             periodic = sched.eval_every > 0 and (t + 1) % sched.eval_every == 0
             if final or periodic:
@@ -460,65 +421,6 @@ def run_online(
         if writer_cm is not None:
             writer_cm.__exit__(None, None, None)
     return log
-
-
-# ---------------------------------------------------------------------------
-# fleet consistency audit
-
-
-@dataclass
-class ConsistencyReport:
-    ok: bool
-    steps: int
-    fleet_size: int
-    segments_committed: int
-    violations: list[str] = field(default_factory=list)
-    mean_coverage: float = 0.0
-
-
-def run_fleet_consistency(
-    world: WorldState,
-    teacher: TeacherJob,
-    students: list[StudentJob],
-    sched: ScheduleConfig,
-    store_root,
-) -> ConsistencyReport:
-    """Run the loop with k students and audit that every student consumed
-    byte-identical soft labels at every step (same manifest version, same
-    present mask, same float32 columns)."""
-    if len(students) < 2:
-        raise ConfigError("consistency audit needs at least 2 students")
-    digests: dict[int, dict[str, str]] = {}
-
-    def collector(t, name, manifest_version, present, values):
-        h = hashlib.sha256()
-        h.update(struct.pack("<Q", manifest_version))
-        h.update(present.astype(np.uint8).tobytes())
-        for task in sorted(values):
-            h.update(task.encode("utf-8"))
-            h.update(np.ascontiguousarray(values[task], dtype="<f4").tobytes())
-        digests.setdefault(t, {})[name] = h.hexdigest()
-
-    log = run_online(world, teacher, students, sched, store_root, soft_collector=collector)
-    violations = []
-    for t in range(sched.total_steps):
-        per_student = digests.get(t, {})
-        if len(per_student) != len(students):
-            violations.append(f"step {t}: {len(per_student)} of {len(students)} students reported")
-            continue
-        if len(set(per_student.values())) != 1:
-            violations.append(f"step {t}: digests diverge {sorted(per_student.items())}")
-    snapshot = LabelStore(store_root).open_snapshot()
-    cov_rows = [r for r in log.rows if r.metric == "coverage"]
-    mean_cov = float(np.mean([r.value for r in cov_rows])) if cov_rows else 0.0
-    return ConsistencyReport(
-        ok=not violations,
-        steps=sched.total_steps,
-        fleet_size=len(students),
-        segments_committed=len(snapshot.segments),
-        violations=violations,
-        mean_coverage=mean_cov,
-    )
 
 
 # ---------------------------------------------------------------------------

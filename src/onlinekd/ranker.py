@@ -106,19 +106,6 @@ class ModelConfig:
                 return t
         raise KeyError(name)
 
-    def parameter_count(self) -> int:
-        """Exact parameter count implied by the configured shapes."""
-
-        def chain(dims: list[int]) -> int:
-            return sum(dims[k] * dims[k + 1] + dims[k + 1] for k in range(len(dims) - 1))
-
-        trunk_out = self.trunk_widths[-1]
-        n = chain([self.feature_dim, *self.trunk_widths])
-        n += len(self.tasks) * chain([trunk_out, *self.tower_widths, 1])
-        if self.mode == AUXILIARY:
-            n += len(self.distill_tasks) * chain([trunk_out, 1])
-        return n
-
 
 @dataclass
 class RankingModel:
@@ -134,23 +121,6 @@ class RankingModel:
     @property
     def tasks(self) -> tuple[TaskSpec, ...]:
         return self.config.tasks
-
-    def task(self, name: str) -> TaskSpec:
-        return self.config.task(name)
-
-    def parameter_count(self) -> int:
-        n = self.trunk.parameter_count()
-        n += sum(m.parameter_count() for m in self.towers.values())
-        n += sum(m.parameter_count() for m in self.aux_heads.values())
-        return n
-
-    def copy(self) -> "RankingModel":
-        return RankingModel(
-            config=self.config,
-            trunk=self.trunk.copy(),
-            towers={k: v.copy() for k, v in self.towers.items()},
-            aux_heads={k: v.copy() for k, v in self.aux_heads.items()},
-        )
 
 
 def build_model(cfg: ModelConfig, rng: np.random.Generator) -> RankingModel:
@@ -255,19 +225,11 @@ def hard_loss(pred, label, kind: str) -> np.ndarray:
     raise ConfigError(f"unknown task kind {kind!r}")
 
 
-def sharpen_probability(p: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature on the logit scale: sigmoid(logit(p) / T)."""
-    if temperature == 1.0:
-        return p
-    logits = np.log(p) - np.log1p(-p)
-    return _sigmoid(logits / temperature)
-
-
-def distill_loss(student_value, teacher_value, kind: str, temperature: float = 1.0) -> np.ndarray:
+def distill_loss(student_value, teacher_value, kind: str) -> np.ndarray:
     """Teacher-target loss, elementwise.
 
-    Binary: cross-entropy between the (temperature-sharpened) teacher
-    probability and the student's sigmoid, computed from the student logit.
+    Binary: cross-entropy between the teacher probability and the student's
+    sigmoid, computed from the student logit.
     Regression: squared error between student and teacher values.
     """
     s = np.asarray(student_value, dtype=np.float64)
@@ -275,8 +237,7 @@ def distill_loss(student_value, teacher_value, kind: str, temperature: float = 1
     if kind == BINARY:
         if np.any(t <= 0.0) or np.any(t >= 1.0):
             raise ValueError("teacher probability outside (0, 1)")
-        p = sharpen_probability(t, temperature)
-        return np.logaddexp(0.0, s) - p * s
+        return np.logaddexp(0.0, s) - t * s
     if kind == REGRESSION:
         return np.square(s - t)
     raise ConfigError(f"unknown task kind {kind!r}")
@@ -326,7 +287,6 @@ def total_loss(
     hard_labels: dict[str, np.ndarray],
     soft_labels: dict[str, SoftTargets] | None,
     alpha: dict[str, float] | None = None,
-    temperature: float = 1.0,
 ) -> tuple[LossBreakdown, LogitSeeds]:
     """Joint loss over all tasks plus the gradient seed for every logit.
 
@@ -383,14 +343,13 @@ def total_loss(
         # Losses are only evaluated where a teacher value exists; the mask
         # keeps placeholder values out of both the loss and the validation.
         safe_vals = np.where(targets.present, targets.values, 0.5 if t.kind == BINARY else 0.0)
-        per_example = distill_loss(z, safe_vals, t.kind, temperature) * present
+        per_example = distill_loss(z, safe_vals, t.kind) * present
         soft_out[t.name] = float(per_example.sum() / n)
         alpha_out[t.name] = a
         if a == 0.0:
             continue
         if t.kind == BINARY:
-            p = sharpen_probability(safe_vals, temperature)
-            seed = a * (_sigmoid(z) - p) * present / n
+            seed = a * (_sigmoid(z) - safe_vals) * present / n
         else:
             seed = a * 2.0 * (z - safe_vals) * present / n
         if model.mode == DIRECT:
@@ -421,14 +380,13 @@ def compute_loss_and_grads(
     soft_labels: dict[str, SoftTargets] | None = None,
     alpha: dict[str, float] | None = None,
     clip: float | None = None,
-    temperature: float = 1.0,
     *,
     job: str | None = None,
 ) -> tuple[LossBreakdown, ModelGrads, PredictionSet]:
     """One full forward/backward pass: joint loss and exact gradients for
     every component (trunk, towers, aux heads)."""
     preds, cache = _forward(model, x, clip, job)
-    breakdown, seeds = total_loss(model, preds, hard_labels, soft_labels, alpha, temperature)
+    breakdown, seeds = total_loss(model, preds, hard_labels, soft_labels, alpha)
 
     trunk_out_grad = np.zeros_like(cache.trunk_out)
     tower_grads: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}

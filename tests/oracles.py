@@ -1,15 +1,25 @@
 """Independent reference implementations used to pin expected test values.
 
-Everything here is deliberately written from first principles (python
-loops, scalar math, brute-force enumeration) and shares no code with the
-package under test.
+The reference functions are deliberately written from first principles
+(python loops, scalar math, brute-force enumeration) and share no code with
+the package under test. The test aids at the end do use the package: a
+metric-row lookup, and the fleet audit, which drives run_online and records
+the soft targets each student is handed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
+
+from onlinekd import pipeline
+from onlinekd.errors import ConfigError
+from onlinekd.labelstore import LabelStore
 
 
 def numeric_gradient(loss_fn, arrays, eps=1e-6):
@@ -142,3 +152,86 @@ def argmax_policy_metrics(x_slates, true_policy, true_sat, score_rows):
         e += true_policy[i][best_j]
         s += true_sat[i][best_j]
     return e / n, s / n
+
+
+def metric_value(log, *, job, metric, task=pipeline.JOB_LEVEL_TASK, step=None) -> float:
+    """The value of the one row of log matching the given fields; KeyError
+    unless exactly one row matches."""
+    rows = [
+        r for r in log.rows
+        if (r.job, r.task, r.metric) == (job, task, metric)
+        and (step is None or r.step == step)
+    ]
+    if len(rows) != 1:
+        raise KeyError(
+            f"expected one row for job={job} task={task} metric={metric} "
+            f"step={step}, found {len(rows)}"
+        )
+    return rows[0].value
+
+
+@contextmanager
+def soft_target_records(monkeypatch, perturb=None):
+    """Record every student's soft targets while the block runs run_online.
+
+    Wraps pipeline._soft_targets_for and yields {step: {student name:
+    (manifest_version, soft targets)}}, keyed by batch.t. perturb, when
+    given, is called as perturb(step, student name, soft targets) before the
+    student sees them and may change them in place.
+    """
+    records: dict[int, dict[str, tuple]] = {}
+    original = pipeline._soft_targets_for
+
+    def recorded(student, snapshot, batch):
+        soft, coverage = original(student, snapshot, batch)
+        if perturb is not None:
+            perturb(batch.t, student.name, soft)
+        records.setdefault(batch.t, {})[student.name] = (snapshot.manifest_version, soft)
+        return soft, coverage
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_soft_targets_for", recorded)
+        yield records
+
+
+def soft_digest(manifest_version, soft) -> str:
+    """sha256 over the manifest version, each task's present mask and its
+    values as little-endian float32, tasks in name order."""
+    h = hashlib.sha256()
+    h.update(struct.pack("<Q", manifest_version))
+    for task in sorted(soft):
+        h.update(task.encode("utf-8"))
+        h.update(soft[task].present.astype(np.uint8).tobytes())
+        h.update(np.ascontiguousarray(soft[task].values, dtype="<f4").tobytes())
+    return h.hexdigest()
+
+
+@dataclass
+class FleetAudit:
+    ok: bool
+    fleet_size: int
+    segments_committed: int
+    violations: list[str]
+    mean_coverage: float
+
+
+def audit_fleet(monkeypatch, world, teacher, students, sched, store_root,
+                perturb=None) -> FleetAudit:
+    """Run the loop with k >= 2 students and check that every student
+    consumed byte-identical soft labels at every step: same manifest
+    version, same present masks, same float32 columns."""
+    if len(students) < 2:
+        raise ConfigError("consistency audit needs at least 2 students")
+    with soft_target_records(monkeypatch, perturb) as records:
+        log = pipeline.run_online(world, teacher, students, sched, store_root)
+    violations = []
+    for t in range(sched.total_steps):
+        digests = {name: soft_digest(*rec) for name, rec in records.get(t, {}).items()}
+        if len(digests) != len(students):
+            violations.append(f"step {t}: {len(digests)} of {len(students)} students reported")
+        elif len(set(digests.values())) != 1:
+            violations.append(f"step {t}: digests diverge {sorted(digests.items())}")
+    coverage = [r.value for r in log.rows if r.metric == "coverage"]
+    snapshot = LabelStore(store_root).open_snapshot()
+    return FleetAudit(not violations, len(students), len(snapshot.segments), violations,
+                      float(np.mean(coverage)) if coverage else 0.0)

@@ -40,11 +40,11 @@ def test_init_world_geometry():
     for name, w in world.latents.items():
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
     # PET and PST directions meet at exactly the configured angle
-    d = float(np.dot(world.latent("ctr"), world.latent("sat")))
+    d = float(np.dot(world.latents["ctr"], world.latents["sat"]))
     assert d == pytest.approx(np.cos(2.0 * np.pi / 3.0), abs=1e-12)
     # other-category tasks get their own directions
-    assert abs(np.dot(world.latent("ltv"), world.latent("ctr"))) < 0.9
-    assert abs(np.dot(world.latent("aux_click"), world.latent("ltv"))) < 0.9
+    assert abs(np.dot(world.latents["ltv"], world.latents["ctr"])) < 0.9
+    assert abs(np.dot(world.latents["aux_click"], world.latents["ltv"])) < 0.9
 
 
 def test_init_world_category_sharing():
@@ -54,8 +54,8 @@ def test_init_world_category_sharing():
         TaskSpec("s1", BINARY, PST),
     )
     world = init_world(GenConfig(conflict_angle=0.5, tasks=tasks), 3)
-    assert np.array_equal(world.latent("e1"), world.latent("e2"))
-    assert not np.array_equal(world.latent("e1"), world.latent("s1"))
+    assert np.array_equal(world.latents["e1"], world.latents["e2"])
+    assert not np.array_equal(world.latents["e1"], world.latents["s1"])
 
 
 def test_init_world_seed_determinism():
@@ -63,8 +63,8 @@ def test_init_world_seed_determinism():
     b = init_world(GenConfig(), 11)
     c = init_world(GenConfig(), 12)
     for name in a.latents:
-        assert np.array_equal(a.latent(name), b.latent(name))
-    assert not np.array_equal(a.latent("ctr"), c.latent("ctr"))
+        assert np.array_equal(a.latents[name], b.latents[name])
+    assert not np.array_equal(a.latents["ctr"], c.latents["ctr"])
 
 
 def test_next_batch_shapes_and_ids():
@@ -143,7 +143,7 @@ def test_true_task_value_reference():
     for name, ref in [("ctr", ref_sigmoid), ("ltv", ref_softplus)]:
         got = true_task_value(world, x, name)
         for i in range(4):
-            margin = 2.0 * float(x[i] @ world.latent(name))
+            margin = 2.0 * float(x[i] @ world.latents[name])
             assert got[i] == pytest.approx(ref(margin), abs=1e-12)
 
 
@@ -154,14 +154,14 @@ def test_drift_autocorrelation_decays_and_norms_hold():
     d1, d50 = [], []
     for seed in range(100):
         world = init_world(GenConfig(drift_rate=0.999), seed)
-        w0 = world.latent("ctr").copy()
+        w0 = world.latents["ctr"].copy()
         next_batch(world, 1)
-        assert np.linalg.norm(world.latent("ctr")) == pytest.approx(1.0, abs=1e-12)
-        d1.append(float(np.dot(world.latent("ctr"), w0)))
+        assert np.linalg.norm(world.latents["ctr"]) == pytest.approx(1.0, abs=1e-12)
+        d1.append(float(np.dot(world.latents["ctr"], w0)))
         for _ in range(49):
             next_batch(world, 1)
-        assert np.linalg.norm(world.latent("ctr")) == pytest.approx(1.0, abs=1e-12)
-        d50.append(float(np.dot(world.latent("ctr"), w0)))
+        assert np.linalg.norm(world.latents["ctr"]) == pytest.approx(1.0, abs=1e-12)
+        d50.append(float(np.dot(world.latents["ctr"], w0)))
     assert np.mean(d50) < np.mean(d1)
     assert np.mean(d1) > 0.5  # one step keeps most of the direction
     assert all(x != 1.0 for x in d1)  # but never leaves it untouched
@@ -205,11 +205,11 @@ def test_fork_determinism_and_salts():
 def test_fork_freezes_drift_by_default():
     world = init_world(GenConfig(drift_rate=0.9), 8)
     side = fork(world, "eval", 0)
-    w0 = side.latent("ctr").copy()
+    w0 = side.latents["ctr"].copy()
     for _ in range(5):
         next_batch(side, 3)
-    assert np.array_equal(side.latent("ctr"), w0)
+    assert np.array_equal(side.latents["ctr"], w0)
     moving = fork(world, "counterfactual", 0, freeze_drift=False)
     for _ in range(5):
         next_batch(moving, 3)
-    assert not np.array_equal(moving.latent("ctr"), w0)
+    assert not np.array_equal(moving.latents["ctr"], w0)

@@ -81,7 +81,7 @@ def test_manifest_golden_bytes():
     want = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     assert got == want
     m = decode_manifest(want, "golden")
-    assert m.manifest_version == 3 and m.segment_ids == (1, 2)
+    assert m.manifest_version == 3 and m.segment_ids.tolist() == [1, 2]
 
 
 def test_decode_rejects_malformed_segments():
@@ -141,7 +141,7 @@ def test_decode_rejects_malformed_manifests():
             decode_manifest(signed(body), "p")
     # ids out of commit order are legal as long as they are distinct
     unordered = signed(b"SLM1" + struct.pack("<QI", 4, 3) + struct.pack("<3Q", 3, 1, 2))
-    assert decode_manifest(unordered, "p").segment_ids == (3, 1, 2)
+    assert decode_manifest(unordered, "p").segment_ids.tolist() == [3, 1, 2]
 
 
 def test_writer_append_and_read_back(tmp_path):
@@ -154,7 +154,7 @@ def test_writer_append_and_read_back(tmp_path):
             teacher_version=4,
         )
         assert sid == 1
-        assert w.manifest_version == 1
+        assert read_manifest(store.root).manifest_version == 1
     snap = store.open_snapshot()
     assert snap.manifest_version == 1
     assert len(stored_ids(snap)) == 3
@@ -203,7 +203,7 @@ def test_append_validation(tmp_path):
         with pytest.raises(StoreError, match="teacher_version"):
             w.append(ids, ok, -1)
         # the failed appends committed nothing
-        assert w.manifest_version == 0
+        assert read_manifest(store.root).manifest_version == 0
     with pytest.raises(StoreError, match="duplicate task names"):
         store.writer([("a", BINARY), ("a", BINARY)])
     with pytest.raises(StoreError, match="at least one"):
@@ -220,8 +220,8 @@ def test_writer_lock_excludes_second_writer(tmp_path):
             with LabelStore(store.root).writer(TASKS):
                 pass
     # released on exit
-    with store.writer(TASKS) as w:
-        assert w.manifest_version == 0
+    with store.writer(TASKS):
+        assert read_manifest(store.root).manifest_version == 0
 
 
 def test_segment_numbering_survives_writer_restarts(tmp_path):
@@ -233,7 +233,7 @@ def test_segment_numbering_survives_writer_restarts(tmp_path):
         assert w.append(ids(2), val(), 1) == 2
     with store.writer(TASKS) as w:
         assert w.append(ids(3), val(), 2) == 3
-        assert w.manifest_version == 3
+        assert read_manifest(store.root).manifest_version == 3
     snap = store.open_snapshot()
     assert [s.segment_id for s in snap.segments] == [1, 2, 3]
 
@@ -629,10 +629,14 @@ def test_snapshot_schema_guard_direct():
     seg_b = decode_segment(
         encode_segment(2, 0, (("b", BINARY),), np.array([2], dtype=np.uint64),
                        {"b": np.zeros(1, np.float32)}), "b")
+    index = labelstore._SegmentIndex()
+    index.extend([seg_a, seg_b])
+    assert index.conflict == 1
+    assert Snapshot(1, index, 1).task_names == ("a",)  # the prefix before the conflict
     with pytest.raises(StoreError):
-        Snapshot(1, [seg_a, seg_b])
+        Snapshot(2, index, 2)
 
 
 def test_read_manifest_missing_is_empty(tmp_path):
     m = read_manifest(tmp_path)
-    assert m.manifest_version == 0 and m.segment_ids == ()
+    assert m.manifest_version == 0 and m.segment_ids.size == 0

@@ -54,7 +54,8 @@ def test_make_mlp_init_properties():
         limit = np.sqrt(6.0 / layer.fan_in)
         assert np.all(np.abs(layer.weights) <= limit)
         assert np.all(layer.bias == 0.0)
-    assert mlp.parameter_count() == 10 * 8 + 8 + 8 * 3 + 3
+    shapes = [(l.weights.shape, l.bias.shape) for l in mlp.layers]
+    assert shapes == [((10, 8), (8,)), ((8, 3), (3,))]
     # seeded determinism
     again = make_mlp([10, 8, 3], np.random.default_rng(7))
     for a, b in zip(mlp.layers, again.layers):

@@ -29,7 +29,6 @@ from onlinekd.pipeline import (
     model_init_rng,
     read_metrics_csv,
     run_experiment,
-    run_fleet_consistency,
     run_online,
     seed_job_name,
     split_job_name,
@@ -46,7 +45,7 @@ from onlinekd.ranker import (
     compute_loss_and_grads,
 )
 
-from oracles import stored_ids
+from oracles import audit_fleet, metric_value, soft_target_records, stored_ids
 
 GEN = GenConfig(feature_dim=8)
 
@@ -100,9 +99,9 @@ def test_metrics_log_roundtrip_and_schema(tmp_path):
     assert back[0].value == 1.0 / 3.0  # repr() round-trips full precision
     assert (back[1].lo, back[1].hi) == (0.7, 0.72)
     assert back[0].lo is None
-    assert log.value(job="s0/teacher", task="ctr", metric="auc") == 1.0 / 3.0
+    assert metric_value(log, job="s0/teacher", task="ctr", metric="auc") == 1.0 / 3.0
     with pytest.raises(KeyError):
-        log.value(job="nope", metric="auc")
+        metric_value(log, job="nope", metric="auc")
     path2 = tmp_path / "bad.csv"
     path2.write_text("step,job,oops\n")
     with pytest.raises(SchemaError, match="header"):
@@ -176,19 +175,19 @@ def test_run_online_basic_end_to_end(tmp_path):
     assert len(stored_ids(snap)) == 10 * 24
     assert snap.task_names == ("ctr", "ltv")
     # teacher took one update per step
-    assert log.value(job="teacher", metric="teacher_version") == 10.0
+    assert metric_value(log, job="teacher", metric="teacher_version") == 10.0
     # full coverage for the distilling student, no coverage row for control
-    assert log.value(job="aux", metric="coverage") == 1.0
-    assert log.select(job=CONTROL_NAME, metric="coverage") == []
+    assert metric_value(log, job="aux", metric="coverage") == 1.0
+    assert not [r for r in log.rows if (r.job, r.metric) == (CONTROL_NAME, "coverage")]
     # per-task offline metrics for every job
     for job in ("teacher", CONTROL_NAME, "aux"):
         for task in ("ctr", "sat", "aux_click"):
-            auc = log.value(job=job, task=task, metric="auc")
+            auc = metric_value(log, job=job, task=task, metric="auc")
             assert 0.0 <= auc <= 1.0
-            log.value(job=job, task=task, metric="calibration")
-        assert log.value(job=job, task="ltv", metric="rmse") > 0.0
-        log.value(job=job, task="ltv", metric="rmse_true")
-        log.value(job=job, task="ltv", metric="calibration")
+            metric_value(log, job=job, task=task, metric="calibration")
+        assert metric_value(log, job=job, task="ltv", metric="rmse") > 0.0
+        metric_value(log, job=job, task="ltv", metric="rmse_true")
+        metric_value(log, job=job, task="ltv", metric="calibration")
     # teacher version increases monotonically across segments
     versions = [s.teacher_version for s in snap.segments]
     assert versions == sorted(versions)
@@ -205,35 +204,34 @@ def test_periodic_evals_and_online_sim(tmp_path):
         online_sim_every=0,  # final point only
     )
     log = run_online(world, teacher, [student], schedule, tmp_path / "store")
-    eval_steps = sorted({r.step for r in log.select(metric="auc")})
+    eval_steps = sorted({r.step for r in log.rows if r.metric == "auc"})
     assert eval_steps == [5, 10, 12]
-    assert sorted({r.step for r in log.select(metric="coverage")}) == [5, 10, 12]
+    assert sorted({r.step for r in log.rows if r.metric == "coverage"}) == [5, 10, 12]
     # engagement/satisfaction only at the final point, for teacher and student
     for job in ("teacher", "aux"):
-        rows = log.select(job=job, metric="engagement")
+        rows = [r for r in log.rows if (r.job, r.metric) == (job, "engagement")]
         assert [r.step for r in rows] == [12]
-        log.value(job=job, metric="satisfaction", step=12)
+        metric_value(log, job=job, metric="satisfaction", step=12)
     # evals at different steps see different held-out draws
-    auc5 = log.value(job="teacher", task="ctr", metric="auc", step=5)
-    auc12 = log.value(job="teacher", task="ctr", metric="auc", step=12)
+    auc5 = metric_value(log, job="teacher", task="ctr", metric="auc", step=5)
+    auc12 = metric_value(log, job="teacher", task="ctr", metric="auc", step=12)
     assert auc5 != auc12
 
 
-def test_write_cadence_and_delay_coverage(tmp_path):
+def test_write_cadence_and_delay_coverage(tmp_path, monkeypatch):
     # throttled writes: every third step, so one third of batches are covered
     world = init_world(GEN, 3)
     teacher = make_teacher(3, write_every=3)
     student = make_student(3, name="aux", mode=AUXILIARY, distill=("ctr",))
-    masks = []
-    collector = lambda t, name, mv, present, values: masks.append(present.copy())
-    log = run_online(world, teacher, [student], sched(9), tmp_path / "a",
-                     soft_collector=collector)
+    with soft_target_records(monkeypatch) as records:
+        log = run_online(world, teacher, [student], sched(9), tmp_path / "a")
+    masks = [records[t]["aux"][1]["ctr"].present for t in range(9)]
     assert len(LabelStore(tmp_path / "a").open_snapshot().segments) == 3
     # oracle cadence: step t covered iff t % 3 == 0 (write lands before lookup)
     for t, mask in enumerate(masks):
         assert mask.all() == (t % 3 == 0)
         assert mask.any() == (t % 3 == 0)
-    assert log.value(job="aux", metric="coverage") == pytest.approx(3.0 / 9.0, abs=1e-15)
+    assert metric_value(log, job="aux", metric="coverage") == pytest.approx(3.0 / 9.0, abs=1e-15)
 
 
 def test_nodistill_student_matches_plain_training_loop(tmp_path):
@@ -299,8 +297,8 @@ def test_alpha_zero_direct_is_bit_identical_to_control(tmp_path):
             assert np.array_equal(got.weights, want.weights)
     # identical held-out metrics too
     for task in ("ctr", "sat", "aux_click"):
-        assert log_d.value(job="probe", task=task, metric="auc") == log_c.value(
-            job="probe", task=task, metric="auc"
+        assert metric_value(log_d, job="probe", task=task, metric="auc") == metric_value(
+            log_c, job="probe", task=task, metric="auc"
         )
 
 
@@ -309,11 +307,11 @@ def test_frozen_teacher_stops_training_but_keeps_writing(tmp_path):
     teacher = make_teacher(5, freeze_at=4)
     student = make_student(5, name="aux", mode=AUXILIARY, distill=("ctr",))
     log = run_online(world, teacher, [student], sched(10), tmp_path / "s")
-    assert log.value(job="teacher", metric="teacher_version") == 4.0
+    assert metric_value(log, job="teacher", metric="teacher_version") == 4.0
     snap = LabelStore(tmp_path / "s").open_snapshot()
     assert len(snap.segments) == 10  # stale labels keep flowing
     assert {s.teacher_version for s in snap.segments[4:]} == {4}
-    assert log.value(job="aux", metric="coverage") == 1.0
+    assert metric_value(log, job="aux", metric="coverage") == 1.0
 
 
 def test_frozen_teacher_auc_decays_under_drift(tmp_path):
@@ -330,8 +328,8 @@ def test_frozen_teacher_auc_decays_under_drift(tmp_path):
                                        eval_batches=4),
             tmp_path / f"s{seed}",
         )
-        mid.append(log.value(job="teacher", task="ctr", metric="auc", step=half))
-        end.append(log.value(job="teacher", task="ctr", metric="auc", step=total))
+        mid.append(metric_value(log, job="teacher", task="ctr", metric="auc", step=half))
+        end.append(metric_value(log, job="teacher", task="ctr", metric="auc", step=total))
     assert float(np.mean(end)) < float(np.mean(mid))
 
 
@@ -345,7 +343,7 @@ def test_divergence_reports_job_identity(tmp_path):
     assert err.value.job == "fragile"
 
 
-def test_fleet_consistency_and_rerun_identity(tmp_path):
+def test_fleet_consistency_and_rerun_identity(tmp_path, monkeypatch):
     def build(k):
         world = init_world(GEN, 9)
         teacher = make_teacher(9)
@@ -356,14 +354,16 @@ def test_fleet_consistency_and_rerun_identity(tmp_path):
         return world, teacher, students
 
     world, teacher, first = build(4)
-    report = run_fleet_consistency(world, teacher, first, sched(12), tmp_path / "first")
+    report = audit_fleet(monkeypatch, world, teacher, first, sched(12), tmp_path / "first")
     assert report.ok and report.violations == []
     assert report.fleet_size == 4
     assert report.segments_committed == 12
     assert report.mean_coverage == 1.0
 
     world, teacher, second = build(4)
-    report_again = run_fleet_consistency(world, teacher, second, sched(12), tmp_path / "again")
+    report_again = audit_fleet(
+        monkeypatch, world, teacher, second, sched(12), tmp_path / "again"
+    )
     assert report_again.ok
     # a rerun changes nothing: every member's params are bit-identical
     for one, two in zip(first, second):
@@ -374,10 +374,10 @@ def test_fleet_consistency_and_rerun_identity(tmp_path):
     assert not np.array_equal(a.model.trunk.layers[0].weights, b.model.trunk.layers[0].weights)
     with pytest.raises(ConfigError, match="at least 2"):
         world, teacher, students = build(1)
-        run_fleet_consistency(world, teacher, students, sched(2), tmp_path / "x")
+        audit_fleet(monkeypatch, world, teacher, students, sched(2), tmp_path / "x")
 
 
-def test_fleet_twins_with_shared_init_end_identical(tmp_path):
+def test_fleet_twins_with_shared_init_end_identical(tmp_path, monkeypatch):
     # two members seeded identically differ only in name; they must consume
     # the same labels and finish with the same parameters
     world = init_world(GEN, 21)
@@ -393,7 +393,7 @@ def test_fleet_twins_with_shared_init_end_identical(tmp_path):
             train=TrainConfig(base_lr=0.05),
             alpha={"ctr": 0.5},
         ))
-    report = run_fleet_consistency(world, teacher, twins, sched(10), tmp_path / "s")
+    report = audit_fleet(monkeypatch, world, teacher, twins, sched(10), tmp_path / "s")
     assert report.ok
     a, b = twins
     for got, want in zip(a.model.trunk.layers, b.model.trunk.layers):
@@ -404,6 +404,24 @@ def test_fleet_twins_with_shared_init_end_identical(tmp_path):
     for name in a.model.aux_heads:
         for got, want in zip(a.model.aux_heads[name].layers, b.model.aux_heads[name].layers):
             assert np.array_equal(got.weights, want.weights)
+
+
+def test_fleet_audit_reports_a_perturbed_member(tmp_path, monkeypatch):
+    # one member's soft labels altered at one step: the audit names that step
+    def perturb(t, name, soft):
+        if (t, name) == (5, "member-2"):
+            soft["ctr"].values[0] += 0.25
+
+    world = init_world(GEN, 9)
+    students = [
+        make_student(9, name=f"member-{i}", mode=AUXILIARY, distill=("ctr", "ltv"))
+        for i in range(3)
+    ]
+    report = audit_fleet(monkeypatch, world, make_teacher(9), students, sched(8),
+                         tmp_path / "s", perturb=perturb)
+    assert not report.ok
+    assert len(report.violations) == 1
+    assert report.violations[0].startswith("step 5: digests diverge")
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +532,7 @@ def test_make_jobs_scale_models():
     t1 = make_teacher_job(cfg, runs[0].teacher, seed=0)
     t4 = make_teacher_job(cfg, runs[2].teacher, seed=0)
     assert t4.model.config.trunk_widths == (40,)
-    assert t4.model.parameter_count() > t1.model.parameter_count()
+    assert t4.model.trunk.layers[0].fan_out > t1.model.trunk.layers[0].fan_out
     s = make_student_job(cfg, runs[1].students[0], seed=0)
     assert s.model.config.trunk_widths == (8,)
     assert s.model.config.mode == AUXILIARY

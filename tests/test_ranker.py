@@ -1,7 +1,6 @@
 """Multi-task ranking model: losses, distillation wiring, exact gradients."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from onlinekd.ranker import (
     distill_loss,
     hard_loss,
     model_forward,
-    sharpen_probability,
     total_loss,
     validate_tasks,
 )
@@ -35,7 +33,6 @@ from onlinekd.ranker import (
 from oracles import (
     numeric_gradient,
     ref_binary_ce_from_logit,
-    ref_sigmoid,
     ref_softplus,
     relative_error,
 )
@@ -82,18 +79,26 @@ def test_model_config_validation():
         cfg.task("nope")
 
 
+def parameter_count(model):
+    mlps = [model.trunk, *model.towers.values(), *model.aux_heads.values()]
+    return sum(layer.weights.size + layer.bias.size for m in mlps for layer in m.layers)
+
+
 @pytest.mark.parametrize("mode", [NO_DISTILL, DIRECT, AUXILIARY])
 def test_parameter_count_matches_built_model(mode):
-    cfg = small_config(mode)
-    model = build_model(cfg, np.random.default_rng(0))
-    assert model.parameter_count() == cfg.parameter_count()
+    model = build_model(small_config(mode), np.random.default_rng(0))
+    # trunk 4->5, three towers 5->3->1, in auxiliary mode two aux heads 5->1
+    aux = 2 * (5 * 1 + 1) if mode == AUXILIARY else 0
+    assert parameter_count(model) == (4 * 5 + 5) + 3 * ((5 * 3 + 3) + (3 * 1 + 1)) + aux
 
 
 def test_parameter_count_by_hand():
     cfg = small_config(AUXILIARY)
-    # trunk 4->5, three towers 5->3->1, two aux heads 5->1
-    expected = (4 * 5 + 5) + 3 * ((5 * 3 + 3) + (3 * 1 + 1)) + 2 * (5 * 1 + 1)
-    assert cfg.parameter_count() == expected
+    big = dataclasses.replace(cfg, trunk_widths=_scaled(cfg.trunk_widths, 4))
+    model = build_model(big, np.random.default_rng(0))
+    # trunk 4->20, three towers 20->3->1, two aux heads 20->1
+    expected = (4 * 20 + 20) + 3 * ((20 * 3 + 3) + (3 * 1 + 1)) + 2 * (20 * 1 + 1)
+    assert parameter_count(model) == expected
 
 
 def test_scale_config_widens_trunk_only():
@@ -101,7 +106,6 @@ def test_scale_config_widens_trunk_only():
     big = dataclasses.replace(cfg, trunk_widths=_scaled(cfg.trunk_widths, 4))
     assert big.trunk_widths == (20,)
     assert big.tower_widths == cfg.tower_widths
-    assert big.parameter_count() > cfg.parameter_count()
     assert _scaled(cfg.trunk_widths, 1) == cfg.trunk_widths
     with pytest.raises(ConfigError):
         _scaled(cfg.trunk_widths, 0)
@@ -172,27 +176,12 @@ def test_hard_loss_matches_reference():
         hard_loss(logits, labels, "ordinal")
 
 
-def test_sharpen_probability():
-    p = np.array([0.1, 0.5, 0.9])
-    assert sharpen_probability(p, 1.0) is p
-    sharp = sharpen_probability(p, 0.5)
-    for pi, si in zip(p, sharp):
-        logit = math.log(pi / (1.0 - pi))
-        assert si == pytest.approx(ref_sigmoid(logit / 0.5), abs=1e-12)
-    # p = 0.5 is a fixed point at any temperature
-    assert sharpen_probability(np.array([0.5]), 3.7)[0] == pytest.approx(0.5, abs=1e-15)
-    # T < 1 sharpens away from 0.5, T > 1 flattens toward it
-    assert sharpen_probability(np.array([0.9]), 0.5)[0] > 0.9
-    assert sharpen_probability(np.array([0.9]), 2.0)[0] < 0.9
-
-
 def test_distill_loss_reference_and_validation():
     s = np.array([0.3, -1.2])
     t = np.array([0.7, 0.2])
-    got = distill_loss(s, t, BINARY, temperature=2.0)
+    got = distill_loss(s, t, BINARY)
     for gi, si, ti in zip(got, s, t):
-        p = ref_sigmoid(math.log(ti / (1.0 - ti)) / 2.0)
-        assert gi == pytest.approx(ref_softplus(si) - p * si, abs=1e-12)
+        assert gi == pytest.approx(ref_softplus(si) - ti * si, abs=1e-12)
     np.testing.assert_allclose(
         distill_loss(s, np.array([1.0, -2.0]), REGRESSION), (s - [1.0, -2.0]) ** 2
     )
@@ -303,11 +292,11 @@ def test_alpha_zero_grads_bit_identical_to_no_soft():
 
 
 GRAD_CASES = [
-    (NO_DISTILL, None, None, 1.0, None),
-    (DIRECT, "soft", {"ctr": 0.7, "ltv": 0.3}, 1.0, None),
-    (DIRECT, "soft", {"ctr": 1.0, "ltv": 1.0}, 2.0, None),
-    (AUXILIARY, "soft", {"ctr": 0.7, "ltv": 0.3}, 1.0, None),
-    (AUXILIARY, "soft", {"ctr": 0.5, "ltv": 0.5}, 0.5, 0.9),
+    (NO_DISTILL, None, None, None),
+    (DIRECT, "soft", {"ctr": 0.7, "ltv": 0.3}, None),
+    (DIRECT, "soft", {"ctr": 1.0, "ltv": 1.0}, None),
+    (AUXILIARY, "soft", {"ctr": 0.7, "ltv": 0.3}, None),
+    (AUXILIARY, "soft", {"ctr": 0.5, "ltv": 0.5}, 0.9),
 ]
 
 
@@ -321,8 +310,8 @@ def jitter_biases(model, seed=99):
             layer.bias += rng.uniform(0.01, 0.05, size=layer.bias.shape)
 
 
-@pytest.mark.parametrize("mode,use_soft,alpha,temperature,clip", GRAD_CASES)
-def test_gradients_match_finite_differences(mode, use_soft, alpha, temperature, clip):
+@pytest.mark.parametrize("mode,use_soft,alpha,clip", GRAD_CASES)
+def test_gradients_match_finite_differences(mode, use_soft, alpha, clip):
     model = build_model(small_config(mode), np.random.default_rng(21))
     jitter_biases(model)
     x, hard, soft = batch_inputs(seed=31)
@@ -330,12 +319,10 @@ def test_gradients_match_finite_differences(mode, use_soft, alpha, temperature, 
 
     def loss():
         preds = model_forward(model, x, clip)
-        breakdown, _ = total_loss(model, preds, hard, soft_arg, alpha, temperature)
+        breakdown, _ = total_loss(model, preds, hard, soft_arg, alpha)
         return breakdown.total
 
-    _, grads, _ = compute_loss_and_grads(
-        model, x, hard, soft_arg, alpha, clip, temperature
-    )
+    _, grads, _ = compute_loss_and_grads(model, x, hard, soft_arg, alpha, clip)
     arrays, analytic = [], []
     mlps = [("trunk", model.trunk, grads.trunk)]
     mlps += [(n, model.towers[n], grads.towers[n]) for n in sorted(model.towers)]
@@ -379,7 +366,7 @@ def test_apply_gradients_steps_every_component():
     opt = ModelOptimizer.for_model(model)
     x, hard, soft = batch_inputs()
     _, grads, _ = compute_loss_and_grads(model, x, hard, soft, alpha={"ctr": 1.0, "ltv": 1.0})
-    before = model.copy()
+    before = build_model(small_config(AUXILIARY), np.random.default_rng(10))
     apply_gradients(model, grads, opt, TrainConfig(base_lr=0.01))
     assert opt.trunk.step == 1
     assert all(s.step == 1 for s in opt.towers.values())
