@@ -1,10 +1,16 @@
 """Dense neural-network substrate for small multi-layer perceptrons.
 
 Everything here is plain float64 numpy, deterministic under a seed:
-2-D row-major batches, exact backprop for the fixed MLP topology, and the
+row-major batches, exact backprop for the fixed MLP topology, and the
 training-stabilization stack used for large models (learning-rate warmup,
 symmetric activation clipping after ReLU, and per-layer multiplicative
 update clipping layered on Adam).
+
+Each MLP keeps its parameters in one flat buffer that its layers' arrays
+view; its gradients and Adam moments share that layout, so an optimizer
+step is one fused pass. A buffer with a leading member axis, (S, P), holds
+S MLPs of one topology that the forward and backward passes run together
+(one batched matmul per layer); member(i) is the MLP over row i.
 
 Non-finite values are treated as model divergence and raise
 :class:`~onlinekd.errors.DivergenceError` instead of propagating silently.
@@ -24,17 +30,12 @@ IDENTITY = "identity"
 _CLIPPY_EPS = 1e-12
 
 
-def check_finite(name: str, arr: np.ndarray, *, job: str | None = None) -> None:
-    """Raise DivergenceError if any entry of arr is NaN or Inf."""
-    if not np.isfinite(arr).all():
-        raise DivergenceError(f"non-finite values in {name}", job=job, layer=name)
-
-
 @dataclass
 class Layer:
     """One dense layer: y = activation(x @ weights + bias).
 
-    weights has shape (fan_in, fan_out), bias shape (fan_out,).
+    weights has shape (..., fan_in, fan_out), bias shape (..., fan_out);
+    the leading axes, if any, index the members of a stacked MLP.
     """
 
     weights: np.ndarray
@@ -42,40 +43,58 @@ class Layer:
     activation: str
 
     def __post_init__(self) -> None:
-        if self.weights.ndim != 2 or self.bias.ndim != 1:
-            raise ValueError("layer weights must be 2-D and bias 1-D")
-        if self.weights.shape[1] != self.bias.shape[0]:
-            raise ValueError(
-                f"bias length {self.bias.shape[0]} does not match "
-                f"fan_out {self.weights.shape[1]}"
-            )
+        if self.weights.ndim < 2 or self.bias.ndim != self.weights.ndim - 1:
+            raise ValueError("layer weights must be 2-D and bias 1-D (per member)")
+        if self.bias.shape != self.weights.shape[:-2] + self.weights.shape[-1:]:
+            raise ValueError(f"bias {self.bias.shape} does not match weights {self.weights.shape}")
         if self.activation not in (RELU, IDENTITY):
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def fan_in(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def fan_out(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
 
 @dataclass
 class Mlp:
-    """A stack of dense layers with chained dimensions."""
+    """A stack of dense layers with chained dimensions over one flat buffer.
+
+    params holds each layer's weights (row-major), then its bias, layer by
+    layer, and the layers' arrays are rebound to views of it; a params
+    passed in (a row of a larger buffer) receives the layers' values.
+    starts and sizes are each layer's offset and length in its last axis.
+    """
 
     layers: list[Layer]
+    params: np.ndarray | None = None
+    starts: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError("Mlp needs at least one layer")
+        lead = self.layers[0].weights.shape[:-2]
         for k in range(1, len(self.layers)):
             if self.layers[k].fan_in != self.layers[k - 1].fan_out:
                 raise ValueError(
                     f"layer {k} input dim {self.layers[k].fan_in} does not chain "
                     f"with layer {k - 1} output dim {self.layers[k - 1].fan_out}"
                 )
+            if self.layers[k].weights.shape[:-2] != lead:
+                raise ValueError(f"layer {k} has a different member shape")
+        self.sizes = np.array([(l.fan_in + 1) * l.fan_out for l in self.layers])
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        shape = (*lead, int(self.sizes.sum()))
+        if self.params is None:
+            self.params = np.empty(shape)
+        for layer, (w, b) in zip(self.layers, self.split(self.params)):
+            w[...] = layer.weights
+            b[...] = layer.bias
+            layer.weights, layer.bias = w, b
 
     @property
     def in_dim(self) -> int:
@@ -85,30 +104,51 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layers[-1].fan_out
 
+    def split(self, buf: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weights, bias) views of a buffer laid out like params."""
+        lead = buf.shape[:-1]
+        views = []
+        for layer, at in zip(self.layers, self.starts):
+            n = layer.fan_in * layer.fan_out
+            w = buf[..., at:at + n].reshape(*lead, layer.fan_in, layer.fan_out)
+            views.append((w, buf[..., at + n:at + n + layer.fan_out]))
+        return views
+
+    def member(self, i: int) -> "Mlp":
+        """The MLP over row i of a stacked buffer; its arrays view that row."""
+        layers = [Layer(l.weights[i], l.bias[i], l.activation) for l in self.layers]
+        return Mlp(layers, self.params[i])
+
 
 def make_mlp(
     dims: list[int],
     rng: np.random.Generator,
     *,
     output_activation: str = IDENTITY,
+    members: int | None = None,
 ) -> Mlp:
     """Build an MLP with the given dimension chain, He-uniform initialized.
 
     dims = [in, h1, ..., out]. Hidden layers use ReLU; the final layer uses
     output_activation (Identity for a logit head, ReLU for a shared trunk
-    whose output feeds further layers).
+    whose output feeds further layers). members=S stacks S MLPs on a leading
+    axis, drawn one member after another, so member i holds exactly what the
+    i-th of S separate calls would have drawn.
     """
     if len(dims) < 2:
         raise ValueError("dims must list at least input and output size")
-    layers = []
-    for k in range(len(dims) - 1):
-        fan_in, fan_out = dims[k], dims[k + 1]
-        limit = np.sqrt(6.0 / fan_in)
-        w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        b = np.zeros(fan_out)
-        act = output_activation if k == len(dims) - 2 else RELU
-        layers.append(Layer(w, b, act))
-    return Mlp(layers)
+    lead = () if members is None else (members,)
+    last = len(dims) - 2
+    mlp = Mlp([
+        Layer(np.zeros((*lead, fan_in, fan_out)), np.zeros((*lead, fan_out)),
+              output_activation if k == last else RELU)
+        for k, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))
+    ])
+    for member in np.ndindex(lead):
+        for layer in mlp.layers:
+            limit = np.sqrt(6.0 / layer.fan_in)
+            layer.weights[member] = rng.uniform(-limit, limit, size=layer.weights.shape[-2:])
+    return mlp
 
 
 @dataclass
@@ -130,65 +170,67 @@ def mlp_forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the MLP on a batch, returning output and a backprop cache.
 
-    clip, when set, clamps every ReLU layer's activations to [-clip, +clip]
-    after the nonlinearity (lower bound inert post-ReLU, kept symmetric).
+    x is (B, in_dim); a stacked MLP runs each member on it (or member s on
+    x[s]) and returns (S, B, out_dim). clip, when set, clamps every ReLU
+    layer's activations to [-clip, +clip] after the nonlinearity (lower
+    bound inert post-ReLU, kept symmetric).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != mlp.in_dim:
-        raise ValueError(
-            f"input shape {x.shape} does not match model input dim {mlp.in_dim}"
-        )
+    if x.ndim < 2 or x.shape[-1] != mlp.in_dim:
+        raise ValueError(f"input shape {x.shape} does not match model input dim {mlp.in_dim}")
     if clip is not None and clip <= 0:
         raise ValueError("activation clip must be positive")
-    inputs: list[np.ndarray] = []
-    masks: list[np.ndarray | None] = []
+    inputs, masks = [], []
     a = x
     for layer in mlp.layers:
         inputs.append(a)
-        z = a @ layer.weights + layer.bias
+        z = a @ layer.weights
+        z += layer.bias[..., None, :]
         if layer.activation == RELU:
             if clip is not None:
-                mask = (z > 0.0) & (z < clip)
-                a = np.clip(z, 0.0, clip)
+                masks.append((z > 0.0) & (z < clip))
+                a = np.clip(z, 0.0, clip, out=z)
             else:
-                mask = z > 0.0
-                a = np.maximum(z, 0.0)
-            masks.append(mask)
+                masks.append(z > 0.0)
+                a = np.maximum(z, 0.0, out=z)
         else:
             masks.append(None)
             a = z
-    check_finite("mlp output", a, job=job)
-    return a, ForwardCache(inputs=inputs, masks=masks, batch=x.shape[0])
+    if not np.isfinite(a).all():
+        raise DivergenceError("non-finite values in mlp output", job=job, layer="mlp output")
+    return a, ForwardCache(inputs=inputs, masks=masks, batch=x.shape[-2])
 
 
 def mlp_backward(
     mlp: Mlp, cache: ForwardCache, out_grad: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate out_grad through the MLP.
 
-    Returns per-layer (dW, db) in layer order plus the gradient with respect
-    to the input batch. Dead-ReLU and clip-saturated positions receive zero
-    gradient via the cached masks.
+    Returns the parameter gradient, laid out like mlp.params (mlp.split
+    gives its per-layer (dW, db) views; a member's is its row), plus the
+    gradient with respect to the input batch. Dead-ReLU and clip-saturated
+    positions receive zero gradient via the cached masks.
     """
     out_grad = np.asarray(out_grad, dtype=np.float64)
     if len(cache.inputs) != len(mlp.layers):
         raise ValueError("cache does not match this model (layer count)")
-    if out_grad.shape != (cache.batch, mlp.out_dim):
-        raise ValueError(
-            f"out_grad shape {out_grad.shape} does not match "
-            f"({cache.batch}, {mlp.out_dim})"
-        )
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(mlp.layers)  # type: ignore[list-item]
+    expected = (*mlp.params.shape[:-1], cache.batch, mlp.out_dim)
+    if out_grad.shape != expected:
+        raise ValueError(f"out_grad shape {out_grad.shape} does not match {expected}")
+    grads = np.empty_like(mlp.params)
+    views = mlp.split(grads)
     g = out_grad
     for k in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[k]
         x_in = cache.inputs[k]
-        if x_in.shape != (cache.batch, layer.fan_in):
+        if x_in.shape[-2:] != (cache.batch, layer.fan_in):
             raise ValueError(f"stale cache at layer {k}: shape mismatch")
         mask = cache.masks[k]
         dz = g if mask is None else g * mask
-        grads[k] = (x_in.T @ dz, dz.sum(axis=0))
-        g = dz @ layer.weights.T
+        gw, gb = views[k]
+        np.matmul(x_in.swapaxes(-1, -2), dz, out=gw)
+        dz.sum(axis=-2, out=gb)
+        g = dz @ layer.weights.swapaxes(-1, -2)
     return grads, g
 
 
@@ -244,24 +286,20 @@ def warmup_factor(step: int, warmup_steps: int) -> float:
 
 @dataclass
 class OptState:
-    """Adam accumulators shape-matched to one Mlp, plus the step counter."""
+    """Adam moments laid out like one Mlp's params, plus the step counter."""
 
-    m: list[tuple[np.ndarray, np.ndarray]]
-    v: list[tuple[np.ndarray, np.ndarray]]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_mlp(cls, mlp: Mlp) -> "OptState":
-        zeros = lambda layer: (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-        return cls(
-            m=[zeros(layer) for layer in mlp.layers],
-            v=[zeros(layer) for layer in mlp.layers],
-        )
+        return cls(m=np.zeros_like(mlp.params), v=np.zeros_like(mlp.params))
 
 
 def optimizer_step(
     mlp: Mlp,
-    grads: list[tuple[np.ndarray, np.ndarray]],
+    grads: np.ndarray,
     state: OptState,
     cfg: TrainConfig,
     *,
@@ -269,43 +307,34 @@ def optimizer_step(
 ) -> None:
     """Apply one warmup-scaled Adam step with optional per-layer update clipping.
 
-    Mutates mlp parameters and state in place. The effective learning rate is
-    base_lr * min(1, step / warmup_steps) evaluated at the pre-increment step
-    counter, so the very first step under warmup applies a zero update.
+    mlp is one MLP and grads is laid out like its params. Mutates mlp
+    parameters and state in place in one pass over the flat buffer, with
+    Clippy's per-layer norms from one reduceat over the layer offsets. The
+    effective learning rate is base_lr * min(1, step / warmup_steps)
+    evaluated at the pre-increment step counter, so the very first step
+    under warmup applies a zero update.
     """
-    if len(grads) != len(mlp.layers) or len(state.m) != len(mlp.layers):
-        raise ValueError("gradient/state layer count does not match model")
-    for k, (gw, gb) in enumerate(grads):
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise DivergenceError(
-                f"non-finite gradient in layer {k}", job=job, layer=str(k)
-            )
+    if mlp.params.ndim != 1 or grads.shape != mlp.params.shape or state.m.shape != grads.shape:
+        raise ValueError("gradient/state layout does not match the model's parameters")
+    if not np.isfinite(grads).all():
+        first = np.flatnonzero(~np.isfinite(grads))[0]
+        k = int(np.searchsorted(mlp.starts, first, side="right")) - 1
+        raise DivergenceError(f"non-finite gradient in layer {k}", job=job, layer=str(k))
     t = state.step
     lr = cfg.base_lr * warmup_factor(t, cfg.warmup_steps)
     b1, b2, eps = cfg.adam.beta1, cfg.adam.beta2, cfg.adam.epsilon
     bc1 = 1.0 - b1 ** (t + 1)
     bc2 = 1.0 - b2 ** (t + 1)
-    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(mlp.layers, grads, state.m, state.v):
-        mw *= b1
-        mw += (1.0 - b1) * gw
-        mb *= b1
-        mb += (1.0 - b1) * gb
-        vw *= b2
-        vw += (1.0 - b2) * np.square(gw)
-        vb *= b2
-        vb += (1.0 - b2) * np.square(gb)
-        uw = lr * (mw / bc1) / (np.sqrt(vw / bc2) + eps)
-        ub = lr * (mb / bc1) / (np.sqrt(vb / bc2) + eps)
-        if cfg.clippy is not None:
-            w_norm = max(np.abs(layer.weights).max(), np.abs(layer.bias).max())
-            u_norm = max(np.abs(uw).max(), np.abs(ub).max())
-            c = min(
-                1.0,
-                (cfg.clippy.sigma_rel * w_norm + cfg.clippy.sigma_abs)
-                / (u_norm + _CLIPPY_EPS),
-            )
-            uw *= c
-            ub *= c
-        layer.weights -= uw
-        layer.bias -= ub
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * np.square(grads)
+    u = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    if cfg.clippy is not None:
+        w_norm = np.maximum.reduceat(np.abs(mlp.params), mlp.starts)
+        u_norm = np.maximum.reduceat(np.abs(u), mlp.starts)
+        c = (cfg.clippy.sigma_rel * w_norm + cfg.clippy.sigma_abs) / (u_norm + _CLIPPY_EPS)
+        u *= np.repeat(np.minimum(1.0, c), mlp.sizes)
+    mlp.params -= u
     state.step = t + 1

@@ -7,17 +7,24 @@ single-layer logit head for the soft loss; teacher knowledge then reaches
 the serving path only through the shared trunk, while teacher bias stays
 confined to the auxiliary head. Auxiliary heads are training-only and never
 serve.
+
+The towers are the members of one stacked MLP, one row of an (n_tasks, P)
+parameter buffer each, and the aux heads likewise share an (n_aux, P)
+buffer; model.towers and model.aux_heads hold per-row views of them, which
+the optimizer steps one component at a time. The forward and backward
+passes run each stack in one call, and the loss builds its gradient seeds
+on (row, batch) arrays, one row per task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
 from .nncore import (
-    IDENTITY,
     Mlp,
     OptState,
     RELU,
@@ -107,12 +114,38 @@ class ModelConfig:
         raise KeyError(name)
 
 
+
+
 @dataclass
 class RankingModel:
+    """Trunk, task towers and (auxiliary mode) aux heads of one model.
+
+    tower_stack stacks one tower per task (task order), aux_stack one aux
+    head per distilled task (distill order; None without aux heads), and
+    towers/aux_heads map each task to the Mlp over its row. soft_names are
+    the rows the soft loss lands on: the towers in direct mode, else the aux
+    heads. binary and soft_binary mark their cross-entropy rows, (rows, 1).
+    """
+
     config: ModelConfig
     trunk: Mlp
-    towers: dict[str, Mlp]
-    aux_heads: dict[str, Mlp]
+    tower_stack: Mlp
+    aux_stack: Mlp | None
+    towers: dict[str, Mlp] = field(init=False)
+    aux_heads: dict[str, Mlp] = field(init=False)
+    soft_names: tuple[str, ...] = field(init=False)
+    binary: np.ndarray = field(init=False, repr=False)
+    soft_binary: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        names = tuple(t.name for t in self.config.tasks)
+        aux_names = self.config.distill_tasks if self.aux_stack is not None else ()
+        self.towers = {name: self.tower_stack.member(i) for i, name in enumerate(names)}
+        self.aux_heads = {name: self.aux_stack.member(i) for i, name in enumerate(aux_names)}
+        self.soft_names = names if self.mode == DIRECT else aux_names
+        binary = {t.name: t.kind == BINARY for t in self.config.tasks}
+        self.binary = np.array([binary[n] for n in names], dtype=bool)[:, None]
+        self.soft_binary = np.array([binary[n] for n in self.soft_names], dtype=bool)[:, None]
 
     @property
     def mode(self) -> str:
@@ -132,13 +165,11 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> RankingModel:
     """
     trunk = make_mlp([cfg.feature_dim, *cfg.trunk_widths], rng, output_activation=RELU)
     trunk_out = cfg.trunk_widths[-1]
-    towers = {
-        t.name: make_mlp([trunk_out, *cfg.tower_widths, 1], rng) for t in cfg.tasks
-    }
-    aux_heads: dict[str, Mlp] = {}
-    if cfg.mode == AUXILIARY:
-        aux_heads = {name: make_mlp([trunk_out, 1], rng) for name in cfg.distill_tasks}
-    return RankingModel(config=cfg, trunk=trunk, towers=towers, aux_heads=aux_heads)
+    towers = make_mlp([trunk_out, *cfg.tower_widths, 1], rng, members=len(cfg.tasks))
+    aux = None
+    if cfg.mode == AUXILIARY and cfg.distill_tasks:
+        aux = make_mlp([trunk_out, 1], rng, members=len(cfg.distill_tasks))
+    return RankingModel(config=cfg, trunk=trunk, tower_stack=towers, aux_stack=aux)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -171,33 +202,19 @@ class PredictionSet:
         return self.prob(task) if kind == BINARY else self.value(task)
 
 
-@dataclass
-class _ModelCache:
-    trunk_out: np.ndarray
-    trunk_cache: object
-    tower_caches: dict[str, object]
-    aux_caches: dict[str, object]
-
-
 def _forward(
     model: RankingModel, x: np.ndarray, clip: float | None, job: str | None
-) -> tuple[PredictionSet, _ModelCache]:
+) -> tuple[PredictionSet, tuple]:
+    """Predictions plus (trunk output, trunk, tower and aux-head caches)."""
     trunk_out, trunk_cache = mlp_forward(model.trunk, x, clip, job=job)
-    hard: dict[str, np.ndarray] = {}
-    tower_caches: dict[str, object] = {}
-    for t in model.tasks:
-        out, cache = mlp_forward(model.towers[t.name], trunk_out, clip, job=job)
-        hard[t.name] = out[:, 0]
-        tower_caches[t.name] = cache
-    aux: dict[str, np.ndarray] = {}
-    aux_caches: dict[str, object] = {}
-    for name in model.config.distill_tasks:
-        if name in model.aux_heads:
-            out, cache = mlp_forward(model.aux_heads[name], trunk_out, clip, job=job)
-            aux[name] = out[:, 0]
-            aux_caches[name] = cache
+    out, tower_cache = mlp_forward(model.tower_stack, trunk_out, clip, job=job)
+    hard = dict(zip(model.towers, out[..., 0]))
+    aux, aux_cache = {}, None
+    if model.aux_stack is not None:
+        out, aux_cache = mlp_forward(model.aux_stack, trunk_out, clip, job=job)
+        aux = dict(zip(model.aux_heads, out[..., 0]))
     preds = PredictionSet(hard_logits=hard, aux_logits=aux)
-    return preds, _ModelCache(trunk_out, trunk_cache, tower_caches, aux_caches)
+    return preds, (trunk_out, trunk_cache, tower_cache, aux_cache)
 
 
 def model_forward(
@@ -225,6 +242,11 @@ def hard_loss(pred, label, kind: str) -> np.ndarray:
     raise ConfigError(f"unknown task kind {kind!r}")
 
 
+def _check_probabilities(p: np.ndarray) -> None:
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise ValueError("teacher probability outside (0, 1)")
+
+
 def distill_loss(student_value, teacher_value, kind: str) -> np.ndarray:
     """Teacher-target loss, elementwise.
 
@@ -235,8 +257,7 @@ def distill_loss(student_value, teacher_value, kind: str) -> np.ndarray:
     s = np.asarray(student_value, dtype=np.float64)
     t = np.asarray(teacher_value, dtype=np.float64)
     if kind == BINARY:
-        if np.any(t <= 0.0) or np.any(t >= 1.0):
-            raise ValueError("teacher probability outside (0, 1)")
+        _check_probabilities(t)
         return np.logaddexp(0.0, s) - t * s
     if kind == REGRESSION:
         return np.square(s - t)
@@ -265,20 +286,36 @@ class LossBreakdown:
     Hard losses are batch means. Soft losses are summed over covered
     examples and normalized by the full batch size, so a coverage gap
     weakens the distillation signal instead of re-weighting survivors.
+    The four values are filled in by evaluate() on the first read of any
+    of them, so a training step that never reads them does not pay for them.
     """
 
-    hard: dict[str, float]
-    soft: dict[str, float]
-    alpha: dict[str, float]
-    total: float
+    evaluate: Callable[[], tuple[dict, dict, dict, float]] = field(repr=False)
+    hard: dict[str, float] = field(init=False)
+    soft: dict[str, float] = field(init=False)
+    alpha: dict[str, float] = field(init=False)
+    total: float = field(init=False)
+
+    def __getattr__(self, name: str):
+        # Reached only while the values are unset: fill all four, then read.
+        if name not in ("hard", "soft", "alpha", "total"):
+            raise AttributeError(name)
+        self.hard, self.soft, self.alpha, self.total = self.evaluate()
+        return getattr(self, name)
 
 
 @dataclass
 class LogitSeeds:
-    """d(total)/d(logit) per task, already batch-normalized."""
+    """d(total)/d(logit), already batch-normalized.
 
-    hard: dict[str, np.ndarray]
-    aux: dict[str, np.ndarray]
+    hard is (n_tasks, batch), including the soft seeds in direct mode; aux
+    is (n_aux, batch), None without aux heads. soft_active flags the rows of
+    model.soft_names that got a soft seed (a covered label, nonzero alpha).
+    """
+
+    hard: np.ndarray
+    aux: np.ndarray | None
+    soft_active: np.ndarray
 
 
 def total_loss(
@@ -293,84 +330,82 @@ def total_loss(
     In direct mode the soft loss lands on the serving logit; in auxiliary
     mode it lands on the aux logit only, so the serving tower sees hard-label
     gradients exclusively and teacher knowledge flows through the trunk.
+    Labels are checked here, on every call: label shapes, distilled task
+    names, and that every covered binary teacher value lies in (0, 1).
     """
     alpha = alpha or {}
     soft_labels = soft_labels or {}
     distillable = set(model.config.distill_tasks)
-    for name in soft_labels:
-        if model.mode == NO_DISTILL or name not in distillable:
-            raise ConfigError(
-                f"soft labels supplied for task {name!r} which this model does not distill"
-            )
-    for name in alpha:
+    for name in [*soft_labels, *alpha]:
         if name not in distillable:
-            raise ConfigError(f"alpha given for non-distilled task {name!r}")
+            raise ConfigError(f"soft labels or alpha given for non-distilled task {name!r}")
 
-    hard_out: dict[str, float] = {}
-    soft_out: dict[str, float] = {}
-    alpha_out: dict[str, float] = {}
-    hard_seeds: dict[str, np.ndarray] = {}
-    aux_seeds: dict[str, np.ndarray] = {}
+    z = np.stack([preds.hard_logits[name] for name in model.towers])
+    for name in model.towers:
+        if np.shape(hard_labels[name]) != z.shape[1:]:
+            raise ValueError(f"task {name!r}: label shape != logit shape {z.shape[1:]}")
+    y = np.asarray(np.stack([hard_labels[name] for name in model.towers]), dtype=np.float64)
+    n = z.shape[1]
+    sig = _sigmoid(z)
+    hard = (np.where(model.binary, sig, z) - y) * np.where(model.binary, 1.0, 2.0) / n
 
-    n = None
-    for t in model.tasks:
-        z = preds.hard_logits[t.name]
-        n = z.shape[0] if n is None else n
-        y = np.asarray(hard_labels[t.name], dtype=np.float64)
-        if y.shape != z.shape:
-            raise ValueError(f"task {t.name!r}: label shape {y.shape} != logit shape {z.shape}")
-        hard_out[t.name] = float(np.mean(hard_loss(z, y, t.kind)))
-        if t.kind == BINARY:
-            hard_seeds[t.name] = (_sigmoid(z) - y) / n
-        else:
-            hard_seeds[t.name] = 2.0 * (z - y) / n
-
-    for t in model.tasks:
-        targets = soft_labels.get(t.name)
-        if targets is None:
-            continue
-        a = float(alpha.get(t.name, 1.0))
+    rows = len(model.soft_names)
+    active = np.zeros(rows, dtype=bool)
+    aux = np.zeros((rows, n)) if model.mode == AUXILIARY else None
+    soft_rows: dict[str, tuple[int, float]] = {}  # task -> (soft row, alpha)
+    zs = safe = mask = None
+    if soft_labels:
+        values, present, weight = np.zeros((rows, n)), np.zeros((rows, n), bool), np.zeros((rows, 1))
+        for r, name in enumerate(model.soft_names):
+            if name in soft_labels:
+                values[r] = soft_labels[name].values
+                present[r] = soft_labels[name].present
+                weight[r] = a = float(alpha.get(name, 1.0))
+                soft_rows[name] = (r, a)
+        mask = present.astype(np.float64)
+        # Placeholders keep absent values out of both the loss and the check.
+        binary = model.soft_binary
+        safe = np.where(present, values, np.where(binary, 0.5, 0.0))
+        _check_probabilities(safe[binary[:, 0]])
         if model.mode == DIRECT:
-            z = preds.hard_logits[t.name]
+            zs, sig_s = z, sig
         else:
-            z = preds.aux_logits[t.name]
-        present = targets.present.astype(np.float64)
-        covered = present.sum()
-        if covered == 0.0:
-            soft_out[t.name] = 0.0
-            alpha_out[t.name] = a
-            continue
-        # Losses are only evaluated where a teacher value exists; the mask
-        # keeps placeholder values out of both the loss and the validation.
-        safe_vals = np.where(targets.present, targets.values, 0.5 if t.kind == BINARY else 0.0)
-        per_example = distill_loss(z, safe_vals, t.kind) * present
-        soft_out[t.name] = float(per_example.sum() / n)
-        alpha_out[t.name] = a
-        if a == 0.0:
-            continue
-        if t.kind == BINARY:
-            seed = a * (_sigmoid(z) - safe_vals) * present / n
-        else:
-            seed = a * 2.0 * (z - safe_vals) * present / n
+            zs = np.stack([preds.aux_logits[name] for name in model.soft_names])
+            sig_s = _sigmoid(zs)
+        active = (mask.sum(axis=1) > 0.0) & (weight[:, 0] != 0.0)
+        scale = weight * np.where(binary, 1.0, 2.0)
+        seed = scale * (np.where(binary, sig_s, zs) - safe) * mask / n
         if model.mode == DIRECT:
-            hard_seeds[t.name] = hard_seeds[t.name] + seed
+            np.add(hard, seed, out=hard, where=active[:, None])
         else:
-            aux_seeds[t.name] = seed
+            aux = seed
 
-    total = 0.0
-    for t in model.tasks:
-        total += hard_out[t.name]
-    for name, value in soft_out.items():
-        total += alpha_out[name] * value
-    breakdown = LossBreakdown(hard=hard_out, soft=soft_out, alpha=alpha_out, total=total)
-    return breakdown, LogitSeeds(hard=hard_seeds, aux=aux_seeds)
+    def evaluate():
+        hard_out = {
+            t.name: float(np.mean(hard_loss(zt, yt, t.kind)))
+            for t, zt, yt in zip(model.tasks, z, y)
+        }
+        soft_out, alpha_out = {}, {}
+        for t in model.tasks:
+            if t.name in soft_rows:
+                r, alpha_out[t.name] = soft_rows[t.name]
+                loss = (distill_loss(zs[r], safe[r], t.kind) * mask[r]).sum() / n
+                soft_out[t.name] = float(loss) if mask[r].any() else 0.0
+        total = 0.0  # hard losses in task order, then alpha-weighted soft losses
+        for value in [*hard_out.values(), *(alpha_out[k] * v for k, v in soft_out.items())]:
+            total += value
+        return hard_out, soft_out, alpha_out, total
+
+    return LossBreakdown(evaluate), LogitSeeds(hard=hard, aux=aux, soft_active=active)
 
 
 @dataclass
 class ModelGrads:
-    trunk: list[tuple[np.ndarray, np.ndarray]]
-    towers: dict[str, list[tuple[np.ndarray, np.ndarray]]]
-    aux: dict[str, list[tuple[np.ndarray, np.ndarray]]]
+    """Each component's gradient, laid out like its Mlp's params."""
+
+    trunk: np.ndarray
+    towers: dict[str, np.ndarray]
+    aux: dict[str, np.ndarray]
 
 
 def compute_loss_and_grads(
@@ -385,34 +420,28 @@ def compute_loss_and_grads(
 ) -> tuple[LossBreakdown, ModelGrads, PredictionSet]:
     """One full forward/backward pass: joint loss and exact gradients for
     every component (trunk, towers, aux heads)."""
-    preds, cache = _forward(model, x, clip, job)
+    preds, (trunk_out, trunk_cache, tower_cache, aux_cache) = _forward(model, x, clip, job)
     breakdown, seeds = total_loss(model, preds, hard_labels, soft_labels, alpha)
 
-    trunk_out_grad = np.zeros_like(cache.trunk_out)
-    tower_grads: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for t in model.tasks:
-        seed = seeds.hard[t.name][:, None]
-        grads, input_grad = mlp_backward(model.towers[t.name], cache.tower_caches[t.name], seed)
-        tower_grads[t.name] = grads
+    tower_grads, tower_in = mlp_backward(model.tower_stack, tower_cache, seeds.hard[..., None])
+    trunk_out_grad = np.zeros_like(trunk_out)
+    for input_grad in tower_in:
         trunk_out_grad += input_grad
 
-    aux_grads: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for name, head in model.aux_heads.items():
-        seed_vec = seeds.aux.get(name)
-        if seed_vec is None:
-            # No covered soft labels this step: aux head gets exact zeros so
-            # optimizer moments still decay in lockstep.
-            aux_grads[name] = [
-                (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-                for layer in head.layers
-            ]
-            continue
-        grads, input_grad = mlp_backward(head, cache.aux_caches[name], seed_vec[:, None])
-        aux_grads[name] = grads
-        trunk_out_grad += input_grad
+    aux_grads: dict[str, np.ndarray] = {}
+    if model.aux_stack is not None:
+        grads, aux_in = mlp_backward(model.aux_stack, aux_cache, seeds.aux[..., None])
+        # A head with no seed this step gets exact zeros, so its optimizer
+        # moments still decay in lockstep, and adds nothing to the trunk.
+        grads[~seeds.soft_active] = 0.0
+        for input_grad, active in zip(aux_in, seeds.soft_active):
+            if active:
+                trunk_out_grad += input_grad
+        aux_grads = dict(zip(model.aux_heads, grads))
 
-    trunk_grads, _ = mlp_backward(model.trunk, cache.trunk_cache, trunk_out_grad)
-    return breakdown, ModelGrads(trunk=trunk_grads, towers=tower_grads, aux=aux_grads), preds
+    trunk_grads, _ = mlp_backward(model.trunk, trunk_cache, trunk_out_grad)
+    towers = dict(zip(model.towers, tower_grads))
+    return breakdown, ModelGrads(trunk=trunk_grads, towers=towers, aux=aux_grads), preds
 
 
 @dataclass
@@ -441,7 +470,7 @@ def apply_gradients(
     job: str | None = None,
 ) -> None:
     optimizer_step(model.trunk, grads.trunk, opt.trunk, cfg, job=job)
-    for t in model.tasks:
-        optimizer_step(model.towers[t.name], grads.towers[t.name], opt.towers[t.name], cfg, job=job)
-    for name in model.aux_heads:
-        optimizer_step(model.aux_heads[name], grads.aux[name], opt.aux[name], cfg, job=job)
+    for name, tower in model.towers.items():
+        optimizer_step(tower, grads.towers[name], opt.towers[name], cfg, job=job)
+    for name, head in model.aux_heads.items():
+        optimizer_step(head, grads.aux[name], opt.aux[name], cfg, job=job)

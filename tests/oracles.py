@@ -113,6 +113,132 @@ def ref_binary_ce_from_logit(logit: float, target: float) -> float:
     return -target * math.log(p) - (1.0 - target) * math.log(1.0 - p)
 
 
+def ref_sigmoid_array(z):
+    """Elementwise sigmoid, 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_dense_forward(layers, x, clip):
+    """One MLP, one 2-D matmul per layer. layers: [weights, bias, is_relu].
+    Returns the output and (layer inputs, ReLU/clip masks) for backprop."""
+    inputs, masks = [], []
+    a = x
+    for w, b, is_relu in layers:
+        inputs.append(a)
+        z = a @ w + b
+        mask = None
+        if is_relu:
+            mask = (z > 0.0) if clip is None else (z > 0.0) & (z < clip)
+            a = np.maximum(z, 0.0) if clip is None else np.clip(z, 0.0, clip)
+        else:
+            a = z
+        masks.append(mask)
+    return a, (inputs, masks)
+
+
+def ref_dense_backward(layers, cache, g):
+    """Per-layer (dW, db) and the input gradient of one MLP."""
+    inputs, masks = cache
+    grads = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        dz = g if masks[k] is None else g * masks[k]
+        grads[k] = (inputs[k].T @ dz, dz.sum(axis=0))
+        g = dz @ layers[k][0].T
+    return grads, g
+
+
+def ref_ranker_step(params, tasks, direct, x, hard, soft, alpha, clip):
+    """One training step of a multi-task ranker, tower by tower.
+
+    params: {"trunk": layers, "towers": {task: layers}, "aux": {task: layers}}
+    with towers in task order and aux heads in distill order; tasks: (name,
+    is_binary) in task order; soft: {task: (values, present)}. The soft loss
+    lands on the serving logit when direct, else on the task's aux head.
+    The trunk's output gradient starts at zero and adds the towers in task
+    order, then the aux heads in distill order; a head without a seed gets
+    zero gradients and adds nothing. Returns (hard logits, aux logits, hard
+    seeds, aux seeds, grads), grads shaped like params with (dW, db) pairs.
+    """
+    n = x.shape[0]
+    trunk_out, trunk_cache = ref_dense_forward(params["trunk"], x, clip)
+    hard_logits, aux_logits, caches = {}, {}, {}
+    for group, logits in (("towers", hard_logits), ("aux", aux_logits)):
+        for name, layers in params[group].items():
+            out, caches[group, name] = ref_dense_forward(layers, trunk_out, clip)
+            logits[name] = out[:, 0]
+    hard_seeds, aux_seeds = {}, {}
+    for name, is_binary in tasks:
+        z, y = hard_logits[name], hard[name]
+        hard_seeds[name] = (ref_sigmoid_array(z) - y) / n if is_binary else 2.0 * (z - y) / n
+    for name, is_binary in tasks:
+        if name not in soft:
+            continue
+        values, present = soft[name]
+        a = alpha.get(name, 1.0)
+        p = present.astype(np.float64)
+        if p.sum() == 0.0 or a == 0.0:
+            continue
+        z = hard_logits[name] if direct else aux_logits[name]
+        v = np.where(present, values, 0.5 if is_binary else 0.0)
+        if is_binary:
+            seed = a * (ref_sigmoid_array(z) - v) * p / n
+        else:
+            seed = a * 2.0 * (z - v) * p / n
+        if direct:
+            hard_seeds[name] = hard_seeds[name] + seed
+        else:
+            aux_seeds[name] = seed
+    grads = {"towers": {}, "aux": {}}
+    trunk_out_grad = np.zeros_like(trunk_out)
+    for group, seeds in (("towers", hard_seeds), ("aux", aux_seeds)):
+        for name, layers in params[group].items():
+            if name not in seeds:
+                grads[group][name] = [(np.zeros_like(w), np.zeros_like(b)) for w, b, _ in layers]
+                continue
+            grads[group][name], input_grad = ref_dense_backward(
+                layers, caches[group, name], seeds[name][:, None]
+            )
+            trunk_out_grad += input_grad
+    grads["trunk"], _ = ref_dense_backward(params["trunk"], trunk_cache, trunk_out_grad)
+    return hard_logits, aux_logits, hard_seeds, aux_seeds, grads
+
+
+def ref_adam_layers(layers, grads, moments, t, base_lr, warmup_steps, beta1, beta2,
+                    epsilon, clippy=None):
+    """One Adam step on one MLP, layer by layer, in place.
+
+    moments holds [m_w, m_b, v_w, v_b] per layer; t is the step count before
+    this step. clippy = (sigma_rel, sigma_abs) scales each layer's whole
+    update by min(1, (sigma_rel * ||w||_inf + sigma_abs) / (||u||_inf + 1e-12)),
+    the norms taken jointly over the layer's weights and bias.
+    """
+    lr = base_lr * (1.0 if warmup_steps <= 0 else min(1.0, t / warmup_steps))
+    bc1 = 1.0 - beta1 ** (t + 1)
+    bc2 = 1.0 - beta2 ** (t + 1)
+    for (w, b, _), (gw, gb), (mw, mb, vw, vb) in zip(layers, grads, moments):
+        for m, v, g in ((mw, vw, gw), (mb, vb, gb)):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * np.square(g)
+        uw = lr * (mw / bc1) / (np.sqrt(vw / bc2) + epsilon)
+        ub = lr * (mb / bc1) / (np.sqrt(vb / bc2) + epsilon)
+        if clippy is not None:
+            sigma_rel, sigma_abs = clippy
+            w_norm = max(np.abs(w).max(), np.abs(b).max())
+            u_norm = max(np.abs(uw).max(), np.abs(ub).max())
+            c = min(1.0, (sigma_rel * w_norm + sigma_abs) / (u_norm + 1e-12))
+            uw *= c
+            ub *= c
+        w -= uw
+        b -= ub
+
+
 def replay_store_contents(appends):
     """Expected store state from a sequence of appends.
 

@@ -10,10 +10,8 @@ reproducible measurements, not statistical gambles.
 
 import shutil
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from onlinekd.cli import default_experiment
 from onlinekd.datagen import GenConfig, init_world
@@ -58,7 +56,6 @@ from onlinekd.ranker import (
     MODES,
     NO_DISTILL,
     ModelConfig,
-    ModelOptimizer,
     REGRESSION,
     SoftTargets,
     build_model,
@@ -164,16 +161,16 @@ def test_c1_gradient_correctness():
 
         _, grads, _ = compute_loss_and_grads(model, x, hard, soft, alpha, clip)
         arrays, analytic = [], []
-        mlps = [model.trunk.layers]
+        mlps = [model.trunk]
         grad_stacks = [grads.trunk]
         for name in sorted(model.towers):
-            mlps.append(model.towers[name].layers)
+            mlps.append(model.towers[name])
             grad_stacks.append(grads.towers[name])
         for name in sorted(model.aux_heads):
-            mlps.append(model.aux_heads[name].layers)
+            mlps.append(model.aux_heads[name])
             grad_stacks.append(grads.aux[name])
-        for layers, g in zip(mlps, grad_stacks):
-            for layer, (gw, gb) in zip(layers, g):
+        for mlp, g in zip(mlps, grad_stacks):
+            for layer, (gw, gb) in zip(mlp.layers, mlp.split(g)):
                 arrays.extend([layer.weights, layer.bias])
                 analytic.extend([gw, gb])
         numeric = numeric_gradient(loss, arrays, eps=1e-6)

@@ -1,4 +1,5 @@
-"""Every function and class defined in src/onlinekd is used by the package.
+"""Every function and class defined in src/onlinekd is used by the package,
+and every name a module in src/onlinekd or tests imports is read there.
 
 A definition that nothing in src/onlinekd reaches, outside its own body, is
 API kept alive only for the tests (or for nobody). The check parses each
@@ -12,12 +13,17 @@ Blind spot: it matches names, not bindings. A method that shares its name
 with some other call or attribute in the package (`copy`, `value`, `select`,
 say, next to numpy's or a dataclass's) counts as referenced even when nothing
 calls it, so such a method is not caught.
+
+The import check is per module: a name bound by an import statement
+(`__future__` aside) must be read, as a plain name, somewhere in the module
+that imports it.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "onlinekd"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "onlinekd"
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -63,4 +69,44 @@ def test_check_flags_a_definition_used_only_by_itself(tmp_path):
     )
     assert unreferenced_definitions(tmp_path) == [
         "mod.py:5 lonely", "mod.py:14 Orphan", "mod.py:19 Chain", "mod.py:20 size",
+    ]
+
+
+def unread_imports(paths) -> list[str]:
+    """module:line name for each imported name its module never reads."""
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.name}:{node.lineno} {name}")
+    return unread
+
+
+def test_every_import_is_read():
+    assert unread_imports(sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))) == []
+
+
+def test_check_flags_an_import_that_is_never_read(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from json import dumps, loads as parse\n"
+        "from pathlib import Path\n\n"
+        "Path = None\n"
+        "print(os.sep, dumps)\n"
+    )
+    assert unread_imports([tmp_path / "mod.py"]) == [
+        "mod.py:3 np", "mod.py:4 parse", "mod.py:5 Path",
     ]

@@ -11,7 +11,7 @@ from onlinekd.datagen import (
     true_task_value,
 )
 from onlinekd.errors import ConfigError
-from onlinekd.ranker import BINARY, PET, PST, REGRESSION, TaskSpec
+from onlinekd.ranker import BINARY, PET, PST, TaskSpec
 
 from oracles import ref_sigmoid, ref_softplus
 

@@ -124,7 +124,7 @@ def test_backward_matches_finite_differences():
         grads, input_grad = mlp_backward(mlp, cache, r)
         arrays = [a for layer in mlp.layers for a in (layer.weights, layer.bias)]
         numeric = numeric_gradient(loss, arrays, eps=1e-6)
-        analytic = [g for pair in grads for g in pair]
+        analytic = [g for pair in mlp.split(grads) for g in pair]
         assert relative_error(numeric, analytic) < 1e-7
         # input gradient via FD on x
         numeric_x = numeric_gradient(loss, [x], eps=1e-6)[0]
@@ -181,7 +181,7 @@ def test_adam_matches_scalar_reference():
     )
     got = []
     for g in grad_seq:
-        optimizer_step(mlp, [(np.array([[g]]), np.zeros(1))], state, cfg)
+        optimizer_step(mlp, np.array([g, 0.0]), state, cfg)
         got.append(float(layer.weights[0, 0]))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
     assert state.step == len(grad_seq)
@@ -202,7 +202,7 @@ def test_adam_with_clippy_matches_scalar_reference():
         [1.0, 1.0], 0.5, 0, 0.0, 0.0, 1e-8, w0=w0, clippy=(0.1, 1e-3)
     )
     for _ in range(2):
-        optimizer_step(mlp, [(np.array([[1.0]]), np.zeros(1))], state, cfg)
+        optimizer_step(mlp, np.array([1.0, 0.0]), state, cfg)
     # first step: u ~= 0.5, c = (0.1*1 + 1e-3)/u -> applied update ~0.101
     assert layer.weights[0, 0] == pytest.approx(expected[-1], abs=1e-12)
     assert expected[0] == pytest.approx(1.0 - 0.101, abs=1e-6)
@@ -220,7 +220,7 @@ def test_clippy_is_per_layer_joint_over_weights_and_bias():
     # raw updates ~1.0 for both params (sign normalization, lr=1); the layer
     # norm is max over weights AND bias = 2.0, so c ~= 0.1*2.0/1.0 = 0.2.
     # W-only grouping would give c = 0.01 and a visibly different weight.
-    optimizer_step(mlp, [(np.array([[1.0]]), np.array([1.0]))], state, cfg)
+    optimizer_step(mlp, np.array([1.0, 1.0]), state, cfg)
     assert layer.weights[0, 0] == pytest.approx(0.1 - 0.2, abs=1e-6)
     assert layer.bias[0] == pytest.approx(2.0 - 0.2, abs=1e-6)
 
@@ -234,7 +234,7 @@ def test_clippy_inactive_when_update_small():
     layer = Layer(np.array([[1.0]]), np.zeros(1), IDENTITY)
     mlp = Mlp([layer])
     state = OptState.for_mlp(mlp)
-    optimizer_step(mlp, [(np.array([[1.0]]), np.zeros(1))], state, cfg)
+    optimizer_step(mlp, np.array([1.0, 0.0]), state, cfg)
     # c = min(1, 1.5/1e-4) = 1: update passes through unchanged
     assert layer.weights[0, 0] == pytest.approx(1.0 - 1e-4, abs=1e-11)
 
@@ -245,7 +245,7 @@ def test_warmup_first_step_applies_zero_update():
     mlp = make_mlp([3, 2], rng)
     before = [layer.weights.copy() for layer in mlp.layers]
     state = OptState.for_mlp(mlp)
-    grads = [(np.ones_like(l.weights), np.ones_like(l.bias)) for l in mlp.layers]
+    grads = np.ones_like(mlp.params)
     optimizer_step(mlp, grads, state, cfg)
     for layer, w0 in zip(mlp.layers, before):
         assert np.array_equal(layer.weights, w0)
@@ -258,7 +258,8 @@ def test_optimizer_step_rejects_nonfinite_grads():
     rng = np.random.default_rng(4)
     mlp = make_mlp([3, 2], rng)
     state = OptState.for_mlp(mlp)
-    grads = [(np.full_like(mlp.layers[0].weights, np.nan), np.zeros(2))]
+    grads = np.zeros_like(mlp.params)
+    grads[:6] = np.nan  # layer 0's weights
     with pytest.raises(DivergenceError) as err:
         optimizer_step(mlp, grads, state, TrainConfig(), job="student-a")
     assert err.value.job == "student-a"
@@ -272,4 +273,44 @@ def test_optimizer_step_layer_count_mismatch():
     mlp = make_mlp([3, 4, 2], rng)
     state = OptState.for_mlp(mlp)
     with pytest.raises(ValueError):
-        optimizer_step(mlp, [(np.zeros((3, 4)), np.zeros(4))], state, TrainConfig())
+        optimizer_step(mlp, np.zeros(3 * 4 + 4), state, TrainConfig())
+
+
+def test_clippy_factor_is_taken_per_layer_in_the_fused_step():
+    # layer 0 (2x3 weights + 3 bias) is large, so its update passes whole;
+    # layer 1 (3x1 weights + 1 bias) is small, so only its factor is below 1.
+    # Each layer's largest entry is its first, so a shifted offset changes a norm.
+    cfg = TrainConfig(
+        base_lr=0.5,
+        adam=AdamConfig(beta1=0.0, beta2=0.0, epsilon=1e-8),
+        clippy=ClippyConfig(sigma_rel=0.1, sigma_abs=1e-3),
+    )
+    mlp = Mlp([
+        Layer(np.array([[-10.0, 1.0, 2.0], [3.0, -4.0, 5.0]]), np.full(3, 1.0), RELU),
+        Layer(np.array([[0.3], [-0.1], [0.2]]), np.zeros(1), IDENTITY),
+    ])
+    before = [np.concatenate([l.weights.ravel(), l.bias]) for l in mlp.layers]
+    grads = np.linspace(-1.0, 1.5, 13)
+    optimizer_step(mlp, grads, OptState.for_mlp(mlp), cfg)
+    at = 0
+    for layer, p, clipped in zip(mlp.layers, before, (False, True)):
+        g = grads[at:at + p.size]
+        u = 0.5 * g / (np.abs(g) + 1e-8)
+        c = min(1.0, (0.1 * np.abs(p).max() + 1e-3) / (np.abs(u).max() + 1e-12))
+        assert (c < 1.0) == clipped
+        after = np.concatenate([layer.weights.ravel(), layer.bias])
+        np.testing.assert_allclose(after, p - c * u, rtol=0, atol=1e-12)
+        at += p.size
+
+
+def test_optimizer_step_names_the_diverging_layer():
+    rng = np.random.default_rng(4)
+    mlp = make_mlp([3, 4, 2], rng)
+    before = mlp.params.copy()
+    state = OptState.for_mlp(mlp)
+    grads = np.zeros_like(mlp.params)
+    mlp.split(grads)[1][0][0, 0] = np.nan  # the first entry of layer 1
+    with pytest.raises(DivergenceError) as err:
+        optimizer_step(mlp, grads, state, TrainConfig(), job="student-b")
+    assert (err.value.job, err.value.layer) == ("student-b", "1")
+    assert state.step == 0 and np.array_equal(mlp.params, before)

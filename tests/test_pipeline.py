@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from onlinekd.datagen import DEFAULT_TASKS, GenConfig, init_world, next_batch
+from onlinekd.datagen import GenConfig, init_world, next_batch
 from onlinekd.errors import ConfigError, DivergenceError, SchemaError, StoreError
 from onlinekd.labelstore import LabelStore
 from onlinekd.metrics import OnlineSimConfig

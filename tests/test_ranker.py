@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from onlinekd.errors import ConfigError
-from onlinekd.nncore import IDENTITY, RELU, TrainConfig
+from onlinekd.nncore import IDENTITY, RELU, ClippyConfig, TrainConfig
 from onlinekd.pipeline import _scaled
 from onlinekd.ranker import (
     AUXILIARY,
@@ -32,7 +32,9 @@ from onlinekd.ranker import (
 
 from oracles import (
     numeric_gradient,
+    ref_adam_layers,
     ref_binary_ce_from_logit,
+    ref_ranker_step,
     ref_softplus,
     relative_error,
 )
@@ -269,11 +271,9 @@ def test_zero_coverage_gives_zero_soft_and_control_grads():
     loss_none, grads_none, _ = compute_loss_and_grads(model, x, hard, None)
     assert loss_soft.soft == {"ctr": 0.0, "ltv": 0.0}
     assert loss_soft.total == loss_none.total
-    for a, b in zip(grads_soft.trunk, grads_none.trunk):
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert np.array_equal(grads_soft.trunk, grads_none.trunk)
     for name in grads_soft.aux:
-        for gw, gb in grads_soft.aux[name]:
-            assert not gw.any() and not gb.any()
+        assert not grads_soft.aux[name].any()
 
 
 def test_alpha_zero_grads_bit_identical_to_no_soft():
@@ -284,11 +284,9 @@ def test_alpha_zero_grads_bit_identical_to_no_soft():
             model, x, hard, soft, alpha={"ctr": 0.0, "ltv": 0.0}
         )
         _, without, _ = compute_loss_and_grads(model, x, hard, None)
-        for a, b in zip(with_soft.trunk, without.trunk):
-            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert np.array_equal(with_soft.trunk, without.trunk)
         for name in with_soft.towers:
-            for a, b in zip(with_soft.towers[name], without.towers[name]):
-                assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+            assert np.array_equal(with_soft.towers[name], without.towers[name])
 
 
 GRAD_CASES = [
@@ -328,7 +326,7 @@ def test_gradients_match_finite_differences(mode, use_soft, alpha, clip):
     mlps += [(n, model.towers[n], grads.towers[n]) for n in sorted(model.towers)]
     mlps += [(n, model.aux_heads[n], grads.aux[n]) for n in sorted(model.aux_heads)]
     for _, mlp, g in mlps:
-        for layer, (gw, gb) in zip(mlp.layers, g):
+        for layer, (gw, gb) in zip(mlp.layers, mlp.split(g)):
             arrays.extend([layer.weights, layer.bias])
             analytic.extend([gw, gb])
     numeric = numeric_gradient(loss, arrays, eps=1e-6)
@@ -342,12 +340,12 @@ def test_auxiliary_knowledge_reaches_trunk_not_tower():
     _, without, _ = compute_loss_and_grads(model, x, hard, None)
     # serving towers see hard-label gradients only
     for name in with_soft.towers:
-        for a, b in zip(with_soft.towers[name], without.towers[name]):
-            assert np.array_equal(a[0], b[0])
+        assert np.array_equal(with_soft.towers[name], without.towers[name])
     # the trunk gradient changes: teacher signal flows through shared layers
-    assert not np.array_equal(with_soft.trunk[0][0], without.trunk[0][0])
+    trunk_w = [model.trunk.split(g)[0][0] for g in (with_soft.trunk, without.trunk)]
+    assert not np.array_equal(*trunk_w)
     # and aux heads receive nonzero gradients
-    assert any(gw.any() for gw, _ in with_soft.aux["ctr"])
+    assert any(gw.any() for gw, _ in model.aux_heads["ctr"].split(with_soft.aux["ctr"]))
 
 
 def test_direct_soft_loss_lands_on_serving_tower():
@@ -355,10 +353,10 @@ def test_direct_soft_loss_lands_on_serving_tower():
     x, hard, soft = batch_inputs()
     _, with_soft, _ = compute_loss_and_grads(model, x, hard, soft, alpha={"ctr": 1.0, "ltv": 1.0})
     _, without, _ = compute_loss_and_grads(model, x, hard, None)
-    assert not np.array_equal(with_soft.towers["ctr"][0][0], without.towers["ctr"][0][0])
+    ctr_w = [model.towers["ctr"].split(g.towers["ctr"])[0][0] for g in (with_soft, without)]
+    assert not np.array_equal(*ctr_w)
     # non-distilled task tower is untouched by soft labels
-    for a, b in zip(with_soft.towers["aux_click"], without.towers["aux_click"]):
-        assert np.array_equal(a[0], b[0])
+    assert np.array_equal(with_soft.towers["aux_click"], without.towers["aux_click"])
 
 
 def test_apply_gradients_steps_every_component():
@@ -372,3 +370,155 @@ def test_apply_gradients_steps_every_component():
     assert all(s.step == 1 for s in opt.towers.values())
     assert all(s.step == 1 for s in opt.aux.values())
     assert not np.array_equal(model.trunk.layers[0].weights, before.trunk.layers[0].weights)
+
+
+def test_component_arrays_stay_views_of_the_stacked_buffers():
+    model = build_model(small_config(AUXILIARY), np.random.default_rng(10))
+    opt = ModelOptimizer.for_model(model)
+    train = TrainConfig(base_lr=0.05, clippy=ClippyConfig())
+    for step in range(10):
+        x, hard, soft = batch_inputs(seed=step)
+        _, grads, _ = compute_loss_and_grads(model, x, hard, soft, {"ctr": 1.0, "ltv": 0.5})
+        apply_gradients(model, grads, opt, train)
+    assert opt.trunk.step == 10
+    stacks = [
+        (model.trunk, {"trunk": model.trunk}),
+        (model.tower_stack, model.towers),
+        (model.aux_stack, model.aux_heads),
+    ]
+    for stack, parts in stacks:
+        for row, mlp in enumerate(parts.values()):
+            assert np.shares_memory(mlp.params, stack.params)
+            assert np.array_equal(mlp.params, stack.params.reshape(-1, mlp.params.size)[row])
+            for layer in mlp.layers:
+                assert np.shares_memory(layer.weights, stack.params)
+                assert np.shares_memory(layer.bias, stack.params)
+
+
+@pytest.mark.parametrize("mode", [DIRECT, AUXILIARY])
+def test_covered_binary_teacher_values_are_checked_on_the_step_path(mode):
+    model = build_model(small_config(mode), np.random.default_rng(3))
+    x, hard, soft = batch_inputs()
+    present = soft["ctr"].present
+    assert present[0] and not present.all()
+
+    def with_ctr_value(row, value):
+        values = soft["ctr"].values.copy()
+        values[row] = value
+        return {**soft, "ctr": SoftTargets(values, present)}
+
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            compute_loss_and_grads(model, x, hard, with_ctr_value(0, bad))
+    # the same value on an uncovered row is a placeholder, never read
+    accepted = with_ctr_value(np.flatnonzero(~present)[0], 1.0)
+    before, grads, _ = compute_loss_and_grads(model, x, hard, accepted)
+    after, _, _ = compute_loss_and_grads(model, x, hard, accepted)
+    first = (before.hard, before.soft, before.alpha, before.total)
+    apply_gradients(model, grads, ModelOptimizer.for_model(model), TrainConfig(base_lr=0.05))
+    assert (after.hard, after.soft, after.alpha, after.total) == first
+
+
+def component_layers(model):
+    """Every component's Mlp: the trunk, towers in task order, aux heads in
+    distill order."""
+    return {
+        "trunk": model.trunk,
+        "towers": dict(model.towers),
+        "aux": dict(model.aux_heads),
+    }
+
+
+def reference_params(model):
+    def copy(mlp):
+        return [[l.weights.copy(), l.bias.copy(), l.activation == RELU] for l in mlp.layers]
+
+    parts = component_layers(model)
+    return {
+        "trunk": copy(parts["trunk"]),
+        "towers": {name: copy(m) for name, m in parts["towers"].items()},
+        "aux": {name: copy(m) for name, m in parts["aux"].items()},
+    }
+
+
+def assert_layers_equal(got, want):
+    assert len(got) == len(want)
+    for (gw, gb), (ww, wb) in zip(got, want):
+        assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+
+
+STACK_CASES = [(NO_DISTILL, clip, None, None) for clip in (None, 6.0)] + [
+    (mode, clip, coverage, a)
+    for mode in (DIRECT, AUXILIARY)
+    for clip in (None, 6.0)
+    for coverage in ("full", "partial", "zero")
+    for a in (0.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("mode,clip,coverage,a", STACK_CASES)
+def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
+    # distill order differs from task order, so aux rows and tower rows differ
+    model = build_model(small_config(mode, distill=("ltv", "ctr")), np.random.default_rng(5))
+    ref = reference_params(model)
+    def zero_moments(layers):
+        return [[np.zeros_like(a) for a in (w, b, w, b)] for w, b, _ in layers]
+
+    ref_moments = {
+        (group, name): zero_moments(layers)
+        for group in ("towers", "aux") for name, layers in ref[group].items()
+    }
+    ref_moments["trunk", None] = zero_moments(ref["trunk"])
+    opt = ModelOptimizer.for_model(model)
+    train = TrainConfig(base_lr=0.05, warmup_steps=2, clippy=ClippyConfig(sigma_rel=0.05))
+    tasks = [(t.name, t.kind == BINARY) for t in TASKS]
+    for step in range(5):
+        x, hard, soft = batch_inputs(n=40, seed=100 + step)
+        x = x * 4.0  # large enough that the activation clip saturates
+        for targets in soft.values():
+            if coverage != "partial":
+                targets.present[:] = coverage == "full"
+        soft_arg = None if mode == NO_DISTILL else soft
+        alpha = None if mode == NO_DISTILL else {"ctr": a, "ltv": a}
+        _, grads, preds = compute_loss_and_grads(model, x, hard, soft_arg, alpha, clip)
+        _, seeds = total_loss(model, preds, hard, soft_arg, alpha)
+        want_soft = {} if soft_arg is None else {k: (t.values, t.present) for k, t in soft.items()}
+        hard_logits, aux_logits, hard_seeds, aux_seeds, want = ref_ranker_step(
+            ref, tasks, mode == DIRECT, x, hard, want_soft, alpha or {}, clip
+        )
+
+        assert preds.hard_logits.keys() == hard_logits.keys()
+        assert preds.aux_logits.keys() == aux_logits.keys()
+        for got, expected in ((preds.hard_logits, hard_logits), (preds.aux_logits, aux_logits)):
+            for name in expected:
+                assert np.array_equal(got[name], expected[name])
+        for row, (name, _) in enumerate(tasks):
+            assert np.array_equal(seeds.hard[row], hard_seeds[name])
+        if mode == AUXILIARY:
+            aux_names = list(model.aux_heads)
+            assert {aux_names[r] for r in np.flatnonzero(seeds.soft_active)} == set(aux_seeds)
+            for name, seed in aux_seeds.items():
+                assert np.array_equal(seeds.aux[aux_names.index(name)], seed)
+
+        parts = component_layers(model)
+        assert_layers_equal(model.trunk.split(grads.trunk), want["trunk"])
+        for group, got in (("towers", grads.towers), ("aux", grads.aux)):
+            assert got.keys() == want[group].keys()
+            for name, mlp in parts[group].items():
+                assert_layers_equal(mlp.split(got[name]), want[group][name])
+
+        apply_gradients(model, grads, opt, train)
+        adam = (train.base_lr, train.warmup_steps, 0.9, 0.999, 1e-8, (0.05, 1e-3))
+        ref_adam_layers(ref["trunk"], want["trunk"], ref_moments["trunk", None], step, *adam)
+        for group in ("towers", "aux"):
+            for name, layers in ref[group].items():
+                ref_adam_layers(layers, want[group][name], ref_moments[group, name], step, *adam)
+        assert_layers_equal(
+            [(l.weights, l.bias) for l in model.trunk.layers], [(w, b) for w, b, _ in ref["trunk"]]
+        )
+        for group in ("towers", "aux"):
+            for name, mlp in parts[group].items():
+                assert_layers_equal(
+                    [(l.weights, l.bias) for l in mlp.layers],
+                    [(w, b) for w, b, _ in ref[group][name]],
+                )
