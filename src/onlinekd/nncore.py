@@ -12,6 +12,11 @@ step is one fused pass. A buffer with a leading member axis, (S, P), holds
 S MLPs of one topology that the forward and backward passes run together
 (one batched matmul per layer); member(i) is the MLP over row i.
 
+The forward pass keeps only what backprop reads: each layer's input and
+the MLP's output. The backward pass works out each ReLU layer's gradient
+mask from that layer's output, which the forward leaves read-only, so a
+caller that does not backpropagate drops the whole cache with the call.
+
 Non-finite values are treated as model divergence and raise
 :class:`~onlinekd.errors.DivergenceError` instead of propagating silently.
 """
@@ -153,16 +158,18 @@ def make_mlp(
 
 @dataclass
 class ForwardCache:
-    """Per-layer state captured by mlp_forward, sufficient for exact backprop.
+    """The activations mlp_forward keeps, all that exact backprop reads.
 
-    masks[k] is the ReLU/clip gradient mask for layer k (None for identity
-    layers): positions where the unit is dead or the clip saturates get zero
-    gradient.
+    activations[k] is layer k's input and activations[-1] the MLP's output.
+    A ReLU layer's gradient mask is worked out from its output: out > 0, and
+    also out < clip under an activation clip. The post-ReLU output lies in
+    (0, clip) exactly when the pre-activation does, so this is the mask of
+    the pre-activation: dead and clip-saturated units get zero gradient.
+    ReLU outputs are read-only, so no later write can change a mask.
     """
 
-    inputs: list[np.ndarray]
-    masks: list[np.ndarray | None]
-    batch: int
+    activations: list[np.ndarray]
+    clip: float | None
 
 
 def mlp_forward(
@@ -180,41 +187,40 @@ def mlp_forward(
         raise ValueError(f"input shape {x.shape} does not match model input dim {mlp.in_dim}")
     if clip is not None and clip <= 0:
         raise ValueError("activation clip must be positive")
-    inputs, masks = [], []
     a = x
+    activations = [a]
     for layer in mlp.layers:
-        inputs.append(a)
-        z = a @ layer.weights
-        z += layer.bias[..., None, :]
+        a = a @ layer.weights
+        a += layer.bias[..., None, :]
         if layer.activation == RELU:
             if clip is not None:
-                masks.append((z > 0.0) & (z < clip))
-                a = np.clip(z, 0.0, clip, out=z)
+                np.clip(a, 0.0, clip, out=a)
             else:
-                masks.append(z > 0.0)
-                a = np.maximum(z, 0.0, out=z)
-        else:
-            masks.append(None)
-            a = z
+                np.maximum(a, 0.0, out=a)
+            a.flags.writeable = False
+        activations.append(a)
     if not np.isfinite(a).all():
         raise DivergenceError("non-finite values in mlp output", job=job, layer="mlp output")
-    return a, ForwardCache(inputs=inputs, masks=masks, batch=x.shape[-2])
+    return a, ForwardCache(activations, clip)
 
 
 def mlp_backward(
-    mlp: Mlp, cache: ForwardCache, out_grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    mlp: Mlp, cache: ForwardCache, out_grad: np.ndarray, *, input_grad: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Backpropagate out_grad through the MLP.
 
     Returns the parameter gradient, laid out like mlp.params (mlp.split
     gives its per-layer (dW, db) views; a member's is its row), plus the
-    gradient with respect to the input batch. Dead-ReLU and clip-saturated
-    positions receive zero gradient via the cached masks.
+    gradient with respect to the input batch, or None with input_grad=False.
+    Dead-ReLU and clip-saturated positions receive zero gradient via masks
+    worked out from the cached outputs.
     """
     out_grad = np.asarray(out_grad, dtype=np.float64)
-    if len(cache.inputs) != len(mlp.layers):
+    acts = cache.activations
+    if len(acts) != len(mlp.layers) + 1:
         raise ValueError("cache does not match this model (layer count)")
-    expected = (*mlp.params.shape[:-1], cache.batch, mlp.out_dim)
+    batch = acts[0].shape[-2]
+    expected = (*mlp.params.shape[:-1], batch, mlp.out_dim)
     if out_grad.shape != expected:
         raise ValueError(f"out_grad shape {out_grad.shape} does not match {expected}")
     grads = np.empty_like(mlp.params)
@@ -222,16 +228,18 @@ def mlp_backward(
     g = out_grad
     for k in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[k]
-        x_in = cache.inputs[k]
-        if x_in.shape[-2:] != (cache.batch, layer.fan_in):
+        x_in, out = acts[k], acts[k + 1]
+        if x_in.shape[-2:] != (batch, layer.fan_in):
             raise ValueError(f"stale cache at layer {k}: shape mismatch")
-        mask = cache.masks[k]
-        dz = g if mask is None else g * mask
+        if layer.activation == RELU:
+            live = out > 0.0 if cache.clip is None else (out > 0.0) & (out < cache.clip)
+            g = g * live
         gw, gb = views[k]
-        np.matmul(x_in.swapaxes(-1, -2), dz, out=gw)
-        dz.sum(axis=-2, out=gb)
-        g = dz @ layer.weights.swapaxes(-1, -2)
-    return grads, g
+        np.matmul(x_in.swapaxes(-1, -2), g, out=gw)
+        g.sum(axis=-2, out=gb)
+        if k or input_grad:
+            g = g @ layer.weights.swapaxes(-1, -2)
+    return grads, g if input_grad else None
 
 
 @dataclass(frozen=True)

@@ -267,12 +267,11 @@ def _soft_targets_for(
     """The student's soft targets for this batch, and their coverage."""
     n = batch.n
     present, values = snapshot.lookup_batch(batch.example_ids)
+    present.flags.writeable = False  # one mask, shared by every task's targets
     soft: dict[str, SoftTargets] = {}
     for task in student.distill_tasks:
         if task in values:
-            soft[task] = SoftTargets(
-                values=values[task].astype(np.float64), present=present.copy()
-            )
+            soft[task] = SoftTargets(values=values[task].astype(np.float64), present=present)
         else:
             soft[task] = SoftTargets(
                 values=np.zeros(n), present=np.zeros(n, dtype=bool)

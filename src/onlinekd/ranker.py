@@ -173,12 +173,9 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> RankingModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, without overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -202,21 +199,6 @@ class PredictionSet:
         return self.prob(task) if kind == BINARY else self.value(task)
 
 
-def _forward(
-    model: RankingModel, x: np.ndarray, clip: float | None, job: str | None
-) -> tuple[PredictionSet, tuple]:
-    """Predictions plus (trunk output, trunk, tower and aux-head caches)."""
-    trunk_out, trunk_cache = mlp_forward(model.trunk, x, clip, job=job)
-    out, tower_cache = mlp_forward(model.tower_stack, trunk_out, clip, job=job)
-    hard = dict(zip(model.towers, out[..., 0]))
-    aux, aux_cache = {}, None
-    if model.aux_stack is not None:
-        out, aux_cache = mlp_forward(model.aux_stack, trunk_out, clip, job=job)
-        aux = dict(zip(model.aux_heads, out[..., 0]))
-    preds = PredictionSet(hard_logits=hard, aux_logits=aux)
-    return preds, (trunk_out, trunk_cache, tower_cache, aux_cache)
-
-
 def model_forward(
     model: RankingModel,
     x: np.ndarray,
@@ -225,9 +207,19 @@ def model_forward(
     job: str | None = None,
 ) -> PredictionSet:
     """Serving/evaluation forward pass: one hard logit per task per row,
-    aux logits exactly for the distilled tasks in auxiliary mode."""
-    preds, _ = _forward(model, x, clip, job)
-    return preds
+    aux logits exactly for the distilled tasks in auxiliary mode.
+
+    No backward pass follows, so each stack's cache is dropped before the
+    next stack runs; every tower and aux head is still computed and checked.
+    """
+    trunk_out = mlp_forward(model.trunk, x, clip, job=job)[0]
+    out = mlp_forward(model.tower_stack, trunk_out, clip, job=job)[0]
+    hard = dict(zip(model.towers, out[..., 0]))
+    aux = {}
+    if model.aux_stack is not None:
+        out = mlp_forward(model.aux_stack, trunk_out, clip, job=job)[0]
+        aux = dict(zip(model.aux_heads, out[..., 0]))
+    return PredictionSet(hard_logits=hard, aux_logits=aux)
 
 
 def hard_loss(pred, label, kind: str) -> np.ndarray:
@@ -420,7 +412,14 @@ def compute_loss_and_grads(
 ) -> tuple[LossBreakdown, ModelGrads, PredictionSet]:
     """One full forward/backward pass: joint loss and exact gradients for
     every component (trunk, towers, aux heads)."""
-    preds, (trunk_out, trunk_cache, tower_cache, aux_cache) = _forward(model, x, clip, job)
+    trunk_out, trunk_cache = mlp_forward(model.trunk, x, clip, job=job)
+    out, tower_cache = mlp_forward(model.tower_stack, trunk_out, clip, job=job)
+    hard = dict(zip(model.towers, out[..., 0]))
+    aux, aux_cache = {}, None
+    if model.aux_stack is not None:
+        out, aux_cache = mlp_forward(model.aux_stack, trunk_out, clip, job=job)
+        aux = dict(zip(model.aux_heads, out[..., 0]))
+    preds = PredictionSet(hard_logits=hard, aux_logits=aux)
     breakdown, seeds = total_loss(model, preds, hard_labels, soft_labels, alpha)
 
     tower_grads, tower_in = mlp_backward(model.tower_stack, tower_cache, seeds.hard[..., None])
@@ -439,7 +438,7 @@ def compute_loss_and_grads(
                 trunk_out_grad += input_grad
         aux_grads = dict(zip(model.aux_heads, grads))
 
-    trunk_grads, _ = mlp_backward(model.trunk, trunk_cache, trunk_out_grad)
+    trunk_grads = mlp_backward(model.trunk, trunk_cache, trunk_out_grad, input_grad=False)[0]
     towers = dict(zip(model.towers, tower_grads))
     return breakdown, ModelGrads(trunk=trunk_grads, towers=towers, aux=aux_grads), preds
 

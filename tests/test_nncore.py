@@ -78,24 +78,50 @@ def test_forward_identity_layer_is_affine():
 
 
 def test_forward_relu_clamps():
-    layer = Layer(np.eye(3), np.zeros(3), RELU)
-    mlp = Mlp([layer])
-    x = np.array([[-1.0, 0.0, 2.5]])
+    # dead units (z < 0, and z == 0 exactly) get exactly zero gradient
+    mlp = Mlp([Layer(np.eye(4), np.zeros(4), RELU)])
+    x = np.array([[-1.0, 0.0, 2.5, 0.75]])
     out, cache = mlp_forward(mlp, x)
-    assert np.array_equal(out, [[0.0, 0.0, 2.5]])
-    assert np.array_equal(cache.masks[0], [[False, False, True]])
+    assert np.array_equal(out, [[0.0, 0.0, 2.5, 0.75]])
+    grads, input_grad = mlp_backward(mlp, cache, np.full((1, 4), 3.0))
+    assert np.array_equal(input_grad, [[0.0, 0.0, 3.0, 3.0]])
+    (gw, gb), = mlp.split(grads)
+    assert np.array_equal(gb, [0.0, 0.0, 3.0, 3.0])
+    assert np.array_equal(gw, 3.0 * x.T * [0.0, 0.0, 1.0, 1.0])
 
 
 def test_forward_activation_clip_and_mask():
-    layer = Layer(np.eye(2), np.zeros(2), RELU)
-    mlp = Mlp([layer])
-    x = np.array([[0.5, 3.0]])
+    # clip-saturated units (z > clip, and z == clip exactly) and dead units
+    # get exactly zero gradient; units strictly inside (0, clip) do not
+    mlp = Mlp([Layer(np.eye(6), np.zeros(6), RELU)])
+    x = np.array([[0.5, 1.0, 3.0, 0.0, -2.0, 0.999]])
     out, cache = mlp_forward(mlp, x, clip=1.0)
-    assert np.array_equal(out, [[0.5, 1.0]])
-    # saturated unit gets a zero-gradient mask
-    assert np.array_equal(cache.masks[0], [[True, False]])
+    assert np.array_equal(out, [[0.5, 1.0, 1.0, 0.0, 0.0, 0.999]])
+    live = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    grads, input_grad = mlp_backward(mlp, cache, np.full((1, 6), 2.0))
+    assert np.array_equal(input_grad, [2.0 * live])
+    (gw, gb), = mlp.split(grads)
+    assert np.array_equal(gb, 2.0 * live)
+    assert np.array_equal(gw, 2.0 * x.T * live)
     with pytest.raises(ValueError):
         mlp_forward(mlp, x, clip=0.0)
+
+
+def test_forward_cache_holds_layer_inputs_and_read_only_relu_outputs():
+    rng = np.random.default_rng(8)
+    trunk = make_mlp([3, 4, 5], rng, output_activation=RELU)
+    head = make_mlp([5, 2], rng)
+    x = rng.standard_normal((6, 3))
+    out, cache = mlp_forward(trunk, x, clip=1.0)
+    assert len(cache.activations) == 3 and cache.activations[-1] is out
+    assert np.array_equal(cache.activations[0], x)
+    # a write to a ReLU output would silently change the backward's mask
+    for relu_out in cache.activations[1:]:
+        with pytest.raises(ValueError):
+            relu_out[0, 0] = 0.5
+    logits, head_cache = mlp_forward(head, out)
+    logits[0, 0] = 0.0  # an identity output masks nothing and stays writable
+    assert head_cache.activations[0] is out
 
 
 def test_forward_shape_and_divergence_errors():

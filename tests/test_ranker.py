@@ -1,6 +1,7 @@
 """Multi-task ranking model: losses, distillation wiring, exact gradients."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from onlinekd.ranker import (
     PredictionSet,
     SoftTargets,
     TaskSpec,
+    _sigmoid,
     apply_gradients,
     build_model,
     compute_loss_and_grads,
@@ -35,6 +37,7 @@ from oracles import (
     ref_adam_layers,
     ref_binary_ce_from_logit,
     ref_ranker_step,
+    ref_sigmoid_array,
     ref_softplus,
     relative_error,
 )
@@ -161,6 +164,34 @@ def test_model_forward_heads_by_mode():
     assert preds.aux_logits["ctr"].shape == (6,)
     direct = build_model(small_config(DIRECT), np.random.default_rng(1))
     assert model_forward(direct, x).aux_logits == {}
+
+
+@pytest.mark.parametrize("clip", [None, 6.0])
+def test_model_forward_drops_each_stack_cache_before_the_next(clip):
+    # no backward follows an evaluation forward, so its peak is one MLP's two
+    # widest adjacent activations, not the trunk's cache held through the towers
+    n, tasks = 20_000, tuple(TaskSpec(f"t{i}", BINARY) for i in range(4))
+    cfg = ModelConfig(feature_dim=32, trunk_widths=(64, 32), tower_widths=(16,), tasks=tasks)
+    model = build_model(cfg, np.random.default_rng(0))
+    x = np.random.default_rng(1).standard_normal((n, 32))
+    model_forward(model, x[:8], clip)
+    tracemalloc.start()
+    try:
+        preds = model_forward(model, x, clip)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    trunk, towers = [32, 64, 32], [32, 4 * 16, 4 * 1]
+    widest = max(a + b for dims in (trunk, towers) for a, b in zip(dims, dims[1:]))
+    assert peak <= 1.1 * widest * n * 8
+    assert preds.hard_logits.keys() == {"t0", "t1", "t2", "t3"}
+
+
+@pytest.mark.parametrize("shape", [(4, 128), (3, 128), (2048,), (32000,)])
+def test_sigmoid_matches_the_reference_bit_for_bit(shape):
+    z = np.random.default_rng(len(shape)).standard_normal(shape) * 30.0
+    z.reshape(-1)[:6] = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300]
+    assert np.array_equal(_sigmoid(z), ref_sigmoid_array(z))
 
 
 def test_hard_loss_matches_reference():
