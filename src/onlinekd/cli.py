@@ -4,7 +4,9 @@ Subcommands:
   run <config.yaml>   execute an experiment family, write metrics.csv,
                       report.md, and run_manifest.json
   inspect <store>     audit a label store directory (manifest, checksums)
-  replay <csv>        rebuild report.md from a previously written metrics.csv
+  replay <csv>        rebuild report.md from a previously written metrics.csv,
+                      laid out for the family named by the run_manifest.json
+                      beside it (the generic layout for a bare csv)
 
 Exit codes: 0 success, 1 config/usage error, 2 runtime divergence,
 3 store corruption.
@@ -16,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import shutil
 import sys
 import time
@@ -327,22 +330,61 @@ def _fmt_ci(values: list[float]) -> str:
     return f"{_fmt(mean)} [{_fmt(lo)}, {_fmt(hi)}]"
 
 
-def _infer_family(variants: list[str]) -> str:
-    if "direct" in variants and "auxiliary" in variants:
-        return FAMILY_DISTILL
-    if any(v.startswith("student-") for v in variants):
-        return FAMILY_SCALE
-    if "pet-pst" in variants:
-        return FAMILY_OBJECTIVE
-    return FAMILY_CUSTOM
+def _offline(task, metric):
+    return task != JOB_LEVEL_TASK and metric != "rmse_true"
 
 
-def build_report(
-    rows: list[MetricRow],
-    *,
-    heading: str = "Experiment report",
-    family: str | None = None,
-) -> str:
+def _job_level(*names):
+    return lambda task, metric: task == JOB_LEVEL_TASK and metric in names
+
+
+def _mean_3f(values):
+    return f"{float(np.mean(values)):.3f}"
+
+
+# One entry per report section: title, the note under it, the filter that
+# picks its (task, metric) columns, and its stats. A stat is a header format,
+# a pairing (None, or how a seed's value combines with control's on the same
+# seed; control's own row has nothing to pair with) and how the resulting
+# per-seed values are shown. A cell with no values reads "-", a variant whose
+# cells all read "-" gets no row, and a section with no rows is left out.
+_OFFLINE = "Offline metrics at final step"
+_SECTIONS = (
+    (
+        _OFFLINE,
+        "Mean over seeds, bracketed 95% bootstrap CI.",
+        _offline,
+        (("{}", None, _fmt_ci),),
+    ),
+    (
+        "Paired deltas vs control",
+        "Per-seed difference (variant minus control) on the shared eval stream.",
+        _offline,
+        (("{}", operator.sub, _fmt_ci),),
+    ),
+    (
+        "Simulated online policy metrics",
+        "Argmax policy over shared slates; lifts are paired per seed vs control.",
+        _job_level("engagement", "satisfaction"),
+        (("{}", None, _fmt_ci), ("{} lift %", lift_pct, _fmt_ci)),
+    ),
+    ("Soft-label coverage", None, _job_level("coverage"), (("mean {}", None, _mean_3f),)),
+)
+
+# The only family knowledge in the report: a family listed here orders its
+# variants as given (any others after them, by name) and prints the named
+# section with one metric per row and the variants across the top.
+_FAMILY_LAYOUT = {FAMILY_DISTILL: ((CONTROL_NAME, "direct", "auxiliary"), _OFFLINE)}
+
+
+def _table(corner, head, rows) -> list[str]:
+    lines = ["| " + " | ".join([corner, *head]) + " |", "|" + "---|" * (len(head) + 1)]
+    return lines + ["| " + " | ".join([label, *cells]) + " |" for label, cells in rows]
+
+
+def build_report(rows: list[MetricRow], *, family: str | None = None) -> str:
+    """report.md for the final step of rows; family picks the heading and
+    the layout (the generic one when None)."""
     if not rows:
         raise SchemaError("no metric rows to report")
     final = max(r.step for r in rows)
@@ -352,110 +394,43 @@ def build_report(
             continue
         seed, variant = split_job_name(r.job)
         by_cell.setdefault((variant, r.task, r.metric), {})[seed] = r.value
-    variants = sorted({v for v, _, _ in by_cell})
-    if CONTROL_NAME in variants:
-        variants.remove(CONTROL_NAME)
-        variants.insert(0, CONTROL_NAME)
-    if family is None:
-        family = _infer_family(variants)
-    if family == FAMILY_DISTILL:
-        canon = [CONTROL_NAME, "direct", "auxiliary"]
-        variants.sort(key=lambda v: (canon.index(v) if v in canon else len(canon), v))
-    seeds = sorted({s for cells in by_cell.values() for s in cells})
-    offline_cols = sorted(
-        {
-            (task, metric)
-            for _, task, metric in by_cell
-            if task != JOB_LEVEL_TASK and metric != "rmse_true"
-        }
+    order, transposed = _FAMILY_LAYOUT.get(family, ((CONTROL_NAME,), None))
+    variants = sorted(
+        {v for v, _, _ in by_cell},
+        key=lambda v: (order.index(v) if v in order else len(order), v),
     )
-    lines = [f"# {heading}", ""]
-    lines.append(f"Final step: {final}. Seeds: {', '.join(str(s) for s in seeds)}.")
-    lines.append("")
+    seeds = sorted({s for cells in by_cell.values() for s in cells})
+    keys = sorted({(t, m) for _, t, m in by_cell})
 
-    def cell_text(variant, col):
-        per_seed = by_cell.get((variant, *col), {})
-        return _fmt_ci([per_seed[s] for s in sorted(per_seed)]) if per_seed else "-"
+    def cell(v, col, pair, show) -> str:
+        mine = by_cell.get((v, *col), {})
+        if pair is not None:
+            ctrl = by_cell.get((CONTROL_NAME, *col), {}) if v != CONTROL_NAME else {}
+            mine = {s: pair(mine[s], ctrl[s]) for s in mine.keys() & ctrl.keys()}
+        return show([mine[s] for s in sorted(mine)]) if mine else "-"
 
-    if offline_cols:
-        lines.append("## Offline metrics at final step")
-        lines.append("")
-        lines.append("Mean over seeds, bracketed 95% bootstrap CI.")
-        lines.append("")
-        if family == FAMILY_DISTILL:
-            # variants across the top, one metric per row
-            lines.append("| metric | " + " | ".join(variants) + " |")
-            lines.append("|" + "---|" * (len(variants) + 1))
-            for col in offline_cols:
-                cells = [cell_text(v, col) for v in variants]
-                lines.append(f"| {col[0]}.{col[1]} | " + " | ".join(cells) + " |")
+    lines = [f"# {family or 'Experiment'} report", ""]
+    lines += [f"Final step: {final}. Seeds: {', '.join(str(s) for s in seeds)}.", ""]
+    for title, note, picks, stats in _SECTIONS:
+        cols = [(t, m) for t, m in keys if picks(t, m)]
+        head = [
+            header.format(m if t == JOB_LEVEL_TASK else f"{t}.{m}")
+            for header, _, _ in stats
+            for t, m in cols
+        ]
+        table = []
+        for v in variants:
+            cells = [cell(v, col, pair, show) for _, pair, show in stats for col in cols]
+            if any(c != "-" for c in cells):
+                table.append((v, cells))
+        if not table:
+            continue
+        lines += [f"## {title}", ""] + ([note, ""] if note else [])
+        if title == transposed:
+            shown = [v for v, _ in table]
+            lines += _table("metric", shown, zip(head, zip(*(c for _, c in table))))
         else:
-            lines.append(
-                "| variant | " + " | ".join(f"{t}.{m}" for t, m in offline_cols) + " |"
-            )
-            lines.append("|" + "---|" * (len(offline_cols) + 1))
-            for v in variants:
-                cells = [cell_text(v, col) for col in offline_cols]
-                lines.append(f"| {v} | " + " | ".join(cells) + " |")
-        lines.append("")
-    has_control = CONTROL_NAME in variants
-    if has_control and len(variants) > 1 and offline_cols:
-        lines.append("## Paired deltas vs control")
-        lines.append("")
-        lines.append("Per-seed difference (variant minus control) on the shared eval stream.")
-        lines.append("")
-        lines.append("| variant | " + " | ".join(f"{t}.{m}" for t, m in offline_cols) + " |")
-        lines.append("|" + "---|" * (len(offline_cols) + 1))
-        for v in variants:
-            if v == CONTROL_NAME:
-                continue
-            cells = []
-            for col in offline_cols:
-                mine = by_cell.get((v, *col), {})
-                ctrl = by_cell.get((CONTROL_NAME, *col), {})
-                shared = sorted(set(mine) & set(ctrl))
-                cells.append(
-                    _fmt_ci([mine[s] - ctrl[s] for s in shared]) if shared else "-"
-                )
-            lines.append(f"| {v} | " + " | ".join(cells) + " |")
-        lines.append("")
-    engagement = {
-        v: by_cell.get((v, JOB_LEVEL_TASK, "engagement"), {}) for v in variants
-    }
-    if any(engagement.values()):
-        lines.append("## Simulated online policy metrics")
-        lines.append("")
-        lines.append("Argmax policy over shared slates; lifts are paired per seed vs control.")
-        lines.append("")
-        lines.append("| variant | engagement | satisfaction | engagement lift % | satisfaction lift % |")
-        lines.append("|---|---|---|---|---|")
-        ctrl_e = engagement.get(CONTROL_NAME, {})
-        ctrl_s = by_cell.get((CONTROL_NAME, JOB_LEVEL_TASK, "satisfaction"), {})
-        for v in variants:
-            e = engagement[v]
-            s = by_cell.get((v, JOB_LEVEL_TASK, "satisfaction"), {})
-            if not e:
-                continue
-            row = [v, _fmt_ci([e[k] for k in sorted(e)]), _fmt_ci([s[k] for k in sorted(s)])]
-            if v != CONTROL_NAME and ctrl_e:
-                shared = sorted(set(e) & set(ctrl_e))
-                row.append(_fmt_ci([lift_pct(e[k], ctrl_e[k]) for k in shared]))
-                shared_s = sorted(set(s) & set(ctrl_s))
-                row.append(_fmt_ci([lift_pct(s[k], ctrl_s[k]) for k in shared_s]))
-            else:
-                row.extend(["-", "-"])
-            lines.append("| " + " | ".join(row) + " |")
-        lines.append("")
-    coverage = {v: by_cell.get((v, JOB_LEVEL_TASK, "coverage"), {}) for v in variants}
-    if any(coverage.values()):
-        lines.append("## Soft-label coverage")
-        lines.append("")
-        lines.append("| variant | mean coverage |")
-        lines.append("|---|---|")
-        for v in variants:
-            if coverage[v]:
-                vals = [coverage[v][k] for k in sorted(coverage[v])]
-                lines.append(f"| {v} | {float(np.mean(vals)):.3f} |")
+            lines += _table("variant", head, table)
         lines.append("")
     return "\n".join(lines)
 
@@ -489,6 +464,8 @@ def _parse_seed_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_run(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     seeds = _parse_seed_list(args.seeds) if args.seeds else None
     cfg = load_config(args.config, seeds)
     digest = config_digest(cfg)
@@ -506,7 +483,7 @@ def cmd_run(args) -> int:
     )
     elapsed = time.monotonic() - t0
     write_metrics_csv(out_dir / "metrics.csv", log.rows)
-    report = build_report(log.rows, heading=f"{cfg.family} report", family=cfg.family)
+    report = build_report(log.rows, family=cfg.family)
     (out_dir / "report.md").write_text(report)
     manifest = {
         "family": cfg.family,
@@ -522,10 +499,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    report = inspect_store(args.store_dir)
-    if report.error and "missing" in report.error:
-        print(f"error: {report.error}", file=sys.stderr)
+    if not Path(args.store_dir).is_dir():
+        print(f"error: store directory missing: {args.store_dir}", file=sys.stderr)
         return 1
+    report = inspect_store(args.store_dir)
     print(f"store: {report.root}")
     print(f"manifest version: {report.manifest_version}")
     tasks = ", ".join(f"{n}({k})" for n, k in report.tasks) or "-"
@@ -547,9 +524,24 @@ def cmd_inspect(args) -> int:
     return 3
 
 
+def _run_family(manifest: Path) -> str | None:
+    """The family named by the run_manifest.json that run wrote; None when
+    there is no manifest."""
+    if not manifest.exists():
+        return None
+    try:
+        family = json.loads(manifest.read_bytes()).get("family")
+    except (OSError, ValueError, AttributeError) as e:
+        raise SchemaError(f"{manifest}: cannot read the run's family: {e}") from None
+    if family not in FAMILIES:
+        raise SchemaError(f"{manifest}: unknown family {family!r}")
+    return family
+
+
 def cmd_replay(args) -> int:
     rows = read_metrics_csv(args.csv)
-    report = build_report(rows, heading="Replayed report")
+    family = _run_family(Path(args.csv).parent / "run_manifest.json")
+    report = build_report(rows, family=family)
     out = Path(args.out) if args.out else Path(args.csv).parent / "report.md"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report)

@@ -125,21 +125,25 @@ def write_metrics_csv(path, rows) -> None:
 
 
 def read_metrics_csv(path) -> list[MetricRow]:
+    try:
+        with open(path, newline="") as f:
+            records = list(csv.reader(f))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise SchemaError(f"cannot read {path}: {e}") from None
+    header = records[0] if records else None
+    if header is None or tuple(header) != CSV_HEADER:
+        raise SchemaError(
+            f"{path}: expected header {','.join(CSV_HEADER)}, "
+            f"got {','.join(header) if header else '<empty>'}"
+        )
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise SchemaError(
-                f"{path}: expected header {','.join(CSV_HEADER)}, "
-                f"got {','.join(header) if header else '<empty>'}"
-            )
-        for line_no, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(CSV_HEADER):
-                raise SchemaError(f"{path}:{line_no}: wrong column count")
-            step, job, task, metric, value, lo, hi = rec
+    for line_no, rec in enumerate(records[1:], start=2):
+        if not rec:
+            continue
+        if len(rec) != len(CSV_HEADER):
+            raise SchemaError(f"{path}:{line_no}: wrong column count")
+        step, job, task, metric, value, lo, hi = rec
+        try:
             rows.append(
                 MetricRow(
                     int(step),
@@ -151,6 +155,8 @@ def read_metrics_csv(path) -> list[MetricRow]:
                     float(hi) if hi else None,
                 )
             )
+        except ValueError as e:
+            raise SchemaError(f"{path}:{line_no}: {e}") from None
     return rows
 
 

@@ -296,14 +296,10 @@ def test_config_digest_stable_and_sensitive():
     int(config_digest(a), 16)
 
 
-def test_job_name_split_and_family_inference():
+def test_split_job_name():
     assert split_job_name("s3/direct") == (3, "direct")
     assert split_job_name("teacher") == (-1, "teacher")
     assert split_job_name("snake/case") == (-1, "snake/case")
-    assert cli._infer_family(["control", "direct", "auxiliary"]) == FAMILY_DISTILL
-    assert cli._infer_family(["control", "student-2x"]) == FAMILY_SCALE
-    assert cli._infer_family(["pet", "pet-pst"]) == FAMILY_OBJECTIVE
-    assert cli._infer_family(["control", "thing"]) == "custom"
 
 
 def test_fmt_ci_small_samples_report_bare_mean():
@@ -334,11 +330,12 @@ def test_build_report_distill_layout_transposed():
     ])
     # rows from an earlier eval point must be ignored
     rows.append(MetricRow(20, "s0/control", "ctr", "auc", 0.1))
-    text = build_report(rows)
+    text = build_report(rows, family=FAMILY_DISTILL)
     lines = text.splitlines()
     assert "| metric | control | direct | auxiliary |" in lines
     auc_line = next(l for l in lines if l.startswith("| ctr.auc"))
     assert auc_line == "| ctr.auc | 0.7100 | 0.7450 | 0.7450 |"
+    assert lines[0] == "# distill-strategy report"
     assert not any("rmse_true" in l for l in lines)
     # paired deltas vs control: direct ctr.auc is mean of (0.04, 0.03)
     delta = next(l for l in lines if l.startswith("| direct |"))
@@ -358,6 +355,7 @@ def test_build_report_wide_layout_and_lifts():
     ])
     text = build_report(rows)
     lines = text.splitlines()
+    assert lines[0] == "# Experiment report"
     assert "| variant | ctr.auc |" in lines
     header_idx = lines.index("| variant | ctr.auc |")
     assert lines[header_idx + 2].startswith("| control |")  # control listed first
@@ -461,6 +459,9 @@ def test_cmd_run_bad_config_exit_code(tmp_path, capsys):
         assert main(["run", str(cfg_path), "--seeds", seeds, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, err
+    for threads in ("0", "-2"):
+        assert main(["run", str(cfg_path), "--threads", threads, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: --threads must be >= 1")
     cfg_path.write_text("family: custom\nseeds: [-1]\n")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error: config: seeds: must be >= 0")
@@ -496,6 +497,15 @@ def test_cmd_inspect_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "CORRUPT" in out
 
+    # the exit code comes from the directory, not from the error's text,
+    # which names the path
+    store = tmp_path / "missing-parent" / "store"
+    seed_store(store)
+    manifest = store / "MANIFEST"
+    manifest.write_bytes(b"XXXX" + manifest.read_bytes()[4:])
+    assert main(["inspect", str(store)]) == 3
+    assert "bad manifest magic" in capsys.readouterr().out
+
 
 def test_cmd_replay_rebuilds_report(tmp_path, capsys):
     rows = rows_for_report([
@@ -505,20 +515,73 @@ def test_cmd_replay_rebuilds_report(tmp_path, capsys):
     ])
     csv = tmp_path / "metrics.csv"
     write_metrics_csv(csv, rows)
+    # a bare csv gets the generic layout: control first, then by name
     assert main(["replay", str(csv)]) == 0
-    out_text = capsys.readouterr().out
-    assert "| metric | control | direct | auxiliary |" in out_text
+    assert "| variant | ctr.auc |\n|---|---|\n| control |" in capsys.readouterr().out
     report = (tmp_path / "report.md").read_text()
-    assert report.startswith("# Replayed report")
+    assert report.startswith("# Experiment report")
+    assert report.index("| auxiliary |") < report.index("| direct |")
+    # the family comes from the run_manifest.json beside the csv
+    manifest = tmp_path / "run_manifest.json"
+    manifest.write_text(json.dumps({"family": FAMILY_DISTILL}))
+    assert main(["replay", str(csv)]) == 0
+    assert "| metric | control | direct | auxiliary |" in capsys.readouterr().out
+    report = (tmp_path / "report.md").read_text()
+    assert report.startswith("# distill-strategy report")
     alt = tmp_path / "sub" / "r.md"
     assert main(["replay", str(csv), "--out", str(alt)]) == 0
-    assert alt.exists()
+    assert alt.read_text() == report
     capsys.readouterr()
 
-    bad = tmp_path / "bad.csv"
-    bad.write_text("nope,nope\n")
-    assert main(["replay", str(bad)]) == 1
-    assert "schema error" in capsys.readouterr().err
+    header = "step,job,task,metric,value,lo,hi\n"
+    bad_inputs = [  # (csv text or None for no file, manifest text, error)
+        ("nope,nope\n", None, "expected header"),
+        (header + "x,s0/control,ctr,auc,0.7,,\n", None, "bad.csv:2: invalid literal"),
+        (header + "40,s0/control,ctr,auc,high,,\n", None, "bad.csv:2: could not convert"),
+        (header + "\n40,s0/control,ctr,auc,0.7,lo,\n", None, "bad.csv:3: could not convert"),
+        (header + "40,s0/control,ctr,auc,0.7,0.6,hi\n", None, "bad.csv:2: could not convert"),
+        (header + "40,s0/" + "x" * 200_000 + ",ctr,auc,0.7,,\n", None, "cannot read"),
+        (None, None, "cannot read"),
+        (header + "40,s0/control,ctr,auc,0.7,,\n", "{not json", "cannot read the run's family"),
+        (header + "40,s0/control,ctr,auc,0.7,,\n", "[1]", "cannot read the run's family"),
+        (header + "40,s0/control,ctr,auc,0.7,,\n", '{"family": "nope"}', "unknown family"),
+        (header + "40,s0/control,ctr,auc,0.7,,\n", "{}", "unknown family None"),
+    ]
+    for i, (text, manifest_text, error) in enumerate(bad_inputs):
+        case = tmp_path / f"bad{i}"
+        case.mkdir()
+        if text is not None:
+            (case / "bad.csv").write_text(text)
+        if manifest_text is not None:
+            (case / "run_manifest.json").write_text(manifest_text)
+        assert main(["replay", str(case / "bad.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and error in err, (i, err)
+        assert not (case / "report.md").exists()
+
+
+@pytest.mark.parametrize(
+    "family, students",
+    [(family, "") for family in FAMILIES]
+    + [(FAMILY_CUSTOM, "[{name: control}, {name: direct, mode: direct, distill: [ltv]},"
+                       " {name: auxiliary, mode: auxiliary, distill: [ltv]}]")],
+    ids=[*FAMILIES, "custom-distill-students"],
+)
+def test_replay_rewrites_the_report_run_wrote(tmp_path, capsys, family, students):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(
+        f"family: {family}\n"
+        "seeds: [0]\n"
+        "schedule: {total_steps: 20, eval_every: 10}\n"
+        + (f"students: {students}\n" if students else "")
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    written = (out / "report.md").read_bytes()
+    assert written.startswith(f"# {family} report".encode())
+    assert main(["replay", str(out / "metrics.csv")]) == 0
+    assert (out / "report.md").read_bytes() == written
+    capsys.readouterr()
 
 
 def test_main_maps_runtime_errors_to_exit_codes(tmp_path, monkeypatch, capsys):
