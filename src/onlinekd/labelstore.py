@@ -7,13 +7,19 @@ bytes no matter how far the writer has advanced since.
 
 On-disk layout, all little-endian:
 
-  seg-<id>.sls   "SLS1" | u32 version=1 | u64 segment_id | u64 teacher_version
+  seg-<id>.sls   "SLS1" | u32 version=2 | u64 segment_id | u64 teacher_version
                  | u16 n_tasks | (u16 name_len, name utf8, u8 kind)*
-                 | u64 n_rows | u64 ids[n] | f32 values[n] per task | u32 crc32
+                 | u64 n_rows | u64 n_runs | u64 run_first[n_runs]
+                 | u64 run_len[n_runs] | f32 values[n_rows] per task | u32 crc32
   MANIFEST       "SLM1" | u64 manifest_version | u32 n_segments
                  | u64 segment_ids[n] | u32 crc32
 
-The crc32 covers every preceding byte of the file. Commit order is segment
+The example ids of a segment are strictly ascending and stored as the
+maximal runs of consecutive ids: run k holds run_first[k], run_first[k] + 1,
+..., run_first[k] + run_len[k] - 1. A stream batch's ids are one run, so a
+segment's ids cost 24 bytes whatever its row count; isolated ids cost 16
+bytes each. The decoder expands the runs, so readers see one uint64 id per
+row. The crc32 covers every preceding byte of the file. Commit order is segment
 file first (atomic rename), manifest second (atomic rename), so a crash at
 any byte leaves the store readable at the previous manifest version. A
 writer whose task schema differs from the newest committed segment's is
@@ -47,7 +53,7 @@ from .ranker import BINARY, REGRESSION, TaskSpec
 
 SEGMENT_MAGIC = b"SLS1"
 MANIFEST_MAGIC = b"SLM1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "MANIFEST"
 LOCK_NAME = "WRITER.lock"
 
@@ -173,6 +179,45 @@ class SegmentData:
         return int(self.example_ids[-1])
 
 
+def _id_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first id, length) of each maximal run of consecutive ids."""
+    n = ids.shape[0]
+    starts = np.flatnonzero(np.concatenate(([n > 0], ids[1:] - ids[:-1] != 1)))
+    ends = np.append(starts[1:], n)
+    return ids[starts], (ends - starts).astype(np.uint64)
+
+
+def _expand_runs(
+    first: tuple[int, ...], length: tuple[int, ...], n_rows: int, path: Path
+) -> np.ndarray:
+    """The ids the runs hold, read-only; runs that do not describe n_rows
+    strictly ascending ids are corruption."""
+    if not first:
+        raise StoreCorruptionError(f"{path}: no id runs")
+    if len(first) > n_rows:
+        raise StoreCorruptionError(f"{path}: more id runs than rows")
+    end = -1  # one past the previous run's last id
+    row = 0  # rows held by the runs before this one
+    shifts = []  # id minus row, the same for every row of a run
+    for run_first, run_len in zip(first, length):
+        if run_len == 0:
+            raise StoreCorruptionError(f"{path}: empty id run")
+        if run_first + run_len > 2**64:
+            raise StoreCorruptionError(f"{path}: id run wraps past 2**64 - 1")
+        if run_first <= end:
+            raise StoreCorruptionError(f"{path}: id runs overlap, touch or are not ascending")
+        end = run_first + run_len
+        shifts.append((run_first - row) % 2**64)
+        row += run_len
+    if row != n_rows:
+        raise StoreCorruptionError(f"{path}: id run lengths do not sum to n_rows")
+    # uint64 addition wraps, so a shift taken mod 2**64 gives exact ids
+    ids = np.repeat(np.array(shifts, dtype=np.uint64), length)
+    ids += np.arange(n_rows, dtype=np.uint64)
+    ids.flags.writeable = False
+    return ids
+
+
 def encode_segment(
     segment_id: int,
     teacher_version: int,
@@ -180,6 +225,8 @@ def encode_segment(
     example_ids: np.ndarray,
     values: dict[str, np.ndarray],
 ) -> bytes:
+    """The segment file for ascending example ids, which it stores as runs."""
+    first, length = _id_runs(np.ascontiguousarray(example_ids, dtype=np.uint64))
     parts = [
         SEGMENT_MAGIC,
         _U32.pack(FORMAT_VERSION),
@@ -187,7 +234,9 @@ def encode_segment(
         _U64.pack(teacher_version),
         _pack_task_dir(tasks),
         _U64.pack(len(example_ids)),
-        np.ascontiguousarray(example_ids, dtype="<u8").tobytes(),
+        _U64.pack(len(first)),
+        first.astype("<u8").tobytes(),
+        length.astype("<u8").tobytes(),
     ]
     for name, _ in tasks:
         parts.append(np.ascontiguousarray(values[name], dtype="<f4").tobytes())
@@ -210,14 +259,18 @@ def _decode_segment_header(cur: _Cursor) -> tuple[int, int, tuple[tuple[str, str
 def decode_segment(data: bytes, path: Path) -> SegmentData:
     cur = _Cursor(data, path)
     segment_id, teacher_version, tasks = _decode_segment_header(cur)
+    if not tasks:
+        # the value columns are what bound n_rows by the file's size
+        raise StoreCorruptionError(f"{path}: segment has no tasks")
     n_rows = cur.u64()
     if n_rows == 0:
         raise StoreCorruptionError(f"{path}: empty segment")
-    ids = cur.array(np.dtype("<u8"), n_rows)
+    n_runs = cur.u64()
+    first = struct.unpack(f"<{n_runs}Q", cur.take(8 * n_runs))
+    length = struct.unpack(f"<{n_runs}Q", cur.take(8 * n_runs))
     values = {name: cur.array(np.dtype("<f4"), n_rows) for name, _ in tasks}
     _check_crc(cur)
-    if not np.all(ids[1:] > ids[:-1]):
-        raise StoreCorruptionError(f"{path}: example ids not strictly ascending")
+    ids = _expand_runs(first, length, n_rows, path)
     return SegmentData(segment_id, teacher_version, tasks, ids, values)
 
 

@@ -643,6 +643,8 @@ def run_experiment(
 ) -> MetricsLog:
     """Execute family runs for every seed; returns the combined log with
     jobs renamed to s<seed>/<job>. threads parallelizes (seed, run) cells."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     work_dir = Path(work_dir)
     runs = build_runs(cfg)
     cells = [(seed, run) for seed in cfg.seeds for run in runs]

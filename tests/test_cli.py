@@ -2,6 +2,8 @@
 
 import json
 import re
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +507,23 @@ def test_cmd_inspect_exit_codes(tmp_path, capsys):
     manifest.write_bytes(b"XXXX" + manifest.read_bytes()[4:])
     assert main(["inspect", str(store)]) == 3
     assert "bad manifest magic" in capsys.readouterr().out
+
+
+def test_cmd_inspect_reports_a_v1_segment_as_corrupt(tmp_path, capsys):
+    store = tmp_path / "store"
+    seed_store(store)
+    # segment 1 as format version 1 wrote it: one u64 per id, no runs
+    body = b"SLS1" + struct.pack("<IQQ", 1, 1, 1)
+    body += struct.pack("<H", 1) + struct.pack("<H", 3) + b"ctr" + struct.pack("<B", 0)
+    body += struct.pack("<Q", 3) + struct.pack("<3Q", 1, 2, 3) + struct.pack("<3f", 0.1, 0.2, 0.3)
+    (store / segment_filename(1)).write_bytes(
+        body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    )
+    assert main(["inspect", str(store)]) == 3
+    captured = capsys.readouterr()
+    assert re.search(r"seg 1: CORRUPT \(.*unsupported format version 1\)", captured.out)
+    assert "seg 2: teacher_version=2 rows=3 ids=[11, 13] ok" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cmd_replay_rebuilds_report(tmp_path, capsys):

@@ -47,31 +47,78 @@ def seed_store(store, rows):
             w.append(np.asarray(ids, dtype=np.uint64), values, tv)
 
 
+def signed(body):
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+SEGMENT_HEADER = (
+    b"SLS1"
+    + struct.pack("<I", 2)  # format version
+    + struct.pack("<Q", 7)  # segment id
+    + struct.pack("<Q", 42)  # teacher version
+    + struct.pack("<H", 2)  # n_tasks
+    + struct.pack("<H", 3) + b"ctr" + struct.pack("<B", 0)
+    + struct.pack("<H", 3) + b"ltv" + struct.pack("<B", 1)
+)
+
+
+def segment_with_runs(n_rows, run_first, run_len, header=SEGMENT_HEADER, n_tasks=2):
+    """A signed segment with the given id runs and zero values, so a
+    decoder check on the runs fires rather than the checksum."""
+    body = header + struct.pack("<QQ", n_rows, len(run_first))
+    body += struct.pack(f"<{len(run_first)}Q", *run_first)
+    body += struct.pack(f"<{len(run_len)}Q", *run_len)
+    return signed(body + bytes(4 * n_rows * n_tasks))
+
+
 def test_segment_golden_bytes():
-    ids = np.array([3, 9], dtype=np.uint64)
+    ids = np.array([3, 9, 10], dtype=np.uint64)
     values = {
-        "ctr": np.array([0.25, 0.5], dtype=np.float32),
-        "ltv": np.array([1.5, 2.0], dtype=np.float32),
+        "ctr": np.array([0.25, 0.5, 0.75], dtype=np.float32),
+        "ltv": np.array([1.5, 2.0, 2.5], dtype=np.float32),
     }
     got = encode_segment(7, 42, tuple(TASKS), ids, values)
-    body = b"SLS1"
-    body += struct.pack("<I", 1)  # format version
-    body += struct.pack("<Q", 7)  # segment id
-    body += struct.pack("<Q", 42)  # teacher version
-    body += struct.pack("<H", 2)  # n_tasks
-    body += struct.pack("<H", 3) + b"ctr" + struct.pack("<B", 0)
-    body += struct.pack("<H", 3) + b"ltv" + struct.pack("<B", 1)
-    body += struct.pack("<Q", 2)  # n_rows
-    body += struct.pack("<QQ", 3, 9)
-    body += struct.pack("<ff", 0.25, 0.5)
-    body += struct.pack("<ff", 1.5, 2.0)
-    want = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    body = SEGMENT_HEADER
+    body += struct.pack("<Q", 3)  # n_rows
+    body += struct.pack("<Q", 2)  # n_runs
+    body += struct.pack("<QQ", 3, 9)  # run_first
+    body += struct.pack("<QQ", 1, 2)  # run_len
+    body += struct.pack("<fff", 0.25, 0.5, 0.75)
+    body += struct.pack("<fff", 1.5, 2.0, 2.5)
+    want = signed(body)
     assert got == want
     seg = decode_segment(want, "golden")
     assert seg.segment_id == 7 and seg.teacher_version == 42
     assert seg.tasks == tuple(TASKS)
-    assert list(seg.example_ids) == [3, 9]
-    assert seg.values["ltv"].tolist() == [1.5, 2.0]
+    assert seg.example_ids.dtype == np.uint64 and not seg.example_ids.flags.writeable
+    assert list(seg.example_ids) == [3, 9, 10]
+    assert seg.values["ltv"].tolist() == [1.5, 2.0, 2.5]
+
+
+TOP = 2**64 - 1
+
+
+@pytest.mark.parametrize("ids, runs", [
+    ([5], [(5, 1)]),
+    (list(range(100, 228)), [(100, 128)]),
+    ([0, 2, 4, 6, 1000], [(0, 1), (2, 1), (4, 1), (6, 1), (1000, 1)]),
+    ([0, 1, 2, 7, 9, 10, 11, 40], [(0, 3), (7, 1), (9, 3), (40, 1)]),
+    ([TOP - 5, TOP - 2, TOP - 1, TOP], [(TOP - 5, 1), (TOP - 2, 3)]),
+], ids=["one-id", "consecutive", "isolated", "mixed", "ends-at-u64-max"])
+def test_segment_ids_round_trip_as_runs(ids, runs):
+    ids = np.array(ids, dtype=np.uint64)
+    vals = {name: np.arange(len(ids), dtype=np.float32) for name, _ in TASKS}
+    data = encode_segment(7, 42, tuple(TASKS), ids, vals)
+    off, k = len(SEGMENT_HEADER), len(runs)
+    assert struct.unpack_from("<QQ", data, off) == (len(ids), k)
+    first, length = zip(*runs)
+    assert struct.unpack_from(f"<{k}Q", data, off + 16) == first
+    assert struct.unpack_from(f"<{k}Q", data, off + 16 + 8 * k) == length
+    assert len(data) == off + 16 + 16 * k + 4 * len(ids) * len(TASKS) + 4
+    seg = decode_segment(data, "p")
+    assert seg.example_ids.dtype == np.uint64
+    assert seg.example_ids.tolist() == ids.tolist()
+    assert seg.values["ltv"].tolist() == vals["ltv"].tolist()
 
 
 def test_manifest_golden_bytes():
@@ -98,8 +145,8 @@ def test_decode_rejects_malformed_segments():
         decode_segment(bytes(flipped), "p")
     with pytest.raises(StoreCorruptionError, match="trailing"):
         decode_segment(good + b"\x00", "p")
-    with pytest.raises(StoreCorruptionError, match="version"):
-        body = b"SLS1" + struct.pack("<I", 2) + good[8:-4]
+    with pytest.raises(StoreCorruptionError, match="unsupported format version 1"):
+        body = b"SLS1" + struct.pack("<I", 1) + good[8:-4]
         decode_segment(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF), "p")
     with pytest.raises(StoreCorruptionError, match="ascending"):
         bad = encode_segment(
@@ -119,10 +166,33 @@ def test_decode_rejects_malformed_segments():
         decode_segment(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF), "p")
 
 
-def test_decode_rejects_malformed_manifests():
-    def signed(body):
-        return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+@pytest.mark.parametrize("n_rows, run_first, run_len, match", [
+    (1, [], [], "no id runs"),
+    (2, [1, 5, 9], [1, 1, 1], "more id runs than rows"),
+    (2, [1, 5], [2, 0], "empty id run"),
+    (3, [1, 2], [2, 1], "overlap, touch or are not ascending"),
+    (3, [1, 3], [2, 1], "overlap, touch or are not ascending"),
+    (2, [5, 1], [1, 1], "overlap, touch or are not ascending"),
+    (2, [TOP], [2], "wraps past"),
+    (2, [0, TOP], [TOP, 3], "wraps past"),  # lengths sum to 2 mod 2**64
+    (3, [1], [2], "do not sum to n_rows"),
+    (2, [1, 5], [1, 2], "do not sum to n_rows"),
+], ids=["no-runs", "more-runs-than-rows", "empty-run", "overlapping", "touching",
+        "unsorted", "wraps", "sum-wraps-to-n_rows", "sum-short", "sum-long"])
+def test_decode_rejects_malformed_id_runs(n_rows, run_first, run_len, match):
+    with pytest.raises(StoreCorruptionError, match=match):
+        decode_segment(segment_with_runs(n_rows, run_first, run_len), "p")
 
+
+def test_decode_rejects_a_segment_without_tasks():
+    # with no value columns nothing would bound n_rows by the file size
+    header = SEGMENT_HEADER[:24] + struct.pack("<H", 0)
+    data = segment_with_runs(2**62, [0], [2**62], header=header, n_tasks=0)
+    with pytest.raises(StoreCorruptionError, match="no tasks"):
+        decode_segment(data, "p")
+
+
+def test_decode_rejects_malformed_manifests():
     good = encode_manifest(ManifestData(3, (1, 2)))
     with pytest.raises(StoreCorruptionError, match="magic"):
         decode_manifest(b"XXXX" + good[4:], "p")

@@ -1,8 +1,12 @@
 """Online distillation loop: scheduling, isolation, determinism, experiments."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
+from onlinekd.cli import default_experiment
 from onlinekd.datagen import GenConfig, init_world, next_batch
 from onlinekd.errors import ConfigError, DivergenceError, SchemaError, StoreError
 from onlinekd.labelstore import LabelStore
@@ -562,3 +566,53 @@ def test_run_experiment_rows_sorted_and_threaded_identical(tmp_path):
     # per-seed store directories exist and committed segments
     assert (tmp_path / "w1" / "main-s0" / "MANIFEST").exists()
     assert (tmp_path / "w1" / "main-s1" / "MANIFEST").exists()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_experiment_rejects_threads_below_one(tmp_path, threads):
+    cfg = exp_cfg(FAMILY_CUSTOM, seeds=(0,), students=(StudentDef(CONTROL_NAME),))
+    with pytest.raises(ConfigError, match="threads must be >= 1"):
+        run_experiment(cfg, tmp_path / "w", threads=threads)
+    assert not (tmp_path / "w").exists()
+
+
+def _segment_layout(data: bytes) -> tuple[int, int, int, int]:
+    """(n_tasks, name bytes, n_rows, n_runs) of a segment file, read with
+    struct alone so the check does not lean on the decoder under test."""
+    off = 4 + 4 + 8 + 8
+    (n_tasks,) = struct.unpack_from("<H", data, off)
+    off += 2
+    names = 0
+    for _ in range(n_tasks):
+        (name_len,) = struct.unpack_from("<H", data, off)
+        off += 2 + name_len + 1
+        names += name_len
+    n_rows, n_runs = struct.unpack_from("<QQ", data, off)
+    return n_tasks, names, n_rows, n_runs
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_default_segments_hold_one_id_run(tmp_path, family):
+    # the store's id saving rests on each commit being one stream batch,
+    # whose ids are consecutive: every segment is exactly one run
+    cfg = default_experiment(family, (0,))
+    cfg = dataclasses.replace(
+        cfg, schedule=dataclasses.replace(cfg.schedule, total_steps=3, eval_every=0)
+    )
+    if family == FAMILY_CUSTOM:
+        # the custom default's lone control student distills nothing, so its
+        # teacher writes nothing; give it a student that reads the store
+        cfg = dataclasses.replace(
+            cfg, students=cfg.students + (StudentDef("direct", DIRECT, ("ltv",)),)
+        )
+    run_experiment(cfg, tmp_path)
+    segments = sorted(tmp_path.glob("*/seg-*.sls"))
+    assert len(segments) == 3 * len(build_runs(cfg))
+    for path in segments:
+        data = path.read_bytes()
+        assert data[:8] == b"SLS1" + struct.pack("<I", 2)
+        n_tasks, names, n_rows, n_runs = _segment_layout(data)
+        assert n_runs == 1
+        assert n_rows == cfg.schedule.batch_size
+        header = 4 + 4 + 8 + 8 + 2 + 3 * n_tasks + names
+        assert len(data) == header + 8 + 8 + 16 * n_runs + 4 * n_rows * n_tasks + 4
