@@ -18,21 +18,23 @@ The example ids of a segment are strictly ascending and stored as the
 maximal runs of consecutive ids: run k holds run_first[k], run_first[k] + 1,
 ..., run_first[k] + run_len[k] - 1. A stream batch's ids are one run, so a
 segment's ids cost 24 bytes whatever its row count; isolated ids cost 16
-bytes each. The decoder expands the runs, so readers see one uint64 id per
-row. The crc32 covers every preceding byte of the file. Commit order is segment
+bytes each. Readers keep the runs as they are stored, never one id per row.
+The crc32 covers every preceding byte of the file. Commit order is segment
 file first (atomic rename), manifest second (atomic rename), so a crash at
 any byte leaves the store readable at the previous manifest version. A
-writer whose task schema differs from the newest committed segment's is
-refused on open, before it writes anything.
+writer is refused on open, before it writes anything, when the newest
+committed segment does not load or has another task schema.
 
-Each LabelStore handle keeps one growing index of the segments it has read,
-in manifest order, with their id ranges and precedence keys as numpy
-columns. Opening a snapshot checks the manifest crc, then decodes only the
-segments the index does not hold yet, so an open costs O(new segments) in
-Python plus one crc over the manifest bytes; a manifest that does not extend
-the index rebuilds it. A snapshot is the first n positions of the index it
-was opened on, a (manifest version, index, n) triple that copies nothing,
-and the index never rewrites a position a snapshot can see.
+One function, load_segment, reads a segment file for every reader: the
+snapshot index, the writer's schema check and inspect_store. Each LabelStore
+handle keeps one growing index of the segments it has read, in manifest
+order, with their id ranges and precedence keys as numpy columns. Opening a
+snapshot checks the manifest crc, then decodes only the segments the index
+does not hold yet, so an open costs O(new segments) in Python plus one crc
+over the manifest bytes; a manifest that does not extend the index rebuilds
+it. A snapshot is the first n positions of the index it was opened on, a
+(manifest version, index, n) triple that copies nothing, and the index
+never rewrites a position a snapshot can see.
 """
 
 from __future__ import annotations
@@ -158,25 +160,32 @@ def _normalize_tasks(tasks: Sequence) -> tuple[tuple[str, str], ...]:
 
 @dataclass
 class SegmentData:
-    """One immutable committed segment, fully loaded."""
+    """One immutable committed segment, fully loaded.
+
+    Its example ids are strictly ascending runs of consecutive ids: run k
+    holds run_first[k], ..., run_first[k] + run_len[k] - 1, in the rows from
+    run_row[k] on. The run arrays are read-only uint64.
+    """
 
     segment_id: int
     teacher_version: int
     tasks: tuple[tuple[str, str], ...]
-    example_ids: np.ndarray  # uint64, strictly ascending
+    run_first: np.ndarray
+    run_len: np.ndarray
+    run_row: np.ndarray
     values: dict[str, np.ndarray]  # float32 per task
 
     @property
     def n_rows(self) -> int:
-        return int(self.example_ids.shape[0])
+        return int(self.run_row[-1]) + int(self.run_len[-1])
 
     @property
     def min_id(self) -> int:
-        return int(self.example_ids[0])
+        return int(self.run_first[0])
 
     @property
     def max_id(self) -> int:
-        return int(self.example_ids[-1])
+        return int(self.run_first[-1]) + int(self.run_len[-1]) - 1
 
 
 def _id_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,35 +196,29 @@ def _id_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids[starts], (ends - starts).astype(np.uint64)
 
 
-def _expand_runs(
-    first: tuple[int, ...], length: tuple[int, ...], n_rows: int, path: Path
-) -> np.ndarray:
-    """The ids the runs hold, read-only; runs that do not describe n_rows
-    strictly ascending ids are corruption."""
-    if not first:
+def _check_runs(first: np.ndarray, length: np.ndarray, n_rows: int, path: Path) -> np.ndarray:
+    """The row of each run's first id, read-only; runs that do not describe
+    n_rows strictly ascending ids are corruption."""
+    if not first.size:
         raise StoreCorruptionError(f"{path}: no id runs")
-    if len(first) > n_rows:
+    if first.size > n_rows:
         raise StoreCorruptionError(f"{path}: more id runs than rows")
-    end = -1  # one past the previous run's last id
-    row = 0  # rows held by the runs before this one
-    shifts = []  # id minus row, the same for every row of a run
-    for run_first, run_len in zip(first, length):
-        if run_len == 0:
-            raise StoreCorruptionError(f"{path}: empty id run")
-        if run_first + run_len > 2**64:
-            raise StoreCorruptionError(f"{path}: id run wraps past 2**64 - 1")
-        if run_first <= end:
-            raise StoreCorruptionError(f"{path}: id runs overlap, touch or are not ascending")
-        end = run_first + run_len
-        shifts.append((run_first - row) % 2**64)
-        row += run_len
-    if row != n_rows:
+    if not length.all():
+        raise StoreCorruptionError(f"{path}: empty id run")
+    last = first + (length - 1)  # uint64: below first exactly when it wrapped
+    if (last < first).any():
+        raise StoreCorruptionError(f"{path}: id run wraps past 2**64 - 1")
+    # where a run starts at or below the last id before it, the difference
+    # wraps, but the first comparison already holds
+    if ((first[1:] <= last[:-1]) | (first[1:] - last[:-1] < 2)).any():
+        raise StoreCorruptionError(f"{path}: id runs overlap, touch or are not ascending")
+    # disjoint runs below 2**64 hold fewer than 2**64 ids, so the sum is exact
+    ends = length.cumsum()
+    if int(ends[-1]) != n_rows:
         raise StoreCorruptionError(f"{path}: id run lengths do not sum to n_rows")
-    # uint64 addition wraps, so a shift taken mod 2**64 gives exact ids
-    ids = np.repeat(np.array(shifts, dtype=np.uint64), length)
-    ids += np.arange(n_rows, dtype=np.uint64)
-    ids.flags.writeable = False
-    return ids
+    rows = ends - length
+    rows.flags.writeable = False
+    return rows
 
 
 def encode_segment(
@@ -244,21 +247,16 @@ def encode_segment(
     return body + _U32.pack(_crc(body))
 
 
-def _decode_segment_header(cur: _Cursor) -> tuple[int, int, tuple[tuple[str, str], ...]]:
-    """(segment_id, teacher_version, tasks) from the start of a segment file."""
-    if cur.take(4) != SEGMENT_MAGIC:
-        raise StoreCorruptionError(f"{cur.path}: bad segment magic")
-    version = cur.u32()
-    if version != FORMAT_VERSION:
-        raise StoreCorruptionError(f"{cur.path}: unsupported format version {version}")
-    segment_id = cur.u64()
-    teacher_version = cur.u64()
-    return segment_id, teacher_version, _read_task_dir(cur)
-
-
 def decode_segment(data: bytes, path: Path) -> SegmentData:
     cur = _Cursor(data, path)
-    segment_id, teacher_version, tasks = _decode_segment_header(cur)
+    if cur.take(4) != SEGMENT_MAGIC:
+        raise StoreCorruptionError(f"{path}: bad segment magic")
+    version = cur.u32()
+    if version != FORMAT_VERSION:
+        raise StoreCorruptionError(f"{path}: unsupported format version {version}")
+    segment_id = cur.u64()
+    teacher_version = cur.u64()
+    tasks = _read_task_dir(cur)
     if not tasks:
         # the value columns are what bound n_rows by the file's size
         raise StoreCorruptionError(f"{path}: segment has no tasks")
@@ -266,23 +264,28 @@ def decode_segment(data: bytes, path: Path) -> SegmentData:
     if n_rows == 0:
         raise StoreCorruptionError(f"{path}: empty segment")
     n_runs = cur.u64()
-    first = struct.unpack(f"<{n_runs}Q", cur.take(8 * n_runs))
-    length = struct.unpack(f"<{n_runs}Q", cur.take(8 * n_runs))
+    runs = cur.array(np.dtype("<u8"), 2 * n_runs)
+    first, length = runs[:n_runs], runs[n_runs:]
     values = {name: cur.array(np.dtype("<f4"), n_rows) for name, _ in tasks}
     _check_crc(cur)
-    ids = _expand_runs(first, length, n_rows, path)
-    return SegmentData(segment_id, teacher_version, tasks, ids, values)
+    run_row = _check_runs(first, length, n_rows, path)
+    return SegmentData(segment_id, teacher_version, tasks, first, length, run_row, values)
 
 
-def _segment_bytes(path: Path) -> bytes:
+def load_segment(root: Path, segment_id: int) -> SegmentData:
+    """Read and decode seg-<segment_id>.sls under root; a missing file, or a
+    header id other than segment_id, is corruption."""
+    path = Path(root) / segment_filename(segment_id)
     try:
-        return Path(path).read_bytes()
+        data = path.read_bytes()
     except FileNotFoundError:
         raise StoreCorruptionError(f"{path}: segment file missing") from None
-
-
-def read_segment_file(path: Path) -> SegmentData:
-    return decode_segment(_segment_bytes(path), Path(path))
+    seg = decode_segment(data, path)
+    if seg.segment_id != segment_id:
+        raise StoreCorruptionError(
+            f"{path}: header id {seg.segment_id} disagrees with filename"
+        )
+    return seg
 
 
 @dataclass
@@ -403,12 +406,15 @@ class Snapshot:
         cand = cand[np.lexsort((cols[_SEGMENT_ID, cand], cols[_TEACHER_VERSION, cand]))]
         for i in cand.tolist():
             seg = self._index.segments[i]
-            pos = np.searchsorted(seg.example_ids, ids)
-            pos_c = np.minimum(pos, seg.n_rows - 1)
-            hit = seg.example_ids[pos_c] == ids
-            if not np.any(hit):
+            # each probe's run is the last one starting at or below it; a
+            # probe below the first run gets k = -1, which reads the last
+            # run and is masked off
+            k = seg.run_first.searchsorted(ids, side="right") - 1
+            off = ids - seg.run_first[k]
+            hit = (k >= 0) & (off < seg.run_len[k])
+            if not hit.any():
                 continue
-            rows = pos_c[hit]
+            rows = (seg.run_row[k] + off)[hit]
             for name, _ in seg.tasks:
                 out[name][hit] = seg.values[name][rows]
             present |= hit
@@ -439,18 +445,9 @@ class LabelStore:
             if n > len(ids) or not np.array_equal(index.cols[_SEGMENT_ID, :n], ids[:n]):
                 # not an extension of what this handle has read: start over
                 index, n = _SegmentIndex(), 0
-            index.extend([self._load_segment(sid) for sid in ids[n:].tolist()])
+            index.extend([load_segment(self.root, sid) for sid in ids[n:].tolist()])
             self._index = index
             return Snapshot(manifest.manifest_version, index, len(ids))
-
-    def _load_segment(self, segment_id: int) -> SegmentData:
-        seg = read_segment_file(self.root / segment_filename(segment_id))
-        if seg.segment_id != segment_id:
-            raise StoreCorruptionError(
-                f"{segment_filename(segment_id)}: header id {seg.segment_id} "
-                "disagrees with filename"
-            )
-        return seg
 
     def writer(self, tasks: Sequence, *, durable: bool = False) -> "SegmentWriter":
         return SegmentWriter(self, tasks, durable=durable)
@@ -486,24 +483,21 @@ class SegmentWriter:
         try:
             self._manifest = read_manifest(self.store.root)
             ids = self._manifest.segment_ids
+            # refuse a schema the committed segments do not have, or a newest
+            # segment that does not load: either way every later
+            # open_snapshot would fail
             if ids.size:
-                self._check_committed_schema(int(ids[-1]))
+                tasks = load_segment(self.store.root, int(ids[-1])).tasks
+                if tasks != self.tasks:
+                    raise StoreError(
+                        f"writer schema {list(self.tasks)} disagrees with the committed "
+                        f"task schema {list(tasks)} of {self.store.root}"
+                    )
         except BaseException:
             self.__exit__()
             raise
         self._next_sid = int(ids.max()) + 1 if ids.size else 1
         return self
-
-    def _check_committed_schema(self, segment_id: int) -> None:
-        """Refuse a schema the committed segments do not have: one such
-        commit would make every later open_snapshot fail."""
-        path = self.store.root / segment_filename(segment_id)
-        _, _, tasks = _decode_segment_header(_Cursor(_segment_bytes(path), path))
-        if tasks != self.tasks:
-            raise StoreError(
-                f"writer schema {list(self.tasks)} disagrees with the committed "
-                f"task schema {list(tasks)} of {self.store.root}"
-            )
 
     def __exit__(self, *exc) -> None:
         if self._lock_fd is not None:
@@ -642,9 +636,7 @@ def inspect_store(root) -> StoreReport:
     tasks_seen: set[tuple[tuple[str, str], ...]] = set()
     for sid in segment_ids:
         try:
-            seg = read_segment_file(root / segment_filename(sid))
-            if seg.segment_id != sid:
-                raise StoreCorruptionError("header id disagrees with manifest")
+            seg = load_segment(root, sid)
             tasks_seen.add(seg.tasks)
             report.segments.append(
                 SegmentInfo(

@@ -271,18 +271,13 @@ def _soft_targets_for(
     student: StudentJob, snapshot: Snapshot, batch: Batch
 ) -> tuple[dict[str, SoftTargets], float]:
     """The student's soft targets for this batch, and their coverage."""
-    n = batch.n
     present, values = snapshot.lookup_batch(batch.example_ids)
     present.flags.writeable = False  # one mask, shared by every task's targets
-    soft: dict[str, SoftTargets] = {}
-    for task in student.distill_tasks:
-        if task in values:
-            soft[task] = SoftTargets(values=values[task].astype(np.float64), present=present)
-        else:
-            soft[task] = SoftTargets(
-                values=np.zeros(n), present=np.zeros(n, dtype=bool)
-            )
-    return soft, float(present.mean()) if n else 0.0
+    soft = {
+        task: SoftTargets(values=values[task].astype(np.float64), present=present)
+        for task in student.distill_tasks
+    }
+    return soft, float(present.mean()) if batch.n else 0.0
 
 
 def _student_step(student: StudentJob, batch: Batch, snapshot: Snapshot) -> float:
@@ -373,6 +368,13 @@ def run_online(
     names = [teacher.name] + [s.name for s in students]
     if len(set(names)) != len(names):
         raise ConfigError("job names must be unique")
+    for s in students:
+        for task in s.distill_tasks:
+            if task not in teacher.write_tasks:
+                raise ConfigError(
+                    f"student {s.name!r} distills {task!r}, which teacher "
+                    f"{teacher.name!r} does not write"
+                )
     store_root = Path(store_root)
     store_root.mkdir(parents=True, exist_ok=True)
     if read_manifest(store_root).segment_ids.size:

@@ -255,13 +255,22 @@ def replay_store_contents(appends):
     return {eid: vals for eid, (_, vals) in best.items()}
 
 
+def segment_ids(seg) -> np.ndarray:
+    """A segment's example ids, one uint64 per row, expanded from its id
+    runs one run at a time."""
+    return np.concatenate(
+        [first + np.arange(length, dtype=np.uint64)
+         for first, length in zip(seg.run_first, seg.run_len)]
+        + [np.zeros(0, np.uint64)]
+    )
+
+
 def stored_ids(snapshot) -> np.ndarray:
     """Every example id in a snapshot's segments, one entry per stored row
-    (an id written twice appears twice), read from the segment columns.
-    Its length is the snapshot's row count; np.isin against it gives which
-    probe ids the snapshot covers."""
+    (an id written twice appears twice). Its length is the snapshot's row
+    count; np.isin against it gives which probe ids the snapshot covers."""
     return np.concatenate(
-        [seg.example_ids for seg in snapshot.segments] + [np.zeros(0, np.uint64)]
+        [segment_ids(seg) for seg in snapshot.segments] + [np.zeros(0, np.uint64)]
     )
 
 

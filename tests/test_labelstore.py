@@ -1,6 +1,7 @@
 """Label store: binary format, commit protocol, snapshots, failure modes."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -23,7 +24,7 @@ from onlinekd.labelstore import (
 )
 from onlinekd.ranker import BINARY, REGRESSION
 
-from oracles import replay_store_contents, stored_ids
+from oracles import replay_store_contents, segment_ids, stored_ids
 
 TASKS = [("ctr", BINARY), ("ltv", REGRESSION)]
 
@@ -90,8 +91,11 @@ def test_segment_golden_bytes():
     seg = decode_segment(want, "golden")
     assert seg.segment_id == 7 and seg.teacher_version == 42
     assert seg.tasks == tuple(TASKS)
-    assert seg.example_ids.dtype == np.uint64 and not seg.example_ids.flags.writeable
-    assert list(seg.example_ids) == [3, 9, 10]
+    for runs in (seg.run_first, seg.run_len, seg.run_row):
+        assert runs.dtype == np.uint64 and not runs.flags.writeable
+    assert seg.run_row.tolist() == [0, 1]
+    assert (seg.n_rows, seg.min_id, seg.max_id) == (3, 3, 10)
+    assert segment_ids(seg).tolist() == [3, 9, 10]
     assert seg.values["ltv"].tolist() == [1.5, 2.0, 2.5]
 
 
@@ -116,8 +120,8 @@ def test_segment_ids_round_trip_as_runs(ids, runs):
     assert struct.unpack_from(f"<{k}Q", data, off + 16 + 8 * k) == length
     assert len(data) == off + 16 + 16 * k + 4 * len(ids) * len(TASKS) + 4
     seg = decode_segment(data, "p")
-    assert seg.example_ids.dtype == np.uint64
-    assert seg.example_ids.tolist() == ids.tolist()
+    assert (seg.n_rows, seg.min_id, seg.max_id) == (len(ids), ids[0], ids[-1])
+    assert segment_ids(seg).tolist() == ids.tolist()
     assert seg.values["ltv"].tolist() == vals["ltv"].tolist()
 
 
@@ -190,6 +194,22 @@ def test_decode_rejects_a_segment_without_tasks():
     data = segment_with_runs(2**62, [0], [2**62], header=header, n_tasks=0)
     with pytest.raises(StoreCorruptionError, match="no tasks"):
         decode_segment(data, "p")
+
+
+def test_decode_keeps_no_memory_per_row_for_ids():
+    n = 1_000_000
+    data = encode_segment(1, 0, (("ctr", BINARY),), np.arange(n, dtype=np.uint64),
+                          {"ctr": np.zeros(n, np.float32)})
+    tracemalloc.start()
+    try:
+        seg = decode_segment(data, "p")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 4 MB value column and the bytes it is copied from; one uint64 id
+    # per row would add 8 MB
+    assert peak < 2 * 4 * n + 2**20
+    assert seg.n_rows == n and seg.run_first.size == 1
 
 
 def test_decode_rejects_malformed_manifests():
@@ -367,18 +387,22 @@ def test_duplicate_resolution_matches_replay_oracle(tmp_path):
             }
             appends.append((tv, sid, rows))
     snap = store.open_snapshot()
+    assert sum(s.run_first.size > 1 for s in snap.segments) > 20
     expected = replay_store_contents(appends)
-    for eid in range(100):
+    # for each segment, 0..99 holds ids below its first run, in the gaps
+    # between its runs and above its last; 2**64 - 1 is above every run
+    probe = np.append(np.arange(100, dtype=np.uint64), np.uint64(TOP))
+    for eid in probe.tolist():
         got = lookup_one(snap, eid)
         if eid in expected:
             assert got == expected[eid]
         else:
             assert got is None
-    present, cols = snap.lookup_batch(np.arange(100, dtype=np.uint64))
-    for eid in range(100):
-        assert present[eid] == (eid in expected)
-        if present[eid]:
-            assert {n: float(cols[n][eid]) for n in ("ctr", "ltv")} == expected[eid]
+    present, cols = snap.lookup_batch(probe)
+    for j, eid in enumerate(probe.tolist()):
+        assert present[j] == (eid in expected)
+        if present[j]:
+            assert {n: float(cols[n][j]) for n in ("ctr", "ltv")} == expected[eid]
 
 
 def expected_columns(expected, probe):
@@ -479,13 +503,13 @@ def test_snapshot_before_a_schema_conflict_opens(tmp_path):
 
 def test_each_segment_file_is_decoded_once_per_handle(tmp_path, monkeypatch):
     decoded = []
-    real = labelstore.read_segment_file
+    real = labelstore.load_segment
 
-    def counting(path):
-        decoded.append(path.name)
-        return real(path)
+    def counting(root, segment_id):
+        decoded.append(segment_id)
+        return real(root, segment_id)
 
-    monkeypatch.setattr(labelstore, "read_segment_file", counting)
+    monkeypatch.setattr(labelstore, "load_segment", counting)
     store = make_store(tmp_path)
     n = 25
     with store.writer(TASKS) as w:
@@ -664,6 +688,23 @@ def test_writer_refuses_a_schema_the_store_does_not_have(tmp_path):
     with store.writer(TASKS) as w:
         assert w.append(np.array([3], dtype=np.uint64), {
             "ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}, 1) == 2
+
+
+def test_writer_refuses_a_store_whose_newest_segment_is_corrupt(tmp_path):
+    store = make_store(tmp_path)
+    seed_store(store, [(np.array([1, 2]), {
+        "ctr": np.zeros(2, np.float32), "ltv": np.zeros(2, np.float32)}, 0)])
+    path = store.root / segment_filename(1)
+    data = bytearray(path.read_bytes())
+    data[-6] ^= 0xFF  # inside the last value column, before the crc
+    path.write_bytes(bytes(data))
+    before = {p.name: p.read_bytes() for p in store.root.iterdir()}
+    for _ in range(2):  # the lock is released, so a second writer gets as far
+        with pytest.raises(StoreCorruptionError, match="checksum"):
+            with LabelStore(store.root).writer(TASKS) as w:
+                w.append(np.array([3], dtype=np.uint64), {
+                    "ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}, 1)
+    assert {p.name: p.read_bytes() for p in store.root.iterdir()} == before
 
 
 def test_inspect_clean_store(tmp_path):

@@ -150,6 +150,15 @@ def test_run_online_rejects_duplicate_job_names(tmp_path):
         run_online(world, teacher, [twin], sched(2), tmp_path / "s")
 
 
+def test_run_online_rejects_a_student_distilling_an_unwritten_task(tmp_path):
+    world = init_world(GEN, 0)
+    teacher = make_teacher(write=("ctr", "ltv"))
+    student = make_student(name="aux", mode=AUXILIARY, distill=("sat",))
+    with pytest.raises(ConfigError, match="'aux' distills 'sat'"):
+        run_online(world, teacher, [student], sched(2), tmp_path / "s")
+    assert teacher.version == 0 and not (tmp_path / "s").exists()
+
+
 def test_run_online_refuses_a_store_with_segments(tmp_path):
     def run(root):
         world = init_world(GEN, 4)
