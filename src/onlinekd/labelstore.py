@@ -84,12 +84,17 @@ class _Cursor:
         self.off = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
+    def skip(self, n: int) -> int:
+        """Move past the next n bytes; returns the offset they start at."""
+        start = self.off
+        if start + n > len(self.data):
             raise StoreCorruptionError(f"{self.path}: truncated file")
-        out = self.data[self.off : self.off + n]
-        self.off += n
-        return out
+        self.off = start + n
+        return start
+
+    def take(self, n: int) -> bytes:
+        start = self.skip(n)
+        return self.data[start : self.off]
 
     def u8(self) -> int:
         return _U8.unpack(self.take(1))[0]
@@ -104,14 +109,16 @@ class _Cursor:
         return _U64.unpack(self.take(8))[0]
 
     def array(self, dtype: np.dtype, count: int) -> np.ndarray:
-        raw = self.take(int(dtype.itemsize) * count)
-        arr = np.frombuffer(raw, dtype=dtype).copy()
+        start = self.skip(int(dtype.itemsize) * count)
+        # one copy, made straight from the file's bytes: the array does not
+        # keep them alive
+        arr = np.frombuffer(self.data, dtype, count, start).copy()
         arr.flags.writeable = False
         return arr
 
 
 def _check_crc(cur: _Cursor) -> None:
-    body = cur.data[: cur.off]
+    body = memoryview(cur.data)[: cur.off]
     stored = cur.u32()
     if cur.off != len(cur.data):
         raise StoreCorruptionError(f"{cur.path}: trailing bytes after checksum")

@@ -7,7 +7,9 @@ both routes form the identical numerator before one identical division.
 
 The slate simulation is paired when every policy scores the same drawn
 slates: shared sampling noise then cancels in reported lifts, and a policy
-compared against itself yields exactly zero.
+compared against itself yields exactly zero. The online loop draws its slates
+in blocks, and the pairing holds block by block: every policy scores a block
+before the next one is drawn.
 """
 
 from __future__ import annotations
@@ -134,11 +136,13 @@ def draw_slates(world: WorldState, cfg: OnlineSimConfig, rng: np.random.Generato
     )
 
 
-def policy_metrics(slates: Slates, scores: np.ndarray) -> tuple[float, float]:
-    """Engagement and satisfaction of the argmax-score policy.
+def policy_metrics(slates: Slates, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slate engagement and satisfaction of the argmax-score policy.
 
-    Engagement is the mean true policy-task value at the picked slot;
-    satisfaction is the mean true satisfaction-task value at the same slot.
+    Entry i of the first array is slate i's true policy-task value at its
+    highest-scored slot, and of the second its true satisfaction-task value
+    at the same slot; their means are the policy's engagement and
+    satisfaction.
     """
     n, m = slates.true_policy.shape
     scores = np.asarray(scores, dtype=np.float64)
@@ -146,9 +150,7 @@ def policy_metrics(slates: Slates, scores: np.ndarray) -> tuple[float, float]:
         raise ValueError(f"scores must have shape {(n, m)}")
     picks = np.argmax(scores, axis=1)
     rows = np.arange(n)
-    engagement = float(slates.true_policy[rows, picks].mean())
-    satisfaction = float(slates.true_satisfaction[rows, picks].mean())
-    return engagement, satisfaction
+    return slates.true_policy[rows, picks], slates.true_satisfaction[rows, picks]
 
 
 def lift_pct(treatment: float, control: float) -> float:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,9 @@ from .ranker import (
 
 CSV_HEADER = ("step", "job", "task", "metric", "value", "lo", "hi")
 JOB_LEVEL_TASK = "-"
+# candidate rows per block of the online simulation, which draws and scores
+# its slates one block at a time so that its memory does not grow with n_slates
+_EVAL_ROWS = 4096
 
 
 def model_init_rng(seed: int, job_name: str) -> np.random.Generator:
@@ -297,6 +300,38 @@ def _student_step(student: StudentJob, batch: Batch, snapshot: Snapshot) -> floa
     return coverage
 
 
+def _simulate_online(
+    log: MetricsLog,
+    step: int,
+    ev: WorldState,
+    rng: np.random.Generator,
+    sim: OnlineSimConfig,
+    jobs: list[tuple[str, RankingModel, TrainConfig]],
+) -> None:
+    """Engagement and satisfaction rows of every job's argmax policy.
+
+    The slates are drawn and scored one block of at most _EVAL_ROWS
+    candidate rows at a time (one slate when a slate is longer). The blocks
+    come from rng in order and every job scores each block, so the draws and
+    each job's per-slate picks are those of one draw of all n_slates, and one
+    mean per job over its picks gives the same sums.
+    """
+    per = max(1, _EVAL_ROWS // sim.slate_size)
+    picked = np.empty((len(jobs), 2, sim.n_slates))
+    for lo in range(0, sim.n_slates, per):
+        hi = min(lo + per, sim.n_slates)
+        slates = draw_slates(ev, replace(sim, n_slates=hi - lo), rng)
+        flat = slates.x.reshape(-1, ev.config.feature_dim)
+        for j, (name, model, train) in enumerate(jobs):
+            preds = model_forward(model, flat, clip=train.activation_clip, job=name)
+            kind = model.config.task(sim.policy_task).kind
+            scores = preds.score(sim.policy_task, kind).reshape(hi - lo, sim.slate_size)
+            picked[j, 0, lo:hi], picked[j, 1, lo:hi] = policy_metrics(slates, scores)
+    for (name, _, _), (engagement, satisfaction) in zip(jobs, picked):
+        log.add(step, name, JOB_LEVEL_TASK, "engagement", engagement.mean())
+        log.add(step, name, JOB_LEVEL_TASK, "satisfaction", satisfaction.mean())
+
+
 def _eval_point(
     log: MetricsLog,
     step: int,
@@ -314,6 +349,14 @@ def _eval_point(
         t.name: np.concatenate([b.labels[t.name] for b in batches])
         for t in world.config.tasks
     }
+    for t in world.config.tasks:
+        labels = hard[t.name]
+        if t.kind == BINARY and labels.min() == labels.max():
+            raise ConfigError(
+                f"the eval set at step {step} holds only one class of binary task "
+                f"{t.name!r}: {labels.size} rows (batch_size {sched.batch_size} x "
+                f"eval_batches {sched.eval_batches}) are too few for its AUC"
+            )
     true_reg = {
         t.name: true_task_value(ev, x, t.name)
         for t in world.config.tasks
@@ -340,17 +383,8 @@ def _eval_point(
                         calibration_ratio(value, hard[spec.name]))
     log.add(step, teacher.name, JOB_LEVEL_TASK, "teacher_version", teacher.version)
     if run_online_sim and sched.online_sim is not None:
-        sim = sched.online_sim
-        slates = draw_slates(ev, sim, world.derive_rng("slates", eval_idx))
-        flat = slates.x.reshape(-1, world.config.feature_dim)
-        shape = slates.true_policy.shape
-        for name, model, train in jobs:
-            preds = model_forward(model, flat, clip=train.activation_clip, job=name)
-            kind = model.config.task(sim.policy_task).kind
-            scores = preds.score(sim.policy_task, kind)
-            engagement, satisfaction = policy_metrics(slates, scores.reshape(shape))
-            log.add(step, name, JOB_LEVEL_TASK, "engagement", engagement)
-            log.add(step, name, JOB_LEVEL_TASK, "satisfaction", satisfaction)
+        rng = world.derive_rng("slates", eval_idx)
+        _simulate_online(log, step, ev, rng, sched.online_sim, jobs)
 
 
 def run_online(

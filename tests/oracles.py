@@ -3,8 +3,8 @@
 The reference functions are deliberately written from first principles
 (python loops, scalar math, brute-force enumeration) and share no code with
 the package under test. The test aids at the end do use the package: a
-metric-row lookup, and the fleet audit, which drives run_online and records
-the soft targets each student is handed.
+metric-row lookup, the fleet audit, which drives run_online and records
+the soft targets each student is handed, and the one-shot slate simulation.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import numpy as np
 from onlinekd import pipeline
 from onlinekd.errors import ConfigError
 from onlinekd.labelstore import LabelStore
+from onlinekd.metrics import draw_slates
+from onlinekd.ranker import model_forward
 
 
 def numeric_gradient(loss_fn, arrays, eps=1e-6):
@@ -274,19 +276,18 @@ def stored_ids(snapshot) -> np.ndarray:
     )
 
 
-def argmax_policy_metrics(x_slates, true_policy, true_sat, score_rows):
-    """Slate policy metrics recomputed with explicit python loops."""
-    n, m = true_policy.shape
-    e = 0.0
-    s = 0.0
-    for i in range(n):
+def argmax_policy_picks(true_policy, true_sat, score_rows):
+    """Per-slate true policy and satisfaction values at the highest-scored
+    slot (the first of equal scores), found with explicit python loops."""
+    engagement, satisfaction = [], []
+    for i in range(len(true_policy)):
         best_j = 0
-        for j in range(1, m):
+        for j in range(1, len(true_policy[i])):
             if score_rows[i][j] > score_rows[i][best_j]:
                 best_j = j
-        e += true_policy[i][best_j]
-        s += true_sat[i][best_j]
-    return e / n, s / n
+        engagement.append(float(true_policy[i][best_j]))
+        satisfaction.append(float(true_sat[i][best_j]))
+    return engagement, satisfaction
 
 
 def metric_value(log, *, job, metric, task=pipeline.JOB_LEVEL_TASK, step=None) -> float:
@@ -370,3 +371,22 @@ def audit_fleet(monkeypatch, world, teacher, students, sched, store_root,
     snapshot = LabelStore(store_root).open_snapshot()
     return FleetAudit(not violations, len(students), len(snapshot.segments), violations,
                       float(np.mean(coverage)) if coverage else 0.0)
+
+
+def one_shot_policy_metrics(ev, sim, rng, jobs) -> dict[str, tuple[float, float]]:
+    """{job name: (engagement, satisfaction)} of the slate simulator run in
+    one piece: all n_slates slates drawn at once, one forward per job over
+    all of them, one mean per metric. jobs holds (name, model, train)."""
+    slates = draw_slates(ev, sim, rng)
+    flat = slates.x.reshape(-1, ev.config.feature_dim)
+    rows = np.arange(sim.n_slates)
+    out = {}
+    for name, model, train in jobs:
+        preds = model_forward(model, flat, clip=train.activation_clip)
+        kind = model.config.task(sim.policy_task).kind
+        picks = np.argmax(preds.score(sim.policy_task, kind).reshape(rows.size, -1), axis=1)
+        out[name] = (
+            float(slates.true_policy[rows, picks].mean()),
+            float(slates.true_satisfaction[rows, picks].mean()),
+        )
+    return out

@@ -541,8 +541,10 @@ def test_c8_degeneracy_identities(tmp_path):
     e_t, s_t = policy_metrics(slates, score())
     e_c, s_c = policy_metrics(slates, score())
     zero_lift_ok = (
-        lift_pct(e_t, e_c) == 0.0
-        and lift_pct(s_t, s_c) == 0.0
+        np.array_equal(e_t, e_c)
+        and np.array_equal(s_t, s_c)
+        and lift_pct(float(e_t.mean()), float(e_c.mean())) == 0.0
+        and lift_pct(float(s_t.mean()), float(s_c.mean())) == 0.0
         and lift_pct(3.7, 3.7) == 0.0
     )
 

@@ -470,6 +470,22 @@ def test_cmd_run_bad_config_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cmd_run_one_class_eval_set_is_a_config_error(tmp_path, capsys):
+    # two eval rows are too few to hold both classes of every binary task
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(
+        "family: custom\n"
+        "schedule: {total_steps: 3, batch_size: 2, eval_every: 0, eval_batches: 1}\n"
+    )
+    assert main(["run", str(cfg_path), "--seeds", "0", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.match(
+        r"config error: the eval set at step 3 holds only one class of binary "
+        r"task '\w+': 2 rows \(batch_size 2 x eval_batches 1\)", err
+    ), err
+
+
 def seed_store(root):
     tasks = [("ctr", BINARY)]
     ids = np.array([1, 2, 3], dtype=np.uint64)

@@ -2,16 +2,18 @@
 
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from onlinekd.cli import default_experiment
-from onlinekd.datagen import GenConfig, init_world, next_batch
+from onlinekd.datagen import GenConfig, fork, init_world, next_batch
 from onlinekd.errors import ConfigError, DivergenceError, SchemaError, StoreError
 from onlinekd.labelstore import LabelStore
 from onlinekd.metrics import OnlineSimConfig
 from onlinekd.nncore import TrainConfig
+from onlinekd import pipeline
 from onlinekd.pipeline import (
     CONTROL_NAME,
     CSV_HEADER,
@@ -49,7 +51,13 @@ from onlinekd.ranker import (
     compute_loss_and_grads,
 )
 
-from oracles import audit_fleet, metric_value, soft_target_records, stored_ids
+from oracles import (
+    audit_fleet,
+    metric_value,
+    one_shot_policy_metrics,
+    soft_target_records,
+    stored_ids,
+)
 
 GEN = GenConfig(feature_dim=8)
 
@@ -229,6 +237,56 @@ def test_periodic_evals_and_online_sim(tmp_path):
     auc5 = metric_value(log, job="teacher", task="ctr", metric="auc", step=5)
     auc12 = metric_value(log, job="teacher", task="ctr", metric="auc", step=12)
     assert auc5 != auc12
+
+
+def _sim_eval_point(n_slates, slate_size, students=()):
+    """The rows of one eval point (index 1, step 7) that runs the simulator."""
+    world = init_world(GEN, 4)
+    teacher = make_teacher(4)
+    sim = OnlineSimConfig(slate_size=slate_size, n_slates=n_slates)
+    log = MetricsLog()
+    pipeline._eval_point(log, 7, 1, world, teacher, list(students),
+                         sched(7, online_sim=sim), True)
+    jobs = [(j.name, j.model, j.train) for j in [teacher, *students]]
+    return log, world, sim, jobs
+
+
+PER_BLOCK = pipeline._EVAL_ROWS // 8  # slates of 8 candidates per block
+
+
+@pytest.mark.parametrize(
+    "slate_size, n_slates",
+    [
+        (8, 1),
+        (8, PER_BLOCK - 1),
+        (8, PER_BLOCK),
+        (8, PER_BLOCK + 1),
+        (8, 2 * PER_BLOCK + 3),
+        (pipeline._EVAL_ROWS + 1, 3),  # every block is one slate
+    ],
+)
+def test_blocked_online_sim_equals_one_shot_oracle(slate_size, n_slates):
+    student = make_student(4, name="aux", mode=AUXILIARY, distill=("ctr",))
+    log, world, sim, jobs = _sim_eval_point(n_slates, slate_size, [student])
+    want = one_shot_policy_metrics(
+        fork(world, "eval", 1), sim, world.derive_rng("slates", 1), jobs
+    )
+    for name, (engagement, satisfaction) in want.items():
+        assert metric_value(log, job=name, metric="engagement") == engagement
+        assert metric_value(log, job=name, metric="satisfaction") == satisfaction
+
+
+def test_online_sim_memory_does_not_grow_with_n_slates():
+    peaks = []
+    for n_slates in (4000, 40000):
+        tracemalloc.start()
+        try:
+            _sim_eval_point(n_slates, 8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the picked values (16 B per slate and job) are all that grows
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 def test_write_cadence_and_delay_coverage(tmp_path, monkeypatch):
