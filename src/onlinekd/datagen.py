@@ -65,13 +65,8 @@ class Batch:
     """Columnar view of n consecutive stream examples."""
 
     example_ids: np.ndarray  # uint64, strictly increasing
-    t: int
     x: np.ndarray  # (n, d) float64
-    labels: dict[str, np.ndarray]
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
+    labels: np.ndarray  # (n_tasks, n) float64, one row per task in stream order
 
 
 @dataclass
@@ -140,23 +135,21 @@ def next_batch(world: WorldState, n: int) -> Batch:
     cfg = world.config
     rng = world.rng
     x = rng.standard_normal((n, cfg.feature_dim))
-    labels: dict[str, np.ndarray] = {}
-    for task in cfg.tasks:
+    labels = np.empty((len(cfg.tasks), n))
+    for row, task in zip(labels, cfg.tasks):
         margin = cfg.logit_scale * (x @ world.latents[task.name])
         if task.kind == BINARY:
-            p = _sigmoid(margin)
-            labels[task.name] = (rng.random(n) < p).astype(np.float64)
+            row[:] = rng.random(n) < _sigmoid(margin)
         else:
-            base = _softplus(margin)
+            row[:] = _softplus(margin)
             sigma = cfg.ltv_noise_sigma
             if sigma > 0.0:
                 z = rng.standard_normal(n)
-                base = base * np.exp(sigma * z - 0.5 * sigma * sigma)
-            labels[task.name] = base
+                row *= np.exp(sigma * z - 0.5 * sigma * sigma)
     ids = np.arange(
         world.next_example_id, world.next_example_id + n, dtype=np.uint64
     )
-    batch = Batch(example_ids=ids, t=world.t, x=x, labels=labels)
+    batch = Batch(example_ids=ids, x=x, labels=labels)
     world.next_example_id += n
     _drift(world)
     world.t += 1

@@ -171,7 +171,8 @@ class SegmentData:
 
     Its example ids are strictly ascending runs of consecutive ids: run k
     holds run_first[k], ..., run_first[k] + run_len[k] - 1, in the rows from
-    run_row[k] on. The run arrays are read-only uint64.
+    run_row[k] on. The run arrays are read-only uint64, and values is one
+    read-only float32 row per task, (len(tasks), n_rows), in schema order.
     """
 
     segment_id: int
@@ -180,7 +181,7 @@ class SegmentData:
     run_first: np.ndarray
     run_len: np.ndarray
     run_row: np.ndarray
-    values: dict[str, np.ndarray]  # float32 per task
+    values: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -273,7 +274,7 @@ def decode_segment(data: bytes, path: Path) -> SegmentData:
     n_runs = cur.u64()
     runs = cur.array(np.dtype("<u8"), 2 * n_runs)
     first, length = runs[:n_runs], runs[n_runs:]
-    values = {name: cur.array(np.dtype("<f4"), n_rows) for name, _ in tasks}
+    values = cur.array(np.dtype("<f4"), len(tasks) * n_rows).reshape(len(tasks), n_rows)
     _check_crc(cur)
     run_row = _check_runs(first, length, n_rows, path)
     return SegmentData(segment_id, teacher_version, tasks, first, length, run_row, values)
@@ -392,19 +393,16 @@ class Snapshot:
     def segments(self) -> list[SegmentData]:
         return self._index.segments[: self._n]
 
-    @property
-    def task_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.tasks)
+    def lookup_batch(self, example_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized lookup. Returns the (n,) present mask and the values,
+        one float32 row per task of the schema, (len(tasks), n).
 
-    def lookup_batch(self, example_ids: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Vectorized lookup. Returns (present mask, per-task float32 arrays).
-
-        Rows where present is False hold zeros and carry no meaning.
+        Columns where present is False hold zeros and carry no meaning.
         """
         ids = np.ascontiguousarray(example_ids, dtype=np.uint64)
         n = ids.shape[0]
         present = np.zeros(n, dtype=bool)
-        out = {name: np.zeros(n, dtype=np.float32) for name in self.task_names}
+        out = np.zeros((len(self.tasks), n), dtype=np.float32)
         if not self._n or n == 0:
             return present, out
         cols = self._cols
@@ -421,9 +419,7 @@ class Snapshot:
             hit = (k >= 0) & (off < seg.run_len[k])
             if not hit.any():
                 continue
-            rows = (seg.run_row[k] + off)[hit]
-            for name, _ in seg.tasks:
-                out[name][hit] = seg.values[name][rows]
+            out[:, hit] = seg.values[:, (seg.run_row[k] + off)[hit]]
             present |= hit
         return present, out
 

@@ -16,6 +16,14 @@ Per step t:
   5. students train on batch_t: hard labels plus whatever soft labels the
      snapshot covers (coverage < 1 when writes are throttled)
 
+Labels travel task-major from the stream to the loss: a batch's hard labels
+are one (n_tasks, batch) array in stream-task order, which every model's
+towers share, and a snapshot lookup returns one (store tasks, batch) block
+of teacher values beside one present mask. The store's schema is the
+teacher's write_tasks; run_online works out once which store rows each
+student distills, in its distill order, and each step hands the student
+those rows and the mask as they are.
+
 A segment's teacher_version is the teacher's optimizer step count at the
 write. Because every student of a step looks its batch up in the same
 snapshot, the whole fleet consumes byte-identical soft labels; the tests
@@ -64,11 +72,11 @@ from .ranker import (
     ModelConfig,
     ModelOptimizer,
     RankingModel,
-    SoftTargets,
     apply_gradients,
     build_model,
     compute_loss_and_grads,
     model_forward,
+    task_score,
 )
 
 CSV_HEADER = ("step", "job", "task", "metric", "value", "lo", "hi")
@@ -203,17 +211,23 @@ class TeacherJob:
 
 @dataclass
 class StudentJob:
+    """A distilling or plain student. alpha maps distilled tasks to their
+    soft-loss weight (1 when absent); distill_alpha holds it as one weight
+    per distilled task, in distill order."""
+
     name: str
     model: RankingModel
     opt: ModelOptimizer
     train: TrainConfig
     alpha: dict[str, float] = field(default_factory=dict)
+    distill_alpha: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         distilled = set(self.model.config.distill_tasks)
         for task in self.alpha:
             if task not in distilled:
                 raise ConfigError(f"alpha set for non-distilled task {task!r}")
+        self.distill_alpha = np.array([float(self.alpha.get(t, 1.0)) for t in self.distill_tasks])
 
     @property
     def distill_tasks(self) -> tuple[str, ...]:
@@ -237,6 +251,8 @@ class ScheduleConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.eval_every < 0 or self.eval_batches < 1:
             raise ConfigError("bad eval schedule")
+        if self.online_sim_every < 0:
+            raise ConfigError(f"online_sim_every must be >= 0, got {self.online_sim_every}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +260,25 @@ class ScheduleConfig:
 
 
 def _teacher_write(teacher: TeacherJob, writer, batch: Batch) -> None:
-    preds = model_forward(
+    z, _ = model_forward(
         teacher.model, batch.x, clip=teacher.train.activation_clip, job=teacher.name
     )
-    values = {}
-    for name in teacher.write_tasks:
-        kind = teacher.model.config.task(name).kind
-        values[name] = preds.score(name, kind).astype(np.float32)
+    values = {
+        t.name: task_score(zt, t.kind).astype(np.float32)
+        for t, zt in zip(teacher.model.tasks, z)
+        if t.name in teacher.write_tasks
+    }
     writer.append(batch.example_ids, values, teacher_version=teacher.version)
 
 
 def _teacher_train(teacher: TeacherJob, batch: Batch, t: int) -> None:
     if teacher.freeze_at is not None and t >= teacher.freeze_at:
         return
-    labels = dict(batch.labels)
-    for task, factor in teacher.bias.items():
-        labels[task] = labels[task] * factor
-    _, grads, _ = compute_loss_and_grads(
+    labels = batch.labels
+    if teacher.bias:
+        factors = [teacher.bias.get(t.name, 1.0) for t in teacher.model.tasks]
+        labels = labels * np.array(factors)[:, None]
+    _, grads = compute_loss_and_grads(
         teacher.model,
         batch.x,
         labels,
@@ -271,28 +289,29 @@ def _teacher_train(teacher: TeacherJob, batch: Batch, t: int) -> None:
 
 
 def _soft_targets_for(
-    student: StudentJob, snapshot: Snapshot, batch: Batch
-) -> tuple[dict[str, SoftTargets], float]:
-    """The student's soft targets for this batch, and their coverage."""
+    student: StudentJob, snapshot: Snapshot, batch: Batch, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The student's soft targets for this batch, (n_distill, batch) float32
+    taken from the store rows rows, their present mask, and their coverage."""
     present, values = snapshot.lookup_batch(batch.example_ids)
-    present.flags.writeable = False  # one mask, shared by every task's targets
-    soft = {
-        task: SoftTargets(values=values[task].astype(np.float64), present=present)
-        for task in student.distill_tasks
-    }
-    return soft, float(present.mean()) if batch.n else 0.0
+    present.flags.writeable = False
+    return values[rows], present, float(present.mean())
 
 
-def _student_step(student: StudentJob, batch: Batch, snapshot: Snapshot) -> float:
-    soft, coverage = {}, 0.0
+def _student_step(
+    student: StudentJob, batch: Batch, snapshot: Snapshot, rows: np.ndarray
+) -> float:
+    soft = present = None
+    coverage = 0.0
     if student.distill_tasks:
-        soft, coverage = _soft_targets_for(student, snapshot, batch)
-    _, grads, _ = compute_loss_and_grads(
+        soft, present, coverage = _soft_targets_for(student, snapshot, batch, rows)
+    _, grads = compute_loss_and_grads(
         student.model,
         batch.x,
         batch.labels,
-        soft_labels=soft,
-        alpha=student.alpha,
+        soft,
+        present,
+        student.distill_alpha,
         clip=student.train.activation_clip,
         job=student.name,
     )
@@ -318,14 +337,15 @@ def _simulate_online(
     """
     per = max(1, _EVAL_ROWS // sim.slate_size)
     picked = np.empty((len(jobs), 2, sim.n_slates))
+    policy = ev.config.task(sim.policy_task)
+    row = ev.config.tasks.index(policy)
     for lo in range(0, sim.n_slates, per):
         hi = min(lo + per, sim.n_slates)
         slates = draw_slates(ev, replace(sim, n_slates=hi - lo), rng)
         flat = slates.x.reshape(-1, ev.config.feature_dim)
         for j, (name, model, train) in enumerate(jobs):
-            preds = model_forward(model, flat, clip=train.activation_clip, job=name)
-            kind = model.config.task(sim.policy_task).kind
-            scores = preds.score(sim.policy_task, kind).reshape(hi - lo, sim.slate_size)
+            z, _ = model_forward(model, flat, clip=train.activation_clip, job=name)
+            scores = task_score(z[row], policy.kind).reshape(hi - lo, sim.slate_size)
             picked[j, 0, lo:hi], picked[j, 1, lo:hi] = policy_metrics(slates, scores)
     for (name, _, _), (engagement, satisfaction) in zip(jobs, picked):
         log.add(step, name, JOB_LEVEL_TASK, "engagement", engagement.mean())
@@ -345,12 +365,8 @@ def _eval_point(
     ev = fork(world, "eval", eval_idx)
     batches = [next_batch(ev, sched.batch_size) for _ in range(sched.eval_batches)]
     x = np.concatenate([b.x for b in batches])
-    hard = {
-        t.name: np.concatenate([b.labels[t.name] for b in batches])
-        for t in world.config.tasks
-    }
-    for t in world.config.tasks:
-        labels = hard[t.name]
+    y = np.concatenate([b.labels for b in batches], axis=1)
+    for t, labels in zip(world.config.tasks, y):
         if t.kind == BINARY and labels.min() == labels.max():
             raise ConfigError(
                 f"the eval set at step {step} holds only one class of binary task "
@@ -367,20 +383,16 @@ def _eval_point(
     ]
     jobs += [(s.name, s.model, s.train) for s in students]
     for name, model, train in jobs:
-        preds = model_forward(model, x, clip=train.activation_clip, job=name)
-        for spec in model.tasks:
+        z, _ = model_forward(model, x, clip=train.activation_clip, job=name)
+        for spec, zt, yt in zip(model.tasks, z, y):
+            value = task_score(zt, spec.kind)
             if spec.kind == BINARY:
-                log.add(step, name, spec.name, "auc",
-                        rank_auc(preds.hard_logits[spec.name], hard[spec.name]))
-                log.add(step, name, spec.name, "calibration",
-                        calibration_ratio(preds.prob(spec.name), hard[spec.name]))
+                log.add(step, name, spec.name, "auc", rank_auc(zt, yt))
+                log.add(step, name, spec.name, "calibration", calibration_ratio(value, yt))
             else:
-                value = preds.value(spec.name)
-                log.add(step, name, spec.name, "rmse", rmse(value, hard[spec.name]))
-                log.add(step, name, spec.name, "rmse_true",
-                        rmse(value, true_reg[spec.name]))
-                log.add(step, name, spec.name, "calibration",
-                        calibration_ratio(value, hard[spec.name]))
+                log.add(step, name, spec.name, "rmse", rmse(value, yt))
+                log.add(step, name, spec.name, "rmse_true", rmse(value, true_reg[spec.name]))
+                log.add(step, name, spec.name, "calibration", calibration_ratio(value, yt))
     log.add(step, teacher.name, JOB_LEVEL_TASK, "teacher_version", teacher.version)
     if run_online_sim and sched.online_sim is not None:
         rng = world.derive_rng("slates", eval_idx)
@@ -402,6 +414,10 @@ def run_online(
     names = [teacher.name] + [s.name for s in students]
     if len(set(names)) != len(names):
         raise ConfigError("job names must be unique")
+    for job in [teacher, *students]:
+        if job.model.tasks != world.config.tasks:
+            raise ConfigError(f"job {job.name!r}: its tasks are not the stream's, in order")
+    store_rows = {}  # the store's schema is teacher.write_tasks
     for s in students:
         for task in s.distill_tasks:
             if task not in teacher.write_tasks:
@@ -409,6 +425,7 @@ def run_online(
                     f"student {s.name!r} distills {task!r}, which teacher "
                     f"{teacher.name!r} does not write"
                 )
+        store_rows[s.name] = np.array([teacher.write_tasks.index(t) for t in s.distill_tasks], int)
     store_root = Path(store_root)
     store_root.mkdir(parents=True, exist_ok=True)
     if read_manifest(store_root).segment_ids.size:
@@ -434,7 +451,7 @@ def run_online(
                 _teacher_write(teacher, writer, batch)
             snapshot = store.open_snapshot()
             for student in students:
-                coverage = _student_step(student, batch, snapshot)
+                coverage = _student_step(student, batch, snapshot, store_rows[student.name])
                 if student.distill_tasks:
                     cov_sum[student.name] += coverage
                     cov_n[student.name] += 1
@@ -547,6 +564,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"model.teacher_scales: the {self.family} family takes exactly one scale"
             )
+        widths = {
+            "model.teacher_trunk": self.teacher_trunk,
+            "model.student_trunk": self.student_trunk,
+            "model.tower": self.tower_widths,
+        }
+        for path, values in widths.items():
+            if any(w < 1 for w in values):
+                raise ConfigError(f"{path}: widths must be >= 1, got {list(values)}")
+        if self.freeze_at is not None and self.freeze_at < 0:
+            raise ConfigError(f"teacher.freeze_at: must be >= 0, got {self.freeze_at}")
         names = {t.name for t in self.gen.tasks}
         for task in self.distill_tasks:
             if task not in names:

@@ -8,12 +8,16 @@ the serving path only through the shared trunk, while teacher bias stays
 confined to the auxiliary head. Auxiliary heads are training-only and never
 serve.
 
-The towers are the members of one stacked MLP, one row of an (n_tasks, P)
+Every per-task quantity is one task-major array, one row per task: the
+towers are the members of one stacked MLP, one row of an (n_tasks, P)
 parameter buffer each, and the aux heads likewise share an (n_aux, P)
-buffer; model.towers and model.aux_heads hold per-row views of them, which
-the optimizer steps one component at a time. The forward and backward
-passes run each stack in one call, and the loss builds its gradient seeds
-on (row, batch) arrays, one row per task.
+buffer. The forward pass returns the hard logits as one (n_tasks, batch)
+array in task order and the aux logits as one (n_distill, batch) array in
+distill order; the loss takes the hard labels as (n_tasks, batch) and the
+teacher values as (n_distill, batch) with one present mask over the batch,
+and builds its gradient seeds on those rows. model.towers and
+model.aux_heads hold per-row views of the stacks, which the optimizer steps
+one component at a time.
 """
 
 from __future__ import annotations
@@ -100,10 +104,14 @@ class ModelConfig:
             raise ConfigError(f"unknown distillation mode {self.mode!r}")
         if self.feature_dim < 1 or not self.trunk_widths:
             raise ConfigError("feature_dim and trunk_widths must be non-empty")
+        if min(self.trunk_widths + self.tower_widths) < 1:
+            raise ConfigError("trunk and tower widths must be >= 1")
         names = {t.name for t in self.tasks}
         for name in self.distill_tasks:
             if name not in names:
                 raise ConfigError(f"distill task {name!r} is not a declared task")
+        if len(set(self.distill_tasks)) != len(self.distill_tasks):
+            raise ConfigError(f"duplicate distill tasks in {list(self.distill_tasks)}")
         if self.mode == NO_DISTILL and self.distill_tasks:
             raise ConfigError("no_distill mode cannot list distill_tasks")
 
@@ -114,17 +122,15 @@ class ModelConfig:
         raise KeyError(name)
 
 
-
-
 @dataclass
 class RankingModel:
     """Trunk, task towers and (auxiliary mode) aux heads of one model.
 
     tower_stack stacks one tower per task (task order), aux_stack one aux
     head per distilled task (distill order; None without aux heads), and
-    towers/aux_heads map each task to the Mlp over its row. soft_names are
-    the rows the soft loss lands on: the towers in direct mode, else the aux
-    heads. binary and soft_binary mark their cross-entropy rows, (rows, 1).
+    towers/aux_heads map each task to the Mlp over its row. distill_rows
+    holds the tower row of each distilled task, in distill order. binary
+    marks the cross-entropy rows of the towers, (n_tasks, 1).
     """
 
     config: ModelConfig
@@ -133,19 +139,16 @@ class RankingModel:
     aux_stack: Mlp | None
     towers: dict[str, Mlp] = field(init=False)
     aux_heads: dict[str, Mlp] = field(init=False)
-    soft_names: tuple[str, ...] = field(init=False)
+    distill_rows: np.ndarray = field(init=False, repr=False)
     binary: np.ndarray = field(init=False, repr=False)
-    soft_binary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        names = tuple(t.name for t in self.config.tasks)
+        names = [t.name for t in self.config.tasks]
         aux_names = self.config.distill_tasks if self.aux_stack is not None else ()
         self.towers = {name: self.tower_stack.member(i) for i, name in enumerate(names)}
         self.aux_heads = {name: self.aux_stack.member(i) for i, name in enumerate(aux_names)}
-        self.soft_names = names if self.mode == DIRECT else aux_names
-        binary = {t.name: t.kind == BINARY for t in self.config.tasks}
-        self.binary = np.array([binary[n] for n in names], dtype=bool)[:, None]
-        self.soft_binary = np.array([binary[n] for n in self.soft_names], dtype=bool)[:, None]
+        self.distill_rows = np.array([names.index(n) for n in self.config.distill_tasks], int)
+        self.binary = np.array([t.kind == BINARY for t in self.config.tasks])[:, None]
 
     @property
     def mode(self) -> str:
@@ -178,25 +181,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-@dataclass
-class PredictionSet:
-    """Per-task serving logits plus training-only aux logits.
-
-    prob() is the sigmoid of the hard logit floored into (0, 1); value() is
-    the raw logit (regression heads predict on the identity scale).
-    """
-
-    hard_logits: dict[str, np.ndarray]
-    aux_logits: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def prob(self, task: str) -> np.ndarray:
-        return np.clip(_sigmoid(self.hard_logits[task]), PROB_FLOOR, 1.0 - PROB_FLOOR)
-
-    def value(self, task: str) -> np.ndarray:
-        return self.hard_logits[task]
-
-    def score(self, task: str, kind: str) -> np.ndarray:
-        return self.prob(task) if kind == BINARY else self.value(task)
+def task_score(z: np.ndarray, kind: str) -> np.ndarray:
+    """A task's prediction from its hard logits: for binary tasks the sigmoid
+    floored into (0, 1), for regression the raw logit (regression heads
+    predict on the identity scale)."""
+    if kind == BINARY:
+        return np.clip(_sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return z
 
 
 def model_forward(
@@ -205,21 +196,20 @@ def model_forward(
     clip: float | None = None,
     *,
     job: str | None = None,
-) -> PredictionSet:
-    """Serving/evaluation forward pass: one hard logit per task per row,
-    aux logits exactly for the distilled tasks in auxiliary mode.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Serving/evaluation forward pass: the hard logits, (n_tasks, n) in task
+    order, and the aux logits, (n_distill, n) in distill order, or None
+    without aux heads.
 
     No backward pass follows, so each stack's cache is dropped before the
     next stack runs; every tower and aux head is still computed and checked.
     """
     trunk_out = mlp_forward(model.trunk, x, clip, job=job)[0]
-    out = mlp_forward(model.tower_stack, trunk_out, clip, job=job)[0]
-    hard = dict(zip(model.towers, out[..., 0]))
-    aux = {}
+    hard = mlp_forward(model.tower_stack, trunk_out, clip, job=job)[0][..., 0]
+    aux = None
     if model.aux_stack is not None:
-        out = mlp_forward(model.aux_stack, trunk_out, clip, job=job)[0]
-        aux = dict(zip(model.aux_heads, out[..., 0]))
-    return PredictionSet(hard_logits=hard, aux_logits=aux)
+        aux = mlp_forward(model.aux_stack, trunk_out, clip, job=job)[0][..., 0]
+    return hard, aux
 
 
 def hard_loss(pred, label, kind: str) -> np.ndarray:
@@ -257,21 +247,6 @@ def distill_loss(student_value, teacher_value, kind: str) -> np.ndarray:
 
 
 @dataclass
-class SoftTargets:
-    """Teacher values for one task over a batch, with a per-example mask.
-
-    Examples where present is False contribute no soft loss (coverage gap).
-    """
-
-    values: np.ndarray
-    present: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != self.present.shape:
-            raise ValueError("soft target values/mask shape mismatch")
-
-
-@dataclass
 class LossBreakdown:
     """Per-task losses and the weighted total, exactly as summed.
 
@@ -301,8 +276,9 @@ class LogitSeeds:
     """d(total)/d(logit), already batch-normalized.
 
     hard is (n_tasks, batch), including the soft seeds in direct mode; aux
-    is (n_aux, batch), None without aux heads. soft_active flags the rows of
-    model.soft_names that got a soft seed (a covered label, nonzero alpha).
+    is (n_distill, batch), None without aux heads. soft_active flags the
+    distilled tasks, in distill order, that got a soft seed (a covered
+    label, nonzero alpha).
     """
 
     hard: np.ndarray
@@ -312,63 +288,58 @@ class LogitSeeds:
 
 def total_loss(
     model: RankingModel,
-    preds: PredictionSet,
-    hard_labels: dict[str, np.ndarray],
-    soft_labels: dict[str, SoftTargets] | None,
-    alpha: dict[str, float] | None = None,
+    z: np.ndarray,
+    z_aux: np.ndarray | None,
+    labels: np.ndarray,
+    soft: np.ndarray | None = None,
+    present: np.ndarray | None = None,
+    alpha: np.ndarray | None = None,
 ) -> tuple[LossBreakdown, LogitSeeds]:
     """Joint loss over all tasks plus the gradient seed for every logit.
 
-    In direct mode the soft loss lands on the serving logit; in auxiliary
-    mode it lands on the aux logit only, so the serving tower sees hard-label
-    gradients exclusively and teacher knowledge flows through the trunk.
-    Labels are checked here, on every call: label shapes, distilled task
-    names, and that every covered binary teacher value lies in (0, 1).
+    z and labels are the hard logits and labels, (n_tasks, n) in task order;
+    z_aux is what model_forward returns beside z. soft holds the teacher
+    values of the distilled tasks, (n_distill, n) in distill order, present
+    the (n,) mask of the examples they cover, and alpha the (n_distill,)
+    weight of each task's soft loss (1 when None). Without soft there is no
+    soft loss. In direct mode the soft loss lands on the serving logit; in
+    auxiliary mode it lands on the aux logit only, so the serving tower sees
+    hard-label gradients exclusively and teacher knowledge flows through the
+    trunk. Checked on every call: the shapes, and that every covered binary
+    teacher value lies in (0, 1).
     """
-    alpha = alpha or {}
-    soft_labels = soft_labels or {}
-    distillable = set(model.config.distill_tasks)
-    for name in [*soft_labels, *alpha]:
-        if name not in distillable:
-            raise ConfigError(f"soft labels or alpha given for non-distilled task {name!r}")
-
-    z = np.stack([preds.hard_logits[name] for name in model.towers])
-    for name in model.towers:
-        if np.shape(hard_labels[name]) != z.shape[1:]:
-            raise ValueError(f"task {name!r}: label shape != logit shape {z.shape[1:]}")
-    y = np.asarray(np.stack([hard_labels[name] for name in model.towers]), dtype=np.float64)
+    if np.shape(labels) != z.shape:
+        raise ValueError(f"label shape {np.shape(labels)} != logit shape {z.shape}")
+    y = np.asarray(labels, dtype=np.float64)
     n = z.shape[1]
     sig = _sigmoid(z)
     hard = (np.where(model.binary, sig, z) - y) * np.where(model.binary, 1.0, 2.0) / n
 
-    rows = len(model.soft_names)
-    active = np.zeros(rows, dtype=bool)
-    aux = np.zeros((rows, n)) if model.mode == AUXILIARY else None
-    soft_rows: dict[str, tuple[int, float]] = {}  # task -> (soft row, alpha)
-    zs = safe = mask = None
-    if soft_labels:
-        values, present, weight = np.zeros((rows, n)), np.zeros((rows, n), bool), np.zeros((rows, 1))
-        for r, name in enumerate(model.soft_names):
-            if name in soft_labels:
-                values[r] = soft_labels[name].values
-                present[r] = soft_labels[name].present
-                weight[r] = a = float(alpha.get(name, 1.0))
-                soft_rows[name] = (r, a)
+    rows = model.distill_rows
+    active = np.zeros(rows.size, dtype=bool)
+    aux = np.zeros((rows.size, n)) if model.mode == AUXILIARY else None
+    zs = safe = mask = weight = None
+    if soft is not None:
+        weight = np.ones(rows.size) if alpha is None else np.asarray(alpha, dtype=np.float64)
+        if (np.shape(soft), np.shape(present), weight.shape) != ((rows.size, n), (n,), rows.shape):
+            raise ValueError(
+                f"soft {np.shape(soft)}, present {np.shape(present)} and alpha "
+                f"{weight.shape} do not fit {rows.size} distilled tasks x {n} rows"
+            )
         mask = present.astype(np.float64)
         # Placeholders keep absent values out of both the loss and the check.
-        binary = model.soft_binary
-        safe = np.where(present, values, np.where(binary, 0.5, 0.0))
+        binary = model.binary[rows]
+        safe = np.where(present, soft, np.where(binary, 0.5, 0.0))
         _check_probabilities(safe[binary[:, 0]])
         if model.mode == DIRECT:
-            zs, sig_s = z, sig
+            zs, sig_s = z[rows], sig[rows]
         else:
-            zs = np.stack([preds.aux_logits[name] for name in model.soft_names])
-            sig_s = _sigmoid(zs)
-        active = (mask.sum(axis=1) > 0.0) & (weight[:, 0] != 0.0)
-        scale = weight * np.where(binary, 1.0, 2.0)
+            zs, sig_s = z_aux, _sigmoid(z_aux)
+        active = (weight != 0.0) & present.any()
+        scale = weight[:, None] * np.where(binary, 1.0, 2.0)
         seed = scale * (np.where(binary, sig_s, zs) - safe) * mask / n
         if model.mode == DIRECT:
-            np.add(hard, seed, out=hard, where=active[:, None])
+            hard[rows[active]] += seed[active]
         else:
             aux = seed
 
@@ -378,11 +349,12 @@ def total_loss(
             for t, zt, yt in zip(model.tasks, z, y)
         }
         soft_out, alpha_out = {}, {}
-        for t in model.tasks:
-            if t.name in soft_rows:
-                r, alpha_out[t.name] = soft_rows[t.name]
-                loss = (distill_loss(zs[r], safe[r], t.kind) * mask[r]).sum() / n
-                soft_out[t.name] = float(loss) if mask[r].any() else 0.0
+        if soft is not None:
+            for d in np.argsort(rows):  # task order
+                t = model.tasks[rows[d]]
+                alpha_out[t.name] = float(weight[d])
+                loss = (distill_loss(zs[d], safe[d], t.kind) * mask).sum() / n
+                soft_out[t.name] = float(loss) if present.any() else 0.0
         total = 0.0  # hard losses in task order, then alpha-weighted soft losses
         for value in [*hard_out.values(), *(alpha_out[k] * v for k, v in soft_out.items())]:
             total += value
@@ -403,24 +375,24 @@ class ModelGrads:
 def compute_loss_and_grads(
     model: RankingModel,
     x: np.ndarray,
-    hard_labels: dict[str, np.ndarray],
-    soft_labels: dict[str, SoftTargets] | None = None,
-    alpha: dict[str, float] | None = None,
+    labels: np.ndarray,
+    soft: np.ndarray | None = None,
+    present: np.ndarray | None = None,
+    alpha: np.ndarray | None = None,
     clip: float | None = None,
     *,
     job: str | None = None,
-) -> tuple[LossBreakdown, ModelGrads, PredictionSet]:
+) -> tuple[LossBreakdown, ModelGrads]:
     """One full forward/backward pass: joint loss and exact gradients for
-    every component (trunk, towers, aux heads)."""
+    every component (trunk, towers, aux heads). The labels, soft targets and
+    alpha are laid out as total_loss takes them."""
     trunk_out, trunk_cache = mlp_forward(model.trunk, x, clip, job=job)
-    out, tower_cache = mlp_forward(model.tower_stack, trunk_out, clip, job=job)
-    hard = dict(zip(model.towers, out[..., 0]))
-    aux, aux_cache = {}, None
+    z, tower_cache = mlp_forward(model.tower_stack, trunk_out, clip, job=job)
+    z_aux, aux_cache = None, None
     if model.aux_stack is not None:
-        out, aux_cache = mlp_forward(model.aux_stack, trunk_out, clip, job=job)
-        aux = dict(zip(model.aux_heads, out[..., 0]))
-    preds = PredictionSet(hard_logits=hard, aux_logits=aux)
-    breakdown, seeds = total_loss(model, preds, hard_labels, soft_labels, alpha)
+        z_aux, aux_cache = mlp_forward(model.aux_stack, trunk_out, clip, job=job)
+        z_aux = z_aux[..., 0]
+    breakdown, seeds = total_loss(model, z[..., 0], z_aux, labels, soft, present, alpha)
 
     tower_grads, tower_in = mlp_backward(model.tower_stack, tower_cache, seeds.hard[..., None])
     trunk_out_grad = np.zeros_like(trunk_out)
@@ -440,7 +412,7 @@ def compute_loss_and_grads(
 
     trunk_grads = mlp_backward(model.trunk, trunk_cache, trunk_out_grad, input_grad=False)[0]
     towers = dict(zip(model.towers, tower_grads))
-    return breakdown, ModelGrads(trunk=trunk_grads, towers=towers, aux=aux_grads), preds
+    return breakdown, ModelGrads(trunk=trunk_grads, towers=towers, aux=aux_grads)
 
 
 @dataclass

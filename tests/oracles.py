@@ -2,7 +2,8 @@
 
 The reference functions are deliberately written from first principles
 (python loops, scalar math, brute-force enumeration) and share no code with
-the package under test. The test aids at the end do use the package: a
+the package under test. The test aids at the end do use the package: the
+converters from per-task mappings to the package's task-major arrays, a
 metric-row lookup, the fleet audit, which drives run_online and records
 the soft targets each student is handed, and the one-shot slate simulation.
 """
@@ -21,7 +22,7 @@ from onlinekd import pipeline
 from onlinekd.errors import ConfigError
 from onlinekd.labelstore import LabelStore
 from onlinekd.metrics import draw_slates
-from onlinekd.ranker import model_forward
+from onlinekd.ranker import model_forward, task_score
 
 
 def numeric_gradient(loss_fn, arrays, eps=1e-6):
@@ -290,6 +291,19 @@ def argmax_policy_picks(true_policy, true_sat, score_rows):
     return engagement, satisfaction
 
 
+def tower_order(model, by_task) -> np.ndarray:
+    """{task: row} as one task-major array, a row per task of model in task
+    order, the layout of hard labels and hard logits."""
+    return np.array([by_task[t.name] for t in model.tasks])
+
+
+def distill_order(model, by_task, default=None) -> np.ndarray:
+    """{task: value} as one array, an entry per distilled task of model in
+    distill order (default for tasks by_task lacks), the layout of soft
+    targets, aux logits and alpha."""
+    return np.array([by_task.get(t, default) for t in model.config.distill_tasks])
+
+
 def metric_value(log, *, job, metric, task=pipeline.JOB_LEVEL_TASK, step=None) -> float:
     """The value of the one row of log matching the given fields; KeyError
     unless exactly one row matches."""
@@ -311,34 +325,35 @@ def soft_target_records(monkeypatch, perturb=None):
     """Record every student's soft targets while the block runs run_online.
 
     Wraps pipeline._soft_targets_for and yields {step: {student name:
-    (manifest_version, soft targets)}}, keyed by batch.t. perturb, when
-    given, is called as perturb(step, student name, soft targets) before the
-    student sees them and may change them in place.
+    (manifest_version, present mask, soft targets)}}. A student is handed
+    its soft targets once per step, so the step is the count of its earlier
+    calls. perturb, when given, is called as perturb(step, student name,
+    soft targets) before the student sees them and may change them in place.
     """
     records: dict[int, dict[str, tuple]] = {}
+    calls: dict[str, int] = {}
     original = pipeline._soft_targets_for
 
-    def recorded(student, snapshot, batch):
-        soft, coverage = original(student, snapshot, batch)
+    def recorded(student, snapshot, batch, rows):
+        soft, present, coverage = original(student, snapshot, batch, rows)
+        step = calls[student.name] = calls.get(student.name, -1) + 1
         if perturb is not None:
-            perturb(batch.t, student.name, soft)
-        records.setdefault(batch.t, {})[student.name] = (snapshot.manifest_version, soft)
-        return soft, coverage
+            perturb(step, student.name, soft)
+        records.setdefault(step, {})[student.name] = (snapshot.manifest_version, present, soft)
+        return soft, present, coverage
 
     with monkeypatch.context() as m:
         m.setattr(pipeline, "_soft_targets_for", recorded)
         yield records
 
 
-def soft_digest(manifest_version, soft) -> str:
-    """sha256 over the manifest version, each task's present mask and its
-    values as little-endian float32, tasks in name order."""
+def soft_digest(manifest_version, present, soft) -> str:
+    """sha256 over the manifest version, the present mask and the (tasks,
+    batch) block of soft targets as little-endian float32, with its shape."""
     h = hashlib.sha256()
-    h.update(struct.pack("<Q", manifest_version))
-    for task in sorted(soft):
-        h.update(task.encode("utf-8"))
-        h.update(soft[task].present.astype(np.uint8).tobytes())
-        h.update(np.ascontiguousarray(soft[task].values, dtype="<f4").tobytes())
+    h.update(struct.pack("<QQQ", manifest_version, *soft.shape))
+    h.update(present.astype(np.uint8).tobytes())
+    h.update(np.ascontiguousarray(soft, dtype="<f4").tobytes())
     return h.hexdigest()
 
 
@@ -382,9 +397,10 @@ def one_shot_policy_metrics(ev, sim, rng, jobs) -> dict[str, tuple[float, float]
     rows = np.arange(sim.n_slates)
     out = {}
     for name, model, train in jobs:
-        preds = model_forward(model, flat, clip=train.activation_clip)
-        kind = model.config.task(sim.policy_task).kind
-        picks = np.argmax(preds.score(sim.policy_task, kind).reshape(rows.size, -1), axis=1)
+        z, _ = model_forward(model, flat, clip=train.activation_clip)
+        policy = model.config.task(sim.policy_task)
+        scores = task_score(z[model.tasks.index(policy)], policy.kind)
+        picks = np.argmax(scores.reshape(rows.size, -1), axis=1)
         out[name] = (
             float(slates.true_policy[rows, picks].mean()),
             float(slates.true_satisfaction[rows, picks].mean()),

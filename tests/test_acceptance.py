@@ -57,10 +57,10 @@ from onlinekd.ranker import (
     NO_DISTILL,
     ModelConfig,
     REGRESSION,
-    SoftTargets,
     build_model,
     compute_loss_and_grads,
     model_forward,
+    task_score,
     total_loss,
 )
 
@@ -135,31 +135,30 @@ def test_c1_gradient_correctness():
 
         n = int(rng.integers(6, 11))
         x = rng.standard_normal((n, dim))
-        hard = {}
-        for t in tasks:
+        hard = np.empty((len(tasks), n))
+        for row, t in zip(hard, tasks):
             if t.kind == BINARY:
-                hard[t.name] = rng.integers(0, 2, n).astype(np.float64)
+                row[:] = rng.integers(0, 2, n)
             else:
-                hard[t.name] = rng.standard_normal(n)
-        soft = None
-        alpha = None
+                row[:] = rng.standard_normal(n)
+        soft = present = alpha = None
         clip = float(rng.uniform(2.0, 6.0)) if rng.random() < 0.5 else None
         if distill:
-            soft = {}
-            alpha = {}
+            # one coverage mask for every distilled task, as a store lookup gives
+            present = rng.random(n) < 0.75
+            soft, alpha = np.empty((len(distill), n)), np.empty(len(distill))
             kinds = {t.name: t.kind for t in tasks}
-            for name in distill:
-                vals = (rng.uniform(0.05, 0.95, n) if kinds[name] == BINARY
-                        else rng.standard_normal(n))
-                soft[name] = SoftTargets(vals, rng.random(n) < 0.75)
-                alpha[name] = float(rng.uniform(0.2, 1.5))
+            for d, name in enumerate(distill):
+                soft[d] = (rng.uniform(0.05, 0.95, n) if kinds[name] == BINARY
+                           else rng.standard_normal(n))
+                alpha[d] = rng.uniform(0.2, 1.5)
 
         def loss():
-            preds = model_forward(model, x, clip)
-            breakdown, _ = total_loss(model, preds, hard, soft, alpha)
+            logits = model_forward(model, x, clip)
+            breakdown, _ = total_loss(model, *logits, hard, soft, present, alpha)
             return breakdown.total
 
-        _, grads, _ = compute_loss_and_grads(model, x, hard, soft, alpha, clip)
+        _, grads = compute_loss_and_grads(model, x, hard, soft, present, alpha, clip)
         arrays, analytic = [], []
         mlps = [model.trunk]
         grad_stacks = [grads.trunk]
@@ -380,9 +379,10 @@ def _check_store_intact(root, expected, base_version):
     ids = np.array(sorted(expected), dtype=np.uint64)
     present, cols = snap.lookup_batch(ids)
     assert present.all()
-    for task in ("ctr", "ltv"):
+    assert snap.tasks == tuple(STORE_TASKS)
+    for (task, _), col in zip(STORE_TASKS, cols, strict=True):
         want = np.array([expected[int(i)][task] for i in ids], dtype=np.float32)
-        assert np.array_equal(cols[task], want)
+        assert np.array_equal(col, want)
     report = inspect_store(root)
     assert report.ok, report.error or report.segments
 
@@ -470,7 +470,7 @@ def test_c7_store_consistency_and_crash_safety(tmp_path, monkeypatch):
     with store.writer([("ltv", REGRESSION)]) as w:
         w.append(np.arange(n, dtype=np.uint64), {"ltv": vals}, teacher_version=1)
     present, cols = store.open_snapshot().lookup_batch(np.arange(n, dtype=np.uint64))
-    roundtrip_ok = bool(present.all()) and cols["ltv"].tobytes() == vals.tobytes()
+    roundtrip_ok = bool(present.all()) and cols.tobytes() == vals.tobytes()
 
     elapsed = time.time() - t0
     ok = fleet_ok and crashes_ok == 100 and roundtrip_ok and elapsed < 300.0
@@ -536,7 +536,8 @@ def test_c8_degeneracy_identities(tmp_path):
     flat = slates.x.reshape(-1, gen.feature_dim)
 
     def score():
-        return model_forward(model, flat).prob("ctr").reshape(slates.true_policy.shape)
+        z, _ = model_forward(model, flat)
+        return task_score(z[0], BINARY).reshape(slates.true_policy.shape)  # ctr is task 0
 
     e_t, s_t = policy_metrics(slates, score())
     e_c, s_c = policy_metrics(slates, score())

@@ -14,6 +14,15 @@ from pathlib import Path
 import pytest
 
 from onlinekd import labelstore, pipeline
+from onlinekd.cli import default_experiment
+from onlinekd.datagen import init_world
+from onlinekd.pipeline import (
+    FAMILY_DISTILL,
+    ScheduleConfig,
+    build_runs,
+    make_student_job,
+    make_teacher_job,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -45,3 +54,22 @@ def test_tracer_installs_and_restores_its_sites(tracer, steps_only):
 def test_store_names_the_harness_reads():
     assert isinstance(labelstore.MANIFEST_NAME, str)
     assert callable(labelstore.inspect_store)
+
+
+def test_tracer_counts_what_the_store_does_in_a_run(tracer, tmp_path):
+    # the store wrappers unpack lookup_batch's (present, values) and read
+    # Snapshot.segments; a change to either leaves these counters empty
+    cfg = default_experiment(FAMILY_DISTILL, (0,))
+    (run,) = build_runs(cfg)
+    teacher = make_teacher_job(cfg, run.teacher, 0)
+    students = [make_student_job(cfg, s, 0) for s in run.students]
+    distilling = sum(bool(s.distill_tasks) for s in students)
+    steps, batch = 3, 16
+    sched = ScheduleConfig(total_steps=steps, batch_size=batch, eval_every=0, eval_batches=4)
+    probe = tracer.Tracer()
+    with probe.installed():
+        pipeline.run_online(init_world(cfg.gen, 0), teacher, students, sched, tmp_path / "s")
+    assert distilling == 2
+    assert probe.lookup_rows == probe.lookup_present == steps * distilling * batch
+    assert probe.last_snapshot_segments == {0: steps}
+    assert len(probe.commit_bytes) == steps and min(probe.commit_bytes) > 0

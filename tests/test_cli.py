@@ -176,6 +176,14 @@ BAD_VALUES = [
     ({"model": {"teacher_scales": [1, 2]}}, "model.teacher_scales"),
     # two runs named t2x once shared one store and died with a StoreError
     ({"family": FAMILY_SCALE, "model": {"teacher_scales": [2, 2]}}, "model.teacher_scales"),
+    # widths below 1 once crashed in the model build (ZeroDivisionError,
+    # negative dimensions) after the output directory was made
+    ({"model": {"student_trunk": [0]}}, "model.student_trunk"),
+    ({"model": {"tower": [-3]}}, "model.tower"),
+    ({"family": FAMILY_SCALE, "model": {"teacher_trunk": [0, 3]}}, "model.teacher_trunk"),
+    # once accepted: -1 acted as 0, -5 froze the teacher before its first step
+    ({"schedule": {"online_sim_every": -1}}, "schedule"),
+    ({"teacher": {"freeze_at": -5}}, "teacher.freeze_at"),
 ]
 
 
@@ -467,6 +475,12 @@ def test_cmd_run_bad_config_exit_code(tmp_path, capsys):
     cfg_path.write_text("family: custom\nseeds: [-1]\n")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error: config: seeds: must be >= 0")
+    assert not (tmp_path / "out").exists()
+    cfg_path.write_text("family: custom\nmodel: {student_trunk: [0]}\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: model.student_trunk: widths must be >= 1")
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -21,6 +21,10 @@ def static_config(**kw):
     return GenConfig(**kw)
 
 
+# rows of Batch.labels under the default tasks
+CTR, SAT, LTV, AUX_CLICK = range(4)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         GenConfig(feature_dim=1)
@@ -70,17 +74,19 @@ def test_init_world_seed_determinism():
 def test_next_batch_shapes_and_ids():
     world = init_world(static_config(), 0)
     b1 = next_batch(world, 5)
+    assert world.t == 1
     b2 = next_batch(world, 3)
-    assert b1.x.shape == (5, 32) and b1.n == 5
-    assert b1.t == 0 and b2.t == 1
     assert world.t == 2
+    assert b1.x.shape == (5, 32)
     assert b1.example_ids.dtype == np.uint64
     assert list(b1.example_ids) == [0, 1, 2, 3, 4]
     assert list(b2.example_ids) == [5, 6, 7]
-    assert set(b1.labels) == {"ctr", "sat", "ltv", "aux_click"}
-    for name in ("ctr", "sat", "aux_click"):
-        assert set(np.unique(b1.labels[name])) <= {0.0, 1.0}
-    assert np.all(b1.labels["ltv"] > 0.0)
+    assert [t.name for t in world.config.tasks] == ["ctr", "sat", "ltv", "aux_click"]
+    assert b1.labels.shape == (4, 5) and b1.labels.dtype == np.float64
+    assert b2.labels.shape == (4, 3)
+    for row in (CTR, SAT, AUX_CLICK):
+        assert set(np.unique(b1.labels[row])) <= {0.0, 1.0}
+    assert np.all(b1.labels[LTV] > 0.0)
     with pytest.raises(ValueError):
         next_batch(world, 0)
 
@@ -92,8 +98,7 @@ def test_stream_reproducibility_and_independence_from_drift_rate():
     for _ in range(4):
         a, b = next_batch(w1, 8), next_batch(w2, 8)
         assert np.array_equal(a.x, b.x)
-        for name in a.labels:
-            assert np.array_equal(a.labels[name], b.labels[name])
+        assert np.array_equal(a.labels, b.labels)
     # a frozen world and a rho=1 world consume identical rng streams
     frozen = init_world(GenConfig(drift_rate=0.5), 5)
     frozen.drift_frozen = True
@@ -101,17 +106,16 @@ def test_stream_reproducibility_and_independence_from_drift_rate():
     for _ in range(3):
         a, b = next_batch(frozen, 6), next_batch(unit, 6)
         assert np.array_equal(a.x, b.x)
-        for name in a.labels:
-            assert np.array_equal(a.labels[name], b.labels[name])
+        assert np.array_equal(a.labels, b.labels)
 
 
 def test_binary_labels_match_conditional_probability():
     world = init_world(static_config(), 123)
     n = 20000
     batch = next_batch(world, n)
-    for name in ("ctr", "sat"):
+    for name, row in (("ctr", CTR), ("sat", SAT)):
         p = true_task_value(world, batch.x, name)  # latents static at rho=1
-        resid = batch.labels[name] - p
+        resid = batch.labels[row] - p
         bound = 4.0 * np.sqrt(np.mean(p * (1.0 - p)) / n)
         assert abs(resid.mean()) < bound
         # conditional check: high-p and low-p halves separately
@@ -125,7 +129,7 @@ def test_regression_noise_is_mean_preserving():
     n = 200000
     batch = next_batch(world, n)
     base = true_task_value(world, batch.x, "ltv")
-    ratio = batch.labels["ltv"].sum() / base.sum()
+    ratio = batch.labels[LTV].sum() / base.sum()
     assert ratio == pytest.approx(1.0, abs=0.01)
 
 
@@ -133,7 +137,7 @@ def test_regression_sigma_zero_is_noise_free():
     world = init_world(static_config(ltv_noise_sigma=0.0), 9)
     batch = next_batch(world, 50)
     np.testing.assert_allclose(
-        batch.labels["ltv"], true_task_value(world, batch.x, "ltv"), rtol=1e-12
+        batch.labels[LTV], true_task_value(world, batch.x, "ltv"), rtol=1e-12
     )
 
 
@@ -185,8 +189,7 @@ def test_fork_leaves_parent_untouched():
     next_batch(side, 100)  # consume plenty from the fork's rng
     a, b = next_batch(parent, 5), next_batch(twin, 5)
     assert np.array_equal(a.x, b.x)
-    for name in a.labels:
-        assert np.array_equal(a.labels[name], b.labels[name])
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_fork_determinism_and_salts():

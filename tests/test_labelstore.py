@@ -33,12 +33,19 @@ def make_store(tmp_path, name="store"):
     return LabelStore(tmp_path / name)
 
 
+def by_name(snap, block):
+    """A lookup_batch block, one row per task of the snapshot's schema, as
+    {task name: row}."""
+    assert block.shape[0] == len(snap.tasks)
+    return {name: row for (name, _), row in zip(snap.tasks, block)}
+
+
 def lookup_one(snap, eid):
     """One id through lookup_batch: its per-task values as floats, or None."""
     present, cols = snap.lookup_batch(np.array([eid], dtype=np.uint64))
     if not present[0]:
         return None
-    return {name: float(col[0]) for name, col in cols.items()}
+    return {name: float(col[0]) for name, col in by_name(snap, cols).items()}
 
 
 def seed_store(store, rows):
@@ -96,7 +103,8 @@ def test_segment_golden_bytes():
     assert seg.run_row.tolist() == [0, 1]
     assert (seg.n_rows, seg.min_id, seg.max_id) == (3, 3, 10)
     assert segment_ids(seg).tolist() == [3, 9, 10]
-    assert seg.values["ltv"].tolist() == [1.5, 2.0, 2.5]
+    assert seg.values.dtype == np.float32 and not seg.values.flags.writeable
+    assert seg.values.tolist() == [[0.25, 0.5, 0.75], [1.5, 2.0, 2.5]]
 
 
 TOP = 2**64 - 1
@@ -122,7 +130,7 @@ def test_segment_ids_round_trip_as_runs(ids, runs):
     seg = decode_segment(data, "p")
     assert (seg.n_rows, seg.min_id, seg.max_id) == (len(ids), ids[0], ids[-1])
     assert segment_ids(seg).tolist() == ids.tolist()
-    assert seg.values["ltv"].tolist() == vals["ltv"].tolist()
+    assert seg.values.tolist() == [vals[name].tolist() for name, _ in TASKS]
 
 
 def test_manifest_golden_bytes():
@@ -248,7 +256,7 @@ def test_writer_append_and_read_back(tmp_path):
     snap = store.open_snapshot()
     assert snap.manifest_version == 1
     assert len(stored_ids(snap)) == 3
-    assert snap.task_names == ("ctr", "ltv")
+    assert snap.tasks == tuple(TASKS)
     # rows were sorted by example id, values carried along
     assert lookup_one(snap, 1) == {"ctr": np.float32(0.1), "ltv": 10.0}
     assert lookup_one(snap, 3) == {"ctr": np.float32(0.3), "ltv": 30.0}
@@ -267,11 +275,12 @@ def test_float32_values_round_trip_bit_exact(tmp_path):
     }
     ids = np.arange(10000, dtype=np.uint64)
     seed_store(store, [(ids, vals, 0)])
-    present, cols = store.open_snapshot().lookup_batch(ids)
+    snap = store.open_snapshot()
+    present, cols = snap.lookup_batch(ids)
     assert present.all()
-    for name in ("ctr", "ltv"):
-        assert cols[name].dtype == np.float32
-        assert np.array_equal(cols[name], vals[name])
+    assert cols.dtype == np.float32 and cols.shape == (2, 10000)
+    for name, col in by_name(snap, cols).items():
+        assert np.array_equal(col, vals[name])
 
 
 def test_append_validation(tmp_path):
@@ -402,25 +411,24 @@ def test_duplicate_resolution_matches_replay_oracle(tmp_path):
     for j, eid in enumerate(probe.tolist()):
         assert present[j] == (eid in expected)
         if present[j]:
-            assert {n: float(cols[n][j]) for n in ("ctr", "ltv")} == expected[eid]
+            assert {n: float(col[j]) for n, col in by_name(snap, cols).items()} == expected[eid]
 
 
 def expected_columns(expected, probe):
     """The replay oracle's answer for probe ids, shaped like lookup_batch."""
     present = np.array([eid in expected for eid in probe.tolist()])
-    cols = {
-        name: np.array([expected[eid][name] if eid in expected else 0.0
-                        for eid in probe.tolist()], dtype=np.float32)
+    cols = np.array([
+        [expected[eid][name] if eid in expected else 0.0 for eid in probe.tolist()]
         for name, _ in TASKS
-    }
+    ], dtype=np.float32)
     return present, cols
 
 
 def assert_answers(snap, want, probe):
     present, cols = snap.lookup_batch(probe)
     assert np.array_equal(present, want[0])
-    for name, _ in TASKS:
-        assert np.array_equal(cols[name][present], want[1][name][present])
+    assert snap.tasks == tuple(TASKS)
+    assert np.array_equal(cols[:, present], want[1][:, present])
 
 
 def test_index_matches_replay_oracle_while_it_grows(tmp_path):
@@ -496,7 +504,7 @@ def test_snapshot_before_a_schema_conflict_opens(tmp_path):
     # the prefix before the conflict still opens, on the same handle too
     (root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(2, (1, 2))))
     snap = store.open_snapshot()
-    assert snap.task_names == before.task_names == ("ctr", "ltv")
+    assert snap.tasks == before.tasks == tuple(TASKS)
     assert [s.segment_id for s in snap.segments] == [1, 2]
     assert lookup_one(snap, 2) == {"ctr": 0.0, "ltv": 0.0}
 
@@ -531,7 +539,7 @@ def test_higher_teacher_version_beats_later_segment(tmp_path):
     # segment 2 is newer on disk but carries an older teacher version
     assert lookup_one(snap, 7) == {"ctr": np.float32(0.9), "ltv": 9.0}
     _, cols = snap.lookup_batch(one)
-    assert cols["ltv"][0] == 9.0
+    assert by_name(snap, cols)["ltv"][0] == 9.0
     # equal teacher versions: the later segment wins
     seed_store(store, [
         (one, {"ctr": np.array([0.5], np.float32), "ltv": np.array([5.0], np.float32)}, 5),
@@ -550,7 +558,7 @@ def test_empty_and_missing_store(tmp_path):
     assert lookup_one(snap, 1) is None
     assert not np.isin(np.array([1, 2], dtype=np.uint64), stored_ids(snap)).any()
     present, out = snap.lookup_batch(np.array([1], dtype=np.uint64))
-    assert not present.any() and out == {}
+    assert not present.any() and out.shape == (0, 1)
 
 
 def test_coverage_fraction(tmp_path):
@@ -573,7 +581,7 @@ def test_huge_example_ids(tmp_path):
     assert lookup_one(snap, 2**64 - 1) == {"ctr": 0.75, "ltv": 2.0}
     assert lookup_one(snap, 2**64 - 2) is None
     present, cols = snap.lookup_batch(ids)
-    assert present.all() and cols["ctr"][0] == np.float32(0.25)
+    assert present.all() and by_name(snap, cols)["ctr"][0] == np.float32(0.25)
 
 
 def test_crash_leftovers_do_not_affect_readers(tmp_path):
@@ -684,7 +692,7 @@ def test_writer_refuses_a_schema_the_store_does_not_have(tmp_path):
             w.append(np.array([2], dtype=np.uint64), {"other": np.zeros(1, np.float32)}, 1)
     # nothing was written, the store still opens, and the lock was released
     assert {p.name: p.read_bytes() for p in store.root.iterdir()} == before
-    assert LabelStore(store.root).open_snapshot().task_names == ("ctr", "ltv")
+    assert LabelStore(store.root).open_snapshot().tasks == tuple(TASKS)
     with store.writer(TASKS) as w:
         assert w.append(np.array([3], dtype=np.uint64), {
             "ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}, 1) == 2
@@ -743,7 +751,7 @@ def test_snapshot_schema_guard_direct():
     index = labelstore._SegmentIndex()
     index.extend([seg_a, seg_b])
     assert index.conflict == 1
-    assert Snapshot(1, index, 1).task_names == ("a",)  # the prefix before the conflict
+    assert Snapshot(1, index, 1).tasks == (("a", BINARY),)  # the prefix before the conflict
     with pytest.raises(StoreError):
         Snapshot(2, index, 2)
 

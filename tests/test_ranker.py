@@ -18,8 +18,6 @@ from onlinekd.ranker import (
     REGRESSION,
     ModelConfig,
     ModelOptimizer,
-    PredictionSet,
-    SoftTargets,
     TaskSpec,
     _sigmoid,
     apply_gradients,
@@ -28,11 +26,13 @@ from onlinekd.ranker import (
     distill_loss,
     hard_loss,
     model_forward,
+    task_score,
     total_loss,
     validate_tasks,
 )
 
 from oracles import (
+    distill_order,
     numeric_gradient,
     ref_adam_layers,
     ref_binary_ce_from_logit,
@@ -40,6 +40,7 @@ from oracles import (
     ref_sigmoid_array,
     ref_softplus,
     relative_error,
+    tower_order,
 )
 
 TASKS = (
@@ -78,6 +79,11 @@ def test_model_config_validation():
         ModelConfig(4, (5,), (3,), TASKS, mode=DIRECT, distill_tasks=("missing",))
     with pytest.raises(ConfigError):
         ModelConfig(4, (5,), (3,), TASKS, mode=NO_DISTILL, distill_tasks=("ctr",))
+    with pytest.raises(ConfigError, match="duplicate distill tasks"):
+        ModelConfig(4, (5,), (3,), TASKS, mode=DIRECT, distill_tasks=("ctr", "ctr"))
+    for trunk, tower in (((5, 0), (3,)), ((5,), (-3,))):
+        with pytest.raises(ConfigError, match="widths must be >= 1"):
+            ModelConfig(4, trunk, tower, TASKS)
     cfg = small_config(AUXILIARY)
     assert cfg.task("ltv").kind == REGRESSION
     with pytest.raises(KeyError):
@@ -145,25 +151,26 @@ def test_init_bit_identical_across_modes():
                 assert np.array_equal(a.weights, b.weights)
 
 
-def test_prediction_set_prob_floor_and_score():
-    preds = PredictionSet(hard_logits={"t": np.array([-50.0, 0.0, 50.0])})
-    p = preds.prob("t")
+def test_task_score_floors_binary_and_passes_regression_through():
+    z = np.array([-50.0, 0.0, 50.0])
+    p = task_score(z, BINARY)
     assert p[0] == PROB_FLOOR
     assert p[1] == 0.5
     assert p[2] == 1.0 - PROB_FLOOR
-    assert np.array_equal(preds.score("t", BINARY), p)
-    assert np.array_equal(preds.score("t", REGRESSION), preds.hard_logits["t"])
+    assert np.array_equal(task_score(z, REGRESSION), z)
 
 
 def test_model_forward_heads_by_mode():
     x = np.random.default_rng(5).standard_normal((6, 4))
     aux_model = build_model(small_config(AUXILIARY), np.random.default_rng(1))
-    preds = model_forward(aux_model, x)
-    assert set(preds.hard_logits) == {"ctr", "ltv", "aux_click"}
-    assert set(preds.aux_logits) == {"ctr", "ltv"}
-    assert preds.aux_logits["ctr"].shape == (6,)
-    direct = build_model(small_config(DIRECT), np.random.default_rng(1))
-    assert model_forward(direct, x).aux_logits == {}
+    z, z_aux = model_forward(aux_model, x)
+    assert z.shape == (3, 6)  # ctr, ltv, aux_click
+    assert z_aux.shape == (2, 6)  # ctr, ltv
+    assert aux_model.distill_rows.tolist() == [0, 1]
+    direct = build_model(small_config(DIRECT, distill=("ltv", "ctr")), np.random.default_rng(1))
+    z, z_aux = model_forward(direct, x)
+    assert z.shape == (3, 6) and z_aux is None
+    assert direct.distill_rows.tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("clip", [None, 6.0])
@@ -177,14 +184,14 @@ def test_model_forward_drops_each_stack_cache_before_the_next(clip):
     model_forward(model, x[:8], clip)
     tracemalloc.start()
     try:
-        preds = model_forward(model, x, clip)
+        z, z_aux = model_forward(model, x, clip)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     trunk, towers = [32, 64, 32], [32, 4 * 16, 4 * 1]
     widest = max(a + b for dims in (trunk, towers) for a, b in zip(dims, dims[1:]))
     assert peak <= 1.1 * widest * n * 8
-    assert preds.hard_logits.keys() == {"t0", "t1", "t2", "t3"}
+    assert z.shape == (4, n) and z_aux is None
 
 
 @pytest.mark.parametrize("shape", [(4, 128), (3, 128), (2048,), (32000,)])
@@ -225,6 +232,8 @@ def test_distill_loss_reference_and_validation():
 
 
 def batch_inputs(n=7, seed=13):
+    """x, the hard labels and the teacher values by task, and one present
+    mask for every distilled task."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 4))
     hard = {
@@ -235,43 +244,66 @@ def batch_inputs(n=7, seed=13):
     present = rng.random(n) < 0.7
     present[0] = True  # keep at least one covered row
     soft = {
-        "ctr": SoftTargets(rng.uniform(0.05, 0.95, size=n), present.copy()),
-        "ltv": SoftTargets(rng.standard_normal(n), present.copy()),
+        "ctr": rng.uniform(0.05, 0.95, size=n),
+        "ltv": rng.standard_normal(n),
     }
-    return x, hard, soft
+    return x, hard, soft, present
+
+
+def loss_args(model, hard, soft=None, present=None, alpha=None):
+    """The labels, soft, present and alpha arguments of total_loss and
+    compute_loss_and_grads, laid out for model from per-task mappings."""
+    labels = tower_order(model, hard)
+    if soft is None:
+        return labels, None, None, None
+    return labels, distill_order(model, soft), present, distill_order(model, alpha or {}, 1.0)
 
 
 def test_total_loss_guards():
     model = build_model(small_config(NO_DISTILL), np.random.default_rng(2))
-    x, hard, soft = batch_inputs()
-    preds = model_forward(model, x)
-    with pytest.raises(ConfigError):
-        total_loss(model, preds, hard, soft)
+    x, hard, soft, present = batch_inputs()
+    labels = tower_order(model, hard)
+    z, z_aux = model_forward(model, x)
+    with pytest.raises(ValueError, match="do not fit 0 distilled tasks"):
+        total_loss(model, z, z_aux, labels, np.array([soft["ctr"]]), present)
     aux = build_model(small_config(AUXILIARY, distill=("ctr",)), np.random.default_rng(2))
-    preds = model_forward(aux, x)
-    with pytest.raises(ConfigError):
-        total_loss(aux, preds, hard, None, alpha={"ltv": 0.5})
-    with pytest.raises(ValueError):
-        total_loss(aux, preds, {**hard, "ctr": hard["ctr"][:-1]}, None)
+    z, z_aux = model_forward(aux, x)
+    ctr = np.array([soft["ctr"]])
+    total_loss(aux, z, z_aux, labels, ctr, present, np.array([0.5]))  # fits
+    for bad in (
+        (np.array([soft["ctr"], soft["ltv"]]), present, None),  # a non-distilled task
+        (ctr, present, np.array([0.5, 0.5])),
+        (ctr, present[:-1], None),
+        (ctr[:, :-1], present, None),
+        (ctr, None, None),
+    ):
+        with pytest.raises(ValueError, match="do not fit 1 distilled tasks"):
+            total_loss(aux, z, z_aux, labels, *bad)
+    with pytest.raises(ValueError, match="label shape"):
+        total_loss(aux, z, z_aux, labels[:, :-1], None)
+    with pytest.raises(ValueError, match="label shape"):
+        total_loss(aux, z, z_aux, labels[:-1], None)
 
 
 def test_soft_loss_coverage_normalization():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(4))
-    x, hard, soft = batch_inputs()
-    preds = model_forward(model, x)
-    breakdown, _ = total_loss(model, preds, hard, soft, alpha={"ctr": 0.7, "ltv": 0.3})
+    x, hard, soft, present = batch_inputs()
+    z, z_aux = model_forward(model, x)
+    args = loss_args(model, hard, soft, present, {"ctr": 0.7, "ltv": 0.3})
+    breakdown, _ = total_loss(model, z, z_aux, *args)
     n = x.shape[0]
     for name, kind in [("ctr", BINARY), ("ltv", REGRESSION)]:
-        z = preds.aux_logits[name]
+        za = z_aux[model.config.distill_tasks.index(name)]
         expected = 0.0
         for i in range(n):
-            if not soft[name].present[i]:
+            if not present[i]:
                 continue
             if kind == BINARY:
-                expected += ref_softplus(z[i]) - soft[name].values[i] * z[i]
+                expected += ref_softplus(za[i]) - soft[name][i] * za[i]
             else:
-                expected += (z[i] - soft[name].values[i]) ** 2
+                expected += (za[i] - soft[name][i]) ** 2
         assert breakdown.soft[name] == pytest.approx(expected / n, rel=1e-12)
+    assert breakdown.alpha == {"ctr": 0.7, "ltv": 0.3}
     expected_total = sum(breakdown.hard.values())
     expected_total += 0.7 * breakdown.soft["ctr"] + 0.3 * breakdown.soft["ltv"]
     assert breakdown.total == pytest.approx(expected_total, rel=1e-12)
@@ -279,27 +311,24 @@ def test_soft_loss_coverage_normalization():
 
 def test_hard_loss_means_match_reference():
     model = build_model(small_config(NO_DISTILL), np.random.default_rng(4))
-    x, hard, _ = batch_inputs()
-    preds = model_forward(model, x)
-    breakdown, _ = total_loss(model, preds, hard, None)
-    z = preds.hard_logits["ctr"]
-    want = np.mean([ref_binary_ce_from_logit(zi, yi) for zi, yi in zip(z, hard["ctr"])])
+    x, hard, _, _ = batch_inputs()
+    z, z_aux = model_forward(model, x)
+    breakdown, _ = total_loss(model, z, z_aux, *loss_args(model, hard))
+    want = np.mean([ref_binary_ce_from_logit(zi, yi) for zi, yi in zip(z[0], hard["ctr"])])
     assert breakdown.hard["ctr"] == pytest.approx(want, rel=1e-12)
-    zr = preds.hard_logits["ltv"]
     assert breakdown.hard["ltv"] == pytest.approx(
-        np.mean((zr - hard["ltv"]) ** 2), rel=1e-12
+        np.mean((z[1] - hard["ltv"]) ** 2), rel=1e-12
     )
 
 
 def test_zero_coverage_gives_zero_soft_and_control_grads():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(6))
-    x, hard, soft = batch_inputs()
-    for t in soft.values():
-        t.present[:] = False
-    loss_soft, grads_soft, _ = compute_loss_and_grads(
-        model, x, hard, soft, alpha={"ctr": 1.0, "ltv": 1.0}
+    x, hard, soft, present = batch_inputs()
+    present[:] = False
+    loss_soft, grads_soft = compute_loss_and_grads(
+        model, x, *loss_args(model, hard, soft, present, {"ctr": 1.0, "ltv": 1.0})
     )
-    loss_none, grads_none, _ = compute_loss_and_grads(model, x, hard, None)
+    loss_none, grads_none = compute_loss_and_grads(model, x, *loss_args(model, hard))
     assert loss_soft.soft == {"ctr": 0.0, "ltv": 0.0}
     assert loss_soft.total == loss_none.total
     assert np.array_equal(grads_soft.trunk, grads_none.trunk)
@@ -310,11 +339,11 @@ def test_zero_coverage_gives_zero_soft_and_control_grads():
 def test_alpha_zero_grads_bit_identical_to_no_soft():
     for mode in (DIRECT, AUXILIARY):
         model = build_model(small_config(mode), np.random.default_rng(9))
-        x, hard, soft = batch_inputs()
-        _, with_soft, _ = compute_loss_and_grads(
-            model, x, hard, soft, alpha={"ctr": 0.0, "ltv": 0.0}
+        x, hard, soft, present = batch_inputs()
+        _, with_soft = compute_loss_and_grads(
+            model, x, *loss_args(model, hard, soft, present, {"ctr": 0.0, "ltv": 0.0})
         )
-        _, without, _ = compute_loss_and_grads(model, x, hard, None)
+        _, without = compute_loss_and_grads(model, x, *loss_args(model, hard))
         assert np.array_equal(with_soft.trunk, without.trunk)
         for name in with_soft.towers:
             assert np.array_equal(with_soft.towers[name], without.towers[name])
@@ -343,15 +372,14 @@ def jitter_biases(model, seed=99):
 def test_gradients_match_finite_differences(mode, use_soft, alpha, clip):
     model = build_model(small_config(mode), np.random.default_rng(21))
     jitter_biases(model)
-    x, hard, soft = batch_inputs(seed=31)
-    soft_arg = soft if use_soft else None
+    x, hard, soft, present = batch_inputs(seed=31)
+    args = loss_args(model, hard, soft if use_soft else None, present, alpha)
 
     def loss():
-        preds = model_forward(model, x, clip)
-        breakdown, _ = total_loss(model, preds, hard, soft_arg, alpha)
+        breakdown, _ = total_loss(model, *model_forward(model, x, clip), *args)
         return breakdown.total
 
-    _, grads, _ = compute_loss_and_grads(model, x, hard, soft_arg, alpha, clip)
+    _, grads = compute_loss_and_grads(model, x, *args, clip)
     arrays, analytic = [], []
     mlps = [("trunk", model.trunk, grads.trunk)]
     mlps += [(n, model.towers[n], grads.towers[n]) for n in sorted(model.towers)]
@@ -366,9 +394,10 @@ def test_gradients_match_finite_differences(mode, use_soft, alpha, clip):
 
 def test_auxiliary_knowledge_reaches_trunk_not_tower():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(14))
-    x, hard, soft = batch_inputs()
-    _, with_soft, _ = compute_loss_and_grads(model, x, hard, soft, alpha={"ctr": 1.0, "ltv": 1.0})
-    _, without, _ = compute_loss_and_grads(model, x, hard, None)
+    x, hard, soft, present = batch_inputs()
+    alpha = {"ctr": 1.0, "ltv": 1.0}
+    _, with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
+    _, without = compute_loss_and_grads(model, x, *loss_args(model, hard))
     # serving towers see hard-label gradients only
     for name in with_soft.towers:
         assert np.array_equal(with_soft.towers[name], without.towers[name])
@@ -381,9 +410,10 @@ def test_auxiliary_knowledge_reaches_trunk_not_tower():
 
 def test_direct_soft_loss_lands_on_serving_tower():
     model = build_model(small_config(DIRECT), np.random.default_rng(14))
-    x, hard, soft = batch_inputs()
-    _, with_soft, _ = compute_loss_and_grads(model, x, hard, soft, alpha={"ctr": 1.0, "ltv": 1.0})
-    _, without, _ = compute_loss_and_grads(model, x, hard, None)
+    x, hard, soft, present = batch_inputs()
+    alpha = {"ctr": 1.0, "ltv": 1.0}
+    _, with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
+    _, without = compute_loss_and_grads(model, x, *loss_args(model, hard))
     ctr_w = [model.towers["ctr"].split(g.towers["ctr"])[0][0] for g in (with_soft, without)]
     assert not np.array_equal(*ctr_w)
     # non-distilled task tower is untouched by soft labels
@@ -393,8 +423,9 @@ def test_direct_soft_loss_lands_on_serving_tower():
 def test_apply_gradients_steps_every_component():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(10))
     opt = ModelOptimizer.for_model(model)
-    x, hard, soft = batch_inputs()
-    _, grads, _ = compute_loss_and_grads(model, x, hard, soft, alpha={"ctr": 1.0, "ltv": 1.0})
+    x, hard, soft, present = batch_inputs()
+    alpha = {"ctr": 1.0, "ltv": 1.0}
+    _, grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
     before = build_model(small_config(AUXILIARY), np.random.default_rng(10))
     apply_gradients(model, grads, opt, TrainConfig(base_lr=0.01))
     assert opt.trunk.step == 1
@@ -408,8 +439,9 @@ def test_component_arrays_stay_views_of_the_stacked_buffers():
     opt = ModelOptimizer.for_model(model)
     train = TrainConfig(base_lr=0.05, clippy=ClippyConfig())
     for step in range(10):
-        x, hard, soft = batch_inputs(seed=step)
-        _, grads, _ = compute_loss_and_grads(model, x, hard, soft, {"ctr": 1.0, "ltv": 0.5})
+        x, hard, soft, present = batch_inputs(seed=step)
+        alpha = {"ctr": 1.0, "ltv": 0.5}
+        _, grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
         apply_gradients(model, grads, opt, train)
     assert opt.trunk.step == 10
     stacks = [
@@ -429,22 +461,21 @@ def test_component_arrays_stay_views_of_the_stacked_buffers():
 @pytest.mark.parametrize("mode", [DIRECT, AUXILIARY])
 def test_covered_binary_teacher_values_are_checked_on_the_step_path(mode):
     model = build_model(small_config(mode), np.random.default_rng(3))
-    x, hard, soft = batch_inputs()
-    present = soft["ctr"].present
+    x, hard, soft, present = batch_inputs()
     assert present[0] and not present.all()
 
     def with_ctr_value(row, value):
-        values = soft["ctr"].values.copy()
+        values = soft["ctr"].copy()
         values[row] = value
-        return {**soft, "ctr": SoftTargets(values, present)}
+        return loss_args(model, hard, {**soft, "ctr": values}, present)
 
     for bad in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            compute_loss_and_grads(model, x, hard, with_ctr_value(0, bad))
+        with pytest.raises(ValueError, match="teacher probability"):
+            compute_loss_and_grads(model, x, *with_ctr_value(0, bad))
     # the same value on an uncovered row is a placeholder, never read
     accepted = with_ctr_value(np.flatnonzero(~present)[0], 1.0)
-    before, grads, _ = compute_loss_and_grads(model, x, hard, accepted)
-    after, _, _ = compute_loss_and_grads(model, x, hard, accepted)
+    before, grads = compute_loss_and_grads(model, x, *accepted)
+    after, _ = compute_loss_and_grads(model, x, *accepted)
     first = (before.hard, before.soft, before.alpha, before.total)
     apply_gradients(model, grads, ModelOptimizer.for_model(model), TrainConfig(base_lr=0.05))
     assert (after.hard, after.soft, after.alpha, after.total) == first
@@ -504,25 +535,27 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
     train = TrainConfig(base_lr=0.05, warmup_steps=2, clippy=ClippyConfig(sigma_rel=0.05))
     tasks = [(t.name, t.kind == BINARY) for t in TASKS]
     for step in range(5):
-        x, hard, soft = batch_inputs(n=40, seed=100 + step)
+        x, hard, soft, present = batch_inputs(n=40, seed=100 + step)
         x = x * 4.0  # large enough that the activation clip saturates
-        for targets in soft.values():
-            if coverage != "partial":
-                targets.present[:] = coverage == "full"
+        if coverage != "partial":
+            present[:] = coverage == "full"
         soft_arg = None if mode == NO_DISTILL else soft
         alpha = None if mode == NO_DISTILL else {"ctr": a, "ltv": a}
-        _, grads, preds = compute_loss_and_grads(model, x, hard, soft_arg, alpha, clip)
-        _, seeds = total_loss(model, preds, hard, soft_arg, alpha)
-        want_soft = {} if soft_arg is None else {k: (t.values, t.present) for k, t in soft.items()}
+        args = loss_args(model, hard, soft_arg, present, alpha)
+        z, z_aux = model_forward(model, x, clip)
+        _, grads = compute_loss_and_grads(model, x, *args, clip)
+        _, seeds = total_loss(model, z, z_aux, *args)
+        want_soft = {} if soft_arg is None else {k: (v, present) for k, v in soft.items()}
         hard_logits, aux_logits, hard_seeds, aux_seeds, want = ref_ranker_step(
             ref, tasks, mode == DIRECT, x, hard, want_soft, alpha or {}, clip
         )
 
-        assert preds.hard_logits.keys() == hard_logits.keys()
-        assert preds.aux_logits.keys() == aux_logits.keys()
-        for got, expected in ((preds.hard_logits, hard_logits), (preds.aux_logits, aux_logits)):
-            for name in expected:
-                assert np.array_equal(got[name], expected[name])
+        assert np.array_equal(z, tower_order(model, hard_logits))
+        if mode == AUXILIARY:
+            assert list(aux_logits) == list(model.config.distill_tasks)
+            assert np.array_equal(z_aux, distill_order(model, aux_logits))
+        else:
+            assert z_aux is None and aux_logits == {}
         for row, (name, _) in enumerate(tasks):
             assert np.array_equal(seeds.hard[row], hard_seeds[name])
         if mode == AUXILIARY:
