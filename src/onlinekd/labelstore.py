@@ -7,12 +7,18 @@ bytes no matter how far the writer has advanced since.
 
 On-disk layout, all little-endian:
 
-  seg-<id>.sls   "SLS1" | u32 version=2 | u64 segment_id | u64 teacher_version
+  seg-<id>.sls   "SLS1" | u32 version=3 | u64 body_len | deflate(body) | u32 crc32
+    body         u64 segment_id | u64 teacher_version
                  | u16 n_tasks | (u16 name_len, name utf8, u8 kind)*
                  | u64 n_rows | u64 n_runs | u64 run_first[n_runs]
-                 | u64 run_len[n_runs] | f32 values[n_rows] per task | u32 crc32
+                 | u64 run_len[n_runs] | f32 values[n_rows] per task
   MANIFEST       "SLM1" | u64 manifest_version | u32 n_segments
                  | u64 segment_ids[n] | u32 crc32
+
+A segment file holds its body as a raw deflate stream (zlib, wbits -15,
+level 6). The decoder checks the crc before it inflates, inflates in
+bounded chunks to exactly body_len bytes, and keeps the body's arrays as
+read-only views of the inflated bytes.
 
 The example ids of a segment are strictly ascending and stored as the
 maximal runs of consecutive ids: run k holds run_first[k], run_first[k] + 1,
@@ -32,7 +38,14 @@ order, with their id ranges and precedence keys as numpy columns. Opening a
 snapshot checks the manifest crc, then decodes only the segments the index
 does not hold yet, so an open costs O(new segments) in Python plus one crc
 over the manifest bytes; a manifest that does not extend the index rebuilds
-it. A snapshot is the first n positions of the index it was opened on, a
+it.
+
+The writer hands its commits to its own handle, which then reads nothing
+back. After the manifest rename it appends the segment it has just encoded
+to the handle's index, when that index holds exactly the segments committed
+before. While the writer is open it holds the lock, so no one else can
+commit, and the handle's open_snapshot takes the manifest from the writer
+instead of reading it from disk. Other handles read the disk. A snapshot is the first n positions of the index it was opened on, a
 (manifest version, index, n) triple that copies nothing, and the index
 never rewrites a position a snapshot can see.
 """
@@ -55,7 +68,7 @@ from .ranker import BINARY, REGRESSION, TaskSpec
 
 SEGMENT_MAGIC = b"SLS1"
 MANIFEST_MAGIC = b"SLM1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "MANIFEST"
 LOCK_NAME = "WRITER.lock"
 
@@ -66,6 +79,11 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _U8 = struct.Struct("<B")
+
+_DEFLATE_LEVEL = 6
+_INFLATE_CHUNK = 1 << 16
+# a deflate stream yields at most 258 bytes per 2 bits of input
+_DEFLATE_MAX_RATIO = 1032
 
 
 def _crc(data: bytes) -> int:
@@ -79,40 +97,40 @@ def segment_filename(segment_id: int) -> str:
 class _Cursor:
     """Bounds-checked reader over a byte buffer; overruns mean corruption."""
 
-    def __init__(self, data: bytes, path: Path):
+    def __init__(self, data: bytes, path: Path, what: str = "file"):
         self.data = data
         self.off = 0
         self.path = path
+        self.what = what
 
     def skip(self, n: int) -> int:
         """Move past the next n bytes; returns the offset they start at."""
         start = self.off
         if start + n > len(self.data):
-            raise StoreCorruptionError(f"{self.path}: truncated file")
+            raise StoreCorruptionError(f"{self.path}: truncated {self.what}")
         self.off = start + n
         return start
 
     def take(self, n: int) -> bytes:
         start = self.skip(n)
-        return self.data[start : self.off]
+        return bytes(self.data[start : self.off])
 
     def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
+        return _U8.unpack_from(self.data, self.skip(1))[0]
 
     def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
+        return _U16.unpack_from(self.data, self.skip(2))[0]
 
     def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
+        return _U32.unpack_from(self.data, self.skip(4))[0]
 
     def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
+        return _U64.unpack_from(self.data, self.skip(8))[0]
 
     def array(self, dtype: np.dtype, count: int) -> np.ndarray:
+        """A read-only view of the next count items."""
         start = self.skip(int(dtype.itemsize) * count)
-        # one copy, made straight from the file's bytes: the array does not
-        # keep them alive
-        arr = np.frombuffer(self.data, dtype, count, start).copy()
+        arr = np.frombuffer(self.data, dtype, count, start)
         arr.flags.writeable = False
         return arr
 
@@ -204,6 +222,33 @@ def _id_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids[starts], (ends - starts).astype(np.uint64)
 
 
+def make_segment(
+    segment_id: int,
+    teacher_version: int,
+    tasks: Sequence[tuple[str, str]],
+    example_ids: np.ndarray,
+    values: np.ndarray,
+) -> SegmentData:
+    """The segment of ascending uint64 example ids, with values one float32
+    row per task, (len(tasks), n_rows). It keeps values and marks it
+    read-only."""
+    first, length = _id_runs(example_ids)
+    rows = length.cumsum() - length
+    for arr in (first, length, rows, values):
+        arr.flags.writeable = False
+    return SegmentData(segment_id, teacher_version, tuple(tasks), first, length, rows, values)
+
+
+def _example_ids(example_ids) -> np.ndarray:
+    """example_ids as a uint64 array of at least one dimension. Ids that are
+    not integers >= 0 (bools, floats, negatives) are an error: the cast would
+    wrap or truncate them into other ids."""
+    ids = np.asarray(example_ids)
+    if ids.size and (ids.dtype.kind not in "iu" or (ids.dtype.kind == "i" and ids.min() < 0)):
+        raise StoreError(f"example ids must be integers >= 0, got {ids.dtype} {ids.ravel()[:3]}")
+    return np.ascontiguousarray(ids, dtype=np.uint64)
+
+
 def _check_runs(first: np.ndarray, length: np.ndarray, n_rows: int, path: Path) -> np.ndarray:
     """The row of each run's first id, read-only; runs that do not describe
     n_rows strictly ascending ids are corruption."""
@@ -229,30 +274,57 @@ def _check_runs(first: np.ndarray, length: np.ndarray, n_rows: int, path: Path) 
     return rows
 
 
-def encode_segment(
-    segment_id: int,
-    teacher_version: int,
-    tasks: Sequence[tuple[str, str]],
-    example_ids: np.ndarray,
-    values: dict[str, np.ndarray],
-) -> bytes:
-    """The segment file for ascending example ids, which it stores as runs."""
-    first, length = _id_runs(np.ascontiguousarray(example_ids, dtype=np.uint64))
-    parts = [
+def encode_segment(seg: SegmentData) -> bytes:
+    """The segment file of seg: its body, deflated and framed."""
+    body = b"".join([
+        _U64.pack(seg.segment_id),
+        _U64.pack(seg.teacher_version),
+        _pack_task_dir(seg.tasks),
+        _U64.pack(seg.values.shape[1]),
+        _U64.pack(seg.run_first.size),
+        np.ascontiguousarray(seg.run_first, dtype="<u8").tobytes(),
+        np.ascontiguousarray(seg.run_len, dtype="<u8").tobytes(),
+        np.ascontiguousarray(seg.values, dtype="<f4").tobytes(),
+    ])
+    data = b"".join([
         SEGMENT_MAGIC,
         _U32.pack(FORMAT_VERSION),
-        _U64.pack(segment_id),
-        _U64.pack(teacher_version),
-        _pack_task_dir(tasks),
-        _U64.pack(len(example_ids)),
-        _U64.pack(len(first)),
-        first.astype("<u8").tobytes(),
-        length.astype("<u8").tobytes(),
-    ]
-    for name, _ in tasks:
-        parts.append(np.ascontiguousarray(values[name], dtype="<f4").tobytes())
-    body = b"".join(parts)
-    return body + _U32.pack(_crc(body))
+        _U64.pack(len(body)),
+        zlib.compress(body, _DEFLATE_LEVEL, -15),
+    ])
+    return data + _U32.pack(_crc(data))
+
+
+def _inflate(stream: memoryview, body_len: int, path: Path) -> memoryview:
+    """Exactly body_len bytes inflated from a raw deflate stream.
+
+    It feeds and takes at most _INFLATE_CHUNK bytes at a time, so it holds
+    one chunk beside the body and stops one byte past body_len.
+    """
+    body = memoryview(np.empty(body_len, dtype=np.uint8))
+    inflate = zlib.decompressobj(-15)
+    pos = fed = 0
+    pending = b""
+    try:
+        while not inflate.eof:
+            if not pending and fed < len(stream):
+                pending = stream[fed : fed + _INFLATE_CHUNK]
+                fed += len(pending)
+            out = inflate.decompress(pending, min(_INFLATE_CHUNK, body_len - pos + 1))
+            pending = inflate.unconsumed_tail
+            if pos + len(out) > body_len:
+                raise StoreCorruptionError(f"{path}: body inflates past body_len {body_len}")
+            body[pos : pos + len(out)] = out
+            pos += len(out)
+            if not out and not pending and fed == len(stream) and not inflate.eof:
+                raise StoreCorruptionError(f"{path}: deflate stream ends early")
+    except zlib.error as e:
+        raise StoreCorruptionError(f"{path}: bad deflate stream: {e}") from None
+    if inflate.unused_data or fed < len(stream):
+        raise StoreCorruptionError(f"{path}: data after the end of the deflate stream")
+    if pos != body_len:
+        raise StoreCorruptionError(f"{path}: body inflates to {pos} bytes, not body_len {body_len}")
+    return body
 
 
 def decode_segment(data: bytes, path: Path) -> SegmentData:
@@ -262,11 +334,21 @@ def decode_segment(data: bytes, path: Path) -> SegmentData:
     version = cur.u32()
     if version != FORMAT_VERSION:
         raise StoreCorruptionError(f"{path}: unsupported format version {version}")
+    body_len = cur.u64()
+    start = cur.skip(4)  # the file has room for its crc
+    if _crc(memoryview(data)[:-4]) != _U32.unpack_from(data, len(data) - 4)[0]:
+        raise StoreCorruptionError(f"{path}: checksum mismatch")
+    stream = memoryview(data)[start:-4]
+    if body_len > _DEFLATE_MAX_RATIO * len(stream):
+        raise StoreCorruptionError(
+            f"{path}: body_len {body_len} is more than {len(stream)} deflate bytes can hold"
+        )
+    cur = _Cursor(_inflate(stream, body_len, path), path, "body")
     segment_id = cur.u64()
     teacher_version = cur.u64()
     tasks = _read_task_dir(cur)
     if not tasks:
-        # the value columns are what bound n_rows by the file's size
+        # the value columns are what bound n_rows by the body's size
         raise StoreCorruptionError(f"{path}: segment has no tasks")
     n_rows = cur.u64()
     if n_rows == 0:
@@ -275,7 +357,8 @@ def decode_segment(data: bytes, path: Path) -> SegmentData:
     runs = cur.array(np.dtype("<u8"), 2 * n_runs)
     first, length = runs[:n_runs], runs[n_runs:]
     values = cur.array(np.dtype("<f4"), len(tasks) * n_rows).reshape(len(tasks), n_rows)
-    _check_crc(cur)
+    if cur.off != len(cur.data):
+        raise StoreCorruptionError(f"{path}: trailing bytes after the value block")
     run_row = _check_runs(first, length, n_rows, path)
     return SegmentData(segment_id, teacher_version, tasks, first, length, run_row, values)
 
@@ -399,7 +482,7 @@ class Snapshot:
 
         Columns where present is False hold zeros and carry no meaning.
         """
-        ids = np.ascontiguousarray(example_ids, dtype=np.uint64)
+        ids = _example_ids(example_ids)
         n = ids.shape[0]
         present = np.zeros(n, dtype=bool)
         out = np.zeros((len(self.tasks), n), dtype=np.float32)
@@ -431,16 +514,23 @@ class LabelStore:
         self.root = Path(root)
         self._index = _SegmentIndex()
         self._index_lock = threading.Lock()
+        # this handle's open writer: it holds the lock, so its manifest is
+        # the store's
+        self._writer: SegmentWriter | None = None
 
     def open_snapshot(self) -> Snapshot:
         """Pin the current manifest and load the segments not yet indexed.
 
-        An existing but empty store yields an empty snapshot; a missing
-        directory is an error.
+        While this handle's writer is open the manifest is the writer's;
+        otherwise it is read from disk. An existing but empty store yields
+        an empty snapshot; a missing directory is an error.
         """
-        if not self.root.is_dir():
-            raise StoreError(f"store directory missing: {self.root}")
-        manifest = read_manifest(self.root)
+        writer = self._writer
+        manifest = writer._manifest if writer is not None else None
+        if manifest is None:
+            if not self.root.is_dir():
+                raise StoreError(f"store directory missing: {self.root}")
+            manifest = read_manifest(self.root)
         ids = manifest.segment_ids
         with self._index_lock:
             index = self._index
@@ -500,9 +590,12 @@ class SegmentWriter:
             self.__exit__()
             raise
         self._next_sid = int(ids.max()) + 1 if ids.size else 1
+        self.store._writer = self
         return self
 
     def __exit__(self, *exc) -> None:
+        if self.store._writer is self:
+            self.store._writer = None
         if self._lock_fd is not None:
             fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
             os.close(self._lock_fd)
@@ -519,36 +612,45 @@ class SegmentWriter:
         values: dict[str, np.ndarray],
         teacher_version: int,
     ) -> int:
-        """Commit one segment: stage the file, rename it, publish the manifest.
+        """Commit one segment: stage the file, rename it, publish the manifest,
+        then hand the segment to this handle's index.
 
         Rows are sorted by example id; duplicate ids within a call are an
         error. Returns the new segment id.
         """
         self._require_open()
         sid = self._next_sid
-        data = self._prepare(sid, example_ids, values, teacher_version)
-        self._publish_file(segment_filename(sid), data)
+        seg = self._segment(sid, example_ids, values, teacher_version)
+        self._publish_file(segment_filename(sid), encode_segment(seg))
+        committed = self._manifest.segment_ids
         self._publish_manifest(
-            ManifestData(
-                self._manifest.manifest_version + 1,
-                np.append(self._manifest.segment_ids, np.uint64(sid)),
-            )
+            ManifestData(self._manifest.manifest_version + 1, np.append(committed, np.uint64(sid)))
         )
+        with self.store._index_lock:
+            index = self.store._index
+            n = len(index.segments)
+            # an index that lags the commits loads them from disk instead
+            if n == committed.size and np.array_equal(index.cols[_SEGMENT_ID, :n], committed):
+                index.extend([seg])
         self._next_sid = sid + 1
         return sid
 
-    def _prepare(
+    def _segment(
         self,
         segment_id: int,
         example_ids: np.ndarray,
         values: dict[str, np.ndarray],
         teacher_version: int,
-    ) -> bytes:
-        ids = np.asarray(example_ids, dtype=np.uint64)
+    ) -> SegmentData:
+        ids = _example_ids(example_ids)
         if ids.ndim != 1 or ids.shape[0] == 0:
             raise StoreError("append needs a non-empty 1-d id array")
-        if teacher_version < 0:
-            raise StoreError("teacher_version must be >= 0")
+        if (
+            isinstance(teacher_version, (bool, np.bool_))
+            or not isinstance(teacher_version, (int, np.integer))
+            or not 0 <= teacher_version < 2**64
+        ):
+            raise StoreError(f"teacher_version must be an integer >= 0, not {teacher_version!r}")
         names = {name for name, _ in self.tasks}
         if set(values.keys()) != names:
             raise StoreError(
@@ -558,15 +660,15 @@ class SegmentWriter:
         ids = ids[order]
         if not np.all(ids[1:] > ids[:-1]):
             raise StoreError("duplicate example ids within one append")
-        cols: dict[str, np.ndarray] = {}
-        for name, _ in self.tasks:
+        block = np.empty((len(self.tasks), ids.shape[0]), dtype=np.float32)
+        for row, (name, _) in zip(block, self.tasks):
             col = np.asarray(values[name], dtype=np.float32)
             if col.shape != ids.shape:
                 raise StoreError(f"column {name!r} length disagrees with ids")
             if not np.all(np.isfinite(col)):
                 raise StoreError(f"column {name!r} has non-finite values")
-            cols[name] = col[order]
-        return encode_segment(segment_id, int(teacher_version), self.tasks, ids, cols)
+            row[:] = col[order]
+        return make_segment(segment_id, int(teacher_version), self.tasks, ids, block)
 
     def _publish_file(self, name: str, data: bytes) -> None:
         final = self.store.root / name

@@ -12,7 +12,8 @@ Per step t:
   2. teacher takes one gradient step on batch_t hard labels unless frozen
   3. on write steps, teacher infers on batch_t and appends one segment; a
      frozen teacher keeps writing (stale) labels
-  4. open one snapshot, shared by every student this step
+  4. open one snapshot and, when any student distills, look batch_t up in
+     it once; every student of the step shares that lookup
   5. students train on batch_t: hard labels plus whatever soft labels the
      snapshot covers (coverage < 1 when writes are throttled)
 
@@ -25,10 +26,11 @@ student distills, in its distill order, and each step hands the student
 those rows and the mask as they are.
 
 A segment's teacher_version is the teacher's optimizer step count at the
-write. Because every student of a step looks its batch up in the same
-snapshot, the whole fleet consumes byte-identical soft labels; the tests
-audit this by wrapping _soft_targets_for, through which every student's
-soft targets pass.
+write. Because every student of a step takes its soft labels from the same
+lookup, the whole fleet consumes byte-identical soft labels; each takes its
+own copy of its rows, so no student can change another's. The tests audit
+this by wrapping _soft_targets_for, through which every student's soft
+targets pass.
 """
 
 from __future__ import annotations
@@ -289,22 +291,30 @@ def _teacher_train(teacher: TeacherJob, batch: Batch, t: int) -> None:
 
 
 def _soft_targets_for(
-    student: StudentJob, snapshot: Snapshot, batch: Batch, rows: np.ndarray
+    student: StudentJob,
+    snapshot: Snapshot,
+    found: tuple[np.ndarray, np.ndarray],
+    rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The student's soft targets for this batch, (n_distill, batch) float32
-    taken from the store rows rows, their present mask, and their coverage."""
-    present, values = snapshot.lookup_batch(batch.example_ids)
-    present.flags.writeable = False
+    """The student's own copy of its soft targets, (n_distill, batch)
+    float32 taken from the store rows rows of found, the step's read-only
+    (present, values) lookup in snapshot; their present mask; and their
+    coverage."""
+    present, values = found
     return values[rows], present, float(present.mean())
 
 
 def _student_step(
-    student: StudentJob, batch: Batch, snapshot: Snapshot, rows: np.ndarray
+    student: StudentJob,
+    batch: Batch,
+    snapshot: Snapshot,
+    found: tuple[np.ndarray, np.ndarray] | None,
+    rows: np.ndarray,
 ) -> float:
     soft = present = None
     coverage = 0.0
     if student.distill_tasks:
-        soft, present, coverage = _soft_targets_for(student, snapshot, batch, rows)
+        soft, present, coverage = _soft_targets_for(student, snapshot, found, rows)
     _, grads = compute_loss_and_grads(
         student.model,
         batch.x,
@@ -431,6 +441,7 @@ def run_online(
     if read_manifest(store_root).segment_ids.size:
         raise StoreError(f"store {store_root} already holds segments; use an empty directory")
     store = LabelStore(store_root)
+    distilling = any(s.distill_tasks for s in students)
     log = MetricsLog()
     cov_sum = {s.name: 0.0 for s in students}
     cov_n = {s.name: 0 for s in students}
@@ -450,8 +461,15 @@ def run_online(
             if writer is not None and t % teacher.write_every == 0:
                 _teacher_write(teacher, writer, batch)
             snapshot = store.open_snapshot()
+            found = None
+            if distilling:
+                found = snapshot.lookup_batch(batch.example_ids)
+                for arr in found:
+                    arr.flags.writeable = False
             for student in students:
-                coverage = _student_step(student, batch, snapshot, store_rows[student.name])
+                coverage = _student_step(
+                    student, batch, snapshot, found, store_rows[student.name]
+                )
                 if student.distill_tasks:
                     cov_sum[student.name] += coverage
                     cov_n[student.name] += 1

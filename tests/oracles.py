@@ -4,8 +4,9 @@ The reference functions are deliberately written from first principles
 (python loops, scalar math, brute-force enumeration) and share no code with
 the package under test. The test aids at the end do use the package: the
 converters from per-task mappings to the package's task-major arrays, a
-metric-row lookup, the fleet audit, which drives run_online and records
-the soft targets each student is handed, and the one-shot slate simulation.
+segment encoder over per-task columns, a snapshot comparison, a
+metric-row lookup, the fleet audit, which drives run_online and records the
+soft targets each student is handed, and the one-shot slate simulation.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from onlinekd import pipeline
 from onlinekd.errors import ConfigError
-from onlinekd.labelstore import LabelStore
+from onlinekd.labelstore import LabelStore, encode_segment, make_segment
 from onlinekd.metrics import draw_slates
 from onlinekd.ranker import model_forward, task_score
 
@@ -268,6 +270,20 @@ def segment_ids(seg) -> np.ndarray:
     )
 
 
+def segment_body(data: bytes) -> bytes:
+    """The body of a format-3 segment file, read with struct and zlib alone:
+    the frame's magic, version, body_len and crc are checked, and the raw
+    deflate stream must inflate to exactly body_len bytes."""
+    assert data[:8] == b"SLS1" + struct.pack("<I", 3)
+    assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4]) & 0xFFFFFFFF
+    (body_len,) = struct.unpack_from("<Q", data, 8)
+    inflate = zlib.decompressobj(-15)
+    body = inflate.decompress(data[16:-4])
+    assert inflate.eof and not inflate.unused_data
+    assert len(body) == body_len
+    return body
+
+
 def stored_ids(snapshot) -> np.ndarray:
     """Every example id in a snapshot's segments, one entry per stored row
     (an id written twice appears twice). Its length is the snapshot's row
@@ -304,6 +320,32 @@ def distill_order(model, by_task, default=None) -> np.ndarray:
     return np.array([by_task.get(t, default) for t in model.config.distill_tasks])
 
 
+def segment_file(segment_id, teacher_version, tasks, example_ids, values) -> bytes:
+    """encode_segment over example ids and {task: column}; it sorts and
+    checks nothing, so it can write what a writer would refuse."""
+    block = np.array([values[name] for name, _ in tasks], dtype=np.float32)
+    return encode_segment(make_segment(
+        segment_id, teacher_version, tuple(tasks),
+        np.asarray(example_ids, dtype=np.uint64), block.reshape(len(tasks), -1),
+    ))
+
+
+def assert_same_snapshot(got, want, probe):
+    """got and want hold the same segments and answer probe alike."""
+    assert got.manifest_version == want.manifest_version
+    assert got.tasks == want.tasks
+    assert len(got.segments) == len(want.segments)
+    for a, b in zip(got.segments, want.segments):
+        assert (a.segment_id, a.teacher_version, a.tasks) == (
+            b.segment_id, b.teacher_version, b.tasks
+        )
+        for name in ("run_first", "run_len", "run_row", "values"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and not x.flags.writeable and np.array_equal(x, y)
+    for x, y in zip(got.lookup_batch(probe), want.lookup_batch(probe)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 def metric_value(log, *, job, metric, task=pipeline.JOB_LEVEL_TASK, step=None) -> float:
     """The value of the one row of log matching the given fields; KeyError
     unless exactly one row matches."""
@@ -334,8 +376,8 @@ def soft_target_records(monkeypatch, perturb=None):
     calls: dict[str, int] = {}
     original = pipeline._soft_targets_for
 
-    def recorded(student, snapshot, batch, rows):
-        soft, present, coverage = original(student, snapshot, batch, rows)
+    def recorded(student, snapshot, found, rows):
+        soft, present, coverage = original(student, snapshot, found, rows)
         step = calls[student.name] = calls.get(student.name, -1) + 1
         if perturb is not None:
             perturb(step, student.name, soft)

@@ -20,7 +20,6 @@ from onlinekd.labelstore import (
     MANIFEST_NAME,
     ManifestData,
     encode_manifest,
-    encode_segment,
     inspect_store,
     read_manifest,
     segment_filename,
@@ -70,6 +69,7 @@ from oracles import (
     metric_value,
     numeric_gradient,
     relative_error,
+    segment_file,
     stored_ids,
 )
 
@@ -435,7 +435,7 @@ def test_c7_store_consistency_and_crash_safety(tmp_path, monkeypatch):
         "ctr": rng.uniform(0.05, 0.95, 30).astype(np.float32),
         "ltv": rng.standard_normal(30).astype(np.float32),
     }
-    seg_bytes = encode_segment(sid, 99, tuple(STORE_TASKS), new_ids, new_vals)
+    seg_bytes = segment_file(sid, 99, STORE_TASKS, new_ids, new_vals)
     man_bytes = encode_manifest(ManifestData(
         manifest.manifest_version + 1, np.append(manifest.segment_ids, np.uint64(sid))
     ))

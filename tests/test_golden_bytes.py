@@ -8,17 +8,27 @@ from the stream draw to the loss, the store and the evaluation, must leave
 both unchanged; a change that means to move them updates the pins and says
 why.
 
+A third pin covers what the stores hold rather than how their files encode
+it: each store's MANIFEST bytes and, for every segment it commits, the
+decoded segment id, teacher version, task schema, id runs and values. A
+change of segment encoding re-pins the file digest and keeps this one.
+
 The pins hold for one numpy/BLAS build on one CPU family: another BLAS
 kernel may round a matmul differently and move them without a fault in
-the program.
+the program. The store file digests also hold for one zlib build (1.2.13):
+another deflate implementation may encode the same body in other bytes,
+which the content pin then tells apart from a change of content.
 """
 
 import hashlib
+import struct
 
+import numpy as np
 import pytest
 import yaml
 
 from onlinekd.cli import main
+from onlinekd.labelstore import MANIFEST_NAME, LabelStore
 from onlinekd.pipeline import FAMILY_CUSTOM, FAMILY_DISTILL, FAMILY_OBJECTIVE, FAMILY_SCALE
 
 # family: (metrics.csv sha256, store files sha256)
@@ -30,15 +40,15 @@ PINS = {
     ),
     FAMILY_DISTILL: (
         "ea3c5b7a0fda6f03e4004d6d15b9f61bca8f1e89ee4f8eab6a4a68332d5f6a79",
-        "33707008c5aacfc017a0e756cb582a0daebdc0c9f28f325f3bbbfaac6cfc8190",
+        "7a2669fe8cee5ce765696a91fd468c72ba04a8768a1c30ed2105319918e114bf",
     ),
     FAMILY_OBJECTIVE: (
         "b7a8c721e30da4a82dd4b406452adcbe33b5fbe6eac59b1bb66697614594d4a3",
-        "e8398bc7d4d067ad2cdc2ef2b6a5478816a7f48277cb57b2d4f9427be17e2eff",
+        "7894183b0feb5a1d1545fb668fa93dd3df2c9e244df4744790340cc0a7b16c15",
     ),
     FAMILY_SCALE: (
         "e6aaa8cdd050f9b125190de7c75d3204f7ced82b6d663d2f5a520b44feb3575b",
-        "d6eb4422c1a2641622585a2ea17cddea6cacbdb5cd8d379b6e583d875db1da39",
+        "7d13c7190106921278673dec2a5261e4932cf69f4471863e1f043671acd7ef8b",
     ),
 }
 
@@ -48,6 +58,32 @@ def store_digest(stores) -> str:
     for path in sorted(stores.rglob("*")):
         if path.is_file():
             h.update(str(path.relative_to(stores)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+# family: sha256 of the stores' content
+CONTENT_PINS = {
+    FAMILY_CUSTOM: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    FAMILY_DISTILL: "4345fc6cdcb5e238da3fbedefaff9e5d9d36b6b4f0d9dcd1d132d99cd4d911a2",
+    FAMILY_OBJECTIVE: "95b9ab1d83da6fc356952a9593a595d4dd24780e47458e985a053b96a51438df",
+    FAMILY_SCALE: "5ac5a895d44e0314097399de8fc9eee2844b61baf41e30884014b0cee0f035fc",
+}
+
+
+def content_digest(stores) -> str:
+    """sha256 over each store's MANIFEST and its decoded segments, stores in
+    sorted path order and segments in commit order."""
+    h = hashlib.sha256()
+    for manifest in sorted(stores.rglob(MANIFEST_NAME)):
+        h.update(str(manifest.parent.relative_to(stores)).encode() + b"\0")
+        h.update(manifest.read_bytes())
+        for seg in LabelStore(manifest.parent).open_snapshot().segments:
+            h.update(struct.pack("<QQQQ", seg.segment_id, seg.teacher_version,
+                                 seg.run_first.size, seg.n_rows))
+            h.update(repr(seg.tasks).encode())
+            h.update(np.ascontiguousarray(seg.run_first, dtype="<u8").tobytes())
+            h.update(np.ascontiguousarray(seg.run_len, dtype="<u8").tobytes())
+            h.update(np.ascontiguousarray(seg.values, dtype="<f4").tobytes())
     return h.hexdigest()
 
 
@@ -63,3 +99,4 @@ def test_family_default_bytes_are_pinned(tmp_path, family):
         store_digest(out / "stores"),
     )
     assert got == PINS[family]
+    assert content_digest(out / "stores") == CONTENT_PINS[family]

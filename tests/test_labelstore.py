@@ -17,14 +17,21 @@ from onlinekd.labelstore import (
     decode_manifest,
     decode_segment,
     encode_manifest,
-    encode_segment,
     inspect_store,
+    make_segment,
     read_manifest,
     segment_filename,
 )
 from onlinekd.ranker import BINARY, REGRESSION
 
-from oracles import replay_store_contents, segment_ids, stored_ids
+from oracles import (
+    assert_same_snapshot,
+    replay_store_contents,
+    segment_body,
+    segment_file,
+    segment_ids,
+    stored_ids,
+)
 
 TASKS = [("ctr", BINARY), ("ltv", REGRESSION)]
 
@@ -59,10 +66,21 @@ def signed(body):
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
-SEGMENT_HEADER = (
-    b"SLS1"
-    + struct.pack("<I", 2)  # format version
-    + struct.pack("<Q", 7)  # segment id
+def deflated(body):
+    z = zlib.compressobj(6, zlib.DEFLATED, -15)
+    return z.compress(body) + z.flush()
+
+
+def framed(body, version=3, body_len=None, stream=None):
+    """A signed segment file around body: its deflate stream (or stream)
+    behind the header, which gives body_len (len(body) by default)."""
+    head = b"SLS1" + struct.pack("<IQ", version, len(body) if body_len is None else body_len)
+    return signed(head + (deflated(body) if stream is None else stream))
+
+
+# the body of a segment, up to its row count
+BODY_HEADER = (
+    struct.pack("<Q", 7)  # segment id
     + struct.pack("<Q", 42)  # teacher version
     + struct.pack("<H", 2)  # n_tasks
     + struct.pack("<H", 3) + b"ctr" + struct.pack("<B", 0)
@@ -70,13 +88,29 @@ SEGMENT_HEADER = (
 )
 
 
-def segment_with_runs(n_rows, run_first, run_len, header=SEGMENT_HEADER, n_tasks=2):
-    """A signed segment with the given id runs and zero values, so a
+def segment_with_runs(n_rows, run_first, run_len, header=BODY_HEADER, n_tasks=2):
+    """A framed segment with the given id runs and zero values, so a
     decoder check on the runs fires rather than the checksum."""
     body = header + struct.pack("<QQ", n_rows, len(run_first))
     body += struct.pack(f"<{len(run_first)}Q", *run_first)
     body += struct.pack(f"<{len(run_len)}Q", *run_len)
-    return signed(body + bytes(4 * n_rows * n_tasks))
+    return framed(body + bytes(4 * n_rows * n_tasks))
+
+
+GOLDEN_BODY = (
+    BODY_HEADER
+    + struct.pack("<Q", 3)  # n_rows
+    + struct.pack("<Q", 2)  # n_runs
+    + struct.pack("<QQ", 3, 9)  # run_first
+    + struct.pack("<QQ", 1, 2)  # run_len
+    + struct.pack("<fff", 0.25, 0.5, 0.75)
+    + struct.pack("<fff", 1.5, 2.0, 2.5)
+)
+# GOLDEN_BODY deflated by zlib 1.2.13 at level 6, raw (wbits -15)
+GOLDEN_STREAM = bytes.fromhex(
+    "636780002d28cdc4c0cc905c520424734aca1899e1a21000e37342694634790686063b20"
+    "61cfc0e000c4078098c1818141c10100"
+)
 
 
 def test_segment_golden_bytes():
@@ -85,16 +119,10 @@ def test_segment_golden_bytes():
         "ctr": np.array([0.25, 0.5, 0.75], dtype=np.float32),
         "ltv": np.array([1.5, 2.0, 2.5], dtype=np.float32),
     }
-    got = encode_segment(7, 42, tuple(TASKS), ids, values)
-    body = SEGMENT_HEADER
-    body += struct.pack("<Q", 3)  # n_rows
-    body += struct.pack("<Q", 2)  # n_runs
-    body += struct.pack("<QQ", 3, 9)  # run_first
-    body += struct.pack("<QQ", 1, 2)  # run_len
-    body += struct.pack("<fff", 0.25, 0.5, 0.75)
-    body += struct.pack("<fff", 1.5, 2.0, 2.5)
-    want = signed(body)
-    assert got == want
+    got = segment_file(7, 42, TASKS, ids, values)
+    want = signed(b"SLS1" + struct.pack("<IQ", 3, len(GOLDEN_BODY)) + GOLDEN_STREAM)
+    assert got == want == framed(GOLDEN_BODY)
+    assert segment_body(got) == GOLDEN_BODY
     seg = decode_segment(want, "golden")
     assert seg.segment_id == 7 and seg.teacher_version == 42
     assert seg.tasks == tuple(TASKS)
@@ -120,13 +148,14 @@ TOP = 2**64 - 1
 def test_segment_ids_round_trip_as_runs(ids, runs):
     ids = np.array(ids, dtype=np.uint64)
     vals = {name: np.arange(len(ids), dtype=np.float32) for name, _ in TASKS}
-    data = encode_segment(7, 42, tuple(TASKS), ids, vals)
-    off, k = len(SEGMENT_HEADER), len(runs)
-    assert struct.unpack_from("<QQ", data, off) == (len(ids), k)
+    data = segment_file(7, 42, TASKS, ids, vals)
+    body = segment_body(data)
+    off, k = len(BODY_HEADER), len(runs)
+    assert struct.unpack_from("<QQ", body, off) == (len(ids), k)
     first, length = zip(*runs)
-    assert struct.unpack_from(f"<{k}Q", data, off + 16) == first
-    assert struct.unpack_from(f"<{k}Q", data, off + 16 + 8 * k) == length
-    assert len(data) == off + 16 + 16 * k + 4 * len(ids) * len(TASKS) + 4
+    assert struct.unpack_from(f"<{k}Q", body, off + 16) == first
+    assert struct.unpack_from(f"<{k}Q", body, off + 16 + 8 * k) == length
+    assert len(body) == off + 16 + 16 * k + 4 * len(ids) * len(TASKS)
     seg = decode_segment(data, "p")
     assert (seg.n_rows, seg.min_id, seg.max_id) == (len(ids), ids[0], ids[-1])
     assert segment_ids(seg).tolist() == ids.tolist()
@@ -146,36 +175,85 @@ def test_manifest_golden_bytes():
 def test_decode_rejects_malformed_segments():
     ids = np.array([1], dtype=np.uint64)
     vals = {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}
-    good = encode_segment(1, 0, tuple(TASKS), ids, vals)
+    good = segment_file(1, 0, TASKS, ids, vals)
+    body = segment_body(good)
     with pytest.raises(StoreCorruptionError, match="magic"):
         decode_segment(b"XXXX" + good[4:], "p")
-    with pytest.raises(StoreCorruptionError, match="truncated"):
+    for cut in (2, 10, 19):  # shorter than the frame
+        with pytest.raises(StoreCorruptionError, match="truncated file"):
+            decode_segment(good[:cut], "p")
+    with pytest.raises(StoreCorruptionError, match="checksum"):
         decode_segment(good[:-6], "p")
+    with pytest.raises(StoreCorruptionError, match="truncated body"):
+        decode_segment(framed(body[:-6]), "p")
     with pytest.raises(StoreCorruptionError, match="checksum"):
         flipped = bytearray(good)
-        flipped[10] ^= 0xFF
+        flipped[10] ^= 0xFF  # inside body_len
         decode_segment(bytes(flipped), "p")
-    with pytest.raises(StoreCorruptionError, match="trailing"):
+    with pytest.raises(StoreCorruptionError, match="checksum"):
         decode_segment(good + b"\x00", "p")
-    with pytest.raises(StoreCorruptionError, match="unsupported format version 1"):
-        body = b"SLS1" + struct.pack("<I", 1) + good[8:-4]
-        decode_segment(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF), "p")
+    with pytest.raises(StoreCorruptionError, match="trailing bytes after the value block"):
+        decode_segment(framed(body + b"\x00"), "p")
+    for version in (1, 2):
+        # a version-2 file: the body, uncompressed, between header and crc
+        old = signed(b"SLS1" + struct.pack("<I", version) + body)
+        with pytest.raises(StoreCorruptionError, match=f"unsupported format version {version}"):
+            decode_segment(old, "p")
     with pytest.raises(StoreCorruptionError, match="ascending"):
-        bad = encode_segment(
-            1, 0, tuple(TASKS), np.array([5, 3], dtype=np.uint64),
+        bad = segment_file(
+            1, 0, TASKS, np.array([5, 3], dtype=np.uint64),
             {"ctr": np.zeros(2, np.float32), "ltv": np.zeros(2, np.float32)},
         )
         decode_segment(bad, "p")
     with pytest.raises(StoreCorruptionError, match="empty"):
-        bad = encode_segment(1, 0, tuple(TASKS), np.array([], dtype=np.uint64),
-                             {"ctr": np.zeros(0, np.float32), "ltv": np.zeros(0, np.float32)})
+        bad = segment_file(1, 0, TASKS, np.array([], dtype=np.uint64),
+                           {"ctr": np.zeros(0, np.float32), "ltv": np.zeros(0, np.float32)})
         decode_segment(bad, "p")
     with pytest.raises(StoreCorruptionError, match="task kind"):
-        # patch the ctr kind byte (offset: 4+4+8+8+2+2+3 = 31) and re-checksum
-        body = bytearray(good[:-4])
-        assert body[31] == 0
-        body[31] = 7
-        decode_segment(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF), "p")
+        # patch the ctr kind byte (body offset: 8+8+2+2+3 = 23) and re-frame
+        patched = bytearray(body)
+        assert patched[23] == 0
+        patched[23] = 7
+        decode_segment(framed(bytes(patched)), "p")
+
+
+def test_decode_rejects_malformed_deflate_frames():
+    body = segment_body(segment_file(
+        1, 0, TASKS, np.arange(40, dtype=np.uint64),
+        {"ctr": np.ones(40, np.float32), "ltv": np.ones(40, np.float32)},
+    ))
+    assert decode_segment(framed(body), "p").n_rows == 40
+    # every case below carries a valid crc, so the frame check fires
+    with pytest.raises(StoreCorruptionError, match="bad deflate stream"):
+        decode_segment(framed(body, stream=b"\xff" * 16), "p")  # reserved block type
+    stream = deflated(body)
+    with pytest.raises(StoreCorruptionError, match="ends early"):
+        decode_segment(framed(body, stream=stream[: len(stream) // 2]), "p")
+    with pytest.raises(StoreCorruptionError, match="inflates past body_len"):
+        decode_segment(framed(body, body_len=len(body) - 1), "p")
+    with pytest.raises(StoreCorruptionError, match=f"inflates to {len(body)} bytes"):
+        decode_segment(framed(body, body_len=len(body) + 1), "p")
+    with pytest.raises(StoreCorruptionError, match="more than"):
+        decode_segment(framed(body, body_len=2**63), "p")
+    with pytest.raises(StoreCorruptionError, match="after the end of the deflate stream"):
+        decode_segment(framed(body, stream=stream + deflated(b"more")), "p")
+    with pytest.raises(StoreCorruptionError, match="after the end of the deflate stream"):
+        decode_segment(framed(body, stream=stream + b"\x00"), "p")
+
+
+def test_decode_stops_inflating_just_past_body_len():
+    # 64 MB of zeros deflate to about 64 KB; a header that claims 1000 bytes
+    # must be refused without inflating the rest
+    stream = deflated(bytes(64 << 20))
+    data = framed(b"", body_len=1000, stream=stream)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StoreCorruptionError, match="inflates past body_len 1000"):
+            decode_segment(data, "p")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n_rows, run_first, run_len, match", [
@@ -197,8 +275,8 @@ def test_decode_rejects_malformed_id_runs(n_rows, run_first, run_len, match):
 
 
 def test_decode_rejects_a_segment_without_tasks():
-    # with no value columns nothing would bound n_rows by the file size
-    header = SEGMENT_HEADER[:24] + struct.pack("<H", 0)
+    # with no value columns nothing would bound n_rows by the body size
+    header = BODY_HEADER[:16] + struct.pack("<H", 0)
     data = segment_with_runs(2**62, [0], [2**62], header=header, n_tasks=0)
     with pytest.raises(StoreCorruptionError, match="no tasks"):
         decode_segment(data, "p")
@@ -206,16 +284,17 @@ def test_decode_rejects_a_segment_without_tasks():
 
 def test_decode_keeps_no_memory_per_row_for_ids():
     n = 1_000_000
-    data = encode_segment(1, 0, (("ctr", BINARY),), np.arange(n, dtype=np.uint64),
-                          {"ctr": np.zeros(n, np.float32)})
+    data = segment_file(1, 0, (("ctr", BINARY),), np.arange(n, dtype=np.uint64),
+                        {"ctr": np.zeros(n, np.float32)})
     tracemalloc.start()
     try:
         seg = decode_segment(data, "p")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the 4 MB value column, copied once from the file's bytes; one uint64
-    # id per row would add 8 MB, and a second copy of the column 4 MB
+    # the 4 MB value column, inflated once into the body that the arrays
+    # view; one uint64 id per row would add 8 MB, and a second copy of the
+    # column 4 MB
     assert peak < 4 * n + 2**20
     assert seg.n_rows == n and seg.run_first.size == 1
 
@@ -301,6 +380,16 @@ def test_append_validation(tmp_path):
                            "ltv": np.zeros(2, np.float32)}, 0)
         with pytest.raises(StoreError, match="teacher_version"):
             w.append(ids, ok, -1)
+        # ids and versions that a cast would wrap or truncate into others
+        for bad_ids in ([-1], [2.7], [True], np.array([1, -2]), np.array([1.0, 2.0]),
+                        np.array([True, False]), [2**70]):
+            with pytest.raises(StoreError, match="example ids must be integers >= 0"):
+                w.append(np.array(bad_ids) if isinstance(bad_ids, list) else bad_ids,
+                         {"ctr": np.zeros(len(bad_ids), np.float32),
+                          "ltv": np.zeros(len(bad_ids), np.float32)}, 0)
+        for bad_version in (1.9, 2.0, True, np.bool_(True), "3", None, 2**64):
+            with pytest.raises(StoreError, match="teacher_version must be an integer"):
+                w.append(ids, ok, bad_version)
         # the failed appends committed nothing
         assert read_manifest(store.root).manifest_version == 0
     with pytest.raises(StoreError, match="duplicate task names"):
@@ -519,13 +608,66 @@ def test_each_segment_file_is_decoded_once_per_handle(tmp_path, monkeypatch):
 
     monkeypatch.setattr(labelstore, "load_segment", counting)
     store = make_store(tmp_path)
+    reader = LabelStore(store.root)
     n = 25
     with store.writer(TASKS) as w:
         for k in range(n):
             w.append(np.array([k], dtype=np.uint64),
                      {"ctr": np.zeros(1, np.float32), "ltv": np.zeros(1, np.float32)}, k)
             assert len(store.open_snapshot().segments) == k + 1
-    assert len(decoded) == n and len(set(decoded)) == n
+            # the writing handle took each commit from its writer
+            assert decoded == list(range(1, k + 1))
+            assert len(reader.open_snapshot().segments) == k + 1
+    # a fresh handle decoded each commit once, and the writing handle none
+    assert decoded == list(range(1, n + 1))
+    assert len(store.open_snapshot().segments) == n
+    assert len(decoded) == n
+
+
+def test_a_reopened_writer_serves_older_segments_from_disk(tmp_path, monkeypatch):
+    decoded = []
+    real = labelstore.load_segment
+
+    def counting(root, segment_id):
+        decoded.append(segment_id)
+        return real(root, segment_id)
+
+    seed_store(make_store(tmp_path), [
+        (np.array([k]), {"ctr": np.full(1, k, np.float32), "ltv": np.zeros(1, np.float32)}, k)
+        for k in (1, 2, 3)
+    ])
+    monkeypatch.setattr(labelstore, "load_segment", counting)
+    store = make_store(tmp_path)
+    with store.writer(TASKS) as w:
+        assert decoded == [3]  # the schema check
+        w.append(np.array([4], dtype=np.uint64),
+                 {"ctr": np.full(1, 4, np.float32), "ltv": np.zeros(1, np.float32)}, 4)
+        # the handle's index held none of the three older commits, so it took
+        # no hand-off: the first open loads all four from disk
+        snap = store.open_snapshot()
+        assert decoded == [3, 1, 2, 3, 4]
+        w.append(np.array([5], dtype=np.uint64),
+                 {"ctr": np.full(1, 5, np.float32), "ltv": np.zeros(1, np.float32)}, 5)
+        assert [s.segment_id for s in store.open_snapshot().segments] == [1, 2, 3, 4, 5]
+        assert decoded == [3, 1, 2, 3, 4]
+    assert [s.segment_id for s in snap.segments] == [1, 2, 3, 4]
+    assert [lookup_one(store.open_snapshot(), k)["ctr"] for k in range(1, 6)] == [1, 2, 3, 4, 5]
+    assert decoded == [3, 1, 2, 3, 4]
+
+
+def test_the_writing_handle_sees_what_a_fresh_handle_sees(tmp_path):
+    rng = np.random.default_rng(5)
+    store = make_store(tmp_path)
+    probe = np.arange(300, dtype=np.uint64)
+    with store.writer(TASKS) as w:
+        for k in range(30):
+            n = int(rng.integers(1, 20))
+            ids = (5 * k + rng.choice(80, size=n, replace=False)).astype(np.int64)
+            w.append(ids, {"ctr": rng.random(n).astype(np.float32),
+                           "ltv": rng.standard_normal(n).astype(np.float32)},
+                     int(rng.integers(0, 6)))
+            assert_same_snapshot(store.open_snapshot(), LabelStore(store.root).open_snapshot(),
+                                 probe)
 
 
 def test_higher_teacher_version_beats_later_segment(tmp_path):
@@ -572,6 +714,35 @@ def test_coverage_fraction(tmp_path):
         assert snap.lookup_batch(probe)[0].mean() == coverage
 
 
+def test_store_takes_integer_ids_and_versions_of_any_width(tmp_path):
+    store = make_store(tmp_path)
+    with store.writer(TASKS) as w:
+        for k, (dtype, version) in enumerate([
+            (np.int64, 0), (np.int8, np.int64(1)), (np.uint32, np.uint8(2)), (np.uint64, 2**64 - 1),
+        ]):
+            w.append(np.array([10 * k, 10 * k + 1], dtype=dtype),
+                     {"ctr": np.full(2, k, np.float32), "ltv": np.zeros(2, np.float32)}, version)
+    snap = store.open_snapshot()
+    assert [s.teacher_version for s in snap.segments] == [0, 1, 2, 2**64 - 1]
+    for dtype in (np.int64, np.uint16, int):
+        present, cols = snap.lookup_batch(np.array([0, 11, 21, 31, 5], dtype=dtype))
+        assert present.tolist() == [True, True, True, True, False]
+        assert cols[0].tolist() == [0, 1, 2, 3, 0]
+    assert snap.lookup_batch([])[0].shape == (0,)
+
+
+def test_lookup_refuses_ids_that_are_not_integers_at_least_zero(tmp_path):
+    store = make_store(tmp_path)
+    ids = np.array([2, 2**64 - 1], dtype=np.uint64)
+    seed_store(store, [(ids, {"ctr": np.ones(2, np.float32), "ltv": np.ones(2, np.float32)}, 0)])
+    snap = store.open_snapshot()
+    assert snap.lookup_batch(ids)[0].all()
+    # -1 would find the 2**64 - 1 row, 2.2 the id 2 row, and True the id 1
+    for bad in ([-1], np.array([-1]), [2.2], np.array([2.0]), [True], [2**70]):
+        with pytest.raises(StoreError, match="example ids must be integers >= 0"):
+            snap.lookup_batch(bad)
+
+
 def test_huge_example_ids(tmp_path):
     store = make_store(tmp_path)
     ids = np.array([2**64 - 3, 2**64 - 1], dtype=np.uint64)
@@ -589,8 +760,8 @@ def test_crash_leftovers_do_not_affect_readers(tmp_path):
     seed_store(store, [(np.array([1, 2]), {
         "ctr": np.zeros(2, np.float32), "ltv": np.zeros(2, np.float32)}, 0)])
     # a crash mid-stage leaves a partial tmp file: readers never look at it
-    staged = encode_segment(2, 1, tuple(TASKS), np.array([9], dtype=np.uint64),
-                            {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)})
+    staged = segment_file(2, 1, TASKS, np.array([9], dtype=np.uint64),
+                          {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)})
     (store.root / (segment_filename(2) + ".tmp")).write_bytes(staged[:17])
     # a crash between segment rename and manifest rename leaves an orphan
     # segment: committed reads still come from the old manifest
@@ -642,8 +813,8 @@ def test_corrupted_manifest_detected(tmp_path):
 def test_segment_file_header_mismatch_detected(tmp_path):
     root = tmp_path / "store"
     root.mkdir()
-    seg = encode_segment(5, 0, tuple(TASKS), np.array([1], dtype=np.uint64),
-                         {"ctr": np.zeros(1, np.float32), "ltv": np.zeros(1, np.float32)})
+    seg = segment_file(5, 0, TASKS, np.array([1], dtype=np.uint64),
+                       {"ctr": np.zeros(1, np.float32), "ltv": np.zeros(1, np.float32)})
     (root / segment_filename(7)).write_bytes(seg)
     (root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(1, (7,))))
     with pytest.raises(StoreCorruptionError, match="disagrees"):
@@ -665,8 +836,8 @@ def test_missing_segment_file_detected(tmp_path):
 
 def one_row_segment(sid, tasks, eid, tv=0):
     """Encoded bytes of a one-row segment with zero values."""
-    return encode_segment(sid, tv, tuple(tasks), np.array([eid], dtype=np.uint64),
-                          {name: np.zeros(1, np.float32) for name, _ in tasks})
+    return segment_file(sid, tv, tasks, np.array([eid], dtype=np.uint64),
+                        {name: np.zeros(1, np.float32) for name, _ in tasks})
 
 
 def test_schema_disagreement_detected(tmp_path):
@@ -742,12 +913,10 @@ def test_durable_writer_roundtrip(tmp_path):
 
 
 def test_snapshot_schema_guard_direct():
-    seg_a = decode_segment(
-        encode_segment(1, 0, (("a", BINARY),), np.array([1], dtype=np.uint64),
-                       {"a": np.zeros(1, np.float32)}), "a")
-    seg_b = decode_segment(
-        encode_segment(2, 0, (("b", BINARY),), np.array([2], dtype=np.uint64),
-                       {"b": np.zeros(1, np.float32)}), "b")
+    seg_a = make_segment(1, 0, (("a", BINARY),), np.array([1], dtype=np.uint64),
+                         np.zeros((1, 1), np.float32))
+    seg_b = make_segment(2, 0, (("b", BINARY),), np.array([2], dtype=np.uint64),
+                         np.zeros((1, 1), np.float32))
     index = labelstore._SegmentIndex()
     index.extend([seg_a, seg_b])
     assert index.conflict == 1

@@ -52,9 +52,11 @@ from onlinekd.ranker import (
 )
 
 from oracles import (
+    assert_same_snapshot,
     audit_fleet,
     metric_value,
     one_shot_policy_metrics,
+    segment_body,
     soft_target_records,
     stored_ids,
 )
@@ -212,6 +214,57 @@ def test_run_online_basic_end_to_end(tmp_path):
     # teacher version increases monotonically across segments
     versions = [s.teacher_version for s in snap.segments]
     assert versions == sorted(versions)
+
+
+@pytest.mark.parametrize("write_every", [1, 3])
+def test_the_run_reads_from_its_writer_what_the_disk_holds(tmp_path, monkeypatch, write_every):
+    # the run's handle takes its commits from its writer; at every step its
+    # snapshot must equal a fresh handle's, which decodes the files
+    real = LabelStore.open_snapshot
+    probe = np.arange(12 * 24 + 8, dtype=np.uint64)
+    versions = []
+
+    def compared(store):
+        snap = real(store)
+        assert store._writer is not None
+        assert_same_snapshot(snap, real(LabelStore(store.root)), probe)
+        versions.append(snap.manifest_version)
+        return snap
+
+    monkeypatch.setattr(LabelStore, "open_snapshot", compared)
+    students = [make_student(4, name="aux", mode=AUXILIARY, distill=("ctr", "ltv"))]
+    run_online(init_world(GEN, 4), make_teacher(4, write_every=write_every), students,
+               sched(12), tmp_path / "store")
+    assert versions == [t // write_every + 1 for t in range(12)]
+
+
+def test_students_share_one_lookup_per_step_but_not_its_values(tmp_path, monkeypatch):
+    lookups = []
+    real = pipeline.Snapshot.lookup_batch
+
+    def counted(snapshot, ids):
+        lookups.append(len(ids))
+        return real(snapshot, ids)
+
+    monkeypatch.setattr(pipeline.Snapshot, "lookup_batch", counted)
+    students = [
+        make_student(5, name=CONTROL_NAME),
+        make_student(5, name="a", mode=AUXILIARY, distill=("ctr", "ltv")),
+        make_student(5, name="b", mode=DIRECT, distill=("ltv",)),
+    ]
+
+    def perturb(step, name, soft):
+        if name == "a":  # a runs before b; halving a's copy leaves b's alone
+            soft *= 0.5
+
+    with soft_target_records(monkeypatch, perturb) as records:
+        run_online(init_world(GEN, 5), make_teacher(5), students, sched(4), tmp_path / "s")
+    assert lookups == [24] * 4
+    for step in range(4):
+        a, b = records[step]["a"], records[step]["b"]
+        assert a[1] is b[1] and not a[1].flags.writeable  # one shared mask
+        # b distills ltv, which is a's second row
+        assert a[1].all() and np.array_equal(2 * a[2][1], b[2][0])
 
 
 def test_periodic_evals_and_online_sim(tmp_path):
@@ -643,18 +696,18 @@ def test_run_experiment_rejects_threads_below_one(tmp_path, threads):
     assert not (tmp_path / "w").exists()
 
 
-def _segment_layout(data: bytes) -> tuple[int, int, int, int]:
-    """(n_tasks, name bytes, n_rows, n_runs) of a segment file, read with
+def _segment_layout(body: bytes) -> tuple[int, int, int, int]:
+    """(n_tasks, name bytes, n_rows, n_runs) of a segment body, read with
     struct alone so the check does not lean on the decoder under test."""
-    off = 4 + 4 + 8 + 8
-    (n_tasks,) = struct.unpack_from("<H", data, off)
+    off = 8 + 8
+    (n_tasks,) = struct.unpack_from("<H", body, off)
     off += 2
     names = 0
     for _ in range(n_tasks):
-        (name_len,) = struct.unpack_from("<H", data, off)
+        (name_len,) = struct.unpack_from("<H", body, off)
         off += 2 + name_len + 1
         names += name_len
-    n_rows, n_runs = struct.unpack_from("<QQ", data, off)
+    n_rows, n_runs = struct.unpack_from("<QQ", body, off)
     return n_tasks, names, n_rows, n_runs
 
 
@@ -676,10 +729,9 @@ def test_family_default_segments_hold_one_id_run(tmp_path, family):
     segments = sorted(tmp_path.glob("*/seg-*.sls"))
     assert len(segments) == 3 * len(build_runs(cfg))
     for path in segments:
-        data = path.read_bytes()
-        assert data[:8] == b"SLS1" + struct.pack("<I", 2)
-        n_tasks, names, n_rows, n_runs = _segment_layout(data)
+        body = segment_body(path.read_bytes())  # checks the frame, version 3
+        n_tasks, names, n_rows, n_runs = _segment_layout(body)
         assert n_runs == 1
         assert n_rows == cfg.schedule.batch_size
-        header = 4 + 4 + 8 + 8 + 2 + 3 * n_tasks + names
-        assert len(data) == header + 8 + 8 + 16 * n_runs + 4 * n_rows * n_tasks + 4
+        header = 8 + 8 + 2 + 3 * n_tasks + names
+        assert len(body) == header + 8 + 8 + 16 * n_runs + 4 * n_rows * n_tasks
