@@ -38,14 +38,7 @@ order, with their id ranges and precedence keys as numpy columns. Opening a
 snapshot checks the manifest crc, then decodes only the segments the index
 does not hold yet, so an open costs O(new segments) in Python plus one crc
 over the manifest bytes; a manifest that does not extend the index rebuilds
-it.
-
-The writer hands its commits to its own handle, which then reads nothing
-back. After the manifest rename it appends the segment it has just encoded
-to the handle's index, when that index holds exactly the segments committed
-before. While the writer is open it holds the lock, so no one else can
-commit, and the handle's open_snapshot takes the manifest from the writer
-instead of reading it from disk. Other handles read the disk. A snapshot is the first n positions of the index it was opened on, a
+it. A snapshot is the first n positions of the index it was opened on, a
 (manifest version, index, n) triple that copies nothing, and the index
 never rewrites a position a snapshot can see.
 """
@@ -286,22 +279,28 @@ def encode_segment(seg: SegmentData) -> bytes:
         np.ascontiguousarray(seg.run_len, dtype="<u8").tobytes(),
         np.ascontiguousarray(seg.values, dtype="<f4").tobytes(),
     ])
+    # zlib.compress takes wbits only from Python 3.11
+    deflate = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
     data = b"".join([
         SEGMENT_MAGIC,
         _U32.pack(FORMAT_VERSION),
         _U64.pack(len(body)),
-        zlib.compress(body, _DEFLATE_LEVEL, -15),
+        deflate.compress(body),
+        deflate.flush(),
     ])
     return data + _U32.pack(_crc(data))
 
 
-def _inflate(stream: memoryview, body_len: int, path: Path) -> memoryview:
-    """Exactly body_len bytes inflated from a raw deflate stream.
+def _inflate(stream: memoryview, body_len: int, path: Path) -> np.ndarray:
+    """Exactly body_len bytes inflated from a raw deflate stream, as a
+    uint8 array: arrays read from it keep it alive as their base, where a
+    memoryview would add one view object per array.
 
     It feeds and takes at most _INFLATE_CHUNK bytes at a time, so it holds
     one chunk beside the body and stops one byte past body_len.
     """
-    body = memoryview(np.empty(body_len, dtype=np.uint8))
+    body = np.empty(body_len, dtype=np.uint8)
+    into = memoryview(body)
     inflate = zlib.decompressobj(-15)
     pos = fed = 0
     pending = b""
@@ -314,7 +313,7 @@ def _inflate(stream: memoryview, body_len: int, path: Path) -> memoryview:
             pending = inflate.unconsumed_tail
             if pos + len(out) > body_len:
                 raise StoreCorruptionError(f"{path}: body inflates past body_len {body_len}")
-            body[pos : pos + len(out)] = out
+            into[pos : pos + len(out)] = out
             pos += len(out)
             if not out and not pending and fed == len(stream) and not inflate.eof:
                 raise StoreCorruptionError(f"{path}: deflate stream ends early")
@@ -514,23 +513,16 @@ class LabelStore:
         self.root = Path(root)
         self._index = _SegmentIndex()
         self._index_lock = threading.Lock()
-        # this handle's open writer: it holds the lock, so its manifest is
-        # the store's
-        self._writer: SegmentWriter | None = None
 
     def open_snapshot(self) -> Snapshot:
         """Pin the current manifest and load the segments not yet indexed.
 
-        While this handle's writer is open the manifest is the writer's;
-        otherwise it is read from disk. An existing but empty store yields
-        an empty snapshot; a missing directory is an error.
+        An existing but empty store yields an empty snapshot; a missing
+        directory is an error.
         """
-        writer = self._writer
-        manifest = writer._manifest if writer is not None else None
-        if manifest is None:
-            if not self.root.is_dir():
-                raise StoreError(f"store directory missing: {self.root}")
-            manifest = read_manifest(self.root)
+        if not self.root.is_dir():
+            raise StoreError(f"store directory missing: {self.root}")
+        manifest = read_manifest(self.root)
         ids = manifest.segment_ids
         with self._index_lock:
             index = self._index
@@ -590,12 +582,9 @@ class SegmentWriter:
             self.__exit__()
             raise
         self._next_sid = int(ids.max()) + 1 if ids.size else 1
-        self.store._writer = self
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.store._writer is self:
-            self.store._writer = None
         if self._lock_fd is not None:
             fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
             os.close(self._lock_fd)
@@ -612,8 +601,7 @@ class SegmentWriter:
         values: dict[str, np.ndarray],
         teacher_version: int,
     ) -> int:
-        """Commit one segment: stage the file, rename it, publish the manifest,
-        then hand the segment to this handle's index.
+        """Commit one segment: stage the file, rename it, publish the manifest.
 
         Rows are sorted by example id; duplicate ids within a call are an
         error. Returns the new segment id.
@@ -622,16 +610,12 @@ class SegmentWriter:
         sid = self._next_sid
         seg = self._segment(sid, example_ids, values, teacher_version)
         self._publish_file(segment_filename(sid), encode_segment(seg))
-        committed = self._manifest.segment_ids
         self._publish_manifest(
-            ManifestData(self._manifest.manifest_version + 1, np.append(committed, np.uint64(sid)))
+            ManifestData(
+                self._manifest.manifest_version + 1,
+                np.append(self._manifest.segment_ids, np.uint64(sid)),
+            )
         )
-        with self.store._index_lock:
-            index = self.store._index
-            n = len(index.segments)
-            # an index that lags the commits loads them from disk instead
-            if n == committed.size and np.array_equal(index.cols[_SEGMENT_ID, :n], committed):
-                index.extend([seg])
         self._next_sid = sid + 1
         return sid
 

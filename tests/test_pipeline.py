@@ -52,7 +52,6 @@ from onlinekd.ranker import (
 )
 
 from oracles import (
-    assert_same_snapshot,
     audit_fleet,
     metric_value,
     one_shot_policy_metrics,
@@ -214,28 +213,6 @@ def test_run_online_basic_end_to_end(tmp_path):
     # teacher version increases monotonically across segments
     versions = [s.teacher_version for s in snap.segments]
     assert versions == sorted(versions)
-
-
-@pytest.mark.parametrize("write_every", [1, 3])
-def test_the_run_reads_from_its_writer_what_the_disk_holds(tmp_path, monkeypatch, write_every):
-    # the run's handle takes its commits from its writer; at every step its
-    # snapshot must equal a fresh handle's, which decodes the files
-    real = LabelStore.open_snapshot
-    probe = np.arange(12 * 24 + 8, dtype=np.uint64)
-    versions = []
-
-    def compared(store):
-        snap = real(store)
-        assert store._writer is not None
-        assert_same_snapshot(snap, real(LabelStore(store.root)), probe)
-        versions.append(snap.manifest_version)
-        return snap
-
-    monkeypatch.setattr(LabelStore, "open_snapshot", compared)
-    students = [make_student(4, name="aux", mode=AUXILIARY, distill=("ctr", "ltv"))]
-    run_online(init_world(GEN, 4), make_teacher(4, write_every=write_every), students,
-               sched(12), tmp_path / "store")
-    assert versions == [t // write_every + 1 for t in range(12)]
 
 
 def test_students_share_one_lookup_per_step_but_not_its_values(tmp_path, monkeypatch):
