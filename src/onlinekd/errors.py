@@ -12,13 +12,12 @@ class ConfigError(OnlineKdError):
 class DivergenceError(OnlineKdError):
     """Non-finite value surfaced during training or inference.
 
-    Carries enough context (job, layer) to locate the diverging model.
+    Carries the job of the diverging model; the message names the layer.
     """
 
-    def __init__(self, message: str, *, job: str | None = None, layer: str | None = None):
+    def __init__(self, message: str, *, job: str | None = None):
         super().__init__(message)
         self.job = job
-        self.layer = layer
 
 
 class StoreError(OnlineKdError):

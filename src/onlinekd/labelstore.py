@@ -38,9 +38,9 @@ order, with their id ranges and precedence keys as numpy columns. Opening a
 snapshot checks the manifest crc, then decodes only the segments the index
 does not hold yet, so an open costs O(new segments) in Python plus one crc
 over the manifest bytes; a manifest that does not extend the index rebuilds
-it. A snapshot is the first n positions of the index it was opened on, a
-(manifest version, index, n) triple that copies nothing, and the index
-never rewrites a position a snapshot can see.
+it. A snapshot is the first n positions of the index it was opened on, an
+(index, n) pair that copies nothing, and the index never rewrites a
+position a snapshot can see.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StoreCorruptionError, StoreError, WriterLockError
-from .ranker import BINARY, REGRESSION, TaskSpec
+from .ranker import BINARY, REGRESSION
 
 SEGMENT_MAGIC = b"SLS1"
 MANIFEST_MAGIC = b"SLM1"
@@ -159,16 +159,12 @@ def _read_task_dir(cur: _Cursor) -> tuple[tuple[str, str], ...]:
     return tuple(tasks)
 
 
-def _normalize_tasks(tasks: Sequence) -> tuple[tuple[str, str], ...]:
+def _normalize_tasks(tasks: Sequence[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
     out = []
-    for t in tasks:
-        if isinstance(t, TaskSpec):
-            out.append((t.name, t.kind))
-        else:
-            name, kind = t
-            if kind not in _KIND_TO_BYTE:
-                raise StoreError(f"unknown task kind {kind!r}")
-            out.append((str(name), kind))
+    for name, kind in tasks:
+        if kind not in _KIND_TO_BYTE:
+            raise StoreError(f"unknown task kind {kind!r}")
+        out.append((str(name), kind))
     if len({n for n, _ in out}) != len(out):
         raise StoreError("duplicate task names in schema")
     if not out:
@@ -233,10 +229,12 @@ def make_segment(
 
 
 def _example_ids(example_ids) -> np.ndarray:
-    """example_ids as a uint64 array of at least one dimension. Ids that are
-    not integers >= 0 (bools, floats, negatives) are an error: the cast would
-    wrap or truncate them into other ids."""
+    """example_ids as a 1-d uint64 array; a scalar is one id. Ids of more
+    dimensions, or that are not integers >= 0 (bools, floats, negatives), are
+    an error: the cast would wrap or truncate them into other ids."""
     ids = np.asarray(example_ids)
+    if ids.ndim > 1:
+        raise StoreError(f"example ids must be a 1-d array, got shape {ids.shape}")
     if ids.size and (ids.dtype.kind not in "iu" or (ids.dtype.kind == "i" and ids.min() < 0)):
         raise StoreError(f"example ids must be integers >= 0, got {ids.dtype} {ids.ravel()[:3]}")
     return np.ascontiguousarray(ids, dtype=np.uint64)
@@ -462,10 +460,9 @@ class Snapshot:
     segment with the highest (teacher_version, segment_id).
     """
 
-    def __init__(self, manifest_version: int, index: _SegmentIndex, n: int):
+    def __init__(self, index: _SegmentIndex, n: int):
         if index.conflict is not None and index.conflict < n:
             raise StoreError("segments disagree on task schema")
-        self.manifest_version = manifest_version
         self._index = index
         self._n = n
         self.tasks: tuple[tuple[str, str], ...] = index.segments[0].tasks if n else ()
@@ -532,7 +529,7 @@ class LabelStore:
                 index, n = _SegmentIndex(), 0
             index.extend([load_segment(self.root, sid) for sid in ids[n:].tolist()])
             self._index = index
-            return Snapshot(manifest.manifest_version, index, len(ids))
+            return Snapshot(index, len(ids))
 
     def writer(self, tasks: Sequence, *, durable: bool = False) -> "SegmentWriter":
         return SegmentWriter(self, tasks, durable=durable)
@@ -627,8 +624,8 @@ class SegmentWriter:
         teacher_version: int,
     ) -> SegmentData:
         ids = _example_ids(example_ids)
-        if ids.ndim != 1 or ids.shape[0] == 0:
-            raise StoreError("append needs a non-empty 1-d id array")
+        if ids.shape[0] == 0:
+            raise StoreError("append needs a non-empty id array")
         if (
             isinstance(teacher_version, (bool, np.bool_))
             or not isinstance(teacher_version, (int, np.integer))

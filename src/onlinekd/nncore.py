@@ -200,7 +200,7 @@ def mlp_forward(
             a.flags.writeable = False
         activations.append(a)
     if not np.isfinite(a).all():
-        raise DivergenceError("non-finite values in mlp output", job=job, layer="mlp output")
+        raise DivergenceError("non-finite values in mlp output", job=job)
     return a, ForwardCache(activations, clip)
 
 
@@ -327,7 +327,7 @@ def optimizer_step(
     if not np.isfinite(grads).all():
         first = np.flatnonzero(~np.isfinite(grads))[0]
         k = int(np.searchsorted(mlp.starts, first, side="right")) - 1
-        raise DivergenceError(f"non-finite gradient in layer {k}", job=job, layer=str(k))
+        raise DivergenceError(f"non-finite gradient in layer {k}", job=job)
     t = state.step
     lr = cfg.base_lr * warmup_factor(t, cfg.warmup_steps)
     b1, b2, eps = cfg.adam.beta1, cfg.adam.beta2, cfg.adam.epsilon

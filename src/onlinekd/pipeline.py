@@ -17,6 +17,9 @@ Per step t:
   5. students train on batch_t: hard labels plus whatever soft labels the
      snapshot covers (coverage < 1 when writes are throttled)
 
+Each training step, the teacher's and every student's, takes the gradients
+of its joint loss and applies them; no loss value is computed.
+
 Labels travel task-major from the stream to the loss: a batch's hard labels
 are one (n_tasks, batch) array in stream-task order, which every model's
 towers share, and a snapshot lookup returns one (store tasks, batch) block
@@ -30,13 +33,15 @@ write. Because every student of a step takes its soft labels from the same
 lookup, the whole fleet consumes byte-identical soft labels; each takes its
 own copy of its rows, so no student can change another's. The tests audit
 this by wrapping _soft_targets_for, through which every student's soft
-targets pass.
+targets pass, and comparing what each student is handed at each step: the
+snapshot's segment count, the present mask and the soft targets.
 """
 
 from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -280,7 +285,7 @@ def _teacher_train(teacher: TeacherJob, batch: Batch, t: int) -> None:
     if teacher.bias:
         factors = [teacher.bias.get(t.name, 1.0) for t in teacher.model.tasks]
         labels = labels * np.array(factors)[:, None]
-    _, grads = compute_loss_and_grads(
+    grads = compute_loss_and_grads(
         teacher.model,
         batch.x,
         labels,
@@ -315,7 +320,7 @@ def _student_step(
     coverage = 0.0
     if student.distill_tasks:
         soft, present, coverage = _soft_targets_for(student, snapshot, found, rows)
-    _, grads = compute_loss_and_grads(
+    grads = compute_loss_and_grads(
         student.model,
         batch.x,
         batch.labels,
@@ -446,15 +451,12 @@ def run_online(
     cov_sum = {s.name: 0.0 for s in students}
     cov_n = {s.name: 0 for s in students}
     eval_idx = 0
-    task_specs = {t.name: t for t in teacher.model.tasks}
-    write_schema = [task_specs[n] for n in teacher.write_tasks]
-    writer_cm = (
+    write_schema = [(n, teacher.model.config.task(n).kind) for n in teacher.write_tasks]
+    with (
         store.writer(write_schema, durable=sched.durable_store)
-        if teacher.write_tasks
-        else None
-    )
-    try:
-        writer = writer_cm.__enter__() if writer_cm is not None else None
+        if write_schema
+        else nullcontext()
+    ) as writer:
         for t in range(sched.total_steps):
             batch = next_batch(world, sched.batch_size)
             _teacher_train(teacher, batch, t)
@@ -493,9 +495,6 @@ def run_online(
                         )
                         cov_sum[s.name] = 0.0
                         cov_n[s.name] = 0
-    finally:
-        if writer_cm is not None:
-            writer_cm.__exit__(None, None, None)
     return log
 
 

@@ -18,12 +18,14 @@ teacher values as (n_distill, batch) with one present mask over the batch,
 and builds its gradient seeds on those rows. model.towers and
 model.aux_heads hold per-row views of the stacks, which the optimizer steps
 one component at a time.
+
+A training step computes the gradients of the joint loss (defined in
+total_loss) and nothing else: no loss value is evaluated on the step path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -119,7 +121,7 @@ class ModelConfig:
         for t in self.tasks:
             if t.name == name:
                 return t
-        raise KeyError(name)
+        raise ConfigError(f"unknown task {name!r}")
 
 
 @dataclass
@@ -212,63 +214,9 @@ def model_forward(
     return hard, aux
 
 
-def hard_loss(pred, label, kind: str) -> np.ndarray:
-    """Observed-label loss: stable sigmoid cross-entropy from the logit for
-    binary tasks, squared error for regression. Elementwise."""
-    pred = np.asarray(pred, dtype=np.float64)
-    label = np.asarray(label, dtype=np.float64)
-    if kind == BINARY:
-        return np.logaddexp(0.0, pred) - label * pred
-    if kind == REGRESSION:
-        return np.square(pred - label)
-    raise ConfigError(f"unknown task kind {kind!r}")
-
-
 def _check_probabilities(p: np.ndarray) -> None:
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("teacher probability outside (0, 1)")
-
-
-def distill_loss(student_value, teacher_value, kind: str) -> np.ndarray:
-    """Teacher-target loss, elementwise.
-
-    Binary: cross-entropy between the teacher probability and the student's
-    sigmoid, computed from the student logit.
-    Regression: squared error between student and teacher values.
-    """
-    s = np.asarray(student_value, dtype=np.float64)
-    t = np.asarray(teacher_value, dtype=np.float64)
-    if kind == BINARY:
-        _check_probabilities(t)
-        return np.logaddexp(0.0, s) - t * s
-    if kind == REGRESSION:
-        return np.square(s - t)
-    raise ConfigError(f"unknown task kind {kind!r}")
-
-
-@dataclass
-class LossBreakdown:
-    """Per-task losses and the weighted total, exactly as summed.
-
-    Hard losses are batch means. Soft losses are summed over covered
-    examples and normalized by the full batch size, so a coverage gap
-    weakens the distillation signal instead of re-weighting survivors.
-    The four values are filled in by evaluate() on the first read of any
-    of them, so a training step that never reads them does not pay for them.
-    """
-
-    evaluate: Callable[[], tuple[dict, dict, dict, float]] = field(repr=False)
-    hard: dict[str, float] = field(init=False)
-    soft: dict[str, float] = field(init=False)
-    alpha: dict[str, float] = field(init=False)
-    total: float = field(init=False)
-
-    def __getattr__(self, name: str):
-        # Reached only while the values are unset: fill all four, then read.
-        if name not in ("hard", "soft", "alpha", "total"):
-            raise AttributeError(name)
-        self.hard, self.soft, self.alpha, self.total = self.evaluate()
-        return getattr(self, name)
 
 
 @dataclass
@@ -294,8 +242,16 @@ def total_loss(
     soft: np.ndarray | None = None,
     present: np.ndarray | None = None,
     alpha: np.ndarray | None = None,
-) -> tuple[LossBreakdown, LogitSeeds]:
-    """Joint loss over all tasks plus the gradient seed for every logit.
+) -> LogitSeeds:
+    """The gradient seed of the joint loss for every logit.
+
+    The joint loss sums every task's hard loss, the batch mean of the
+    sigmoid cross-entropy from the logit (binary) or the squared error
+    (regression), and every distilled task's soft loss times its alpha. A
+    soft loss is the same per-row loss against the teacher value, summed
+    over the covered examples and divided by the full batch size, so a
+    coverage gap weakens the distillation signal instead of re-weighting
+    the covered examples.
 
     z and labels are the hard logits and labels, (n_tasks, n) in task order;
     z_aux is what model_forward returns beside z. soft holds the teacher
@@ -318,7 +274,6 @@ def total_loss(
     rows = model.distill_rows
     active = np.zeros(rows.size, dtype=bool)
     aux = np.zeros((rows.size, n)) if model.mode == AUXILIARY else None
-    zs = safe = mask = weight = None
     if soft is not None:
         weight = np.ones(rows.size) if alpha is None else np.asarray(alpha, dtype=np.float64)
         if (np.shape(soft), np.shape(present), weight.shape) != ((rows.size, n), (n,), rows.shape):
@@ -326,8 +281,7 @@ def total_loss(
                 f"soft {np.shape(soft)}, present {np.shape(present)} and alpha "
                 f"{weight.shape} do not fit {rows.size} distilled tasks x {n} rows"
             )
-        mask = present.astype(np.float64)
-        # Placeholders keep absent values out of both the loss and the check.
+        # Placeholders keep absent values out of both the seeds and the check.
         binary = model.binary[rows]
         safe = np.where(present, soft, np.where(binary, 0.5, 0.0))
         _check_probabilities(safe[binary[:, 0]])
@@ -337,30 +291,12 @@ def total_loss(
             zs, sig_s = z_aux, _sigmoid(z_aux)
         active = (weight != 0.0) & present.any()
         scale = weight[:, None] * np.where(binary, 1.0, 2.0)
-        seed = scale * (np.where(binary, sig_s, zs) - safe) * mask / n
+        seed = scale * (np.where(binary, sig_s, zs) - safe) * present.astype(np.float64) / n
         if model.mode == DIRECT:
             hard[rows[active]] += seed[active]
         else:
             aux = seed
-
-    def evaluate():
-        hard_out = {
-            t.name: float(np.mean(hard_loss(zt, yt, t.kind)))
-            for t, zt, yt in zip(model.tasks, z, y)
-        }
-        soft_out, alpha_out = {}, {}
-        if soft is not None:
-            for d in np.argsort(rows):  # task order
-                t = model.tasks[rows[d]]
-                alpha_out[t.name] = float(weight[d])
-                loss = (distill_loss(zs[d], safe[d], t.kind) * mask).sum() / n
-                soft_out[t.name] = float(loss) if present.any() else 0.0
-        total = 0.0  # hard losses in task order, then alpha-weighted soft losses
-        for value in [*hard_out.values(), *(alpha_out[k] * v for k, v in soft_out.items())]:
-            total += value
-        return hard_out, soft_out, alpha_out, total
-
-    return LossBreakdown(evaluate), LogitSeeds(hard=hard, aux=aux, soft_active=active)
+    return LogitSeeds(hard=hard, aux=aux, soft_active=active)
 
 
 @dataclass
@@ -382,17 +318,17 @@ def compute_loss_and_grads(
     clip: float | None = None,
     *,
     job: str | None = None,
-) -> tuple[LossBreakdown, ModelGrads]:
-    """One full forward/backward pass: joint loss and exact gradients for
-    every component (trunk, towers, aux heads). The labels, soft targets and
-    alpha are laid out as total_loss takes them."""
+) -> ModelGrads:
+    """One full forward/backward pass: the exact gradients of the joint loss
+    for every component (trunk, towers, aux heads). The labels, soft targets
+    and alpha are laid out as total_loss takes them."""
     trunk_out, trunk_cache = mlp_forward(model.trunk, x, clip, job=job)
     z, tower_cache = mlp_forward(model.tower_stack, trunk_out, clip, job=job)
     z_aux, aux_cache = None, None
     if model.aux_stack is not None:
         z_aux, aux_cache = mlp_forward(model.aux_stack, trunk_out, clip, job=job)
         z_aux = z_aux[..., 0]
-    breakdown, seeds = total_loss(model, z[..., 0], z_aux, labels, soft, present, alpha)
+    seeds = total_loss(model, z[..., 0], z_aux, labels, soft, present, alpha)
 
     tower_grads, tower_in = mlp_backward(model.tower_stack, tower_cache, seeds.hard[..., None])
     trunk_out_grad = np.zeros_like(trunk_out)
@@ -412,7 +348,7 @@ def compute_loss_and_grads(
 
     trunk_grads = mlp_backward(model.trunk, trunk_cache, trunk_out_grad, input_grad=False)[0]
     towers = dict(zip(model.towers, tower_grads))
-    return breakdown, ModelGrads(trunk=trunk_grads, towers=towers, aux=aux_grads)
+    return ModelGrads(trunk=trunk_grads, towers=towers, aux=aux_grads)
 
 
 @dataclass

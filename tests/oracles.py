@@ -24,7 +24,7 @@ from onlinekd import pipeline
 from onlinekd.errors import ConfigError
 from onlinekd.labelstore import LabelStore, encode_segment, make_segment
 from onlinekd.metrics import draw_slates
-from onlinekd.ranker import model_forward, task_score
+from onlinekd.ranker import AUXILIARY, BINARY, model_forward, task_score
 
 
 def numeric_gradient(loss_fn, arrays, eps=1e-6):
@@ -116,6 +116,39 @@ def ref_binary_ce_from_logit(logit: float, target: float) -> float:
     """-target*log(p) - (1-target)*log(1-p) with p = sigmoid(logit)."""
     p = ref_sigmoid(logit)
     return -target * math.log(p) - (1.0 - target) * math.log(1.0 - p)
+
+
+def ref_total_loss(model, z, z_aux, labels, soft=None, present=None, alpha=None) -> float:
+    """The joint loss of a model's logits, z and z_aux as model_forward
+    returns them, from its definition: every task's hard loss averaged over
+    the n rows, plus every distilled task's soft loss, summed over the
+    covered rows, divided by the full n and weighted by its alpha (1 when
+    alpha is None). A binary row's loss is the cross-entropy from the logit,
+    a regression row's the squared error. The soft loss reads the serving
+    logit in direct mode and the aux logit in auxiliary mode. labels, soft,
+    present and alpha are laid out as total_loss takes them."""
+
+    def row_loss(kind, logit, target):
+        if kind == BINARY:
+            return ref_softplus(logit) - target * logit
+        return (logit - target) ** 2
+
+    n = len(labels[0])
+    total = 0.0
+    for task, zt, yt in zip(model.tasks, z, labels):
+        total += sum(row_loss(task.kind, float(a), float(b)) for a, b in zip(zt, yt)) / n
+    if soft is None:
+        return total
+    tasks = {t.name: (row, t.kind) for row, t in enumerate(model.tasks)}
+    for d, name in enumerate(model.config.distill_tasks):
+        row, kind = tasks[name]
+        logits = z_aux[d] if model.mode == AUXILIARY else z[row]
+        weight = 1.0 if alpha is None else float(alpha[d])
+        covered = sum(
+            row_loss(kind, float(logits[i]), float(soft[d][i])) for i in range(n) if present[i]
+        )
+        total += weight * covered / n
+    return total
 
 
 def ref_sigmoid_array(z):
@@ -332,7 +365,6 @@ def segment_file(segment_id, teacher_version, tasks, example_ids, values) -> byt
 
 def assert_same_snapshot(got, want, probe):
     """got and want hold the same segments and answer probe alike."""
-    assert got.manifest_version == want.manifest_version
     assert got.tasks == want.tasks
     assert len(got.segments) == len(want.segments)
     for a, b in zip(got.segments, want.segments):
@@ -367,7 +399,7 @@ def soft_target_records(monkeypatch, perturb=None):
     """Record every student's soft targets while the block runs run_online.
 
     Wraps pipeline._soft_targets_for and yields {step: {student name:
-    (manifest_version, present mask, soft targets)}}. A student is handed
+    (the snapshot's segment count, present mask, soft targets)}}. A student is handed
     its soft targets once per step, so the step is the count of its earlier
     calls. perturb, when given, is called as perturb(step, student name,
     soft targets) before the student sees them and may change them in place.
@@ -381,7 +413,7 @@ def soft_target_records(monkeypatch, perturb=None):
         step = calls[student.name] = calls.get(student.name, -1) + 1
         if perturb is not None:
             perturb(step, student.name, soft)
-        records.setdefault(step, {})[student.name] = (snapshot.manifest_version, present, soft)
+        records.setdefault(step, {})[student.name] = (len(snapshot.segments), present, soft)
         return soft, present, coverage
 
     with monkeypatch.context() as m:
@@ -389,11 +421,12 @@ def soft_target_records(monkeypatch, perturb=None):
         yield records
 
 
-def soft_digest(manifest_version, present, soft) -> str:
-    """sha256 over the manifest version, the present mask and the (tasks,
-    batch) block of soft targets as little-endian float32, with its shape."""
+def soft_digest(segments, present, soft) -> str:
+    """sha256 over the snapshot's segment count, the present mask and the
+    (tasks, batch) block of soft targets as little-endian float32, with its
+    shape."""
     h = hashlib.sha256()
-    h.update(struct.pack("<QQQ", manifest_version, *soft.shape))
+    h.update(struct.pack("<QQQ", segments, *soft.shape))
     h.update(present.astype(np.uint8).tobytes())
     h.update(np.ascontiguousarray(soft, dtype="<f4").tobytes())
     return h.hexdigest()
@@ -411,8 +444,8 @@ class FleetAudit:
 def audit_fleet(monkeypatch, world, teacher, students, sched, store_root,
                 perturb=None) -> FleetAudit:
     """Run the loop with k >= 2 students and check that every student
-    consumed byte-identical soft labels at every step: same manifest
-    version, same present masks, same float32 columns."""
+    consumed byte-identical soft labels at every step: same snapshot
+    segment count, same present masks, same float32 columns."""
     if len(students) < 2:
         raise ConfigError("consistency audit needs at least 2 students")
     with soft_target_records(monkeypatch, perturb) as records:

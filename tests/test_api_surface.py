@@ -1,5 +1,6 @@
-"""Every function and class defined in src/onlinekd is used by the package,
-and every name a module in src/onlinekd or tests imports is read there.
+"""Every function, class and class member defined in src/onlinekd is used by
+the package, and every name a module in src/onlinekd or tests imports is
+read there.
 
 A definition that nothing in src/onlinekd reaches, outside its own body, is
 API kept alive only for the tests (or for nobody). The check parses each
@@ -9,10 +10,20 @@ so recursion and a chain of same-named methods that delegate to each other
 (Mlp.f calling Layer.f) do not keep themselves alive. Dunders are exempt,
 since Python calls them.
 
-Blind spot: it matches names, not bindings. A method that shares its name
-with some other call or attribute in the package (`copy`, `value`, `select`,
-say, next to numpy's or a dataclass's) counts as referenced even when nothing
-calls it, so such a method is not caught.
+The member check does the same for what a class carries: its methods and
+properties, the fields and attributes its body assigns (dataclass fields
+among them) and the attributes its methods assign on self. A member counts
+as read only where the package loads it as an attribute (`x.name`), outside
+the member's own definition; assigning it, or a plain local of the same
+name, does not count.
+
+Blind spot: both checks match names, not bindings. A member or method that
+shares its name with some other attribute the package loads (`copy`,
+`value`, `select`, say, next to numpy's or another class's) counts as read
+even when nothing reads it. Names shared by several classes are common
+(`tasks` is a member of 7 classes, `name` of 5), so a test-only member with
+such a name is not caught. The reverse also holds: a member read only by
+reflection (`getattr` with a string, `dataclasses.asdict`) is flagged.
 
 The import check is per module: a name bound by an import statement
 (`__future__` aside) must be read, as a plain name, somewhere in the module
@@ -69,6 +80,77 @@ def test_check_flags_a_definition_used_only_by_itself(tmp_path):
     )
     assert unreferenced_definitions(tmp_path) == [
         "mod.py:5 lonely", "mod.py:14 Orphan", "mod.py:19 Chain", "mod.py:20 size",
+    ]
+
+
+def class_members(cls: ast.ClassDef):
+    """(name, node) for each member cls defines: its methods and properties,
+    the names its body assigns, and the attributes its methods assign on
+    self."""
+    for item in cls.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield item.name, item
+            for node in ast.walk(item):
+                if (
+                    isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                ):
+                    yield node.attr, node
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id, item
+        elif isinstance(item, ast.Assign):
+            yield from ((t.id, item) for t in item.targets if isinstance(t, ast.Name))
+
+
+def unread_members(src: Path) -> list[str]:
+    """module:line Class.name for each class member the package never loads
+    as an attribute outside the member's own definition."""
+    members, loads = {}, []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for name, member in class_members(node):
+                    members.setdefault((path.name, node.name, name), []).append(member)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.append((path.name, node.attr, node.lineno))
+    spans = {}
+    for (module, _, name), nodes in members.items():
+        spans.setdefault((module, name), []).extend((n.lineno, n.end_lineno) for n in nodes)
+    read = {
+        name
+        for module, name, line in loads
+        if not any(lo <= line <= hi for lo, hi in spans.get((module, name), ()))
+    }
+    return [
+        f"{module}:{nodes[0].lineno} {cls}.{name}"
+        for (module, cls, name), nodes in members.items()
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def test_every_class_member_is_read_by_the_package():
+    assert unread_members(SRC) == []
+
+
+def test_check_flags_a_member_only_assigned_or_read_by_itself(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\n"
+        "class Loss:\n"
+        "    hard: float\n"
+        "    soft: float = 0.0\n"
+        "    LIMIT = 3\n\n"
+        "    @property\n"
+        "    def total(self):\n"
+        "        return self.hard + self.total\n\n"
+        "    def __post_init__(self):\n"
+        "        self.cache = None\n"
+        "        self.seen = 1\n\n\n"
+        "soft = Loss(1.0).seen\n"
+        "print(soft)\n"
+    )
+    assert unread_members(tmp_path) == [
+        "mod.py:7 Loss.soft", "mod.py:8 Loss.LIMIT", "mod.py:11 Loss.total", "mod.py:15 Loss.cache",
     ]
 
 

@@ -333,7 +333,7 @@ def test_writer_append_and_read_back(tmp_path):
         assert sid == 1
         assert read_manifest(store.root).manifest_version == 1
     snap = store.open_snapshot()
-    assert snap.manifest_version == 1
+    assert len(snap.segments) == 1
     assert len(stored_ids(snap)) == 3
     assert snap.tasks == tuple(TASKS)
     # rows were sorted by example id, values carried along
@@ -439,12 +439,12 @@ def test_snapshot_isolation_under_concurrent_appends(tmp_path):
                      {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)},
                      teacher_version=k + 1)
     # the pinned snapshot is oblivious to every later commit
-    assert old.manifest_version == 1
+    assert len(old.segments) == 1
     assert len(stored_ids(old)) == 2
     assert lookup_one(old, 10) is None
     assert lookup_one(old, 2) == {"ctr": np.float32(0.2), "ltv": 2.0}
     fresh = store.open_snapshot()
-    assert fresh.manifest_version == 4
+    assert len(fresh.segments) == 4
     assert len(stored_ids(fresh)) == 5
     assert lookup_one(fresh, 12) is not None
 
@@ -459,7 +459,7 @@ def test_interleaved_opens_linearize(tmp_path):
                      {"ctr": np.zeros(2, np.float32), "ltv": np.zeros(2, np.float32)},
                      teacher_version=k)
             snap = LabelStore(store.root).open_snapshot()
-            versions.append(snap.manifest_version)
+            versions.append(len(snap.segments))
             coverages.append(np.isin(probe, stored_ids(snap)).mean())
             rows.append(len(stored_ids(snap)))
     assert versions == sorted(versions) and len(set(versions)) == len(versions)
@@ -541,7 +541,7 @@ def test_index_matches_replay_oracle_while_it_grows(tmp_path):
             want = expected_columns(replay_store_contents(appends), probe)
             snap = store.open_snapshot()
             capacities.add(store._index.cols.shape[1])
-            assert snap.manifest_version == k + 1
+            assert len(snap.segments) == k + 1
             assert_answers(snap, want, probe)
             assert_answers(LabelStore(store.root).open_snapshot(), want, probe)
             pinned.append((snap, [a[1] for a in appends], want))
@@ -562,7 +562,6 @@ def test_open_rebuilds_when_manifest_does_not_extend_the_index(tmp_path):
     (store.root / segment_filename(4)).write_bytes(one_row_segment(4, TASKS, 4))
     (store.root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(4, (1, 3, 4))))
     snap = store.open_snapshot()
-    assert snap.manifest_version == 4
     assert [s.segment_id for s in snap.segments] == [1, 3, 4]
     assert lookup_one(snap, 2) is None
     assert lookup_one(snap, 3) == {"ctr": 3.0, "ltv": 0.0}
@@ -664,7 +663,7 @@ def test_empty_and_missing_store(tmp_path):
     root = tmp_path / "empty"
     root.mkdir()
     snap = LabelStore(root).open_snapshot()
-    assert snap.manifest_version == 0
+    assert len(snap.segments) == 0
     assert len(stored_ids(snap)) == 0
     assert lookup_one(snap, 1) is None
     assert not np.isin(np.array([1, 2], dtype=np.uint64), stored_ids(snap)).any()
@@ -712,6 +711,22 @@ def test_lookup_refuses_ids_that_are_not_integers_at_least_zero(tmp_path):
             snap.lookup_batch(bad)
 
 
+
+def test_lookup_and_append_refuse_ids_of_more_than_one_dimension(tmp_path):
+    store = make_store(tmp_path)
+    seed_store(store, [(np.array([1, 2]), {"ctr": np.ones(2, np.float32),
+                                           "ltv": np.ones(2, np.float32)}, 0)])
+    snap = store.open_snapshot()
+    assert snap.lookup_batch(np.uint64(2))[0].tolist() == [True]  # a scalar is one id
+    four = {"ctr": np.zeros(4, np.float32), "ltv": np.zeros(4, np.float32)}
+    with store.writer(TASKS) as w:
+        for bad in ([[1, 2]], np.arange(4).reshape(2, 2)):
+            with pytest.raises(StoreError, match="must be a 1-d array"):
+                snap.lookup_batch(bad)
+            with pytest.raises(StoreError, match="must be a 1-d array"):
+                w.append(np.asarray(bad), four, 1)
+    assert len(store.open_snapshot().segments) == 1
+
 def test_huge_example_ids(tmp_path):
     store = make_store(tmp_path)
     ids = np.array([2**64 - 3, 2**64 - 1], dtype=np.uint64)
@@ -736,7 +751,7 @@ def test_crash_leftovers_do_not_affect_readers(tmp_path):
     # segment: committed reads still come from the old manifest
     (store.root / segment_filename(3)).write_bytes(staged)
     snap = LabelStore(store.root).open_snapshot()
-    assert snap.manifest_version == 1
+    assert len(snap.segments) == 1
     assert len(stored_ids(snap)) == 2
     assert lookup_one(snap, 9) is None
     report = inspect_store(store.root)
@@ -889,9 +904,9 @@ def test_snapshot_schema_guard_direct():
     index = labelstore._SegmentIndex()
     index.extend([seg_a, seg_b])
     assert index.conflict == 1
-    assert Snapshot(1, index, 1).tasks == (("a", BINARY),)  # the prefix before the conflict
+    assert Snapshot(index, 1).tasks == (("a", BINARY),)  # the prefix before the conflict
     with pytest.raises(StoreError):
-        Snapshot(2, index, 2)
+        Snapshot(index, 2)
 
 
 def test_read_manifest_missing_is_empty(tmp_path):

@@ -286,10 +286,9 @@ def test_optimizer_step_rejects_nonfinite_grads():
     state = OptState.for_mlp(mlp)
     grads = np.zeros_like(mlp.params)
     grads[:6] = np.nan  # layer 0's weights
-    with pytest.raises(DivergenceError) as err:
+    with pytest.raises(DivergenceError, match="in layer 0$") as err:
         optimizer_step(mlp, grads, state, TrainConfig(), job="student-a")
     assert err.value.job == "student-a"
-    assert err.value.layer == "0"
     # state untouched on failure
     assert state.step == 0
 
@@ -336,7 +335,7 @@ def test_optimizer_step_names_the_diverging_layer():
     state = OptState.for_mlp(mlp)
     grads = np.zeros_like(mlp.params)
     mlp.split(grads)[1][0][0, 0] = np.nan  # the first entry of layer 1
-    with pytest.raises(DivergenceError) as err:
+    with pytest.raises(DivergenceError, match="in layer 1$") as err:
         optimizer_step(mlp, grads, state, TrainConfig(), job="student-b")
-    assert (err.value.job, err.value.layer) == ("student-b", "1")
+    assert err.value.job == "student-b"
     assert state.step == 0 and np.array_equal(mlp.params, before)

@@ -10,7 +10,7 @@ import pytest
 from onlinekd.cli import default_experiment
 from onlinekd.datagen import GenConfig, fork, init_world, next_batch
 from onlinekd.errors import ConfigError, DivergenceError, SchemaError, StoreError
-from onlinekd.labelstore import LabelStore
+from onlinekd.labelstore import LabelStore, read_manifest
 from onlinekd.metrics import OnlineSimConfig
 from onlinekd.nncore import TrainConfig
 from onlinekd import pipeline
@@ -141,6 +141,8 @@ def test_job_validation():
     with pytest.raises(ConfigError, match="regression"):
         make_teacher(bias={"ctr": 1.3})
     make_teacher(bias={"ltv": 1.3})  # regression bias is fine
+    with pytest.raises(ConfigError, match="unknown task 'nope'"):
+        make_teacher(bias={"nope": 1.3})
     with pytest.raises(ConfigError, match="write_every"):
         make_teacher(write_every=0)
     with pytest.raises(ConfigError, match="non-distilled"):
@@ -349,7 +351,7 @@ def test_nodistill_student_matches_plain_training_loop(tmp_path):
     train = TrainConfig(base_lr=0.05)
     for _ in range(8):
         batch = next_batch(twin_world, 24)
-        _, grads = compute_loss_and_grads(model, batch.x, batch.labels)
+        grads = compute_loss_and_grads(model, batch.x, batch.labels)
         apply_gradients(model, grads, opt, train)
     for got, want in zip(student.model.trunk.layers, model.trunk.layers):
         assert np.array_equal(got.weights, want.weights)
@@ -375,7 +377,7 @@ def test_teacher_params_independent_of_fleet_and_writes(tmp_path):
     for got, want in zip(teacher_a.model.trunk.layers, teacher_b.model.trunk.layers):
         assert np.array_equal(got.weights, want.weights)
     # and the no-write run committed nothing
-    assert LabelStore(tmp_path / "b").open_snapshot().manifest_version == 0
+    assert read_manifest(tmp_path / "b").manifest_version == 0
 
 
 def test_alpha_zero_direct_is_bit_identical_to_control(tmp_path):

@@ -23,8 +23,6 @@ from onlinekd.ranker import (
     apply_gradients,
     build_model,
     compute_loss_and_grads,
-    distill_loss,
-    hard_loss,
     model_forward,
     task_score,
     total_loss,
@@ -39,6 +37,7 @@ from oracles import (
     ref_ranker_step,
     ref_sigmoid_array,
     ref_softplus,
+    ref_total_loss,
     relative_error,
     tower_order,
 )
@@ -86,7 +85,7 @@ def test_model_config_validation():
             ModelConfig(4, trunk, tower, TASKS)
     cfg = small_config(AUXILIARY)
     assert cfg.task("ltv").kind == REGRESSION
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match="unknown task 'nope'"):
         cfg.task("nope")
 
 
@@ -201,36 +200,6 @@ def test_sigmoid_matches_the_reference_bit_for_bit(shape):
     assert np.array_equal(_sigmoid(z), ref_sigmoid_array(z))
 
 
-def test_hard_loss_matches_reference():
-    rng = np.random.default_rng(8)
-    logits = rng.standard_normal(20) * 3
-    labels = (rng.random(20) < 0.5).astype(float)
-    got = hard_loss(logits, labels, BINARY)
-    want = [ref_binary_ce_from_logit(z, y) for z, y in zip(logits, labels)]
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-    values = rng.standard_normal(20)
-    np.testing.assert_allclose(
-        hard_loss(logits, values, REGRESSION), (logits - values) ** 2, rtol=1e-12
-    )
-    with pytest.raises(ConfigError):
-        hard_loss(logits, labels, "ordinal")
-
-
-def test_distill_loss_reference_and_validation():
-    s = np.array([0.3, -1.2])
-    t = np.array([0.7, 0.2])
-    got = distill_loss(s, t, BINARY)
-    for gi, si, ti in zip(got, s, t):
-        assert gi == pytest.approx(ref_softplus(si) - ti * si, abs=1e-12)
-    np.testing.assert_allclose(
-        distill_loss(s, np.array([1.0, -2.0]), REGRESSION), (s - [1.0, -2.0]) ** 2
-    )
-    with pytest.raises(ValueError):
-        distill_loss(s, np.array([0.5, 1.0]), BINARY)
-    with pytest.raises(ValueError):
-        distill_loss(s, np.array([0.0, 0.5]), BINARY)
-
-
 def batch_inputs(n=7, seed=13):
     """x, the hard labels and the teacher values by task, and one present
     mask for every distilled task."""
@@ -289,9 +258,9 @@ def test_soft_loss_coverage_normalization():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(4))
     x, hard, soft, present = batch_inputs()
     z, z_aux = model_forward(model, x)
-    args = loss_args(model, hard, soft, present, {"ctr": 0.7, "ltv": 0.3})
-    breakdown, _ = total_loss(model, z, z_aux, *args)
+    alpha = {"ctr": 0.7, "ltv": 0.3}
     n = x.shape[0]
+    expected_total = ref_total_loss(model, z, z_aux, *loss_args(model, hard))
     for name, kind in [("ctr", BINARY), ("ltv", REGRESSION)]:
         za = z_aux[model.config.distill_tasks.index(name)]
         expected = 0.0
@@ -302,35 +271,32 @@ def test_soft_loss_coverage_normalization():
                 expected += ref_softplus(za[i]) - soft[name][i] * za[i]
             else:
                 expected += (za[i] - soft[name][i]) ** 2
-        assert breakdown.soft[name] == pytest.approx(expected / n, rel=1e-12)
-    assert breakdown.alpha == {"ctr": 0.7, "ltv": 0.3}
-    expected_total = sum(breakdown.hard.values())
-    expected_total += 0.7 * breakdown.soft["ctr"] + 0.3 * breakdown.soft["ltv"]
-    assert breakdown.total == pytest.approx(expected_total, rel=1e-12)
+        expected_total += alpha[name] * expected / n
+    got = ref_total_loss(model, z, z_aux, *loss_args(model, hard, soft, present, alpha))
+    assert got == pytest.approx(expected_total, rel=1e-12)
 
 
 def test_hard_loss_means_match_reference():
     model = build_model(small_config(NO_DISTILL), np.random.default_rng(4))
     x, hard, _, _ = batch_inputs()
     z, z_aux = model_forward(model, x)
-    breakdown, _ = total_loss(model, z, z_aux, *loss_args(model, hard))
-    want = np.mean([ref_binary_ce_from_logit(zi, yi) for zi, yi in zip(z[0], hard["ctr"])])
-    assert breakdown.hard["ctr"] == pytest.approx(want, rel=1e-12)
-    assert breakdown.hard["ltv"] == pytest.approx(
-        np.mean((z[1] - hard["ltv"]) ** 2), rel=1e-12
+    want = sum(
+        np.mean([ref_binary_ce_from_logit(zi, yi) for zi, yi in zip(z[row], hard[name])])
+        for row, name in ((0, "ctr"), (2, "aux_click"))
     )
+    want += np.mean((z[1] - hard["ltv"]) ** 2)
+    got = ref_total_loss(model, z, z_aux, *loss_args(model, hard))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_zero_coverage_gives_zero_soft_and_control_grads():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(6))
     x, hard, soft, present = batch_inputs()
     present[:] = False
-    loss_soft, grads_soft = compute_loss_and_grads(
+    grads_soft = compute_loss_and_grads(
         model, x, *loss_args(model, hard, soft, present, {"ctr": 1.0, "ltv": 1.0})
     )
-    loss_none, grads_none = compute_loss_and_grads(model, x, *loss_args(model, hard))
-    assert loss_soft.soft == {"ctr": 0.0, "ltv": 0.0}
-    assert loss_soft.total == loss_none.total
+    grads_none = compute_loss_and_grads(model, x, *loss_args(model, hard))
     assert np.array_equal(grads_soft.trunk, grads_none.trunk)
     for name in grads_soft.aux:
         assert not grads_soft.aux[name].any()
@@ -340,10 +306,10 @@ def test_alpha_zero_grads_bit_identical_to_no_soft():
     for mode in (DIRECT, AUXILIARY):
         model = build_model(small_config(mode), np.random.default_rng(9))
         x, hard, soft, present = batch_inputs()
-        _, with_soft = compute_loss_and_grads(
+        with_soft = compute_loss_and_grads(
             model, x, *loss_args(model, hard, soft, present, {"ctr": 0.0, "ltv": 0.0})
         )
-        _, without = compute_loss_and_grads(model, x, *loss_args(model, hard))
+        without = compute_loss_and_grads(model, x, *loss_args(model, hard))
         assert np.array_equal(with_soft.trunk, without.trunk)
         for name in with_soft.towers:
             assert np.array_equal(with_soft.towers[name], without.towers[name])
@@ -376,10 +342,9 @@ def test_gradients_match_finite_differences(mode, use_soft, alpha, clip):
     args = loss_args(model, hard, soft if use_soft else None, present, alpha)
 
     def loss():
-        breakdown, _ = total_loss(model, *model_forward(model, x, clip), *args)
-        return breakdown.total
+        return ref_total_loss(model, *model_forward(model, x, clip), *args)
 
-    _, grads = compute_loss_and_grads(model, x, *args, clip)
+    grads = compute_loss_and_grads(model, x, *args, clip)
     arrays, analytic = [], []
     mlps = [("trunk", model.trunk, grads.trunk)]
     mlps += [(n, model.towers[n], grads.towers[n]) for n in sorted(model.towers)]
@@ -396,8 +361,8 @@ def test_auxiliary_knowledge_reaches_trunk_not_tower():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(14))
     x, hard, soft, present = batch_inputs()
     alpha = {"ctr": 1.0, "ltv": 1.0}
-    _, with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
-    _, without = compute_loss_and_grads(model, x, *loss_args(model, hard))
+    with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
+    without = compute_loss_and_grads(model, x, *loss_args(model, hard))
     # serving towers see hard-label gradients only
     for name in with_soft.towers:
         assert np.array_equal(with_soft.towers[name], without.towers[name])
@@ -412,8 +377,8 @@ def test_direct_soft_loss_lands_on_serving_tower():
     model = build_model(small_config(DIRECT), np.random.default_rng(14))
     x, hard, soft, present = batch_inputs()
     alpha = {"ctr": 1.0, "ltv": 1.0}
-    _, with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
-    _, without = compute_loss_and_grads(model, x, *loss_args(model, hard))
+    with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
+    without = compute_loss_and_grads(model, x, *loss_args(model, hard))
     ctr_w = [model.towers["ctr"].split(g.towers["ctr"])[0][0] for g in (with_soft, without)]
     assert not np.array_equal(*ctr_w)
     # non-distilled task tower is untouched by soft labels
@@ -425,7 +390,7 @@ def test_apply_gradients_steps_every_component():
     opt = ModelOptimizer.for_model(model)
     x, hard, soft, present = batch_inputs()
     alpha = {"ctr": 1.0, "ltv": 1.0}
-    _, grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
+    grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
     before = build_model(small_config(AUXILIARY), np.random.default_rng(10))
     apply_gradients(model, grads, opt, TrainConfig(base_lr=0.01))
     assert opt.trunk.step == 1
@@ -441,7 +406,7 @@ def test_component_arrays_stay_views_of_the_stacked_buffers():
     for step in range(10):
         x, hard, soft, present = batch_inputs(seed=step)
         alpha = {"ctr": 1.0, "ltv": 0.5}
-        _, grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
+        grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
         apply_gradients(model, grads, opt, train)
     assert opt.trunk.step == 10
     stacks = [
@@ -473,12 +438,13 @@ def test_covered_binary_teacher_values_are_checked_on_the_step_path(mode):
         with pytest.raises(ValueError, match="teacher probability"):
             compute_loss_and_grads(model, x, *with_ctr_value(0, bad))
     # the same value on an uncovered row is a placeholder, never read
-    accepted = with_ctr_value(np.flatnonzero(~present)[0], 1.0)
-    before, grads = compute_loss_and_grads(model, x, *accepted)
-    after, _ = compute_loss_and_grads(model, x, *accepted)
-    first = (before.hard, before.soft, before.alpha, before.total)
-    apply_gradients(model, grads, ModelOptimizer.for_model(model), TrainConfig(base_lr=0.05))
-    assert (after.hard, after.soft, after.alpha, after.total) == first
+    got = compute_loss_and_grads(model, x, *with_ctr_value(np.flatnonzero(~present)[0], 1.0))
+    want = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present))
+    assert np.array_equal(got.trunk, want.trunk)
+    for name in got.towers:
+        assert np.array_equal(got.towers[name], want.towers[name])
+    for name in got.aux:
+        assert np.array_equal(got.aux[name], want.aux[name])
 
 
 def component_layers(model):
@@ -543,8 +509,8 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
         alpha = None if mode == NO_DISTILL else {"ctr": a, "ltv": a}
         args = loss_args(model, hard, soft_arg, present, alpha)
         z, z_aux = model_forward(model, x, clip)
-        _, grads = compute_loss_and_grads(model, x, *args, clip)
-        _, seeds = total_loss(model, z, z_aux, *args)
+        grads = compute_loss_and_grads(model, x, *args, clip)
+        seeds = total_loss(model, z, z_aux, *args)
         want_soft = {} if soft_arg is None else {k: (v, present) for k, v in soft.items()}
         hard_logits, aux_logits, hard_seeds, aux_seeds, want = ref_ranker_step(
             ref, tasks, mode == DIRECT, x, hard, want_soft, alpha or {}, clip
