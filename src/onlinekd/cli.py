@@ -581,7 +581,8 @@ def main(argv=None) -> int:
         print(f"schema error: {e}", file=sys.stderr)
         return 1
     except DivergenceError as e:
-        print(f"runtime divergence: {e}", file=sys.stderr)
+        where = f"{e.job}: " if e.job else ""
+        print(f"runtime divergence: {where}{e}", file=sys.stderr)
         return 2
     except StoreCorruptionError as e:
         print(f"store corruption: {e}", file=sys.stderr)

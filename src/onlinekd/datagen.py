@@ -177,12 +177,12 @@ def true_task_value(world: WorldState, x: np.ndarray, task: str) -> np.ndarray:
     return _sigmoid(margin) if spec.kind == BINARY else _softplus(margin)
 
 
-def fork(world: WorldState, label: str, *salts: int, freeze_drift: bool = True) -> WorldState:
+def fork(world: WorldState, label: str, *salts: int) -> WorldState:
     """Branch a deterministic side-stream at the current latent state.
 
     The fork shares the parent's latents (copied) and step counter but owns
     an independent generator, so held-out evaluation draws never perturb the
-    training stream. With freeze_drift the fork samples the instantaneous
+    training stream. Its drift is frozen: it samples the instantaneous
     step-t distribution instead of continuing the random walk.
     """
     return WorldState(
@@ -192,5 +192,5 @@ def fork(world: WorldState, label: str, *salts: int, freeze_drift: bool = True) 
         latents={k: v.copy() for k, v in world.latents.items()},
         rng=world.derive_rng(label, *salts, world.t),
         next_example_id=world.next_example_id,
-        drift_frozen=freeze_drift or world.drift_frozen,
+        drift_frozen=True,
     )

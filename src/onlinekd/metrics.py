@@ -78,19 +78,16 @@ def bootstrap_ci(
     samples: np.ndarray,
     *,
     resamples: int = 1000,
-    level: float = 0.95,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Seeded percentile bootstrap CI for the mean of the samples."""
+    """Seeded 95% percentile bootstrap CI for the mean of the samples."""
     samples = np.asarray(samples, dtype=np.float64).reshape(-1)
     if samples.shape[0] < 10:
         raise ValueError("bootstrap needs at least 10 samples")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, samples.shape[0], size=(resamples, samples.shape[0]))
     means = samples[idx].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - 0.95) / 2.0
     lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
 

@@ -57,7 +57,7 @@ from .datagen import (
     next_batch,
     true_task_value,
 )
-from .errors import ConfigError, SchemaError, StoreError
+from .errors import ConfigError, DivergenceError, SchemaError, StoreError
 from .labelstore import LabelStore, Snapshot, read_manifest
 from .metrics import (
     OnlineSimConfig,
@@ -120,8 +120,8 @@ class MetricsLog:
     def __init__(self, rows: list[MetricRow] | None = None):
         self.rows: list[MetricRow] = rows if rows is not None else []
 
-    def add(self, step, job, task, metric, value, lo=None, hi=None) -> None:
-        self.rows.append(MetricRow(step, job, task, metric, float(value), lo, hi))
+    def add(self, step, job, task, metric, value) -> None:
+        self.rows.append(MetricRow(step, job, task, metric, float(value)))
 
 
 def write_metrics_csv(path, rows) -> None:
@@ -300,13 +300,12 @@ def _soft_targets_for(
     snapshot: Snapshot,
     found: tuple[np.ndarray, np.ndarray],
     rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The student's own copy of its soft targets, (n_distill, batch)
     float32 taken from the store rows rows of found, the step's read-only
-    (present, values) lookup in snapshot; their present mask; and their
-    coverage."""
+    (present, values) lookup in snapshot, and their present mask."""
     present, values = found
-    return values[rows], present, float(present.mean())
+    return values[rows], present
 
 
 def _student_step(
@@ -315,11 +314,10 @@ def _student_step(
     snapshot: Snapshot,
     found: tuple[np.ndarray, np.ndarray] | None,
     rows: np.ndarray,
-) -> float:
+) -> None:
     soft = present = None
-    coverage = 0.0
     if student.distill_tasks:
-        soft, present, coverage = _soft_targets_for(student, snapshot, found, rows)
+        soft, present = _soft_targets_for(student, snapshot, found, rows)
     grads = compute_loss_and_grads(
         student.model,
         batch.x,
@@ -331,7 +329,6 @@ def _student_step(
         job=student.name,
     )
     apply_gradients(student.model, grads, student.opt, student.train, job=student.name)
-    return coverage
 
 
 def _simulate_online(
@@ -448,8 +445,7 @@ def run_online(
     store = LabelStore(store_root)
     distilling = any(s.distill_tasks for s in students)
     log = MetricsLog()
-    cov_sum = {s.name: 0.0 for s in students}
-    cov_n = {s.name: 0 for s in students}
+    cov_sum, cov_n = 0.0, 0  # every distilling student reads the step's one lookup
     eval_idx = 0
     write_schema = [(n, teacher.model.config.task(n).kind) for n in teacher.write_tasks]
     with (
@@ -468,13 +464,10 @@ def run_online(
                 found = snapshot.lookup_batch(batch.example_ids)
                 for arr in found:
                     arr.flags.writeable = False
+                cov_sum += float(found[0].mean())
+                cov_n += 1
             for student in students:
-                coverage = _student_step(
-                    student, batch, snapshot, found, store_rows[student.name]
-                )
-                if student.distill_tasks:
-                    cov_sum[student.name] += coverage
-                    cov_n[student.name] += 1
+                _student_step(student, batch, snapshot, found, store_rows[student.name])
             final = t == sched.total_steps - 1
             periodic = sched.eval_every > 0 and (t + 1) % sched.eval_every == 0
             if final or periodic:
@@ -487,14 +480,11 @@ def run_online(
                     )
                 )
                 _eval_point(log, t + 1, eval_idx, world, teacher, students, sched, sim_due)
-                for s in students:
-                    if s.distill_tasks and cov_n[s.name]:
-                        log.add(
-                            t + 1, s.name, JOB_LEVEL_TASK, "coverage",
-                            cov_sum[s.name] / cov_n[s.name],
-                        )
-                        cov_sum[s.name] = 0.0
-                        cov_n[s.name] = 0
+                if cov_n:
+                    for s in students:
+                        if s.distill_tasks:
+                            log.add(t + 1, s.name, JOB_LEVEL_TASK, "coverage", cov_sum / cov_n)
+                    cov_sum, cov_n = 0.0, 0
     return log
 
 
@@ -517,7 +507,6 @@ class StudentDef:
     mode: str = NO_DISTILL
     distill: tuple[str, ...] = ()
     alpha: dict[str, float] = field(default_factory=dict)
-    scale: int = 1
 
     def __post_init__(self) -> None:
         if self.mode == "none":  # the YAML spelling of no distillation
@@ -535,8 +524,6 @@ class TeacherDef:
     name: str = "teacher"
     scale: int = 2
     write_tasks: tuple[str, ...] = ()
-    bias: dict[str, float] = field(default_factory=dict)
-    freeze_at: int | None = None
 
 
 @dataclass
@@ -577,6 +564,10 @@ class ExperimentConfig:
             raise ConfigError(f"seeds: must be >= 0, got {min(self.seeds)}")
         if len(set(self.teacher_scales)) != len(self.teacher_scales):  # one run each
             raise ConfigError("model.teacher_scales: duplicate scales")
+        if any(s < 1 for s in self.teacher_scales):
+            raise ConfigError(
+                f"model.teacher_scales: scales must be >= 1, got {list(self.teacher_scales)}"
+            )
         if self.family != FAMILY_SCALE and len(self.teacher_scales) != 1:
             raise ConfigError(
                 f"model.teacher_scales: the {self.family} family takes exactly one scale"
@@ -615,11 +606,10 @@ def _alpha_map(cfg: ExperimentConfig, tasks: tuple[str, ...]) -> dict[str, float
 
 def _run(cfg: ExperimentConfig, run_id, teacher_name, scale, students) -> RunDef:
     """A run whose teacher writes the tasks its students distill, in stream
-    order, with the config's label bias and freeze step."""
+    order."""
     distilled = {t for s in students for t in s.distill}
     write = tuple(t.name for t in cfg.gen.tasks if t.name in distilled)
-    teacher = TeacherDef(teacher_name, scale, write, dict(cfg.bias), cfg.freeze_at)
-    return RunDef(run_id, teacher, students)
+    return RunDef(run_id, TeacherDef(teacher_name, scale, write), students)
 
 
 def build_runs(cfg: ExperimentConfig) -> list[RunDef]:
@@ -659,16 +649,11 @@ def build_runs(cfg: ExperimentConfig) -> list[RunDef]:
     return [_run(cfg, "main", "teacher", scale, students)]
 
 
-def _scaled(widths: tuple[int, ...], scale: int) -> tuple[int, ...]:
-    if scale < 1:
-        raise ConfigError("width multiplier must be >= 1")
-    return tuple(w * scale for w in widths)
-
-
 def make_teacher_job(cfg: ExperimentConfig, tdef: TeacherDef, seed: int) -> TeacherJob:
+    """tdef's teacher with the config's label bias, freeze step and write cadence."""
     mc = ModelConfig(
         feature_dim=cfg.gen.feature_dim,
-        trunk_widths=_scaled(cfg.teacher_trunk, tdef.scale),
+        trunk_widths=tuple(w * tdef.scale for w in cfg.teacher_trunk),
         tower_widths=cfg.tower_widths,
         tasks=cfg.gen.tasks,
         mode=NO_DISTILL,
@@ -681,15 +666,15 @@ def make_teacher_job(cfg: ExperimentConfig, tdef: TeacherDef, seed: int) -> Teac
         train=cfg.teacher_train,
         write_tasks=tuple(tdef.write_tasks),
         write_every=cfg.write_every,
-        freeze_at=tdef.freeze_at,
-        bias=dict(tdef.bias),
+        freeze_at=cfg.freeze_at,
+        bias=dict(cfg.bias),
     )
 
 
 def make_student_job(cfg: ExperimentConfig, sdef: StudentDef, seed: int) -> StudentJob:
     mc = ModelConfig(
         feature_dim=cfg.gen.feature_dim,
-        trunk_widths=_scaled(cfg.student_trunk, sdef.scale),
+        trunk_widths=cfg.student_trunk,
         tower_widths=cfg.tower_widths,
         tasks=cfg.gen.tasks,
         mode=sdef.mode,
@@ -722,7 +707,8 @@ def run_experiment(
     cfg: ExperimentConfig, work_dir, *, threads: int = 1, progress=None
 ) -> MetricsLog:
     """Execute family runs for every seed; returns the combined log with
-    jobs renamed to s<seed>/<job>. threads parallelizes (seed, run) cells."""
+    jobs renamed to s<seed>/<job>, as is the job of a DivergenceError.
+    threads parallelizes (seed, run) cells."""
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     work_dir = Path(work_dir)
@@ -735,7 +721,10 @@ def run_experiment(
         teacher = make_teacher_job(cfg, run.teacher, seed)
         students = [make_student_job(cfg, sdef, seed) for sdef in run.students]
         store_root = work_dir / f"{run.run_id}-s{seed}"
-        log = run_online(world, teacher, students, cfg.schedule, store_root)
+        try:
+            log = run_online(world, teacher, students, cfg.schedule, store_root)
+        except DivergenceError as e:  # every model of a cell raises with its job
+            raise DivergenceError(str(e), job=seed_job_name(seed, e.job)) from e
         if progress is not None:
             progress(f"finished run {run.run_id} seed {seed}")
         for r in log.rows:

@@ -409,12 +409,12 @@ def soft_target_records(monkeypatch, perturb=None):
     original = pipeline._soft_targets_for
 
     def recorded(student, snapshot, found, rows):
-        soft, present, coverage = original(student, snapshot, found, rows)
+        soft, present = original(student, snapshot, found, rows)
         step = calls[student.name] = calls.get(student.name, -1) + 1
         if perturb is not None:
             perturb(step, student.name, soft)
         records.setdefault(step, {})[student.name] = (len(snapshot.segments), present, soft)
-        return soft, present, coverage
+        return soft, present
 
     with monkeypatch.context() as m:
         m.setattr(pipeline, "_soft_targets_for", recorded)

@@ -10,6 +10,7 @@ reproducible measurements, not statistical gambles.
 
 import shutil
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -330,7 +331,7 @@ def test_c6_teacher_staleness(tmp_path):
         for tag, freeze in (("live", None), ("frozen", total // 2)):
             world = init_world(gen, seed)
             teacher = make_teacher_job(
-                base, TeacherDef("teacher", 1, ("ctr",), {}, freeze), seed
+                replace(base, freeze_at=freeze), TeacherDef("teacher", 1, ("ctr",)), seed
             )
             student = make_student_job(base, base.students[0], seed)
             log = run_online(

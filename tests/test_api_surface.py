@@ -1,6 +1,6 @@
-"""Every function, class and class member defined in src/onlinekd is used by
-the package, and every name a module in src/onlinekd or tests imports is
-read there.
+"""Every function, class, class member and defaulted parameter defined in
+src/onlinekd is used by the package, and every name a module in
+src/onlinekd or tests imports is read there.
 
 A definition that nothing in src/onlinekd reaches, outside its own body, is
 API kept alive only for the tests (or for nobody). The check parses each
@@ -17,13 +17,24 @@ as read only where the package loads it as an attribute (`x.name`), outside
 the member's own definition; assigning it, or a plain local of the same
 name, does not count.
 
-Blind spot: both checks match names, not bindings. A member or method that
+The parameter check looks at every parameter that has a default, on a
+function or method: some call must pass it, by keyword, by position at or
+past its index (self aside) or through *args/**kwargs. A call to a class
+counts for its __init__. Calls in benchmarks/ count too, since the benchmark
+drives the package through cli.main(argv); calls inside the function's own
+definition do not.
+
+Blind spot: these checks match names, not bindings. A member or method that
 shares its name with some other attribute the package loads (`copy`,
 `value`, `select`, say, next to numpy's or another class's) counts as read
 even when nothing reads it. Names shared by several classes are common
 (`tasks` is a member of 7 classes, `name` of 5), so a test-only member with
-such a name is not caught. The reverse also holds: a member read only by
-reflection (`getattr` with a string, `dataclasses.asdict`) is flagged.
+such a name is not caught. Likewise a call to any function or method of a
+name (`add`, `append`, `get`) counts for every definition of that name, so
+a parameter passed to one of them counts as passed to all. The reverse also
+holds: a member read only by reflection (`getattr` with a string,
+`dataclasses.asdict`) is flagged, and so is a parameter passed only where a
+library calls the function back (`pool.map(f, cells)`).
 
 The import check is per module: a name bound by an import statement
 (`__future__` aside) must be read, as a plain name, somewhere in the module
@@ -151,6 +162,97 @@ def test_check_flags_a_member_only_assigned_or_read_by_itself(tmp_path):
     )
     assert unread_members(tmp_path) == [
         "mod.py:7 Loss.soft", "mod.py:8 Loss.LIMIT", "mod.py:11 Loss.total", "mod.py:15 Loss.cache",
+    ]
+
+
+def defaulted_parameters(fn, offset):
+    """(name, positional index or None) for each parameter of fn that has a
+    default; offset is 1 for a method, whose calls do not pass self."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    for i, arg in enumerate(positional[len(positional) - len(args.defaults):]):
+        yield arg.arg, len(positional) - len(args.defaults) + i - offset
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def passes(call: ast.Call, name: str, index) -> bool:
+    """Whether call passes the parameter name at positional index (None for
+    keyword-only), by keyword, by position or through *args/**kwargs."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unpassed_parameters(src: Path, callers) -> list[str]:
+    """module:line function(parameter) for each defaulted parameter of a
+    function or method in src that no call in src or in the caller files
+    passes, outside the function's own definition. A call to a class counts
+    for its __init__."""
+    params, calls = [], []
+    for path in sorted(src.glob("*.py")):
+        owners = {}  # a class body's functions, found before the walk reaches them
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                owners.update((id(item), node.name) for item in node.body)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owners.get(id(node))
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            callee = cls if node.name == "__init__" else node.name
+            label = f"{cls}.{node.name}" if cls else node.name
+            for name, index in defaulted_parameters(node, int(cls is not None and not static)):
+                params.append((path.name, node, callee, f"{label}({name})", name, index))
+    for path in sorted(src.glob("*.py")) + sorted(callers):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.append((path.name if path.parent == src else None, node, callee))
+    params.sort(key=lambda p: (p[0], p[1].lineno))
+    return [
+        f"{module}:{fn.lineno} {label}"
+        for module, fn, callee, label, name, index in params
+        if not any(
+            target == callee and passes(call, name, index)
+            and not (caller == module and fn.lineno <= call.lineno <= fn.end_lineno)
+            for caller, call, target in calls
+        )
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    # benchmarks/ drives the package through cli.main(argv) and reads its
+    # names, so its calls count as the package's own
+    assert unpassed_parameters(SRC, (TESTS.parent / "benchmarks").glob("*.py")) == []
+
+
+def test_check_flags_a_parameter_no_call_passes(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def grow(n, step=1, *, limit=None, quiet=False):\n"
+        "    return grow(n, step, limit=limit) if n else n\n\n\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, colour='red'):\n"
+        "        self.size = size\n\n"
+        "    def put(self, item, where=0, mode='a'):\n"
+        "        return item, where, mode\n\n\n"
+        "def relay(*args, **kwargs):\n"
+        "    return grow(*args), Box(**kwargs)\n\n\n"
+        "def quiet(level=0):\n"
+        "    return level\n\n\n"
+        "Box(2).put('x', 1)\n"
+    )
+    caller = tmp_path / "bench" / "caller.py"
+    caller.parent.mkdir()
+    caller.write_text("quiet(level=1)\n")
+    assert unpassed_parameters(tmp_path, []) == [
+        "mod.py:1 grow(limit)", "mod.py:1 grow(quiet)", "mod.py:9 Box.put(mode)",
+        "mod.py:17 quiet(level)",
+    ]
+    assert unpassed_parameters(tmp_path, [caller]) == [
+        "mod.py:1 grow(limit)", "mod.py:1 grow(quiet)", "mod.py:9 Box.put(mode)",
     ]
 
 

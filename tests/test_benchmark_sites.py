@@ -1,10 +1,11 @@
 """The package names that benchmarks/ patches or reads still exist.
 
 The benchmark's tracer swaps functions by name (``pipeline.draw_slates``,
-``ranker.mlp_forward``, ...) and its harness reads ``labelstore`` names
-directly. A rename in the package then breaks the benchmark run. These
-tests catch it in the tier-1 suite instead. They only import and read
-benchmarks/tracer.py; nothing under benchmarks/ is changed.
+``ranker.mlp_forward``, ...) and its harness reads ``labelstore`` names and
+the fields of the run definitions directly. A rename in the package then
+breaks the benchmark run. These tests catch it in the tier-1 suite instead.
+They only import and read benchmarks/tracer.py and benchmarks/harness.py;
+nothing under benchmarks/ is changed.
 """
 
 import importlib.util
@@ -18,18 +19,20 @@ from onlinekd.cli import default_experiment
 from onlinekd.datagen import init_world
 from onlinekd.pipeline import (
     FAMILY_DISTILL,
+    FAMILY_OBJECTIVE,
+    FAMILY_SCALE,
     ScheduleConfig,
     build_runs,
     make_student_job,
     make_teacher_job,
 )
 
-TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", BENCHMARKS / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     try:
@@ -37,6 +40,25 @@ def tracer():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def harness():
+    spec = importlib.util.spec_from_file_location("benchmark_harness", BENCHMARKS / "harness.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    fresh = "tracer" not in sys.modules
+    sys.path.insert(0, str(BENCHMARKS))  # the harness imports its tracer by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+    try:
+        yield module
+    finally:
+        del sys.modules[spec.name]
+        if fresh:
+            sys.modules.pop("tracer", None)
 
 
 @pytest.mark.parametrize("steps_only", [False, True])
@@ -49,6 +71,23 @@ def test_tracer_installs_and_restores_its_sites(tracer, steps_only):
         during = [getattr(owner, attr) for owner, attr in sites]
     assert all(a is not b for a, b in zip(before, during))
     assert [getattr(owner, attr) for owner, attr in sites] == before
+
+
+# metric rows one seed of each shipped family default writes, as
+# benchmarks/test_benchmark.py counts them
+SHIPPED_ROWS = [(FAMILY_DISTILL, 117), (FAMILY_OBJECTIVE, 108), (FAMILY_SCALE, 152)]
+
+
+@pytest.mark.parametrize("family, rows", SHIPPED_ROWS)
+def test_harness_reads_the_shipped_run_definitions(harness, family, rows):
+    cfg = default_experiment(family, (0,))
+    runs = build_runs(cfg)
+    assert sum(harness.expected_rows(cfg, run) for run in runs) == rows
+    # the fields its output gate reads of each run
+    for run in runs:
+        assert isinstance(run.run_id, str) and isinstance(run.teacher.name, str)
+        for student in run.students:
+            assert isinstance(student.name, str) and isinstance(student.distill, tuple)
 
 
 def test_store_names_the_harness_reads():

@@ -4,7 +4,9 @@ import json
 import re
 import struct
 import zlib
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from onlinekd.labelstore import LabelStore, SegmentWriter, segment_filename
 from onlinekd.metrics import OnlineSimConfig
 from onlinekd.nncore import AdamConfig
 from onlinekd.pipeline import (
+    ExperimentConfig,
     FAMILIES,
     FAMILY_CUSTOM,
     FAMILY_DISTILL,
@@ -37,6 +40,7 @@ from onlinekd.pipeline import (
     JOB_LEVEL_TASK,
     MetricRow,
     build_runs,
+    make_teacher_job,
     read_metrics_csv,
     split_job_name,
     write_metrics_csv,
@@ -171,6 +175,8 @@ BAD_VALUES = [
       "stream": {"tasks": [{"name": n, "kind": "binary"} for n in "ctr"]},
       "distill": {"tasks": "ctr"}}, "distill.tasks"),
     ({"students": [{**STUDENT, "alpha": {"ctr": "x"}}]}, "students[0].alpha.ctr"),
+    # once widened the student's trunk; no key sets a student's width now
+    ({"students": [{**STUDENT, "scale": 2}]}, "students[0]"),
     ({"teacher": {"freeze_at": "soon"}}, "teacher.freeze_at"),
     ({"seeds": [-1]}, "seeds"),
     ({"model": {"teacher_scales": [1, 2]}}, "model.teacher_scales"),
@@ -187,9 +193,9 @@ BAD_VALUES = [
 ]
 
 
-# (a key of _YAML_FIELDS that build_runs reads, a value unlike every family
-# default, the families that read it); the other keys reach the stream, the
-# models and the loop the same way in every family
+# (a key of _YAML_FIELDS that build_runs or make_teacher_job reads, a value
+# unlike every family default, the families that read it); the other keys
+# reach the stream, the models and the loop the same way in every family
 RUN_KEYS = [
     ("model.teacher_scales", [3], FAMILIES),
     ("distill.mode", "direct", (FAMILY_SCALE, FAMILY_OBJECTIVE)),
@@ -197,11 +203,12 @@ RUN_KEYS = [
     ("distill.alpha", {"ctr": 0.5, "ltv": 0.5}, (FAMILY_DISTILL, FAMILY_SCALE, FAMILY_OBJECTIVE)),
     ("teacher.bias", {"ltv": 1.5}, FAMILIES),
     ("teacher.freeze_at", 7, FAMILIES),
+    ("teacher.write_every", 3, FAMILIES),
     ("students", [{"name": "pupil", "mode": "direct", "distill": ["ltv"]}], (FAMILY_CUSTOM,)),
 ]
 SHARED_KEYS = {
     "family", "seeds", "stream", "schedule", "model.teacher_trunk", "model.student_trunk",
-    "model.tower", "training.teacher", "training.student", "teacher.write_every",
+    "model.tower", "training.teacher", "training.student",
 }
 
 
@@ -211,6 +218,13 @@ def yaml_paths(table, prefix=""):
             yield from yaml_paths(name, f"{prefix}{key}.")
         else:
             yield prefix + key
+
+
+def built_runs(cfg):
+    """cfg's runs, and the settings each run's teacher takes from cfg."""
+    runs = build_runs(cfg)
+    teachers = [make_teacher_job(cfg, run.teacher, 0) for run in runs]
+    return runs, [(t.bias, t.freeze_at, t.write_every) for t in teachers]
 
 
 def test_every_yaml_key_is_run_shaping_or_shared():
@@ -223,8 +237,8 @@ def test_every_family_key_changes_the_runs_or_is_rejected(family, path, value, r
     section, _, key = path.partition(".")
     raw = {"family": family, section: {key: value} if key else value}
     if family in readers:
-        default = build_runs(build_config({"family": family}))
-        assert build_runs(build_config(raw)) != default
+        default = built_runs(build_config({"family": family}))
+        assert built_runs(build_config(raw)) != default
     else:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: the {family} family")):
             build_config(raw)
@@ -287,13 +301,50 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
 
 
+def readable_keys(cls, names=None, prefix=""):
+    """Every YAML key path build_config reads into the dataclass cls, list
+    items unindexed; names is _YAML_FIELDS at the top level."""
+    hints = get_type_hints(cls)
+    for key, name in (names or {f.name: f.name for f in fields(cls)}).items():
+        path = prefix + key
+        if isinstance(name, dict):
+            yield from readable_keys(cls, name, path + ".")
+            continue
+        inner = [a for a in get_args(hints[name]) or (hints[name],) if is_dataclass(a)]
+        if inner:
+            yield from readable_keys(inner[0], None, path + ".")
+        else:
+            yield path
+
+
+def example_keys(raw, prefix=""):
+    """Every key path a parsed YAML mapping sets, list items unindexed."""
+    for key, value in raw.items():
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, dict) for v in items):
+            for v in items:
+                yield from example_keys(v, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
 def test_readme_yaml_example_is_accepted():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## YAML config", 1)[1]
-    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
-    cfg = build_config(yaml.safe_load(example))
+    example = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+    cfg = build_config(example)
     assert cfg.family == "custom"
     assert [s.name for s in cfg.students] == ["control", "pupil"]
+    # it sets every key custom reads; training.student takes training.teacher's keys
+    set_keys = set(example_keys(example))
+
+    def covered(path):
+        path = path.replace("training.student.", "training.teacher.")
+        return any(k == path or k.startswith(path + ".") for k in set_keys)
+
+    readable = readable_keys(ExperimentConfig, cli._YAML_FIELDS)
+    unread = cli._UNREAD[FAMILY_CUSTOM]
+    assert [p for p in readable if not p.startswith(unread) and not covered(p)] == []
 
 
 def test_config_digest_stable_and_sensitive():
@@ -482,6 +533,13 @@ def test_cmd_run_bad_config_exit_code(tmp_path, capsys):
     assert err.startswith("config error: config: model.student_trunk: widths must be >= 1")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    # a scale below 1 once ran the cells before it and wrote their stores
+    cfg_path.write_text("family: teacher-scale\nmodel: {teacher_scales: [1, -2]}\n")
+    assert main(["run", str(cfg_path), "--seeds", "0", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config: model.teacher_scales: scales must be >= 1, got [1, -2]\n"
+    )
+    assert not (tmp_path / "out").exists()  # so no stores/ either
 
 
 def test_cmd_run_one_class_eval_set_is_a_config_error(tmp_path, capsys):
@@ -643,7 +701,7 @@ def test_main_maps_runtime_errors_to_exit_codes(tmp_path, monkeypatch, capsys):
     out = ["--out", str(tmp_path / "out")]
     monkeypatch.setattr(cli, "run_experiment", boom_divergence)
     assert main(["run", str(cfg_path), *out]) == 2
-    assert "divergence" in capsys.readouterr().err
+    assert capsys.readouterr().err == "runtime divergence: s0/aux: loss went non-finite\n"
 
     def boom_corrupt(*a, **kw):
         raise StoreCorruptionError("checksum mismatch")

@@ -24,6 +24,7 @@ from onlinekd.pipeline import (
     FAMILY_OBJECTIVE,
     FAMILY_SCALE,
     JOB_LEVEL_TASK,
+    MetricRow,
     MetricsLog,
     ScheduleConfig,
     StudentDef,
@@ -102,7 +103,7 @@ def sched(total, **kw):
 def test_metrics_log_roundtrip_and_schema(tmp_path):
     log = MetricsLog()
     log.add(5, "s0/teacher", "ctr", "auc", 1.0 / 3.0)
-    log.add(5, "s0/direct", JOB_LEVEL_TASK, "engagement", 0.7131, lo=0.7, hi=0.72)
+    log.rows.append(MetricRow(5, "s0/direct", JOB_LEVEL_TASK, "engagement", 0.7131, 0.7, 0.72))
     path = tmp_path / "m.csv"
     write_metrics_csv(path, log.rows)
     text = path.read_text().splitlines()
@@ -446,6 +447,21 @@ def test_divergence_reports_job_identity(tmp_path):
     assert err.value.job == "fragile"
 
 
+def test_run_experiment_names_the_seed_and_job_that_diverged(tmp_path, monkeypatch):
+    cfg = exp_cfg(FAMILY_DISTILL, seeds=(3,), distill_tasks=("ltv",))
+    step = pipeline._student_step
+
+    def poisoned(student, *args):  # the student's own forward pass then raises
+        if student.name == "direct":
+            student.model.trunk.layers[0].weights[0, 0] = np.inf
+        step(student, *args)
+
+    monkeypatch.setattr(pipeline, "_student_step", poisoned)
+    with pytest.raises(DivergenceError, match="^non-finite values in mlp output$") as err:
+        run_experiment(cfg, tmp_path)
+    assert err.value.job == "s3/direct"
+
+
 def test_fleet_consistency_and_rerun_identity(tmp_path, monkeypatch):
     def build(k):
         world = init_world(GEN, 9)
@@ -545,12 +561,12 @@ def exp_cfg(family, **kw):
 
 
 def test_build_runs_distill_family():
-    runs = build_runs(exp_cfg(FAMILY_DISTILL, distill_tasks=("ctr", "ltv"),
-                              bias={"ltv": 1.3}))
+    cfg = exp_cfg(FAMILY_DISTILL, distill_tasks=("ctr", "ltv"), bias={"ltv": 1.3})
+    runs = build_runs(cfg)
     assert len(runs) == 1
     run = runs[0]
     assert run.teacher.write_tasks == ("ctr", "ltv")
-    assert run.teacher.bias == {"ltv": 1.3}
+    assert make_teacher_job(cfg, run.teacher, 0).bias == {"ltv": 1.3}
     names = [s.name for s in run.students]
     assert names == [CONTROL_NAME, "direct", "auxiliary"]
     assert [s.mode for s in run.students] == [NO_DISTILL, DIRECT, AUXILIARY]
@@ -564,7 +580,6 @@ def test_build_runs_scale_family():
     # control rides along in the base run only
     assert [s.name for s in runs[0].students] == [CONTROL_NAME, "student-1x"]
     assert [s.name for s in runs[1].students] == ["student-2x"]
-    assert all(s.scale == 1 for r in runs for s in r.students)
 
 
 def test_build_runs_objective_family():

@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from onlinekd.cli import default_experiment
 from onlinekd.errors import ConfigError
 from onlinekd.nncore import IDENTITY, RELU, ClippyConfig, TrainConfig
-from onlinekd.pipeline import _scaled
+from onlinekd.pipeline import FAMILY_CUSTOM, TeacherDef, make_teacher_job
 from onlinekd.ranker import (
     AUXILIARY,
     BINARY,
@@ -104,7 +105,7 @@ def test_parameter_count_matches_built_model(mode):
 
 def test_parameter_count_by_hand():
     cfg = small_config(AUXILIARY)
-    big = dataclasses.replace(cfg, trunk_widths=_scaled(cfg.trunk_widths, 4))
+    big = dataclasses.replace(cfg, trunk_widths=(20,))
     model = build_model(big, np.random.default_rng(0))
     # trunk 4->20, three towers 20->3->1, two aux heads 20->1
     expected = (4 * 20 + 20) + 3 * ((20 * 3 + 3) + (3 * 1 + 1)) + 2 * (20 * 1 + 1)
@@ -112,13 +113,14 @@ def test_parameter_count_by_hand():
 
 
 def test_scale_config_widens_trunk_only():
-    cfg = small_config(DIRECT)
-    big = dataclasses.replace(cfg, trunk_widths=_scaled(cfg.trunk_widths, 4))
-    assert big.trunk_widths == (20,)
-    assert big.tower_widths == cfg.tower_widths
-    assert _scaled(cfg.trunk_widths, 1) == cfg.trunk_widths
-    with pytest.raises(ConfigError):
-        _scaled(cfg.trunk_widths, 0)
+    cfg = default_experiment(FAMILY_CUSTOM, (0,))
+    assert cfg.teacher_trunk == (48, 24)
+    for scale, trunk in ((1, (48, 24)), (4, (192, 96))):
+        model = make_teacher_job(cfg, TeacherDef("t", scale), 0).model
+        assert model.config.trunk_widths == trunk
+        assert model.config.tower_widths == cfg.tower_widths
+    with pytest.raises(ConfigError, match="widths must be >= 1"):
+        make_teacher_job(cfg, TeacherDef("t", 0), 0)
 
 
 def test_build_model_structure():
