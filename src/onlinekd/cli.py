@@ -300,16 +300,8 @@ def load_config(path, seeds_override=None) -> ExperimentConfig:
 
 def config_digest(cfg: ExperimentConfig) -> str:
     """Stable hash of the fully resolved configuration."""
-    blob = json.dumps(asdict(cfg), sort_keys=True, default=_json_fallback)
+    blob = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _json_fallback(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -211,23 +211,6 @@ def _id_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids[starts], (ends - starts).astype(np.uint64)
 
 
-def make_segment(
-    segment_id: int,
-    teacher_version: int,
-    tasks: Sequence[tuple[str, str]],
-    example_ids: np.ndarray,
-    values: np.ndarray,
-) -> SegmentData:
-    """The segment of ascending uint64 example ids, with values one float32
-    row per task, (len(tasks), n_rows). It keeps values and marks it
-    read-only."""
-    first, length = _id_runs(example_ids)
-    rows = length.cumsum() - length
-    for arr in (first, length, rows, values):
-        arr.flags.writeable = False
-    return SegmentData(segment_id, teacher_version, tuple(tasks), first, length, rows, values)
-
-
 def _example_ids(example_ids) -> np.ndarray:
     """example_ids as a 1-d uint64 array; a scalar is one id. Ids of more
     dimensions, or that are not integers >= 0 (bools, floats, negatives), are
@@ -265,17 +248,26 @@ def _check_runs(first: np.ndarray, length: np.ndarray, n_rows: int, path: Path) 
     return rows
 
 
-def encode_segment(seg: SegmentData) -> bytes:
-    """The segment file of seg: its body, deflated and framed."""
+def encode_segment(
+    segment_id: int,
+    teacher_version: int,
+    tasks: Sequence[tuple[str, str]],
+    example_ids: np.ndarray,
+    values: np.ndarray,
+) -> bytes:
+    """The segment file of ascending uint64 example ids, with values one
+    float32 row per task, (len(tasks), n_rows): its body, deflated and
+    framed."""
+    first, length = _id_runs(example_ids)
     body = b"".join([
-        _U64.pack(seg.segment_id),
-        _U64.pack(seg.teacher_version),
-        _pack_task_dir(seg.tasks),
-        _U64.pack(seg.values.shape[1]),
-        _U64.pack(seg.run_first.size),
-        np.ascontiguousarray(seg.run_first, dtype="<u8").tobytes(),
-        np.ascontiguousarray(seg.run_len, dtype="<u8").tobytes(),
-        np.ascontiguousarray(seg.values, dtype="<f4").tobytes(),
+        _U64.pack(segment_id),
+        _U64.pack(teacher_version),
+        _pack_task_dir(tasks),
+        _U64.pack(values.shape[1]),
+        _U64.pack(first.size),
+        np.ascontiguousarray(first, dtype="<u8").tobytes(),
+        np.ascontiguousarray(length, dtype="<u8").tobytes(),
+        np.ascontiguousarray(values, dtype="<f4").tobytes(),
     ])
     # zlib.compress takes wbits only from Python 3.11
     deflate = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
@@ -605,8 +597,8 @@ class SegmentWriter:
         """
         self._require_open()
         sid = self._next_sid
-        seg = self._segment(sid, example_ids, values, teacher_version)
-        self._publish_file(segment_filename(sid), encode_segment(seg))
+        data = self._segment_file(sid, example_ids, values, teacher_version)
+        self._publish_file(segment_filename(sid), data)
         self._publish_manifest(
             ManifestData(
                 self._manifest.manifest_version + 1,
@@ -616,13 +608,13 @@ class SegmentWriter:
         self._next_sid = sid + 1
         return sid
 
-    def _segment(
+    def _segment_file(
         self,
         segment_id: int,
         example_ids: np.ndarray,
         values: dict[str, np.ndarray],
         teacher_version: int,
-    ) -> SegmentData:
+    ) -> bytes:
         ids = _example_ids(example_ids)
         if ids.shape[0] == 0:
             raise StoreError("append needs a non-empty id array")
@@ -649,7 +641,7 @@ class SegmentWriter:
             if not np.all(np.isfinite(col)):
                 raise StoreError(f"column {name!r} has non-finite values")
             row[:] = col[order]
-        return make_segment(segment_id, int(teacher_version), self.tasks, ids, block)
+        return encode_segment(segment_id, int(teacher_version), self.tasks, ids, block)
 
     def _publish_file(self, name: str, data: bytes) -> None:
         final = self.store.root / name

@@ -12,7 +12,7 @@ Per step t:
   2. teacher takes one gradient step on batch_t hard labels unless frozen
   3. on write steps, teacher infers on batch_t and appends one segment; a
      frozen teacher keeps writing (stale) labels
-  4. open one snapshot and, when any student distills, look batch_t up in
+  4. when any student distills, open one snapshot and look batch_t up in
      it once; every student of the step shares that lookup
   5. students train on batch_t: hard labels plus whatever soft labels the
      snapshot covers (coverage < 1 when writes are throttled)
@@ -31,10 +31,8 @@ those rows and the mask as they are.
 A segment's teacher_version is the teacher's optimizer step count at the
 write. Because every student of a step takes its soft labels from the same
 lookup, the whole fleet consumes byte-identical soft labels; each takes its
-own copy of its rows, so no student can change another's. The tests audit
-this by wrapping _soft_targets_for, through which every student's soft
-targets pass, and comparing what each student is handed at each step: the
-snapshot's segment count, the present mask and the soft targets.
+own copy of its rows beside the one read-only present mask, so no student
+can change another's.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from .datagen import (
     true_task_value,
 )
 from .errors import ConfigError, DivergenceError, SchemaError, StoreError
-from .labelstore import LabelStore, Snapshot, read_manifest
+from .labelstore import LabelStore, read_manifest
 from .metrics import (
     OnlineSimConfig,
     calibration_ratio,
@@ -67,7 +65,7 @@ from .metrics import (
     rank_auc,
     rmse,
 )
-from .nncore import TrainConfig
+from .nncore import OptState, TrainConfig
 from .ranker import (
     AUXILIARY,
     BINARY,
@@ -77,7 +75,6 @@ from .ranker import (
     PET,
     PST,
     ModelConfig,
-    ModelOptimizer,
     RankingModel,
     apply_gradients,
     build_model,
@@ -184,18 +181,20 @@ def read_metrics_csv(path) -> list[MetricRow]:
 
 @dataclass
 class TeacherJob:
-    """The continuously trained writer job."""
+    """The continuously trained writer job; opt holds the Adam state of each
+    of model.components."""
 
     name: str
     model: RankingModel
-    opt: ModelOptimizer
     train: TrainConfig
     write_tasks: tuple[str, ...]
     write_every: int = 1
     freeze_at: int | None = None
     bias: dict[str, float] = field(default_factory=dict)
+    opt: list[OptState] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.opt = [OptState.for_mlp(m) for m in self.model.components]
         names = {t.name for t in self.model.tasks}
         for task in self.write_tasks:
             if task not in names:
@@ -213,27 +212,24 @@ class TeacherJob:
     @property
     def version(self) -> int:
         """Teacher version written into segments: its update count."""
-        return self.opt.trunk.step
+        return self.opt[0].step  # the trunk's
 
 
 @dataclass
 class StudentJob:
     """A distilling or plain student. alpha maps distilled tasks to their
     soft-loss weight (1 when absent); distill_alpha holds it as one weight
-    per distilled task, in distill order."""
+    per distilled task, in distill order. opt is as in TeacherJob."""
 
     name: str
     model: RankingModel
-    opt: ModelOptimizer
     train: TrainConfig
     alpha: dict[str, float] = field(default_factory=dict)
     distill_alpha: np.ndarray = field(init=False, repr=False)
+    opt: list[OptState] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        distilled = set(self.model.config.distill_tasks)
-        for task in self.alpha:
-            if task not in distilled:
-                raise ConfigError(f"alpha set for non-distilled task {task!r}")
+        self.opt = [OptState.for_mlp(m) for m in self.model.components]
         self.distill_alpha = np.array([float(self.alpha.get(t, 1.0)) for t in self.distill_tasks])
 
     @property
@@ -295,29 +291,15 @@ def _teacher_train(teacher: TeacherJob, batch: Batch, t: int) -> None:
     apply_gradients(teacher.model, grads, teacher.opt, teacher.train, job=teacher.name)
 
 
-def _soft_targets_for(
-    student: StudentJob,
-    snapshot: Snapshot,
-    found: tuple[np.ndarray, np.ndarray],
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The student's own copy of its soft targets, (n_distill, batch)
-    float32 taken from the store rows rows of found, the step's read-only
-    (present, values) lookup in snapshot, and their present mask."""
-    present, values = found
-    return values[rows], present
-
-
 def _student_step(
     student: StudentJob,
     batch: Batch,
-    snapshot: Snapshot,
-    found: tuple[np.ndarray, np.ndarray] | None,
-    rows: np.ndarray,
+    soft: np.ndarray | None,
+    present: np.ndarray | None,
 ) -> None:
-    soft = present = None
-    if student.distill_tasks:
-        soft, present = _soft_targets_for(student, snapshot, found, rows)
+    """soft is the student's own (n_distill, batch) float32 copy of its
+    teacher values, None when it distills nothing; present is the step's
+    shared mask."""
     grads = compute_loss_and_grads(
         student.model,
         batch.x,
@@ -423,13 +405,10 @@ def run_online(
     store_root must hold no committed segments: students would read them as
     if this run's teacher had written them.
     """
-    names = [teacher.name] + [s.name for s in students]
-    if len(set(names)) != len(names):
-        raise ConfigError("job names must be unique")
     for job in [teacher, *students]:
         if job.model.tasks != world.config.tasks:
             raise ConfigError(f"job {job.name!r}: its tasks are not the stream's, in order")
-    store_rows = {}  # the store's schema is teacher.write_tasks
+    store_rows = []  # each student's, in distill order, of the schema teacher.write_tasks
     for s in students:
         for task in s.distill_tasks:
             if task not in teacher.write_tasks:
@@ -437,7 +416,7 @@ def run_online(
                     f"student {s.name!r} distills {task!r}, which teacher "
                     f"{teacher.name!r} does not write"
                 )
-        store_rows[s.name] = np.array([teacher.write_tasks.index(t) for t in s.distill_tasks], int)
+        store_rows.append(np.array([teacher.write_tasks.index(t) for t in s.distill_tasks], int))
     store_root = Path(store_root)
     store_root.mkdir(parents=True, exist_ok=True)
     if read_manifest(store_root).segment_ids.size:
@@ -447,6 +426,7 @@ def run_online(
     log = MetricsLog()
     cov_sum, cov_n = 0.0, 0  # every distilling student reads the step's one lookup
     eval_idx = 0
+    present = values = None
     write_schema = [(n, teacher.model.config.task(n).kind) for n in teacher.write_tasks]
     with (
         store.writer(write_schema, durable=sched.durable_store)
@@ -458,16 +438,14 @@ def run_online(
             _teacher_train(teacher, batch, t)
             if writer is not None and t % teacher.write_every == 0:
                 _teacher_write(teacher, writer, batch)
-            snapshot = store.open_snapshot()
-            found = None
             if distilling:
-                found = snapshot.lookup_batch(batch.example_ids)
-                for arr in found:
-                    arr.flags.writeable = False
-                cov_sum += float(found[0].mean())
+                present, values = store.open_snapshot().lookup_batch(batch.example_ids)
+                present.flags.writeable = False
+                cov_sum += float(present.mean())
                 cov_n += 1
-            for student in students:
-                _student_step(student, batch, snapshot, found, store_rows[student.name])
+            for student, rows in zip(students, store_rows):
+                soft = values[rows] if student.distill_tasks else None
+                _student_step(student, batch, soft, present)
             final = t == sched.total_steps - 1
             periodic = sched.eval_every > 0 and (t + 1) % sched.eval_every == 0
             if final or periodic:
@@ -499,6 +477,7 @@ FAMILY_CUSTOM = "custom"
 FAMILIES = (FAMILY_DISTILL, FAMILY_SCALE, FAMILY_OBJECTIVE, FAMILY_CUSTOM)
 
 CONTROL_NAME = "control"
+TEACHER_NAME = "teacher"  # the custom family's one teacher
 
 
 @dataclass
@@ -517,6 +496,11 @@ class StudentDef:
             raise ConfigError(f"student {self.name!r}: distill tasks without a distill mode")
         if self.mode != NO_DISTILL and not self.distill:
             raise ConfigError(f"student {self.name!r}: distill mode without distill tasks")
+        for task in self.alpha:
+            if task not in self.distill:
+                raise ConfigError(
+                    f"student {self.name!r}: alpha set for non-distilled task {task!r}"
+                )
 
 
 @dataclass
@@ -598,6 +582,15 @@ class ExperimentConfig:
                     )
         if self.distill_mode not in (DIRECT, AUXILIARY):
             raise ConfigError("distill_mode must be a distillation mode")
+        taken = {TEACHER_NAME}
+        for i, sdef in enumerate(self.students):
+            if sdef.name in taken:
+                raise ConfigError(f"students[{i}]: job name {sdef.name!r} is already taken")
+            taken.add(sdef.name)
+            try:  # the checks the student's model would otherwise fail mid-run
+                _student_model_config(self, sdef)
+            except ConfigError as e:
+                raise ConfigError(f"students[{i}]: {e}") from None
 
 
 def _alpha_map(cfg: ExperimentConfig, tasks: tuple[str, ...]) -> dict[str, float]:
@@ -646,7 +639,7 @@ def build_runs(cfg: ExperimentConfig) -> list[RunDef]:
     else:
         raise ConfigError("custom family needs an explicit students list")
     (scale,) = cfg.teacher_scales
-    return [_run(cfg, "main", "teacher", scale, students)]
+    return [_run(cfg, "main", TEACHER_NAME, scale, students)]
 
 
 def make_teacher_job(cfg: ExperimentConfig, tdef: TeacherDef, seed: int) -> TeacherJob:
@@ -662,7 +655,6 @@ def make_teacher_job(cfg: ExperimentConfig, tdef: TeacherDef, seed: int) -> Teac
     return TeacherJob(
         name=tdef.name,
         model=model,
-        opt=ModelOptimizer.for_model(model),
         train=cfg.teacher_train,
         write_tasks=tuple(tdef.write_tasks),
         write_every=cfg.write_every,
@@ -671,8 +663,8 @@ def make_teacher_job(cfg: ExperimentConfig, tdef: TeacherDef, seed: int) -> Teac
     )
 
 
-def make_student_job(cfg: ExperimentConfig, sdef: StudentDef, seed: int) -> StudentJob:
-    mc = ModelConfig(
+def _student_model_config(cfg: ExperimentConfig, sdef: StudentDef) -> ModelConfig:
+    return ModelConfig(
         feature_dim=cfg.gen.feature_dim,
         trunk_widths=cfg.student_trunk,
         tower_widths=cfg.tower_widths,
@@ -680,11 +672,13 @@ def make_student_job(cfg: ExperimentConfig, sdef: StudentDef, seed: int) -> Stud
         mode=sdef.mode,
         distill_tasks=tuple(sdef.distill),
     )
-    model = build_model(mc, model_init_rng(seed, sdef.name))
+
+
+def make_student_job(cfg: ExperimentConfig, sdef: StudentDef, seed: int) -> StudentJob:
+    model = build_model(_student_model_config(cfg, sdef), model_init_rng(seed, sdef.name))
     return StudentJob(
         name=sdef.name,
         model=model,
-        opt=ModelOptimizer.for_model(model),
         train=cfg.student_train,
         alpha=dict(sdef.alpha),
     )

@@ -15,9 +15,8 @@ buffer. The forward pass returns the hard logits as one (n_tasks, batch)
 array in task order and the aux logits as one (n_distill, batch) array in
 distill order; the loss takes the hard labels as (n_tasks, batch) and the
 teacher values as (n_distill, batch) with one present mask over the batch,
-and builds its gradient seeds on those rows. model.towers and
-model.aux_heads hold per-row views of the stacks, which the optimizer steps
-one component at a time.
+and builds its gradient seeds on those rows. model.components lists the
+trunk and a view of each stack row, which the optimizer steps one at a time.
 
 A training step computes the gradients of the joint loss (defined in
 total_loss) and nothing else: no loss value is evaluated on the step path.
@@ -129,26 +128,25 @@ class RankingModel:
     """Trunk, task towers and (auxiliary mode) aux heads of one model.
 
     tower_stack stacks one tower per task (task order), aux_stack one aux
-    head per distilled task (distill order; None without aux heads), and
-    towers/aux_heads map each task to the Mlp over its row. distill_rows
-    holds the tower row of each distilled task, in distill order. binary
-    marks the cross-entropy rows of the towers, (n_tasks, 1).
+    head per distilled task (distill order; None without aux heads).
+    components is the trunk, then the Mlp over each tower row, then over
+    each aux head row. distill_rows holds the tower row of each distilled
+    task, in distill order. binary marks the cross-entropy rows of the
+    towers, (n_tasks, 1).
     """
 
     config: ModelConfig
     trunk: Mlp
     tower_stack: Mlp
     aux_stack: Mlp | None
-    towers: dict[str, Mlp] = field(init=False)
-    aux_heads: dict[str, Mlp] = field(init=False)
+    components: list[Mlp] = field(init=False, repr=False)
     distill_rows: np.ndarray = field(init=False, repr=False)
     binary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         names = [t.name for t in self.config.tasks]
-        aux_names = self.config.distill_tasks if self.aux_stack is not None else ()
-        self.towers = {name: self.tower_stack.member(i) for i, name in enumerate(names)}
-        self.aux_heads = {name: self.aux_stack.member(i) for i, name in enumerate(aux_names)}
+        stacks = [s for s in (self.tower_stack, self.aux_stack) if s is not None]
+        self.components = [self.trunk] + [s.member(i) for s in stacks for i in range(len(s.params))]
         self.distill_rows = np.array([names.index(n) for n in self.config.distill_tasks], int)
         self.binary = np.array([t.kind == BINARY for t in self.config.tasks])[:, None]
 
@@ -299,15 +297,6 @@ def total_loss(
     return LogitSeeds(hard=hard, aux=aux, soft_active=active)
 
 
-@dataclass
-class ModelGrads:
-    """Each component's gradient, laid out like its Mlp's params."""
-
-    trunk: np.ndarray
-    towers: dict[str, np.ndarray]
-    aux: dict[str, np.ndarray]
-
-
 def compute_loss_and_grads(
     model: RankingModel,
     x: np.ndarray,
@@ -318,10 +307,10 @@ def compute_loss_and_grads(
     clip: float | None = None,
     *,
     job: str | None = None,
-) -> ModelGrads:
-    """One full forward/backward pass: the exact gradients of the joint loss
-    for every component (trunk, towers, aux heads). The labels, soft targets
-    and alpha are laid out as total_loss takes them."""
+) -> list[np.ndarray]:
+    """One full forward/backward pass: the exact gradient of the joint loss
+    for each of model.components, in its order. The labels, soft targets and
+    alpha are laid out as total_loss takes them."""
     trunk_out, trunk_cache = mlp_forward(model.trunk, x, clip, job=job)
     z, tower_cache = mlp_forward(model.tower_stack, trunk_out, clip, job=job)
     z_aux, aux_cache = None, None
@@ -335,49 +324,28 @@ def compute_loss_and_grads(
     for input_grad in tower_in:
         trunk_out_grad += input_grad
 
-    aux_grads: dict[str, np.ndarray] = {}
+    aux_grads = []
     if model.aux_stack is not None:
-        grads, aux_in = mlp_backward(model.aux_stack, aux_cache, seeds.aux[..., None])
+        aux_grads, aux_in = mlp_backward(model.aux_stack, aux_cache, seeds.aux[..., None])
         # A head with no seed this step gets exact zeros, so its optimizer
         # moments still decay in lockstep, and adds nothing to the trunk.
-        grads[~seeds.soft_active] = 0.0
+        aux_grads[~seeds.soft_active] = 0.0
         for input_grad, active in zip(aux_in, seeds.soft_active):
             if active:
                 trunk_out_grad += input_grad
-        aux_grads = dict(zip(model.aux_heads, grads))
 
     trunk_grads = mlp_backward(model.trunk, trunk_cache, trunk_out_grad, input_grad=False)[0]
-    towers = dict(zip(model.towers, tower_grads))
-    return ModelGrads(trunk=trunk_grads, towers=towers, aux=aux_grads)
-
-
-@dataclass
-class ModelOptimizer:
-    """Adam state for every component of a RankingModel, stepped in lockstep."""
-
-    trunk: OptState
-    towers: dict[str, OptState]
-    aux: dict[str, OptState]
-
-    @classmethod
-    def for_model(cls, model: RankingModel) -> "ModelOptimizer":
-        return cls(
-            trunk=OptState.for_mlp(model.trunk),
-            towers={name: OptState.for_mlp(m) for name, m in model.towers.items()},
-            aux={name: OptState.for_mlp(m) for name, m in model.aux_heads.items()},
-        )
+    return [trunk_grads, *tower_grads, *aux_grads]
 
 
 def apply_gradients(
     model: RankingModel,
-    grads: ModelGrads,
-    opt: ModelOptimizer,
+    grads: list[np.ndarray],
+    opt: list[OptState],
     cfg: TrainConfig,
     *,
     job: str | None = None,
 ) -> None:
-    optimizer_step(model.trunk, grads.trunk, opt.trunk, cfg, job=job)
-    for name, tower in model.towers.items():
-        optimizer_step(tower, grads.towers[name], opt.towers[name], cfg, job=job)
-    for name, head in model.aux_heads.items():
-        optimizer_step(head, grads.aux[name], opt.aux[name], cfg, job=job)
+    """One Adam step per component; grads and opt follow model.components."""
+    for mlp, grad, state in zip(model.components, grads, opt, strict=True):
+        optimizer_step(mlp, grad, state, cfg, job=job)

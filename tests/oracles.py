@@ -22,7 +22,7 @@ import numpy as np
 
 from onlinekd import pipeline
 from onlinekd.errors import ConfigError
-from onlinekd.labelstore import LabelStore, encode_segment, make_segment
+from onlinekd.labelstore import LabelStore, encode_segment
 from onlinekd.metrics import draw_slates
 from onlinekd.ranker import AUXILIARY, BINARY, model_forward, task_score
 
@@ -357,10 +357,10 @@ def segment_file(segment_id, teacher_version, tasks, example_ids, values) -> byt
     """encode_segment over example ids and {task: column}; it sorts and
     checks nothing, so it can write what a writer would refuse."""
     block = np.array([values[name] for name, _ in tasks], dtype=np.float32)
-    return encode_segment(make_segment(
-        segment_id, teacher_version, tuple(tasks),
+    return encode_segment(
+        segment_id, teacher_version, tasks,
         np.asarray(example_ids, dtype=np.uint64), block.reshape(len(tasks), -1),
-    ))
+    )
 
 
 def assert_same_snapshot(got, want, probe):
@@ -398,26 +398,35 @@ def metric_value(log, *, job, metric, task=pipeline.JOB_LEVEL_TASK, step=None) -
 def soft_target_records(monkeypatch, perturb=None):
     """Record every student's soft targets while the block runs run_online.
 
-    Wraps pipeline._soft_targets_for and yields {step: {student name:
-    (the snapshot's segment count, present mask, soft targets)}}. A student is handed
-    its soft targets once per step, so the step is the count of its earlier
-    calls. perturb, when given, is called as perturb(step, student name,
-    soft targets) before the student sees them and may change them in place.
+    Wraps pipeline.compute_loss_and_grads and LabelStore.open_snapshot and
+    yields {step: {student name: (the segment count of the step's snapshot,
+    present mask, soft targets)}}, taken from every call handed soft
+    targets. A distilling student is handed its soft targets once per step,
+    so the step is the count of its earlier calls. perturb, when given, is
+    called as perturb(step, student name, soft targets) before the student
+    sees them and may change them in place.
     """
     records: dict[int, dict[str, tuple]] = {}
     calls: dict[str, int] = {}
-    original = pipeline._soft_targets_for
+    segments = []  # of each snapshot opened, in order
+    compute, open_snapshot = pipeline.compute_loss_and_grads, LabelStore.open_snapshot
 
-    def recorded(student, snapshot, found, rows):
-        soft, present = original(student, snapshot, found, rows)
-        step = calls[student.name] = calls.get(student.name, -1) + 1
-        if perturb is not None:
-            perturb(step, student.name, soft)
-        records.setdefault(step, {})[student.name] = (len(snapshot.segments), present, soft)
-        return soft, present
+    def opened(store):
+        snapshot = open_snapshot(store)
+        segments.append(len(snapshot.segments))
+        return snapshot
+
+    def recorded(model, x, labels, soft=None, present=None, *args, job, **kwargs):
+        if soft is not None:
+            step = calls[job] = calls.get(job, -1) + 1
+            if perturb is not None:
+                perturb(step, job, soft)
+            records.setdefault(step, {})[job] = (segments[-1], present, soft)
+        return compute(model, x, labels, soft, present, *args, job=job, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(pipeline, "_soft_targets_for", recorded)
+        m.setattr(LabelStore, "open_snapshot", opened)
+        m.setattr(pipeline, "compute_loss_and_grads", recorded)
         yield records
 
 

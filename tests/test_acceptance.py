@@ -107,7 +107,7 @@ def _grab(log, metric, task, step):
 def _jitter_biases(model, rng):
     # move zero-init biases off the exact ReLU kink where a central
     # difference and the subgradient convention legitimately disagree
-    for mlp in [model.trunk, *model.towers.values(), *model.aux_heads.values()]:
+    for mlp in model.components:
         for layer in mlp.layers:
             layer.bias += rng.uniform(0.01, 0.05, size=layer.bias.shape)
 
@@ -160,15 +160,7 @@ def test_c1_gradient_correctness():
 
         grads = compute_loss_and_grads(model, x, hard, soft, present, alpha, clip)
         arrays, analytic = [], []
-        mlps = [model.trunk]
-        grad_stacks = [grads.trunk]
-        for name in sorted(model.towers):
-            mlps.append(model.towers[name])
-            grad_stacks.append(grads.towers[name])
-        for name in sorted(model.aux_heads):
-            mlps.append(model.aux_heads[name])
-            grad_stacks.append(grads.aux[name])
-        for mlp, g in zip(mlps, grad_stacks):
+        for mlp, g in zip(model.components, grads, strict=True):
             for layer, (gw, gb) in zip(mlp.layers, mlp.split(g)):
                 arrays.extend([layer.weights, layer.bias])
                 analytic.extend([gw, gb])
@@ -515,15 +507,12 @@ def test_c8_degeneracy_identities(tmp_path):
         run_online(world, teacher, [student], sched, tmp_path / tag)
         finals[tag] = student.model
     m0, m1 = finals["direct0"], finals["plain"]
+    # trunk and towers: neither model has aux heads
     alpha_zero_ok = all(
         np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
-        for a, b in zip(m0.trunk.layers, m1.trunk.layers)
+        for c0, c1 in zip(m0.components, m1.components, strict=True)
+        for a, b in zip(c0.layers, c1.layers)
     )
-    for name in m0.towers:
-        alpha_zero_ok = alpha_zero_ok and all(
-            np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
-            for a, b in zip(m0.towers[name].layers, m1.towers[name].layers)
-        )
 
     # a model compared against itself shows exactly zero lift
     mc = ModelConfig(gen.feature_dim, (8,), (5,), gen.tasks, NO_DISTILL)

@@ -1,6 +1,7 @@
 """Every function, class, class member and defaulted parameter defined in
-src/onlinekd is used by the package, and every name a module in
-src/onlinekd or tests imports is read there.
+src/onlinekd is used by the package, every parameter is read by its
+function, and every name a module in src/onlinekd or tests imports is read
+there.
 
 A definition that nothing in src/onlinekd reaches, outside its own body, is
 API kept alive only for the tests (or for nobody). The check parses each
@@ -23,6 +24,12 @@ past its index (self aside) or through *args/**kwargs. A call to a class
 counts for its __init__. Calls in benchmarks/ count too, since the benchmark
 drives the package through cli.main(argv); calls inside the function's own
 definition do not.
+
+The unread-parameter check asks that each parameter of a function or
+method (self, cls and dunder methods aside) be read as a plain name in the
+function's body, nested functions included. A parameter that a function
+only takes to hand to a test's wrapper, or that it no longer uses, fails;
+one that the body overwrites before it reads the name passes.
 
 Blind spot: these checks match names, not bindings. A member or method that
 shares its name with some other attribute the package loads (`copy`,
@@ -253,6 +260,55 @@ def test_check_flags_a_parameter_no_call_passes(tmp_path):
     ]
     assert unpassed_parameters(tmp_path, [caller]) == [
         "mod.py:1 grow(limit)", "mod.py:1 grow(quiet)", "mod.py:9 Box.put(mode)",
+    ]
+
+
+def unread_parameters(src: Path) -> list[str]:
+    """module:line function(parameter) for each parameter its function's body
+    never reads."""
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{node.lineno} {node.name}({a.arg})"
+                for a in params if a.arg not in read and a.arg not in ("self", "cls")
+            ]
+    return unread
+
+
+def test_every_parameter_is_read_by_its_function():
+    assert unread_parameters(SRC) == []
+
+
+def test_check_flags_a_parameter_its_function_never_reads(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def relay(job, rows, *extra, seen=None, **opts):\n"
+        "    def inner():\n"
+        "        return rows\n\n"
+        "    return inner()\n\n\n"
+        "class Box:\n"
+        "    def __init__(self, size):\n"
+        "        pass\n\n"
+        "    @classmethod\n"
+        "    def make(cls, size):\n"
+        "        return cls\n\n"
+        "    def put(self, item, where: 'where'):\n"
+        "        return item\n"
+    )
+    assert unread_parameters(tmp_path) == [
+        "mod.py:1 relay(job)", "mod.py:1 relay(seen)", "mod.py:1 relay(extra)",
+        "mod.py:1 relay(opts)", "mod.py:13 make(size)", "mod.py:16 put(where)",
     ]
 
 

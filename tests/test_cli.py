@@ -177,6 +177,12 @@ BAD_VALUES = [
     ({"students": [{**STUDENT, "alpha": {"ctr": "x"}}]}, "students[0].alpha.ctr"),
     # once widened the student's trunk; no key sets a student's width now
     ({"students": [{**STUDENT, "scale": 2}]}, "students[0]"),
+    # each once exited 1 only after the output directory was made, naming no key
+    ({"students": [STUDENT, STUDENT]}, "students[1]"),
+    ({"students": [{**STUDENT, "name": "teacher"}]}, "students[0]"),
+    ({"students": [{**STUDENT, "distill": ["nope"]}]}, "students[0]"),
+    ({"students": [{**STUDENT, "distill": ["ctr", "ctr"]}]}, "students[0]"),
+    ({"students": [{**STUDENT, "alpha": {"ltv": 0.5}}]}, "students[0]"),
     ({"teacher": {"freeze_at": "soon"}}, "teacher.freeze_at"),
     ({"seeds": [-1]}, "seeds"),
     ({"model": {"teacher_scales": [1, 2]}}, "model.teacher_scales"),
@@ -540,6 +546,13 @@ def test_cmd_run_bad_config_exit_code(tmp_path, capsys):
         "config error: config: model.teacher_scales: scales must be >= 1, got [1, -2]\n"
     )
     assert not (tmp_path / "out").exists()  # so no stores/ either
+    # a student set the run cannot hold is refused at load too
+    cfg_path.write_text("family: custom\nstudents: [{name: a}, {name: a}]\n")
+    assert main(["run", str(cfg_path), "--seeds", "0", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config: students[1]: job name 'a' is already taken\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_run_one_class_eval_set_is_a_config_error(tmp_path, capsys):

@@ -18,7 +18,6 @@ from onlinekd.labelstore import (
     decode_segment,
     encode_manifest,
     inspect_store,
-    make_segment,
     read_manifest,
     segment_filename,
 )
@@ -897,10 +896,10 @@ def test_durable_writer_roundtrip(tmp_path):
 
 
 def test_snapshot_schema_guard_direct():
-    seg_a = make_segment(1, 0, (("a", BINARY),), np.array([1], dtype=np.uint64),
-                         np.zeros((1, 1), np.float32))
-    seg_b = make_segment(2, 0, (("b", BINARY),), np.array([2], dtype=np.uint64),
-                         np.zeros((1, 1), np.float32))
+    seg_a, seg_b = (
+        decode_segment(segment_file(sid, 0, [(name, BINARY)], [sid], {name: [0.0]}), name)
+        for sid, name in ((1, "a"), (2, "b"))
+    )
     index = labelstore._SegmentIndex()
     index.extend([seg_a, seg_b])
     assert index.conflict == 1

@@ -10,9 +10,9 @@ import pytest
 from onlinekd.cli import default_experiment
 from onlinekd.datagen import GenConfig, fork, init_world, next_batch
 from onlinekd.errors import ConfigError, DivergenceError, SchemaError, StoreError
-from onlinekd.labelstore import LabelStore, read_manifest
+from onlinekd.labelstore import LabelStore, Snapshot, read_manifest
 from onlinekd.metrics import OnlineSimConfig
-from onlinekd.nncore import TrainConfig
+from onlinekd.nncore import OptState, TrainConfig
 from onlinekd import pipeline
 from onlinekd.pipeline import (
     CONTROL_NAME,
@@ -46,7 +46,6 @@ from onlinekd.ranker import (
     DIRECT,
     NO_DISTILL,
     ModelConfig,
-    ModelOptimizer,
     apply_gradients,
     build_model,
     compute_loss_and_grads,
@@ -70,7 +69,6 @@ def make_teacher(seed=0, *, name="teacher", write=("ctr", "ltv"), gen=GEN, **kw)
     return TeacherJob(
         name=name,
         model=model,
-        opt=ModelOptimizer.for_model(model),
         train=TrainConfig(base_lr=0.05),
         write_tasks=tuple(write),
         **kw,
@@ -83,7 +81,6 @@ def make_student(seed=0, *, name, mode=NO_DISTILL, distill=(), alpha=None, gen=G
     return StudentJob(
         name=name,
         model=model,
-        opt=ModelOptimizer.for_model(model),
         train=TrainConfig(base_lr=0.05),
         alpha=alpha or {},
     )
@@ -147,19 +144,18 @@ def test_job_validation():
     with pytest.raises(ConfigError, match="write_every"):
         make_teacher(write_every=0)
     with pytest.raises(ConfigError, match="non-distilled"):
-        make_student(name="s", mode=DIRECT, distill=("ctr",), alpha={"ltv": 0.5})
+        StudentDef("s", DIRECT, ("ctr",), {"ltv": 0.5})
     with pytest.raises(ConfigError):
         ScheduleConfig(total_steps=0)
     with pytest.raises(ConfigError):
         ScheduleConfig(total_steps=5, eval_every=-1)
 
 
-def test_run_online_rejects_duplicate_job_names(tmp_path):
-    world = init_world(GEN, 0)
-    teacher = make_teacher()
-    twin = make_student(name="teacher")
-    with pytest.raises(ConfigError, match="unique"):
-        run_online(world, teacher, [twin], sched(2), tmp_path / "s")
+def test_custom_students_need_unique_job_names():
+    # each job of a run keys its metric rows by name, the teacher's too
+    for names in (("a", "a"), ("teacher",)):
+        with pytest.raises(ConfigError, match=rf"students\[{len(names) - 1}\]: job name"):
+            exp_cfg(FAMILY_CUSTOM, students=tuple(StudentDef(n) for n in names))
 
 
 def test_run_online_rejects_a_student_distilling_an_unwritten_task(tmp_path):
@@ -220,13 +216,13 @@ def test_run_online_basic_end_to_end(tmp_path):
 
 def test_students_share_one_lookup_per_step_but_not_its_values(tmp_path, monkeypatch):
     lookups = []
-    real = pipeline.Snapshot.lookup_batch
+    real = Snapshot.lookup_batch
 
     def counted(snapshot, ids):
         lookups.append(len(ids))
         return real(snapshot, ids)
 
-    monkeypatch.setattr(pipeline.Snapshot, "lookup_batch", counted)
+    monkeypatch.setattr(Snapshot, "lookup_batch", counted)
     students = [
         make_student(5, name=CONTROL_NAME),
         make_student(5, name="a", mode=AUXILIARY, distill=("ctr", "ltv")),
@@ -245,6 +241,22 @@ def test_students_share_one_lookup_per_step_but_not_its_values(tmp_path, monkeyp
         assert a[1] is b[1] and not a[1].flags.writeable  # one shared mask
         # b distills ltv, which is a's second row
         assert a[1].all() and np.array_equal(2 * a[2][1], b[2][0])
+
+
+def test_a_run_without_a_distilling_student_opens_no_snapshot(tmp_path, monkeypatch):
+    opened = []
+    real = LabelStore.open_snapshot
+
+    def counted(store):
+        opened.append(store.root)
+        return real(store)
+
+    monkeypatch.setattr(LabelStore, "open_snapshot", counted)
+    students = [make_student(6, name=CONTROL_NAME), make_student(6, name="plain")]
+    log = run_online(init_world(GEN, 6), make_teacher(6), students, sched(4), tmp_path / "s")
+    assert opened == []
+    assert len(read_manifest(tmp_path / "s").segment_ids) == 4  # the teacher still writes
+    assert not [r for r in log.rows if r.metric == "coverage"]
 
 
 def test_periodic_evals_and_online_sim(tmp_path):
@@ -348,7 +360,7 @@ def test_nodistill_student_matches_plain_training_loop(tmp_path):
     twin_world = init_world(GEN, seed)
     mc = ModelConfig(GEN.feature_dim, (8,), (5,), GEN.tasks, NO_DISTILL)
     model = build_model(mc, model_init_rng(seed, "solo"))
-    opt = ModelOptimizer.for_model(model)
+    opt = [OptState.for_mlp(m) for m in model.components]
     train = TrainConfig(base_lr=0.05)
     for _ in range(8):
         batch = next_batch(twin_world, 24)
@@ -357,8 +369,8 @@ def test_nodistill_student_matches_plain_training_loop(tmp_path):
     for got, want in zip(student.model.trunk.layers, model.trunk.layers):
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.bias, want.bias)
-    for name in model.towers:
-        for got, want in zip(student.model.towers[name].layers, model.towers[name].layers):
+    for mine, twin in zip(student.model.components[1:], model.components[1:], strict=True):
+        for got, want in zip(mine.layers, twin.layers):
             assert np.array_equal(got.weights, want.weights)
 
 
@@ -396,8 +408,9 @@ def test_alpha_zero_direct_is_bit_identical_to_control(tmp_path):
     for got, want in zip(direct.model.trunk.layers, control.model.trunk.layers):
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.bias, want.bias)
-    for name in control.model.towers:
-        for got, want in zip(direct.model.towers[name].layers, control.model.towers[name].layers):
+    # the towers: neither student has aux heads
+    for mine, ref in zip(direct.model.components[1:], control.model.components[1:], strict=True):
+        for got, want in zip(mine.layers, ref.layers):
             assert np.array_equal(got.weights, want.weights)
     # identical held-out metrics too
     for task in ("ctr", "sat", "aux_click"):
@@ -508,7 +521,6 @@ def test_fleet_twins_with_shared_init_end_identical(tmp_path, monkeypatch):
         twins.append(StudentJob(
             name=name,
             model=model,
-            opt=ModelOptimizer.for_model(model),
             train=TrainConfig(base_lr=0.05),
             alpha={"ctr": 0.5},
         ))
@@ -517,11 +529,9 @@ def test_fleet_twins_with_shared_init_end_identical(tmp_path, monkeypatch):
     a, b = twins
     for got, want in zip(a.model.trunk.layers, b.model.trunk.layers):
         assert np.array_equal(got.weights, want.weights)
-    for name in a.model.towers:
-        for got, want in zip(a.model.towers[name].layers, b.model.towers[name].layers):
-            assert np.array_equal(got.weights, want.weights)
-    for name in a.model.aux_heads:
-        for got, want in zip(a.model.aux_heads[name].layers, b.model.aux_heads[name].layers):
+    # the towers, then the aux head
+    for mine, twin in zip(a.model.components[1:], b.model.components[1:], strict=True):
+        for got, want in zip(mine.layers, twin.layers):
             assert np.array_equal(got.weights, want.weights)
 
 

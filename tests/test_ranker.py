@@ -8,7 +8,7 @@ import pytest
 
 from onlinekd.cli import default_experiment
 from onlinekd.errors import ConfigError
-from onlinekd.nncore import IDENTITY, RELU, ClippyConfig, TrainConfig
+from onlinekd.nncore import IDENTITY, RELU, ClippyConfig, OptState, TrainConfig
 from onlinekd.pipeline import FAMILY_CUSTOM, TeacherDef, make_teacher_job
 from onlinekd.ranker import (
     AUXILIARY,
@@ -18,7 +18,6 @@ from onlinekd.ranker import (
     PROB_FLOOR,
     REGRESSION,
     ModelConfig,
-    ModelOptimizer,
     TaskSpec,
     _sigmoid,
     apply_gradients,
@@ -48,6 +47,9 @@ TASKS = (
     TaskSpec("ltv", REGRESSION),
     TaskSpec("aux_click", BINARY),
 )
+# model.components is the trunk, the towers in task order, then the aux heads
+TOWERS = slice(1, 1 + len(TASKS))
+AUX = slice(1 + len(TASKS), None)
 
 
 def small_config(mode, distill=("ctr", "ltv")):
@@ -91,8 +93,7 @@ def test_model_config_validation():
 
 
 def parameter_count(model):
-    mlps = [model.trunk, *model.towers.values(), *model.aux_heads.values()]
-    return sum(layer.weights.size + layer.bias.size for m in mlps for layer in m.layers)
+    return sum(l.weights.size + l.bias.size for m in model.components for l in m.layers)
 
 
 @pytest.mark.parametrize("mode", [NO_DISTILL, DIRECT, AUXILIARY])
@@ -126,15 +127,16 @@ def test_scale_config_widens_trunk_only():
 def test_build_model_structure():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(3))
     assert model.trunk.layers[-1].activation == RELU
-    for tower in model.towers.values():
+    assert model.components[0] is model.trunk
+    for tower in model.components[TOWERS]:
         assert tower.layers[-1].activation == IDENTITY
         assert tower.out_dim == 1
-    assert set(model.aux_heads) == {"ctr", "ltv"}
-    for head in model.aux_heads.values():
+    assert len(model.components[AUX]) == 2  # ctr, ltv
+    for head in model.components[AUX]:
         assert len(head.layers) == 1
         assert head.layers[0].activation == IDENTITY
     direct = build_model(small_config(DIRECT), np.random.default_rng(3))
-    assert direct.aux_heads == {}
+    assert direct.components[AUX] == []
 
 
 def test_init_bit_identical_across_modes():
@@ -147,8 +149,8 @@ def test_init_bit_identical_across_modes():
         other = models[mode]
         for a, b in zip(ref.trunk.layers, other.trunk.layers):
             assert np.array_equal(a.weights, b.weights)
-        for name in ref.towers:
-            for a, b in zip(ref.towers[name].layers, other.towers[name].layers):
+        for ref_tower, tower in zip(ref.components[TOWERS], other.components[TOWERS]):
+            for a, b in zip(ref_tower.layers, tower.layers):
                 assert np.array_equal(a.weights, b.weights)
 
 
@@ -299,9 +301,9 @@ def test_zero_coverage_gives_zero_soft_and_control_grads():
         model, x, *loss_args(model, hard, soft, present, {"ctr": 1.0, "ltv": 1.0})
     )
     grads_none = compute_loss_and_grads(model, x, *loss_args(model, hard))
-    assert np.array_equal(grads_soft.trunk, grads_none.trunk)
-    for name in grads_soft.aux:
-        assert not grads_soft.aux[name].any()
+    assert np.array_equal(grads_soft[0], grads_none[0])
+    for head in grads_soft[AUX]:
+        assert not head.any()
 
 
 def test_alpha_zero_grads_bit_identical_to_no_soft():
@@ -312,9 +314,9 @@ def test_alpha_zero_grads_bit_identical_to_no_soft():
             model, x, *loss_args(model, hard, soft, present, {"ctr": 0.0, "ltv": 0.0})
         )
         without = compute_loss_and_grads(model, x, *loss_args(model, hard))
-        assert np.array_equal(with_soft.trunk, without.trunk)
-        for name in with_soft.towers:
-            assert np.array_equal(with_soft.towers[name], without.towers[name])
+        assert np.array_equal(with_soft[0], without[0])
+        for got, want in zip(with_soft[TOWERS], without[TOWERS]):
+            assert np.array_equal(got, want)
 
 
 GRAD_CASES = [
@@ -331,7 +333,7 @@ def jitter_biases(model, seed=99):
     whole trunk row is dead), where the subgradient convention and a central
     difference legitimately disagree."""
     rng = np.random.default_rng(seed)
-    for mlp in [model.trunk, *model.towers.values(), *model.aux_heads.values()]:
+    for mlp in model.components:
         for layer in mlp.layers:
             layer.bias += rng.uniform(0.01, 0.05, size=layer.bias.shape)
 
@@ -348,10 +350,7 @@ def test_gradients_match_finite_differences(mode, use_soft, alpha, clip):
 
     grads = compute_loss_and_grads(model, x, *args, clip)
     arrays, analytic = [], []
-    mlps = [("trunk", model.trunk, grads.trunk)]
-    mlps += [(n, model.towers[n], grads.towers[n]) for n in sorted(model.towers)]
-    mlps += [(n, model.aux_heads[n], grads.aux[n]) for n in sorted(model.aux_heads)]
-    for _, mlp, g in mlps:
+    for mlp, g in zip(model.components, grads, strict=True):
         for layer, (gw, gb) in zip(mlp.layers, mlp.split(g)):
             arrays.extend([layer.weights, layer.bias])
             analytic.extend([gw, gb])
@@ -366,13 +365,14 @@ def test_auxiliary_knowledge_reaches_trunk_not_tower():
     with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
     without = compute_loss_and_grads(model, x, *loss_args(model, hard))
     # serving towers see hard-label gradients only
-    for name in with_soft.towers:
-        assert np.array_equal(with_soft.towers[name], without.towers[name])
+    for got, want in zip(with_soft[TOWERS], without[TOWERS]):
+        assert np.array_equal(got, want)
     # the trunk gradient changes: teacher signal flows through shared layers
-    trunk_w = [model.trunk.split(g)[0][0] for g in (with_soft.trunk, without.trunk)]
+    trunk_w = [model.trunk.split(g[0])[0][0] for g in (with_soft, without)]
     assert not np.array_equal(*trunk_w)
-    # and aux heads receive nonzero gradients
-    assert any(gw.any() for gw, _ in model.aux_heads["ctr"].split(with_soft.aux["ctr"]))
+    # and aux heads receive nonzero gradients (the ctr head is the first)
+    ctr = AUX.start
+    assert any(gw.any() for gw, _ in model.components[ctr].split(with_soft[ctr]))
 
 
 def test_direct_soft_loss_lands_on_serving_tower():
@@ -381,43 +381,44 @@ def test_direct_soft_loss_lands_on_serving_tower():
     alpha = {"ctr": 1.0, "ltv": 1.0}
     with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
     without = compute_loss_and_grads(model, x, *loss_args(model, hard))
-    ctr_w = [model.towers["ctr"].split(g.towers["ctr"])[0][0] for g in (with_soft, without)]
+    ctr, aux_click = TOWERS.start, TOWERS.start + 2
+    ctr_w = [model.components[ctr].split(g[ctr])[0][0] for g in (with_soft, without)]
     assert not np.array_equal(*ctr_w)
     # non-distilled task tower is untouched by soft labels
-    assert np.array_equal(with_soft.towers["aux_click"], without.towers["aux_click"])
+    assert np.array_equal(with_soft[aux_click], without[aux_click])
 
 
 def test_apply_gradients_steps_every_component():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(10))
-    opt = ModelOptimizer.for_model(model)
-    x, hard, soft, present = batch_inputs()
-    alpha = {"ctr": 1.0, "ltv": 1.0}
-    grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
+    opt = [OptState.for_mlp(m) for m in model.components]
     before = build_model(small_config(AUXILIARY), np.random.default_rng(10))
-    apply_gradients(model, grads, opt, TrainConfig(base_lr=0.01))
-    assert opt.trunk.step == 1
-    assert all(s.step == 1 for s in opt.towers.values())
-    assert all(s.step == 1 for s in opt.aux.values())
+    alpha = {"ctr": 1.0, "ltv": 1.0}
+    for k in (1, 2, 3):
+        x, hard, soft, present = batch_inputs(seed=k)
+        grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
+        assert len(grads) == len(model.components) == 1 + 3 + 2
+        apply_gradients(model, grads, opt, TrainConfig(base_lr=0.01))
+        assert [s.step for s in opt] == [k] * len(model.components)
     assert not np.array_equal(model.trunk.layers[0].weights, before.trunk.layers[0].weights)
 
 
 def test_component_arrays_stay_views_of_the_stacked_buffers():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(10))
-    opt = ModelOptimizer.for_model(model)
+    opt = [OptState.for_mlp(m) for m in model.components]
     train = TrainConfig(base_lr=0.05, clippy=ClippyConfig())
     for step in range(10):
         x, hard, soft, present = batch_inputs(seed=step)
         alpha = {"ctr": 1.0, "ltv": 0.5}
         grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
         apply_gradients(model, grads, opt, train)
-    assert opt.trunk.step == 10
+    assert opt[0].step == 10
     stacks = [
-        (model.trunk, {"trunk": model.trunk}),
-        (model.tower_stack, model.towers),
-        (model.aux_stack, model.aux_heads),
+        (model.trunk, model.components[:1]),
+        (model.tower_stack, model.components[TOWERS]),
+        (model.aux_stack, model.components[AUX]),
     ]
     for stack, parts in stacks:
-        for row, mlp in enumerate(parts.values()):
+        for row, mlp in enumerate(parts):
             assert np.shares_memory(mlp.params, stack.params)
             assert np.array_equal(mlp.params, stack.params.reshape(-1, mlp.params.size)[row])
             for layer in mlp.layers:
@@ -442,33 +443,33 @@ def test_covered_binary_teacher_values_are_checked_on_the_step_path(mode):
     # the same value on an uncovered row is a placeholder, never read
     got = compute_loss_and_grads(model, x, *with_ctr_value(np.flatnonzero(~present)[0], 1.0))
     want = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present))
-    assert np.array_equal(got.trunk, want.trunk)
-    for name in got.towers:
-        assert np.array_equal(got.towers[name], want.towers[name])
-    for name in got.aux:
-        assert np.array_equal(got.aux[name], want.aux[name])
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
-def component_layers(model):
-    """Every component's Mlp: the trunk, towers in task order, aux heads in
-    distill order."""
-    return {
-        "trunk": model.trunk,
-        "towers": dict(model.towers),
-        "aux": dict(model.aux_heads),
-    }
+def component_keys(model):
+    """(group, task) of each of model.components, as ref_ranker_step keys
+    its params: the trunk, towers in task order, aux heads in distill order."""
+    aux = model.config.distill_tasks if model.aux_stack is not None else ()
+    towers = [("towers", t.name) for t in model.tasks]
+    return [("trunk", None), *towers, *[("aux", name) for name in aux]]
+
+
+def by_key(tree, group, name):
+    """The entry of a ref_ranker_step params or grads tree at (group, task)."""
+    return tree[group] if name is None else tree[group][name]
 
 
 def reference_params(model):
-    def copy(mlp):
-        return [[l.weights.copy(), l.bias.copy(), l.activation == RELU] for l in mlp.layers]
-
-    parts = component_layers(model)
-    return {
-        "trunk": copy(parts["trunk"]),
-        "towers": {name: copy(m) for name, m in parts["towers"].items()},
-        "aux": {name: copy(m) for name, m in parts["aux"].items()},
-    }
+    ref = {"towers": {}, "aux": {}}
+    for (group, name), mlp in zip(component_keys(model), model.components, strict=True):
+        layers = [[l.weights.copy(), l.bias.copy(), l.activation == RELU] for l in mlp.layers]
+        if name is None:
+            ref[group] = layers
+        else:
+            ref[group][name] = layers
+    return ref
 
 
 def assert_layers_equal(got, want):
@@ -491,15 +492,12 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
     # distill order differs from task order, so aux rows and tower rows differ
     model = build_model(small_config(mode, distill=("ltv", "ctr")), np.random.default_rng(5))
     ref = reference_params(model)
-    def zero_moments(layers):
-        return [[np.zeros_like(a) for a in (w, b, w, b)] for w, b, _ in layers]
-
+    keys = component_keys(model)
     ref_moments = {
-        (group, name): zero_moments(layers)
-        for group in ("towers", "aux") for name, layers in ref[group].items()
+        key: [[np.zeros_like(a) for a in (w, b, w, b)] for w, b, _ in by_key(ref, *key)]
+        for key in keys
     }
-    ref_moments["trunk", None] = zero_moments(ref["trunk"])
-    opt = ModelOptimizer.for_model(model)
+    opt = [OptState.for_mlp(m) for m in model.components]
     train = TrainConfig(base_lr=0.05, warmup_steps=2, clippy=ClippyConfig(sigma_rel=0.05))
     tasks = [(t.name, t.kind == BINARY) for t in TASKS]
     for step in range(5):
@@ -527,30 +525,22 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
         for row, (name, _) in enumerate(tasks):
             assert np.array_equal(seeds.hard[row], hard_seeds[name])
         if mode == AUXILIARY:
-            aux_names = list(model.aux_heads)
+            aux_names = list(model.config.distill_tasks)
             assert {aux_names[r] for r in np.flatnonzero(seeds.soft_active)} == set(aux_seeds)
             for name, seed in aux_seeds.items():
                 assert np.array_equal(seeds.aux[aux_names.index(name)], seed)
 
-        parts = component_layers(model)
-        assert_layers_equal(model.trunk.split(grads.trunk), want["trunk"])
-        for group, got in (("towers", grads.towers), ("aux", grads.aux)):
-            assert got.keys() == want[group].keys()
-            for name, mlp in parts[group].items():
-                assert_layers_equal(mlp.split(got[name]), want[group][name])
+        for group in ("towers", "aux"):
+            assert [name for g, name in keys if g == group] == list(want[group])
+        for key, mlp, got in zip(keys, model.components, grads, strict=True):
+            assert_layers_equal(mlp.split(got), by_key(want, *key))
 
         apply_gradients(model, grads, opt, train)
         adam = (train.base_lr, train.warmup_steps, 0.9, 0.999, 1e-8, (0.05, 1e-3))
-        ref_adam_layers(ref["trunk"], want["trunk"], ref_moments["trunk", None], step, *adam)
-        for group in ("towers", "aux"):
-            for name, layers in ref[group].items():
-                ref_adam_layers(layers, want[group][name], ref_moments[group, name], step, *adam)
-        assert_layers_equal(
-            [(l.weights, l.bias) for l in model.trunk.layers], [(w, b) for w, b, _ in ref["trunk"]]
-        )
-        for group in ("towers", "aux"):
-            for name, mlp in parts[group].items():
-                assert_layers_equal(
-                    [(l.weights, l.bias) for l in mlp.layers],
-                    [(w, b) for w, b, _ in ref[group][name]],
-                )
+        for key in keys:
+            ref_adam_layers(by_key(ref, *key), by_key(want, *key), ref_moments[key], step, *adam)
+        for key, mlp in zip(keys, model.components):
+            assert_layers_equal(
+                [(l.weights, l.bias) for l in mlp.layers],
+                [(w, b) for w, b, _ in by_key(ref, *key)],
+            )
