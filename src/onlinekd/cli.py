@@ -450,8 +450,6 @@ def _parse_seed_list(text: str) -> tuple[int, ...]:
         out.extend(range(lo, hi + 1))
     if not out:
         raise ConfigError("empty seed list")
-    if len(set(out)) != len(out):
-        raise ConfigError("duplicate seeds")
     return tuple(out)
 
 

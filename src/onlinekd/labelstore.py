@@ -269,14 +269,11 @@ def encode_segment(
         np.ascontiguousarray(length, dtype="<u8").tobytes(),
         np.ascontiguousarray(values, dtype="<f4").tobytes(),
     ])
-    # zlib.compress takes wbits only from Python 3.11
-    deflate = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
     data = b"".join([
         SEGMENT_MAGIC,
         _U32.pack(FORMAT_VERSION),
         _U64.pack(len(body)),
-        deflate.compress(body),
-        deflate.flush(),
+        zlib.compress(body, _DEFLATE_LEVEL, wbits=-15),
     ])
     return data + _U32.pack(_crc(data))
 
@@ -668,7 +665,7 @@ class SegmentWriter:
 class SegmentInfo:
     segment_id: int
     ok: bool
-    error: str = ""
+    error: str
     teacher_version: int = 0
     n_rows: int = 0
     min_id: int = 0

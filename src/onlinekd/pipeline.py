@@ -70,7 +70,6 @@ from .ranker import (
     AUXILIARY,
     BINARY,
     DIRECT,
-    MODES,
     NO_DISTILL,
     PET,
     PST,
@@ -188,9 +187,9 @@ class TeacherJob:
     model: RankingModel
     train: TrainConfig
     write_tasks: tuple[str, ...]
-    write_every: int = 1
-    freeze_at: int | None = None
-    bias: dict[str, float] = field(default_factory=dict)
+    write_every: int
+    freeze_at: int | None
+    bias: dict[str, float]
     opt: list[OptState] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -199,15 +198,6 @@ class TeacherJob:
         for task in self.write_tasks:
             if task not in names:
                 raise ConfigError(f"write task {task!r} not in model tasks")
-        for task in self.bias:
-            spec = self.model.config.task(task)
-            if spec.kind == BINARY:
-                raise ConfigError(
-                    f"label bias is multiplicative and only fits regression "
-                    f"tasks, not {task!r}"
-                )
-        if self.write_every < 1:
-            raise ConfigError("write_every must be >= 1")
 
     @property
     def version(self) -> int:
@@ -224,7 +214,7 @@ class StudentJob:
     name: str
     model: RankingModel
     train: TrainConfig
-    alpha: dict[str, float] = field(default_factory=dict)
+    alpha: dict[str, float]
     distill_alpha: np.ndarray = field(init=False, repr=False)
     opt: list[OptState] = field(init=False, repr=False)
 
@@ -427,7 +417,7 @@ def run_online(
     cov_sum, cov_n = 0.0, 0  # every distilling student reads the step's one lookup
     eval_idx = 0
     present = values = None
-    write_schema = [(n, teacher.model.config.task(n).kind) for n in teacher.write_tasks]
+    write_schema = [(n, world.config.task(n).kind) for n in teacher.write_tasks]
     with (
         store.writer(write_schema, durable=sched.durable_store)
         if write_schema
@@ -490,12 +480,6 @@ class StudentDef:
     def __post_init__(self) -> None:
         if self.mode == "none":  # the YAML spelling of no distillation
             self.mode = NO_DISTILL
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown student mode {self.mode!r}")
-        if self.mode == NO_DISTILL and self.distill:
-            raise ConfigError(f"student {self.name!r}: distill tasks without a distill mode")
-        if self.mode != NO_DISTILL and not self.distill:
-            raise ConfigError(f"student {self.name!r}: distill mode without distill tasks")
         for task in self.alpha:
             if task not in self.distill:
                 raise ConfigError(
@@ -505,9 +489,9 @@ class StudentDef:
 
 @dataclass
 class TeacherDef:
-    name: str = "teacher"
-    scale: int = 2
-    write_tasks: tuple[str, ...] = ()
+    name: str
+    scale: int
+    write_tasks: tuple[str, ...]
 
 
 @dataclass
@@ -543,7 +527,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("duplicate seeds")
+            raise ConfigError(f"seeds: duplicate seeds in {list(self.seeds)}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds: must be >= 0, got {min(self.seeds)}")
         if len(set(self.teacher_scales)) != len(self.teacher_scales):  # one run each
@@ -566,13 +550,22 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}: widths must be >= 1, got {list(values)}")
         if self.freeze_at is not None and self.freeze_at < 0:
             raise ConfigError(f"teacher.freeze_at: must be >= 0, got {self.freeze_at}")
+        if self.write_every < 1:
+            raise ConfigError(f"teacher.write_every: must be >= 1, got {self.write_every}")
         names = {t.name for t in self.gen.tasks}
         for task in self.distill_tasks:
             if task not in names:
-                raise ConfigError(f"distill task {task!r} not generated by the stream")
-        for task in list(self.alpha) + list(self.bias):
-            if task not in names:
-                raise ConfigError(f"unknown task {task!r} in alpha/bias")
+                raise ConfigError(f"distill.tasks: task {task!r} not generated by the stream")
+        for path, tasks in (("distill.alpha", self.alpha), ("teacher.bias", self.bias)):
+            for task in tasks:
+                if task not in names:
+                    raise ConfigError(f"{path}: unknown task {task!r}")
+        for task in self.bias:
+            if self.gen.task(task).kind == BINARY:
+                raise ConfigError(
+                    f"teacher.bias: label bias is multiplicative and only fits "
+                    f"regression tasks, not {task!r}"
+                )
         sim = self.schedule.online_sim
         if sim is not None:
             for task in (sim.policy_task, sim.satisfaction_task):
@@ -587,10 +580,16 @@ class ExperimentConfig:
             if sdef.name in taken:
                 raise ConfigError(f"students[{i}]: job name {sdef.name!r} is already taken")
             taken.add(sdef.name)
-            try:  # the checks the student's model would otherwise fail mid-run
-                _student_model_config(self, sdef)
-            except ConfigError as e:
-                raise ConfigError(f"students[{i}]: {e}") from None
+        # the checks every student's model would otherwise fail mid-run; a
+        # custom run's students are the students list, the others' come from
+        # distill.tasks
+        for run in build_runs(self):
+            for i, sdef in enumerate(run.students):
+                try:
+                    _student_model_config(self, sdef)
+                except ConfigError as e:
+                    where = f"students[{i}]" if self.family == FAMILY_CUSTOM else "distill.tasks"
+                    raise ConfigError(f"{where}: {e}") from None
 
 
 def _alpha_map(cfg: ExperimentConfig, tasks: tuple[str, ...]) -> dict[str, float]:
@@ -627,7 +626,7 @@ def build_runs(cfg: ExperimentConfig) -> list[RunDef]:
         pet = tuple(t.name for t in cfg.gen.tasks if t.category == PET)
         pst = tuple(t.name for t in cfg.gen.tasks if t.category == PST)
         if not pet or not pst:
-            raise ConfigError("objective-selection needs PET and PST tasks in the stream")
+            raise ConfigError("stream.tasks: objective-selection needs PET and PST tasks")
         students = [
             StudentDef(CONTROL_NAME),
             StudentDef("pet", mode, pet, _alpha_map(cfg, pet)),
@@ -637,7 +636,7 @@ def build_runs(cfg: ExperimentConfig) -> list[RunDef]:
     elif cfg.students:  # custom: explicit students, one run
         students = list(cfg.students)
     else:
-        raise ConfigError("custom family needs an explicit students list")
+        raise ConfigError("students: the custom family needs at least one student")
     (scale,) = cfg.teacher_scales
     return [_run(cfg, "main", TEACHER_NAME, scale, students)]
 

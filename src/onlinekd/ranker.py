@@ -96,7 +96,7 @@ class ModelConfig:
     trunk_widths: tuple[int, ...]
     tower_widths: tuple[int, ...]
     tasks: tuple[TaskSpec, ...]
-    mode: str = NO_DISTILL
+    mode: str
     distill_tasks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -115,12 +115,8 @@ class ModelConfig:
             raise ConfigError(f"duplicate distill tasks in {list(self.distill_tasks)}")
         if self.mode == NO_DISTILL and self.distill_tasks:
             raise ConfigError("no_distill mode cannot list distill_tasks")
-
-    def task(self, name: str) -> TaskSpec:
-        for t in self.tasks:
-            if t.name == name:
-                return t
-        raise ConfigError(f"unknown task {name!r}")
+        if self.mode != NO_DISTILL and not self.distill_tasks:
+            raise ConfigError(f"{self.mode} mode needs at least one distill task")
 
 
 @dataclass
@@ -170,7 +166,7 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> RankingModel:
     trunk_out = cfg.trunk_widths[-1]
     towers = make_mlp([trunk_out, *cfg.tower_widths, 1], rng, members=len(cfg.tasks))
     aux = None
-    if cfg.mode == AUXILIARY and cfg.distill_tasks:
+    if cfg.mode == AUXILIARY:
         aux = make_mlp([trunk_out, 1], rng, members=len(cfg.distill_tasks))
     return RankingModel(config=cfg, trunk=trunk, tower_stack=towers, aux_stack=aux)
 

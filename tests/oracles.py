@@ -479,10 +479,10 @@ def one_shot_policy_metrics(ev, sim, rng, jobs) -> dict[str, tuple[float, float]
     slates = draw_slates(ev, sim, rng)
     flat = slates.x.reshape(-1, ev.config.feature_dim)
     rows = np.arange(sim.n_slates)
+    policy = ev.config.task(sim.policy_task)
     out = {}
     for name, model, train in jobs:
         z, _ = model_forward(model, flat, clip=train.activation_clip)
-        policy = model.config.task(sim.policy_task)
         scores = task_score(z[model.tasks.index(policy)], policy.kind)
         picks = np.argmax(scores.reshape(rows.size, -1), axis=1)
         out[name] = (

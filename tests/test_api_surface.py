@@ -25,6 +25,13 @@ counts for its __init__. Calls in benchmarks/ count too, since the benchmark
 drives the package through cli.main(argv); calls inside the function's own
 definition do not.
 
+The dataclass-field check asks the reverse of a defaulted field: some
+call of its class in src/onlinekd or benchmarks/ must leave the field out
+and so rely on its default (a call of cls inside the class counts). A
+default that every call passes only repeats what the callers set. The
+classes cli.build_config fills from YAML keys are exempt: there a default
+stands in for a key the config leaves out.
+
 The unread-parameter check asks that each parameter of a function or
 method (self, cls and dunder methods aside) be read as a plain name in the
 function's body, nested functions included. A parameter that a function
@@ -49,7 +56,11 @@ that imports it.
 """
 
 import ast
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
+
+from onlinekd.pipeline import ExperimentConfig
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "onlinekd"
@@ -194,12 +205,30 @@ def passes(call: ast.Call, name: str, index) -> bool:
     return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
 
 
+def calls_in(src: Path, callers) -> list:
+    """(module, call, callee name) for each call in src and in the caller
+    files; module is None for a caller file. A call of cls inside a class
+    is a call of that class."""
+    calls = []
+    for path in sorted(src.glob("*.py")) + sorted(callers):
+        owners = {}  # each call inside a class body, innermost class last
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                owners.update((id(n), node.name) for n in ast.walk(node))
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee == "cls":
+                    callee = owners.get(id(node), callee)
+                calls.append((path.name if path.parent == src else None, node, callee))
+    return calls
+
+
 def unpassed_parameters(src: Path, callers) -> list[str]:
     """module:line function(parameter) for each defaulted parameter of a
     function or method in src that no call in src or in the caller files
     passes, outside the function's own definition. A call to a class counts
     for its __init__."""
-    params, calls = [], []
+    params = []
     for path in sorted(src.glob("*.py")):
         owners = {}  # a class body's functions, found before the walk reaches them
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -213,11 +242,7 @@ def unpassed_parameters(src: Path, callers) -> list[str]:
             label = f"{cls}.{node.name}" if cls else node.name
             for name, index in defaulted_parameters(node, int(cls is not None and not static)):
                 params.append((path.name, node, callee, f"{label}({name})", name, index))
-    for path in sorted(src.glob("*.py")) + sorted(callers):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call):
-                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                calls.append((path.name if path.parent == src else None, node, callee))
+    calls = calls_in(src, callers)
     params.sort(key=lambda p: (p[0], p[1].lineno))
     return [
         f"{module}:{fn.lineno} {label}"
@@ -261,6 +286,98 @@ def test_check_flags_a_parameter_no_call_passes(tmp_path):
     assert unpassed_parameters(tmp_path, [caller]) == [
         "mod.py:1 grow(limit)", "mod.py:1 grow(quiet)", "mod.py:9 Box.put(mode)",
     ]
+
+
+def defaulted_fields(cls: ast.ClassDef):
+    """(name, positional index, node) for each __init__ field of a dataclass
+    that has a default."""
+    index = 0
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        keywords = (
+            {kw.arg for kw in value.keywords}
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+            else None
+        )
+        if keywords is not None and "init" in keywords:  # field(init=False)
+            continue
+        if value is not None and (keywords is None or keywords & {"default", "default_factory"}):
+            yield item.target.id, index, item
+        index += 1
+
+
+def unrelied_field_defaults(src: Path, callers, exempt=()) -> list[str]:
+    """module:line Class.field for each defaulted field of a dataclass in src
+    (the classes named in exempt aside) whose default no call of the class
+    in src or in the caller files relies on: every such call passes it."""
+    calls = calls_in(src, callers)
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef) or node.name in exempt or not any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"  # @dataclass(...) too
+                for d in node.decorator_list
+            ):
+                continue
+            mine = [call for _, call, callee in calls if callee == node.name]
+            found += [
+                f"{path.name}:{item.lineno} {node.name}.{name}"
+                for name, index, item in defaulted_fields(node)
+                if all(passes(call, name, index) for call in mine)
+            ]
+    return found
+
+
+def yaml_filled(cls) -> set[str]:
+    """The names of cls and of every dataclass its field types reach, as
+    test_cli.readable_keys walks them: for ExperimentConfig, the classes
+    cli.build_config fills from YAML keys, passing each field by keyword."""
+    names = {cls.__name__}
+    for hint in get_type_hints(cls).values():
+        for arg in get_args(hint) or (hint,):
+            if is_dataclass(arg) and arg.__name__ not in names:
+                names |= yaml_filled(arg)
+    return names
+
+
+def test_every_dataclass_field_default_is_relied_on():
+    callers = (TESTS.parent / "benchmarks").glob("*.py")
+    exempt = yaml_filled(ExperimentConfig)
+    assert unrelied_field_defaults(SRC, callers, exempt) == []
+
+
+def test_check_flags_a_dataclass_default_every_call_passes(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Job:\n"
+        "    name: str\n"
+        "    tag: str = field(repr=False)\n"
+        "    every: int = 1\n"
+        "    cache: list = field(init=False)\n"
+        "    bias: dict = field(default_factory=dict)\n"
+        "    freeze: int = 0\n\n\n"
+        "@dataclass\n"
+        "class Loaded:\n"
+        "    steps: int = 5\n"
+        "    rate: float = 0.1\n\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls(rate=0.2)\n\n\n"
+        "class Plain:\n"
+        "    size: int = 3\n\n\n"
+        "Job('a', 't', 2, {}, freeze=1)\n"
+        "Job('b', 'u', every=3)\n"
+        "Plain()\n"
+    )
+    caller = tmp_path / "bench" / "caller.py"
+    caller.parent.mkdir()
+    caller.write_text("Job('c', 'v')\n")
+    assert unrelied_field_defaults(tmp_path, []) == ["mod.py:8 Job.every", "mod.py:17 Loaded.rate"]
+    # a call in a caller file counts, and an exempt class is not looked at
+    assert unrelied_field_defaults(tmp_path, [caller], exempt={"Loaded"}) == []
 
 
 def unread_parameters(src: Path) -> list[str]:

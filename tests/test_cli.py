@@ -67,8 +67,10 @@ def test_parse_seed_list():
         cli._parse_seed_list("5-2")
     with pytest.raises(ConfigError, match="empty"):
         cli._parse_seed_list(",")
-    with pytest.raises(ConfigError, match="duplicate"):
-        cli._parse_seed_list("1,1")
+    # a repeated seed is the config's to refuse, as it is from the YAML
+    assert cli._parse_seed_list("1,1") == (1, 1)
+    with pytest.raises(ConfigError, match="duplicate seeds"):
+        build_config({"family": FAMILY_CUSTOM}, cli._parse_seed_list("1,1"))
     for text in ("abc", "1-", "0,x"):
         with pytest.raises(ConfigError, match="bad seed"):
             cli._parse_seed_list(text)
@@ -157,6 +159,23 @@ def test_build_config_partial_mappings_keep_family_values():
 # (overrides of the custom family unless they name another, the YAML path
 # its error must name)
 STUDENT = {"name": "s", "mode": "auxiliary", "distill": ["ctr"]}
+
+
+def ctr_and_sat(category):
+    return {"tasks": [{"name": n, "kind": "binary", "category": category} for n in ("ctr", "sat")]}
+
+
+# each once exited 1 only after `onlinekd run` had made the output
+# directory, with an error that named no key
+LATE_FAILURES = [
+    ({"teacher": {"write_every": 0}}, "teacher.write_every"),
+    ({"teacher": {"bias": {"ctr": 1.3}}}, "teacher.bias"),
+    ({"family": FAMILY_DISTILL, "distill": {"tasks": []}}, "distill.tasks"),
+    ({"family": FAMILY_SCALE, "distill": {"tasks": []}}, "distill.tasks"),
+    ({"family": FAMILY_OBJECTIVE, "stream": ctr_and_sat("pst")}, "stream.tasks"),  # no PET task
+    ({"family": FAMILY_OBJECTIVE, "stream": ctr_and_sat("pet")}, "stream.tasks"),  # no PST task
+    ({"students": []}, "students"),
+]
 BAD_VALUES = [
     ({"schedule": {"durable_store": "no"}}, "schedule.durable_store"),
     ({"schedule": {"total_steps": 12.7}}, "schedule.total_steps"),
@@ -196,6 +215,7 @@ BAD_VALUES = [
     # once accepted: -1 acted as 0, -5 froze the teacher before its first step
     ({"schedule": {"online_sim_every": -1}}, "schedule"),
     ({"teacher": {"freeze_at": -5}}, "teacher.freeze_at"),
+    *LATE_FAILURES,
 ]
 
 
@@ -553,6 +573,16 @@ def test_cmd_run_bad_config_exit_code(tmp_path, capsys):
         "config error: config: students[1]: job name 'a' is already taken\n"
     )
     assert not (tmp_path / "out").exists()
+    # so is each config a run of it would fail on; so are repeated --seeds
+    cases = [({"family": FAMILY_CUSTOM, **o}, ["--seeds", "0"], p) for o, p in LATE_FAILURES]
+    cases.append(({"family": FAMILY_CUSTOM}, ["--seeds", "1,0-2"], "seeds"))
+    for raw, seeds, path in cases:
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert main(["run", str(cfg_path), *seeds, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{path}: " in err, (raw, err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists(), raw
 
 
 def test_cmd_run_one_class_eval_set_is_a_config_error(tmp_path, capsys):

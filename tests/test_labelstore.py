@@ -66,8 +66,7 @@ def signed(body):
 
 
 def deflated(body):
-    z = zlib.compressobj(6, zlib.DEFLATED, -15)
-    return z.compress(body) + z.flush()
+    return zlib.compress(body, 6, wbits=-15)
 
 
 def framed(body, version=3, body_len=None, stream=None):

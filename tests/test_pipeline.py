@@ -1,6 +1,7 @@
 """Online distillation loop: scheduling, isolation, determinism, experiments."""
 
 import dataclasses
+import re
 import struct
 import tracemalloc
 
@@ -63,7 +64,9 @@ from oracles import (
 GEN = GenConfig(feature_dim=8)
 
 
-def make_teacher(seed=0, *, name="teacher", write=("ctr", "ltv"), gen=GEN, **kw):
+def make_teacher(
+    seed=0, *, name="teacher", write=("ctr", "ltv"), gen=GEN, write_every=1, freeze_at=None
+):
     mc = ModelConfig(gen.feature_dim, (10,), (6,), gen.tasks, NO_DISTILL)
     model = build_model(mc, model_init_rng(seed, name))
     return TeacherJob(
@@ -71,7 +74,9 @@ def make_teacher(seed=0, *, name="teacher", write=("ctr", "ltv"), gen=GEN, **kw)
         model=model,
         train=TrainConfig(base_lr=0.05),
         write_tasks=tuple(write),
-        **kw,
+        write_every=write_every,
+        freeze_at=freeze_at,
+        bias={},
     )
 
 
@@ -136,13 +141,15 @@ def test_model_init_rng_is_job_keyed():
 def test_job_validation():
     with pytest.raises(ConfigError, match="write task"):
         make_teacher(write=("nope",))
-    with pytest.raises(ConfigError, match="regression"):
-        make_teacher(bias={"ctr": 1.3})
-    make_teacher(bias={"ltv": 1.3})  # regression bias is fine
-    with pytest.raises(ConfigError, match="unknown task 'nope'"):
-        make_teacher(bias={"nope": 1.3})
-    with pytest.raises(ConfigError, match="write_every"):
-        make_teacher(write_every=0)
+    # a run's teacher takes its bias and write cadence from the config,
+    # which checks them at load
+    with pytest.raises(ConfigError, match="teacher.bias: .*regression"):
+        exp_cfg(FAMILY_DISTILL, distill_tasks=("ltv",), bias={"ctr": 1.3})
+    exp_cfg(FAMILY_DISTILL, distill_tasks=("ltv",), bias={"ltv": 1.3})  # regression is fine
+    with pytest.raises(ConfigError, match="teacher.bias: unknown task 'nope'"):
+        exp_cfg(FAMILY_DISTILL, distill_tasks=("ltv",), bias={"nope": 1.3})
+    with pytest.raises(ConfigError, match="teacher.write_every: must be >= 1"):
+        exp_cfg(FAMILY_DISTILL, distill_tasks=("ltv",), write_every=0)
     with pytest.raises(ConfigError, match="non-distilled"):
         StudentDef("s", DIRECT, ("ctr",), {"ltv": 0.5})
     with pytest.raises(ConfigError):
@@ -604,8 +611,8 @@ def test_build_runs_objective_family():
 
 
 def test_build_runs_custom_and_validation():
-    with pytest.raises(ConfigError, match="explicit students"):
-        build_runs(exp_cfg(FAMILY_CUSTOM))
+    with pytest.raises(ConfigError, match="students: the custom family needs"):
+        exp_cfg(FAMILY_CUSTOM)
     runs = build_runs(exp_cfg(
         FAMILY_CUSTOM,
         students=(StudentDef("a", AUXILIARY, ("ctr",)), StudentDef("b")),
@@ -619,12 +626,15 @@ def test_build_runs_custom_and_validation():
         exp_cfg(FAMILY_DISTILL, distill_tasks=("nope",))
     with pytest.raises(ConfigError, match="distill_mode"):
         exp_cfg(FAMILY_DISTILL, distill_mode=NO_DISTILL)
-    with pytest.raises(ConfigError, match="unknown student mode"):
-        StudentDef("s", mode="magic")
-    with pytest.raises(ConfigError, match="without a distill mode"):
-        StudentDef("s", distill=("ctr",))
-    with pytest.raises(ConfigError, match="without distill tasks"):
-        StudentDef("s", mode=DIRECT)
+    # a student's mode and distill tasks are checked by its model's config,
+    # at load
+    for sdef, error in (
+        (StudentDef("s", mode="magic"), "unknown distillation mode 'magic'"),
+        (StudentDef("s", distill=("ctr",)), "no_distill mode cannot list distill_tasks"),
+        (StudentDef("s", mode=DIRECT), "direct mode needs at least one distill task"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(f"students[0]: {error}")):
+            exp_cfg(FAMILY_CUSTOM, students=(sdef,))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

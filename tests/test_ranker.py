@@ -85,11 +85,7 @@ def test_model_config_validation():
         ModelConfig(4, (5,), (3,), TASKS, mode=DIRECT, distill_tasks=("ctr", "ctr"))
     for trunk, tower in (((5, 0), (3,)), ((5,), (-3,))):
         with pytest.raises(ConfigError, match="widths must be >= 1"):
-            ModelConfig(4, trunk, tower, TASKS)
-    cfg = small_config(AUXILIARY)
-    assert cfg.task("ltv").kind == REGRESSION
-    with pytest.raises(ConfigError, match="unknown task 'nope'"):
-        cfg.task("nope")
+            ModelConfig(4, trunk, tower, TASKS, NO_DISTILL)
 
 
 def parameter_count(model):
@@ -117,11 +113,11 @@ def test_scale_config_widens_trunk_only():
     cfg = default_experiment(FAMILY_CUSTOM, (0,))
     assert cfg.teacher_trunk == (48, 24)
     for scale, trunk in ((1, (48, 24)), (4, (192, 96))):
-        model = make_teacher_job(cfg, TeacherDef("t", scale), 0).model
+        model = make_teacher_job(cfg, TeacherDef("t", scale, ()), 0).model
         assert model.config.trunk_widths == trunk
         assert model.config.tower_widths == cfg.tower_widths
     with pytest.raises(ConfigError, match="widths must be >= 1"):
-        make_teacher_job(cfg, TeacherDef("t", 0), 0)
+        make_teacher_job(cfg, TeacherDef("t", 0, ()), 0)
 
 
 def test_build_model_structure():
@@ -181,7 +177,9 @@ def test_model_forward_drops_each_stack_cache_before_the_next(clip):
     # no backward follows an evaluation forward, so its peak is one MLP's two
     # widest adjacent activations, not the trunk's cache held through the towers
     n, tasks = 20_000, tuple(TaskSpec(f"t{i}", BINARY) for i in range(4))
-    cfg = ModelConfig(feature_dim=32, trunk_widths=(64, 32), tower_widths=(16,), tasks=tasks)
+    cfg = ModelConfig(
+        feature_dim=32, trunk_widths=(64, 32), tower_widths=(16,), tasks=tasks, mode=NO_DISTILL
+    )
     model = build_model(cfg, np.random.default_rng(0))
     x = np.random.default_rng(1).standard_normal((n, 32))
     model_forward(model, x[:8], clip)
