@@ -73,6 +73,7 @@ from .ranker import (
     NO_DISTILL,
     PET,
     PST,
+    REGRESSION,
     ModelConfig,
     RankingModel,
     apply_gradients,
@@ -82,7 +83,7 @@ from .ranker import (
     task_score,
 )
 
-CSV_HEADER = ("step", "job", "task", "metric", "value", "lo", "hi")
+CSV_HEADER = ("step", "job", "task", "metric", "value")
 JOB_LEVEL_TASK = "-"
 # candidate rows per block of the online simulation, which draws and scores
 # its slates one block at a time so that its memory does not grow with n_slates
@@ -108,8 +109,6 @@ class MetricRow:
     task: str
     metric: str
     value: float
-    lo: float | None = None
-    hi: float | None = None
 
 
 class MetricsLog:
@@ -124,18 +123,7 @@ def write_metrics_csv(path, rows) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(CSV_HEADER)
-        for r in rows:
-            w.writerow(
-                [
-                    r.step,
-                    r.job,
-                    r.task,
-                    r.metric,
-                    repr(r.value),
-                    "" if r.lo is None else repr(r.lo),
-                    "" if r.hi is None else repr(r.hi),
-                ]
-            )
+        w.writerows((r.step, r.job, r.task, r.metric, repr(r.value)) for r in rows)
 
 
 def read_metrics_csv(path) -> list[MetricRow]:
@@ -156,19 +144,9 @@ def read_metrics_csv(path) -> list[MetricRow]:
             continue
         if len(rec) != len(CSV_HEADER):
             raise SchemaError(f"{path}:{line_no}: wrong column count")
-        step, job, task, metric, value, lo, hi = rec
+        step, job, task, metric, value = rec
         try:
-            rows.append(
-                MetricRow(
-                    int(step),
-                    job,
-                    task,
-                    metric,
-                    float(value),
-                    float(lo) if lo else None,
-                    float(hi) if hi else None,
-                )
-            )
+            rows.append(MetricRow(int(step), job, task, metric, float(value)))
         except ValueError as e:
             raise SchemaError(f"{path}:{line_no}: {e}") from None
     return rows
@@ -398,6 +376,17 @@ def run_online(
     for job in [teacher, *students]:
         if job.model.tasks != world.config.tasks:
             raise ConfigError(f"job {job.name!r}: its tasks are not the stream's, in order")
+    if teacher.write_every < 1:
+        raise ConfigError(
+            f"teacher {teacher.name!r}: write_every must be >= 1, got {teacher.write_every}"
+        )
+    regression = {t.name for t in world.config.tasks if t.kind == REGRESSION}
+    for task in teacher.bias:
+        if task not in regression:
+            raise ConfigError(
+                f"teacher {teacher.name!r}: bias on {task!r}, which is not a regression "
+                "task of the stream"
+            )
     store_rows = []  # each student's, in distill order, of the schema teacher.write_tasks
     for s in students:
         for task in s.distill_tasks:

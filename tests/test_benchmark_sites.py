@@ -13,9 +13,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from onlinekd import labelstore, pipeline
-from onlinekd.cli import default_experiment
+from onlinekd.cli import build_config, default_experiment, main
 from onlinekd.datagen import init_world
 from onlinekd.pipeline import (
     FAMILY_DISTILL,
@@ -88,6 +89,23 @@ def test_harness_reads_the_shipped_run_definitions(harness, family, rows):
         assert isinstance(run.run_id, str) and isinstance(run.teacher.name, str)
         for student in run.students:
             assert isinstance(student.name, str) and isinstance(student.distill, tuple)
+
+
+def test_harness_output_gate_accepts_a_run(harness, tmp_path):
+    # the gate whose failed cells benchmarks/run.py counts into cells_ok_frac,
+    # fed the metrics.csv and stores of a real run
+    raw = {"family": FAMILY_DISTILL, "schedule": {"total_steps": 40, "eval_every": 20}}
+    seeds = (0, 1)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--seeds", "0,1", "--out", str(out), "--threads", "1"]) == 0
+    cfg = build_config(raw, seeds)
+    runs = build_runs(cfg)
+    inv = harness.Invocation(seeds, [(seed, run.run_id) for seed in seeds for run in runs])
+    harness._gate_outputs(inv, cfg, runs, out)
+    assert inv.problems == [] and inv.failed_cells == {}
+    assert inv.store_files > 0
 
 
 def test_store_names_the_harness_reads():

@@ -683,19 +683,21 @@ def test_cmd_replay_rebuilds_report(tmp_path, capsys):
     assert alt.read_text() == report
     capsys.readouterr()
 
-    header = "step,job,task,metric,value,lo,hi\n"
+    header = "step,job,task,metric,value\n"
     bad_inputs = [  # (csv text or None for no file, manifest text, error)
         ("nope,nope\n", None, "expected header"),
-        (header + "x,s0/control,ctr,auc,0.7,,\n", None, "bad.csv:2: invalid literal"),
-        (header + "40,s0/control,ctr,auc,high,,\n", None, "bad.csv:2: could not convert"),
-        (header + "\n40,s0/control,ctr,auc,0.7,lo,\n", None, "bad.csv:3: could not convert"),
-        (header + "40,s0/control,ctr,auc,0.7,0.6,hi\n", None, "bad.csv:2: could not convert"),
-        (header + "40,s0/" + "x" * 200_000 + ",ctr,auc,0.7,,\n", None, "cannot read"),
+        # a csv from before the lo/hi columns were dropped
+        ("step,job,task,metric,value,lo,hi\n40,s0/control,ctr,auc,0.7,,\n", None,
+         "expected header step,job,task,metric,value, got step,job,task,metric,value,lo,hi"),
+        (header + "x,s0/control,ctr,auc,0.7\n", None, "bad.csv:2: invalid literal"),
+        (header + "40,s0/control,ctr,auc,high\n", None, "bad.csv:2: could not convert"),
+        (header + "\n40,s0/control,ctr,auc,high\n", None, "bad.csv:3: could not convert"),
+        (header + "40,s0/" + "x" * 200_000 + ",ctr,auc,0.7\n", None, "cannot read"),
         (None, None, "cannot read"),
-        (header + "40,s0/control,ctr,auc,0.7,,\n", "{not json", "cannot read the run's family"),
-        (header + "40,s0/control,ctr,auc,0.7,,\n", "[1]", "cannot read the run's family"),
-        (header + "40,s0/control,ctr,auc,0.7,,\n", '{"family": "nope"}', "unknown family"),
-        (header + "40,s0/control,ctr,auc,0.7,,\n", "{}", "unknown family None"),
+        (header + "40,s0/control,ctr,auc,0.7\n", "{not json", "cannot read the run's family"),
+        (header + "40,s0/control,ctr,auc,0.7\n", "[1]", "cannot read the run's family"),
+        (header + "40,s0/control,ctr,auc,0.7\n", '{"family": "nope"}', "unknown family"),
+        (header + "40,s0/control,ctr,auc,0.7\n", "{}", "unknown family None"),
     ]
     for i, (text, manifest_text, error) in enumerate(bad_inputs):
         case = tmp_path / f"bad{i}"

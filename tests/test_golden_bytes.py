@@ -34,20 +34,20 @@ from onlinekd.pipeline import FAMILY_CUSTOM, FAMILY_DISTILL, FAMILY_OBJECTIVE, F
 # family: (metrics.csv sha256, store files sha256)
 PINS = {
     FAMILY_CUSTOM: (
-        "c75949b1d48ffa36e1eb3811fe1b8211d9902aad0b69601a2f4f860d1b11f72a",
+        "49c225a4792da720442ee7832510d0704d31ea9f875234faf8565857a0599a0b",
         # a lone control student reads no labels, so its teacher writes none
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     FAMILY_DISTILL: (
-        "ea3c5b7a0fda6f03e4004d6d15b9f61bca8f1e89ee4f8eab6a4a68332d5f6a79",
+        "b8ec26a0f480d3d369992703617c60176a0ac8362ef1d9493e50c67267679cc4",
         "7a2669fe8cee5ce765696a91fd468c72ba04a8768a1c30ed2105319918e114bf",
     ),
     FAMILY_OBJECTIVE: (
-        "b7a8c721e30da4a82dd4b406452adcbe33b5fbe6eac59b1bb66697614594d4a3",
+        "535e79398e45c907720b6b71ea50ed4f8e7f8cd5c18c71d25a8288240b7350a5",
         "7894183b0feb5a1d1545fb668fa93dd3df2c9e244df4744790340cc0a7b16c15",
     ),
     FAMILY_SCALE: (
-        "e6aaa8cdd050f9b125190de7c75d3204f7ced82b6d663d2f5a520b44feb3575b",
+        "37f649a18e3f4673b1e4c8839e2888df504b3e05b5d645d501a222a2feb9c405",
         "7d13c7190106921278673dec2a5261e4932cf69f4471863e1f043671acd7ef8b",
     ),
 }

@@ -25,7 +25,6 @@ from onlinekd.pipeline import (
     FAMILY_OBJECTIVE,
     FAMILY_SCALE,
     JOB_LEVEL_TASK,
-    MetricRow,
     MetricsLog,
     ScheduleConfig,
     StudentDef,
@@ -105,22 +104,24 @@ def sched(total, **kw):
 def test_metrics_log_roundtrip_and_schema(tmp_path):
     log = MetricsLog()
     log.add(5, "s0/teacher", "ctr", "auc", 1.0 / 3.0)
-    log.rows.append(MetricRow(5, "s0/direct", JOB_LEVEL_TASK, "engagement", 0.7131, 0.7, 0.72))
+    log.add(5, "s0/direct", JOB_LEVEL_TASK, "engagement", 0.7131)
     path = tmp_path / "m.csv"
     write_metrics_csv(path, log.rows)
     text = path.read_text().splitlines()
     assert text[0] == ",".join(CSV_HEADER)
     back = read_metrics_csv(path)
-    assert len(back) == 2
+    assert back == log.rows
     assert back[0].value == 1.0 / 3.0  # repr() round-trips full precision
-    assert (back[1].lo, back[1].hi) == (0.7, 0.72)
-    assert back[0].lo is None
     assert metric_value(log, job="s0/teacher", task="ctr", metric="auc") == 1.0 / 3.0
     with pytest.raises(KeyError):
         metric_value(log, job="nope", metric="auc")
     path2 = tmp_path / "bad.csv"
     path2.write_text("step,job,oops\n")
     with pytest.raises(SchemaError, match="header"):
+        read_metrics_csv(path2)
+    # a csv from before the lo/hi columns were dropped is refused, not misread
+    path2.write_text("step,job,task,metric,value,lo,hi\n5,s0/teacher,ctr,auc,0.5,,\n")
+    with pytest.raises(SchemaError, match="expected header step,job,task,metric,value, got"):
         read_metrics_csv(path2)
     path3 = tmp_path / "short.csv"
     path3.write_text(",".join(CSV_HEADER) + "\n1,j,t\n")
@@ -171,6 +172,24 @@ def test_run_online_rejects_a_student_distilling_an_unwritten_task(tmp_path):
     student = make_student(name="aux", mode=AUXILIARY, distill=("sat",))
     with pytest.raises(ConfigError, match="'aux' distills 'sat'"):
         run_online(world, teacher, [student], sched(2), tmp_path / "s")
+    assert teacher.version == 0 and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "attr, value, error",
+    [
+        ("write_every", 0, "write_every must be >= 1, got 0"),
+        ("bias", {"nope": 2.0}, "bias on 'nope', which is not a regression task"),
+        ("bias", {"ctr": 1.3}, "bias on 'ctr', which is not a regression task"),
+    ],
+)
+def test_run_online_checks_a_hand_built_teachers_cadence_and_bias(tmp_path, attr, value, error):
+    # a config's teacher is checked at load; one built by hand is checked here
+    world = init_world(GEN, 0)
+    teacher = make_teacher()
+    setattr(teacher, attr, value)
+    with pytest.raises(ConfigError, match=f"teacher 'teacher': {error}"):
+        run_online(world, teacher, [make_student(name="control")], sched(2), tmp_path / "s")
     assert teacher.version == 0 and not (tmp_path / "s").exists()
 
 
