@@ -9,9 +9,10 @@ both unchanged; a change that means to move them updates the pins and says
 why.
 
 A third pin covers what the stores hold rather than how their files encode
-it: each store's MANIFEST bytes and, for every segment it commits, the
-decoded segment id, teacher version, task schema, id runs and values. A
-change of segment encoding re-pins the file digest and keeps this one.
+it: each store's directory name, its commit count and, for every segment it
+commits, the decoded segment id, teacher version, task schema, id runs and
+values. A change of store encoding re-pins the file digest and keeps this
+one.
 
 The pins hold for one numpy/BLAS build on one CPU family: another BLAS
 kernel may round a matmul differently and move them without a fault in
@@ -28,7 +29,7 @@ import pytest
 import yaml
 
 from onlinekd.cli import main
-from onlinekd.labelstore import MANIFEST_NAME, LabelStore
+from onlinekd.labelstore import LabelStore
 from onlinekd.pipeline import FAMILY_CUSTOM, FAMILY_DISTILL, FAMILY_OBJECTIVE, FAMILY_SCALE
 
 # family: (metrics.csv sha256, store files sha256)
@@ -63,21 +64,22 @@ def store_digest(stores) -> str:
 
 # family: sha256 of the stores' content
 CONTENT_PINS = {
-    FAMILY_CUSTOM: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    FAMILY_DISTILL: "4345fc6cdcb5e238da3fbedefaff9e5d9d36b6b4f0d9dcd1d132d99cd4d911a2",
-    FAMILY_OBJECTIVE: "95b9ab1d83da6fc356952a9593a595d4dd24780e47458e985a053b96a51438df",
-    FAMILY_SCALE: "5ac5a895d44e0314097399de8fc9eee2844b61baf41e30884014b0cee0f035fc",
+    FAMILY_CUSTOM: "24c37f7443b81f23ac9c6f1700b16e170a400689dad413cf261f3792e0bb3560",
+    FAMILY_DISTILL: "ca363d9b887a535024df220f8921f8d0df168a031d65793cd77695e6f44ffb17",
+    FAMILY_OBJECTIVE: "047bdcc2a5b500d2afea874db0f492f28be712cea8a28818274a5948a9b210d6",
+    FAMILY_SCALE: "16fb9b7fdd3a17a37c70c7be35453bd6166c913f8c7f4014c860687815f4ad61",
 }
 
 
 def content_digest(stores) -> str:
-    """sha256 over each store's MANIFEST and its decoded segments, stores in
-    sorted path order and segments in commit order."""
+    """sha256 over each store directory's name, commit count and decoded
+    segments, stores in sorted path order and segments in commit order."""
     h = hashlib.sha256()
-    for manifest in sorted(stores.rglob(MANIFEST_NAME)):
-        h.update(str(manifest.parent.relative_to(stores)).encode() + b"\0")
-        h.update(manifest.read_bytes())
-        for seg in LabelStore(manifest.parent).open_snapshot().segments:
+    for root in sorted(stores.iterdir()):
+        segments = LabelStore(root).open_snapshot().segments
+        h.update(str(root.relative_to(stores)).encode() + b"\0")
+        h.update(struct.pack("<Q", len(segments)))
+        for seg in segments:
             h.update(struct.pack("<QQQQ", seg.segment_id, seg.teacher_version,
                                  seg.run_first.size, seg.n_rows))
             h.update(repr(seg.tasks).encode())
