@@ -3,7 +3,7 @@
 Subcommands:
   run <config.yaml>   execute an experiment family, write metrics.csv,
                       report.md, and run_manifest.json
-  inspect <store>     audit a label store directory (manifest, checksums)
+  inspect <store>     audit a label store directory (checksums, torn tail)
   replay <csv>        rebuild report.md from a previously written metrics.csv,
                       laid out for the family named by the run_manifest.json
                       beside it (the generic layout for a bare csv)
@@ -494,17 +494,18 @@ def cmd_inspect(args) -> int:
         return 1
     report = inspect_store(args.store_dir)
     print(f"store: {report.root}")
-    print(f"manifest version: {report.manifest_version}")
     tasks = ", ".join(f"{n}({k})" for n, k in report.tasks) or "-"
     print(f"segments: {len(report.segments)}  rows: {report.total_rows}  tasks: {tasks}")
-    for seg in report.segments:
+    for commit, seg in enumerate(report.segments, 1):
         if seg.ok:
             print(
                 f"  seg {seg.segment_id}: teacher_version={seg.teacher_version} "
                 f"rows={seg.n_rows} ids=[{seg.min_id}, {seg.max_id}] ok"
             )
         else:
-            print(f"  seg {seg.segment_id}: CORRUPT ({seg.error})")
+            print(f"  commit {commit}: CORRUPT ({seg.error})")
+    if report.torn_bytes:
+        print(f"torn tail: {report.torn_bytes} bytes after commit {len(report.segments)}")
     if report.stray_files:
         print(f"stray files: {', '.join(report.stray_files)}")
     if report.ok:

@@ -1,46 +1,46 @@
 """Append-only columnar soft-label store with snapshot isolation.
 
 One writer (the teacher) appends immutable segments; many readers (the
-student fleet) open snapshots. A snapshot is pinned to the manifest it was
-opened against, so every reader sharing a manifest version sees the same
-bytes no matter how far the writer has advanced since.
+student fleet) open snapshots. A store directory holds one append-only log,
+MANIFEST, with one record per commit, and the writer's WRITER.lock. A
+snapshot is pinned to the records committed when it was opened, so readers
+that opened at the same commit see the same bytes however far the writer
+has advanced since.
 
-On-disk layout, all little-endian:
+The log, all little-endian:
 
-  seg-<id>.sls   "SLS1" | u32 version=3 | u64 body_len | deflate(body) | u32 crc32
+  header         "SLL1" | u32 version=4
+  record         u32 n | u32 crc32(n) | payload[n] | u32 crc32
+    payload      u64 body_len | deflate(body)
     body         u64 segment_id | u64 teacher_version
                  | u16 n_tasks | (u16 name_len, name utf8, u8 kind)*
                  | u64 n_rows | u64 n_runs | u64 run_first[n_runs]
                  | u64 run_len[n_runs] | f32 values[n_rows] per task
-  MANIFEST       "SLM1" | u64 manifest_version | u32 n_segments
-                 | u64 segment_ids[n] | u32 crc32
 
-A segment file holds its body as a raw deflate stream (zlib, wbits -15,
-level 6). The decoder checks the crc before it inflates, inflates in
-bounded chunks to exactly body_len bytes, and keeps the body's arrays as
-read-only views of the inflated bytes.
+A record's last crc32 covers all its preceding bytes; the length has a crc
+of its own, so a flipped length is corruption, not a record that runs past
+the end of the log. The body is a raw deflate stream (zlib, wbits -15,
+level 6), inflated in bounded chunks to exactly body_len bytes; a decoded
+segment's arrays are read-only views of it. A segment's ids are strictly
+ascending and stored as maximal runs of consecutive ids: run k holds
+run_first[k], ..., run_first[k] + run_len[k] - 1. A stream batch's ids are
+one run, 24 bytes whatever its row count. Readers keep the runs as stored.
 
-The example ids of a segment are strictly ascending and stored as the
-maximal runs of consecutive ids: run k holds run_first[k], run_first[k] + 1,
-..., run_first[k] + run_len[k] - 1. A stream batch's ids are one run, so a
-segment's ids cost 24 bytes whatever its row count; isolated ids cost 16
-bytes each. Readers keep the runs as they are stored, never one id per row.
-The crc32 covers every preceding byte of the file. Commit order is segment
-file first (atomic rename), manifest second (atomic rename), so a crash at
-any byte leaves the store readable at the previous manifest version. A
-writer is refused on open, before it writes anything, when the newest
-committed segment does not load or has another task schema.
+A commit is one write of one record to the log, opened O_APPEND. A crash
+mid-write leaves a torn tail, a last record cut short by the end of the log
+or a tail of zeros; readers stop before it, and a writer truncates it,
+under its lock, before it appends. A bad crc anywhere else is corruption.
+A writer is refused on open, before it writes anything, when a record is
+corrupt or the last one does not decode or has another task schema.
 
-One function, load_segment, reads a segment file for every reader: the
-snapshot index, the writer's schema check and inspect_store. Each LabelStore
-handle keeps one growing index of the segments it has read, in manifest
-order, with their id ranges and precedence keys as numpy columns. Opening a
-snapshot checks the manifest crc, then decodes only the segments the index
-does not hold yet, so an open costs O(new segments) in Python plus one crc
-over the manifest bytes; a manifest that does not extend the index rebuilds
-it. A snapshot is the first n positions of the index it was opened on, an
-(index, n) pair that copies nothing, and the index never rewrites a
-position a snapshot can see.
+One scan, _records, frames the log for the snapshot index, the writer's
+open and inspect_store. Each LabelStore handle keeps one growing index of
+the segments it has read, in log order, with their id ranges and
+precedence keys as numpy columns, and the log offset it has read up to. An
+open reads the log from there and decodes only the new records, so it costs
+O(new records); a log shorter than the offset rebuilds the index. A
+snapshot is an (index, n) pair that copies nothing, and the index never
+rewrites a position a snapshot can see.
 """
 
 from __future__ import annotations
@@ -59,11 +59,13 @@ import numpy as np
 from .errors import StoreCorruptionError, StoreError, WriterLockError
 from .ranker import BINARY, REGRESSION
 
-SEGMENT_MAGIC = b"SLS1"
-MANIFEST_MAGIC = b"SLM1"
-FORMAT_VERSION = 3
+LOG_MAGIC = b"SLL1"
+FORMAT_VERSION = 4
+# the log; LevelDB's MANIFEST is a record log too
 MANIFEST_NAME = "MANIFEST"
 LOCK_NAME = "WRITER.lock"
+# what a format-3 MANIFEST, a list of segment file ids, starts with
+_V3_MAGIC = b"SLM1"
 
 _KIND_TO_BYTE = {BINARY: 0, REGRESSION: 1}
 _BYTE_TO_KIND = {v: k for k, v in _KIND_TO_BYTE.items()}
@@ -72,6 +74,8 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _U8 = struct.Struct("<B")
+_HEADER = LOG_MAGIC + _U32.pack(FORMAT_VERSION)
+_FRAME = struct.Struct("<II")  # payload length, crc32 of those 4 bytes
 
 _DEFLATE_LEVEL = 6
 _INFLATE_CHUNK = 1 << 16
@@ -83,14 +87,10 @@ def _crc(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-def segment_filename(segment_id: int) -> str:
-    return f"seg-{segment_id:016x}.sls"
-
-
 class _Cursor:
     """Bounds-checked reader over a byte buffer; overruns mean corruption."""
 
-    def __init__(self, data: bytes, path: Path, what: str = "file"):
+    def __init__(self, data: bytes, path: str, what: str):
         self.data = data
         self.off = 0
         self.path = path
@@ -114,9 +114,6 @@ class _Cursor:
     def u16(self) -> int:
         return _U16.unpack_from(self.data, self.skip(2))[0]
 
-    def u32(self) -> int:
-        return _U32.unpack_from(self.data, self.skip(4))[0]
-
     def u64(self) -> int:
         return _U64.unpack_from(self.data, self.skip(8))[0]
 
@@ -126,15 +123,6 @@ class _Cursor:
         arr = np.frombuffer(self.data, dtype, count, start)
         arr.flags.writeable = False
         return arr
-
-
-def _check_crc(cur: _Cursor) -> None:
-    body = memoryview(cur.data)[: cur.off]
-    stored = cur.u32()
-    if cur.off != len(cur.data):
-        raise StoreCorruptionError(f"{cur.path}: trailing bytes after checksum")
-    if _crc(body) != stored:
-        raise StoreCorruptionError(f"{cur.path}: checksum mismatch")
 
 
 def _pack_task_dir(tasks: Sequence[tuple[str, str]]) -> bytes:
@@ -223,7 +211,7 @@ def _example_ids(example_ids) -> np.ndarray:
     return np.ascontiguousarray(ids, dtype=np.uint64)
 
 
-def _check_runs(first: np.ndarray, length: np.ndarray, n_rows: int, path: Path) -> np.ndarray:
+def _check_runs(first: np.ndarray, length: np.ndarray, n_rows: int, path: str) -> np.ndarray:
     """The row of each run's first id, read-only; runs that do not describe
     n_rows strictly ascending ids are corruption."""
     if not first.size:
@@ -255,7 +243,7 @@ def encode_segment(
     example_ids: np.ndarray,
     values: np.ndarray,
 ) -> bytes:
-    """The segment file of ascending uint64 example ids, with values one
+    """The log record of ascending uint64 example ids, with values one
     float32 row per task, (len(tasks), n_rows): its body, deflated and
     framed."""
     first, length = _id_runs(example_ids)
@@ -269,16 +257,15 @@ def encode_segment(
         np.ascontiguousarray(length, dtype="<u8").tobytes(),
         np.ascontiguousarray(values, dtype="<f4").tobytes(),
     ])
-    data = b"".join([
-        SEGMENT_MAGIC,
-        _U32.pack(FORMAT_VERSION),
-        _U64.pack(len(body)),
-        zlib.compress(body, _DEFLATE_LEVEL, wbits=-15),
-    ])
+    payload = _U64.pack(len(body)) + zlib.compress(body, _DEFLATE_LEVEL, wbits=-15)
+    if len(payload) >= 2**32:
+        raise StoreError(f"a segment of {values.shape[1]} rows is too large for one record")
+    n = _U32.pack(len(payload))
+    data = b"".join([n, _U32.pack(_crc(n)), payload])
     return data + _U32.pack(_crc(data))
 
 
-def _inflate(stream: memoryview, body_len: int, path: Path) -> np.ndarray:
+def _inflate(stream: memoryview, body_len: int, path: str) -> np.ndarray:
     """Exactly body_len bytes inflated from a raw deflate stream, as a
     uint8 array: arrays read from it keep it alive as their base, where a
     memoryview would add one view object per array.
@@ -313,18 +300,11 @@ def _inflate(stream: memoryview, body_len: int, path: Path) -> np.ndarray:
     return body
 
 
-def decode_segment(data: bytes, path: Path) -> SegmentData:
-    cur = _Cursor(data, path)
-    if cur.take(4) != SEGMENT_MAGIC:
-        raise StoreCorruptionError(f"{path}: bad segment magic")
-    version = cur.u32()
-    if version != FORMAT_VERSION:
-        raise StoreCorruptionError(f"{path}: unsupported format version {version}")
-    body_len = cur.u64()
-    start = cur.skip(4)  # the file has room for its crc
-    if _crc(memoryview(data)[:-4]) != _U32.unpack_from(data, len(data) - 4)[0]:
-        raise StoreCorruptionError(f"{path}: checksum mismatch")
-    stream = memoryview(data)[start:-4]
+def decode_segment(payload, path: str) -> SegmentData:
+    """The segment in a record's payload, u64 body_len | deflate(body), whose
+    crc the caller has checked; path names the record in errors."""
+    body_len = _Cursor(payload, path, "record").u64()
+    stream = memoryview(payload)[8:]
     if body_len > _DEFLATE_MAX_RATIO * len(stream):
         raise StoreCorruptionError(
             f"{path}: body_len {body_len} is more than {len(stream)} deflate bytes can hold"
@@ -349,60 +329,62 @@ def decode_segment(data: bytes, path: Path) -> SegmentData:
     return SegmentData(segment_id, teacher_version, tasks, first, length, run_row, values)
 
 
-def load_segment(root: Path, segment_id: int) -> SegmentData:
-    """Read and decode seg-<segment_id>.sls under root; a missing file, or a
-    header id other than segment_id, is corruption."""
-    path = Path(root) / segment_filename(segment_id)
+def _records(data, start: int, path: Path) -> tuple[list[tuple[int, memoryview]], int, str]:
+    """Frame data, the log from byte offset start on (from its header when
+    start is 0), into records and check their crcs.
+
+    Returns the (offset, payload) of each complete record, the offset just
+    past the last of them, and "" or what is corrupt at that offset. A
+    record cut short by the end of data, or a tail of zeros, ends the scan
+    without error: it is a torn tail, which a crash mid-append leaves.
+    """
+    view = memoryview(data)
+    found: list[tuple[int, memoryview]] = []
+    off = 0
+    if start == 0:
+        head = bytes(view[: len(_HEADER)])
+        if head != _HEADER:
+            if _HEADER.startswith(head) or not any(view):
+                return found, 0, ""  # a torn header: nothing is committed
+            if head[:4] == _V3_MAGIC:
+                what = "a format-3 store (a MANIFEST of seg-*.sls files); regenerate the run"
+            elif head[:4] == LOG_MAGIC and len(head) == len(_HEADER):
+                what = f"unsupported format version {_U32.unpack_from(head, 4)[0]}"
+            else:
+                what = "bad log magic"
+            return found, 0, f"{path}: {what}"
+        off = len(_HEADER)
+    while len(view) - off >= _FRAME.size:
+        n, n_crc = _FRAME.unpack_from(view, off)
+        end = off + _FRAME.size + n + 4
+        if _crc(view[off : off + 4]) != n_crc:
+            if not any(view[off:]):
+                break
+            bad = "length checksum mismatch"
+        elif end > len(view):
+            break
+        elif _crc(view[off : end - 4]) != _U32.unpack_from(view, end - 4)[0]:
+            bad = "checksum mismatch"
+        else:
+            found.append((start + off, view[off + _FRAME.size : end - 4]))
+            off = end
+            continue
+        return found, start + off, f"{path}: record at byte {start + off}: {bad}"
+    return found, start + off, ""
+
+
+def _read_log(path: Path, start: int) -> bytes | None:
+    """The log's bytes from offset start on: b"" when there is no log, and
+    None when it is shorter than start."""
     try:
-        data = path.read_bytes()
+        fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError:
-        raise StoreCorruptionError(f"{path}: segment file missing") from None
-    seg = decode_segment(data, path)
-    if seg.segment_id != segment_id:
-        raise StoreCorruptionError(
-            f"{path}: header id {seg.segment_id} disagrees with filename"
-        )
-    return seg
-
-
-@dataclass
-class ManifestData:
-    manifest_version: int
-    segment_ids: np.ndarray  # read-only uint64, in commit order
-
-
-def encode_manifest(manifest: ManifestData) -> bytes:
-    body = b"".join([
-        MANIFEST_MAGIC,
-        _U64.pack(manifest.manifest_version),
-        _U32.pack(len(manifest.segment_ids)),
-        np.asarray(manifest.segment_ids, dtype="<u8").tobytes(),
-    ])
-    return body + _U32.pack(_crc(body))
-
-
-def decode_manifest(data: bytes, path: Path) -> ManifestData:
-    cur = _Cursor(data, path)
-    if cur.take(4) != MANIFEST_MAGIC:
-        raise StoreCorruptionError(f"{path}: bad manifest magic")
-    version = cur.u64()
-    n = cur.u32()
-    ids = np.frombuffer(cur.take(8 * n), dtype="<u8")
-    _check_crc(cur)
-    # the writer commits rising ids, so the sort is only for hand-made manifests
-    if not np.all(ids[1:] > ids[:-1]) and np.unique(ids).size != n:
-        raise StoreCorruptionError(f"{path}: duplicate segment ids in manifest")
-    return ManifestData(version, ids)
-
-
-def read_manifest(root: Path) -> ManifestData:
-    """The committed manifest; version 0 with no ids when there is none."""
-    path = Path(root) / MANIFEST_NAME
+        return None if start else b""
     try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        return ManifestData(0, np.frombuffer(b"", dtype="<u8"))
-    return decode_manifest(data, path)
+        size = os.fstat(fd).st_size
+        return os.pread(fd, size - start, start) if size >= start else None
+    finally:
+        os.close(fd)
 
 
 # rows of _SegmentIndex.cols
@@ -410,8 +392,9 @@ _MIN_ID, _MAX_ID, _TEACHER_VERSION, _SEGMENT_ID = range(4)
 
 
 class _SegmentIndex:
-    """Segments in manifest order, with one uint64 column per segment of
-    (min id, max id, teacher_version, segment_id).
+    """Segments in log order, with one uint64 column per segment of
+    (min id, max id, teacher_version, segment_id), and the log offset just
+    past the last record read.
 
     It only grows at the end, and reallocates its columns when full, so the
     [:, :n] views a Snapshot holds never see a later write.
@@ -422,8 +405,9 @@ class _SegmentIndex:
         self.cols = np.zeros((4, 16), dtype=np.uint64)
         # position of the first segment whose schema differs from segment 0
         self.conflict: int | None = None
+        self.end = 0
 
-    def extend(self, segments: list[SegmentData]) -> None:
+    def extend(self, segments: list[SegmentData], end: int) -> None:
         n, k = len(self.segments), len(segments)
         if n + k > self.cols.shape[1]:
             grown = np.zeros((4, max(2 * self.cols.shape[1], n + k)), dtype=np.uint64)
@@ -439,11 +423,12 @@ class _SegmentIndex:
                 if self.segments[pos].tasks != self.segments[0].tasks:
                     self.conflict = pos
                     break
+        self.end = end
 
 
 class Snapshot:
-    """Immutable view over the first n segments of an index, the segments of
-    one manifest version.
+    """Immutable view over the first n segments of an index, the segments
+    committed when it was opened.
 
     Duplicate example ids across segments resolve to the value from the
     segment with the highest (teacher_version, segment_id).
@@ -493,32 +478,36 @@ class Snapshot:
 
 
 class LabelStore:
-    """Handle on a store directory; decodes each committed segment once."""
+    """Handle on a store directory; decodes each committed record once."""
 
     def __init__(self, root):
         self.root = Path(root)
+        self.log_path = self.root / MANIFEST_NAME
         self._index = _SegmentIndex()
         self._index_lock = threading.Lock()
 
     def open_snapshot(self) -> Snapshot:
-        """Pin the current manifest and load the segments not yet indexed.
+        """Pin the records committed so far, decoding the ones not yet indexed.
 
         An existing but empty store yields an empty snapshot; a missing
         directory is an error.
         """
         if not self.root.is_dir():
             raise StoreError(f"store directory missing: {self.root}")
-        manifest = read_manifest(self.root)
-        ids = manifest.segment_ids
         with self._index_lock:
             index = self._index
-            n = len(index.segments)
-            if n > len(ids) or not np.array_equal(index.cols[_SEGMENT_ID, :n], ids[:n]):
-                # not an extension of what this handle has read: start over
-                index, n = _SegmentIndex(), 0
-            index.extend([load_segment(self.root, sid) for sid in ids[n:].tolist()])
+            data = _read_log(self.log_path, index.end)
+            if data is None:
+                # shorter than what this handle has read: start over
+                index, data = _SegmentIndex(), _read_log(self.log_path, 0)
+            records, end, error = _records(data, index.end, self.log_path)
+            if error:
+                raise StoreCorruptionError(error)
+            index.extend(
+                [decode_segment(p, f"{self.log_path} at byte {off}") for off, p in records], end
+            )
             self._index = index
-            return Snapshot(index, len(ids))
+            return Snapshot(index, len(index.segments))
 
     def writer(self, tasks: Sequence, *, durable: bool = False) -> "SegmentWriter":
         return SegmentWriter(self, tasks, durable=durable)
@@ -527,9 +516,10 @@ class LabelStore:
 class SegmentWriter:
     """Exclusive append handle; use as a context manager.
 
-    durable=True adds fsync barriers (file before rename, directory after)
-    for power-loss safety; the rename-last protocol alone already makes
-    commits atomic against process crashes.
+    durable=True fsyncs the log after each commit, and the directory when
+    the writer creates the log, for power-loss safety; against a process
+    crash a commit is already all or nothing, since readers skip a torn
+    tail.
     """
 
     def __init__(self, store: LabelStore, tasks: Sequence, *, durable: bool = False):
@@ -537,8 +527,9 @@ class SegmentWriter:
         self.tasks = _normalize_tasks(tasks)
         self.durable = durable
         self._lock_fd: int | None = None
-        self._manifest: ManifestData | None = None
-        self._next_sid = 0
+        self._log_fd: int | None = None
+        self._end = 0  # the log's size after the last commit
+        self._next_sid = 1
 
     def __enter__(self) -> "SegmentWriter":
         self.store.root.mkdir(parents=True, exist_ok=True)
@@ -552,34 +543,55 @@ class SegmentWriter:
             ) from None
         self._lock_fd = fd
         try:
-            self._manifest = read_manifest(self.store.root)
-            ids = self._manifest.segment_ids
-            # refuse a schema the committed segments do not have, or a newest
-            # segment that does not load: either way every later
-            # open_snapshot would fail
-            if ids.size:
-                tasks = load_segment(self.store.root, int(ids[-1])).tasks
-                if tasks != self.tasks:
-                    raise StoreError(
-                        f"writer schema {list(self.tasks)} disagrees with the committed "
-                        f"task schema {list(tasks)} of {self.store.root}"
-                    )
+            self._open_log()
         except BaseException:
             self.__exit__()
             raise
-        self._next_sid = int(ids.max()) + 1 if ids.size else 1
         return self
 
+    def _open_log(self) -> None:
+        """Check the log, then open it for appends past its torn tail, if any.
+
+        A corrupt record, or a last record that does not decode or has
+        another task schema, is refused before anything is written: either
+        way every later open_snapshot would fail.
+        """
+        path = self.store.log_path
+        data = _read_log(path, 0)
+        records, end, error = _records(data, 0, path)
+        if error:
+            raise StoreCorruptionError(error)
+        if records:
+            off, payload = records[-1]
+            last = decode_segment(payload, f"{path} at byte {off}")
+            if last.tasks != self.tasks:
+                raise StoreError(
+                    f"writer schema {list(self.tasks)} disagrees with the committed "
+                    f"task schema {list(last.tasks)} of {self.store.root}"
+                )
+            self._next_sid = last.segment_id + 1
+        self._log_fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        if end < len(data):
+            os.ftruncate(self._log_fd, end)
+        if end == 0:
+            os.write(self._log_fd, _HEADER)
+            end = len(_HEADER)
+            if self.durable:
+                dirfd = os.open(self.store.root, os.O_RDONLY)
+                try:
+                    os.fsync(dirfd)
+                finally:
+                    os.close(dirfd)
+        self._end = end
+
     def __exit__(self, *exc) -> None:
+        if self._log_fd is not None:
+            os.close(self._log_fd)
+            self._log_fd = None
         if self._lock_fd is not None:
             fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
             os.close(self._lock_fd)
             self._lock_fd = None
-        self._manifest = None
-
-    def _require_open(self) -> None:
-        if self._lock_fd is None or self._manifest is None:
-            raise StoreError("writer not open; use it as a context manager")
 
     def append(
         self,
@@ -587,25 +599,29 @@ class SegmentWriter:
         values: dict[str, np.ndarray],
         teacher_version: int,
     ) -> int:
-        """Commit one segment: stage the file, rename it, publish the manifest.
+        """Commit one segment: one write of its record to the log.
 
         Rows are sorted by example id; duplicate ids within a call are an
         error. Returns the new segment id.
         """
-        self._require_open()
+        if self._log_fd is None:
+            raise StoreError("writer not open; use it as a context manager")
         sid = self._next_sid
-        data = self._segment_file(sid, example_ids, values, teacher_version)
-        self._publish_file(segment_filename(sid), data)
-        self._publish_manifest(
-            ManifestData(
-                self._manifest.manifest_version + 1,
-                np.append(self._manifest.segment_ids, np.uint64(sid)),
-            )
-        )
+        record = self._segment_record(sid, example_ids, values, teacher_version)
+        try:
+            if os.write(self._log_fd, record) != len(record):
+                raise StoreError(f"{self.store.log_path}: short write")
+            if self.durable:
+                os.fsync(self._log_fd)
+        except BaseException:
+            # leave no torn record for this writer's next append to follow
+            os.ftruncate(self._log_fd, self._end)
+            raise
+        self._end += len(record)
         self._next_sid = sid + 1
         return sid
 
-    def _segment_file(
+    def _segment_record(
         self,
         segment_id: int,
         example_ids: np.ndarray,
@@ -640,26 +656,6 @@ class SegmentWriter:
             row[:] = col[order]
         return encode_segment(segment_id, int(teacher_version), self.tasks, ids, block)
 
-    def _publish_file(self, name: str, data: bytes) -> None:
-        final = self.store.root / name
-        tmp = self.store.root / (name + ".tmp")
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            if self.durable:
-                os.fsync(f.fileno())
-        os.replace(tmp, final)
-        if self.durable:
-            dirfd = os.open(self.store.root, os.O_RDONLY)
-            try:
-                os.fsync(dirfd)
-            finally:
-                os.close(dirfd)
-
-    def _publish_manifest(self, manifest: ManifestData) -> None:
-        self._publish_file(MANIFEST_NAME, encode_manifest(manifest))
-        self._manifest = manifest
-
 
 @dataclass
 class SegmentInfo:
@@ -675,10 +671,10 @@ class SegmentInfo:
 @dataclass
 class StoreReport:
     root: str
-    manifest_version: int
-    tasks: tuple[tuple[str, str], ...]
+    tasks: tuple[tuple[str, str], ...] = ()
     segments: list[SegmentInfo] = field(default_factory=list)
     stray_files: list[str] = field(default_factory=list)
+    torn_bytes: int = 0  # after the last complete record
     error: str = ""
 
     @property
@@ -691,37 +687,36 @@ class StoreReport:
 
 
 def inspect_store(root) -> StoreReport:
-    """Audit a store directory without raising: manifest, per-segment
-    checksums, and stray files (leftover .tmp staging is expected debris
-    after a crash and is reported, not failed)."""
+    """Audit a store directory without raising: every record's crcs and
+    segment, the task schema, a torn tail and stray files. A torn tail is
+    the debris of a crash mid-append, and is reported, not failed; so are
+    stray files, though only the log and the lock belong in a store."""
     root = Path(root)
     if not root.is_dir():
-        return StoreReport(str(root), 0, (), error="store directory missing")
-    try:
-        manifest = read_manifest(root)
-    except StoreCorruptionError as e:
-        return StoreReport(str(root), 0, (), error=str(e))
-    report = StoreReport(str(root), manifest.manifest_version, ())
-    segment_ids = manifest.segment_ids.tolist()
-    expected = {segment_filename(sid) for sid in segment_ids}
-    for p in sorted(root.iterdir()):
-        if p.name in (MANIFEST_NAME, LOCK_NAME) or p.name in expected:
-            continue
-        report.stray_files.append(p.name)
+        return StoreReport(str(root), error="store directory missing")
+    report = StoreReport(str(root))
+    report.stray_files = [
+        p.name for p in sorted(root.iterdir()) if p.name not in (MANIFEST_NAME, LOCK_NAME)
+    ]
+    path = root / MANIFEST_NAME
+    data = _read_log(path, 0)
+    records, end, report.error = _records(data, 0, path)
+    if not report.error:
+        report.torn_bytes = len(data) - end
     tasks_seen: set[tuple[tuple[str, str], ...]] = set()
-    for sid in segment_ids:
+    for off, payload in records:
         try:
-            seg = load_segment(root, sid)
-            tasks_seen.add(seg.tasks)
-            report.segments.append(
-                SegmentInfo(
-                    sid, True, "", seg.teacher_version, seg.n_rows, seg.min_id, seg.max_id
-                )
-            )
+            seg = decode_segment(payload, f"{path} at byte {off}")
         except StoreCorruptionError as e:
-            report.segments.append(SegmentInfo(sid, False, str(e)))
+            report.segments.append(SegmentInfo(0, False, str(e)))
+            continue
+        tasks_seen.add(seg.tasks)
+        report.segments.append(
+            SegmentInfo(seg.segment_id, True, "", seg.teacher_version, seg.n_rows, seg.min_id,
+                        seg.max_id)
+        )
     if len(tasks_seen) == 1:
         report.tasks = next(iter(tasks_seen))
     elif len(tasks_seen) > 1:
-        report.error = "segments disagree on task schema"
+        report.error = report.error or "segments disagree on task schema"
     return report

@@ -56,7 +56,7 @@ from .datagen import (
     true_task_value,
 )
 from .errors import ConfigError, DivergenceError, SchemaError, StoreError
-from .labelstore import LabelStore, read_manifest
+from .labelstore import LabelStore, inspect_store
 from .metrics import (
     OnlineSimConfig,
     calibration_ratio,
@@ -398,7 +398,7 @@ def run_online(
         store_rows.append(np.array([teacher.write_tasks.index(t) for t in s.distill_tasks], int))
     store_root = Path(store_root)
     store_root.mkdir(parents=True, exist_ok=True)
-    if read_manifest(store_root).segment_ids.size:
+    if inspect_store(store_root).segments:
         raise StoreError(f"store {store_root} already holds segments; use an empty directory")
     store = LabelStore(store_root)
     distilling = any(s.distill_tasks for s in students)

@@ -4,7 +4,7 @@ The reference functions are deliberately written from first principles
 (python loops, scalar math, brute-force enumeration) and share no code with
 the package under test. The test aids at the end do use the package: the
 converters from per-task mappings to the package's task-major arrays, a
-segment encoder over per-task columns, a snapshot comparison, a
+segment record encoder over per-task columns, a snapshot comparison, a
 metric-row lookup, the fleet audit, which drives run_online and records the
 soft targets each student is handed, and the one-shot slate simulation.
 """
@@ -303,15 +303,34 @@ def segment_ids(seg) -> np.ndarray:
     )
 
 
-def segment_body(data: bytes) -> bytes:
-    """The body of a format-3 segment file, read with struct and zlib alone:
-    the frame's magic, version, body_len and crc are checked, and the raw
-    deflate stream must inflate to exactly body_len bytes."""
-    assert data[:8] == b"SLS1" + struct.pack("<I", 3)
-    assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4]) & 0xFFFFFFFF
-    (body_len,) = struct.unpack_from("<Q", data, 8)
+# the header of a format-4 store log
+LOG_HEADER = b"SLL1" + struct.pack("<I", 4)
+
+
+def log_records(data: bytes) -> list[bytes]:
+    """The records of a format-4 log that ends at a record boundary, split
+    with struct alone: u32 n | u32 crc | payload[n] | u32 crc each."""
+    assert data[:8] == LOG_HEADER
+    records, off = [], 8
+    while off < len(data):
+        (n,) = struct.unpack_from("<I", data, off)
+        records.append(data[off : off + 12 + n])
+        off += 12 + n
+    assert off == len(data)
+    return records
+
+
+def segment_body(record: bytes) -> bytes:
+    """The body of a format-4 log record, read with struct and zlib alone:
+    the length, the length's crc and the record's crc are checked, and the
+    raw deflate stream must inflate to exactly body_len bytes."""
+    n, n_crc = struct.unpack_from("<II", record)
+    assert len(record) == 12 + n
+    assert n_crc == zlib.crc32(record[:4]) & 0xFFFFFFFF
+    assert struct.unpack("<I", record[-4:])[0] == zlib.crc32(record[:-4]) & 0xFFFFFFFF
+    (body_len,) = struct.unpack_from("<Q", record, 8)
     inflate = zlib.decompressobj(-15)
-    body = inflate.decompress(data[16:-4])
+    body = inflate.decompress(record[16:-4])
     assert inflate.eof and not inflate.unused_data
     assert len(body) == body_len
     return body
@@ -353,7 +372,7 @@ def distill_order(model, by_task, default=None) -> np.ndarray:
     return np.array([by_task.get(t, default) for t in model.config.distill_tasks])
 
 
-def segment_file(segment_id, teacher_version, tasks, example_ids, values) -> bytes:
+def segment_record(segment_id, teacher_version, tasks, example_ids, values) -> bytes:
     """encode_segment over example ids and {task: column}; it sorts and
     checks nothing, so it can write what a writer would refuse."""
     block = np.array([values[name] for name, _ in tasks], dtype=np.float32)

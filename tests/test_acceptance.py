@@ -16,15 +16,7 @@ import numpy as np
 
 from onlinekd.cli import default_experiment
 from onlinekd.datagen import GenConfig, init_world
-from onlinekd.labelstore import (
-    LabelStore,
-    MANIFEST_NAME,
-    ManifestData,
-    encode_manifest,
-    inspect_store,
-    read_manifest,
-    segment_filename,
-)
+from onlinekd.labelstore import LabelStore, MANIFEST_NAME, inspect_store
 from onlinekd.metrics import (
     OnlineSimConfig,
     bootstrap_ci,
@@ -70,7 +62,7 @@ from oracles import (
     numeric_gradient,
     ref_total_loss,
     relative_error,
-    segment_file,
+    segment_record,
     stored_ids,
 )
 
@@ -363,10 +355,10 @@ def _crash_base_store(root, rng):
     return expected
 
 
-def _check_store_intact(root, expected, base_version):
+def _check_store_intact(root, expected, commits):
     store = LabelStore(root)
     snap = store.open_snapshot()
-    assert read_manifest(root).manifest_version == base_version
+    assert len(snap.segments) == commits
     assert len(stored_ids(snap)) == len(expected)
     ids = np.array(sorted(expected), dtype=np.uint64)
     present, cols = snap.lookup_batch(ids)
@@ -415,37 +407,40 @@ def test_c7_store_consistency_and_crash_safety(tmp_path, monkeypatch):
     )
 
     # (b) 100 crash points: a torn in-flight append must never damage the
-    # committed prefix. Phases: segment tmp truncated; segment committed but
-    # manifest tmp truncated; both staged files complete but never renamed.
+    # committed prefix. The log ends in a prefix of the appended record, cut
+    # at 0 bytes, inside its length, the length's crc and the record's crc,
+    # and at random offsets in between, or in zeros where the record should
+    # be. Each reads back the committed prefix bit for bit; then a writer
+    # truncates the tail and appends, and a new handle sees the new record.
     rng = np.random.default_rng(23)
     base_root = tmp_path / "crash-base"
     expected = _crash_base_store(base_root, rng)
-    manifest = read_manifest(base_root)
-    sid = int(manifest.segment_ids.max()) + 1
+    base_log = (base_root / MANIFEST_NAME).read_bytes()
+    sid = 11
     new_ids = np.arange(1000, 1030, dtype=np.uint64)
     new_vals = {
         "ctr": rng.uniform(0.05, 0.95, 30).astype(np.float32),
         "ltv": rng.standard_normal(30).astype(np.float32),
     }
-    seg_bytes = segment_file(sid, 99, STORE_TASKS, new_ids, new_vals)
-    man_bytes = encode_manifest(ManifestData(
-        manifest.manifest_version + 1, np.append(manifest.segment_ids, np.uint64(sid))
-    ))
+    record = segment_record(sid, 99, STORE_TASKS, new_ids, new_vals)
+    n = len(record)
+    cuts = [0, 1, 2, 3, 4, 5, 6, 7, n - 4, n - 3, n - 2, n - 1]
+    cuts += rng.integers(8, n - 4, size=87).tolist()
+    tails = [record[:cut] for cut in cuts] + [bytes(n)]
+    assert len(tails) == 100
     crashes_ok = 0
-    for case in range(100):
+    for case, tail in enumerate(tails):
         root = tmp_path / f"crash-{case}"
         shutil.copytree(base_root, root)
-        if case < 45:
-            cut = int(rng.integers(0, len(seg_bytes)))
-            (root / (segment_filename(sid) + ".tmp")).write_bytes(seg_bytes[:cut])
-        elif case < 90:
-            (root / segment_filename(sid)).write_bytes(seg_bytes)
-            cut = int(rng.integers(0, len(man_bytes)))
-            (root / (MANIFEST_NAME + ".tmp")).write_bytes(man_bytes[:cut])
-        else:
-            (root / segment_filename(sid)).write_bytes(seg_bytes)
-            (root / (MANIFEST_NAME + ".tmp")).write_bytes(man_bytes)
-        _check_store_intact(root, expected, manifest.manifest_version)
+        (root / MANIFEST_NAME).write_bytes(base_log + tail)
+        _check_store_intact(root, expected, 10)
+        assert inspect_store(root).torn_bytes == len(tail)
+        with LabelStore(root).writer(STORE_TASKS) as w:
+            assert w.append(new_ids, new_vals, teacher_version=99) == sid
+        assert (root / MANIFEST_NAME).read_bytes() == base_log + record
+        present, cols = LabelStore(root).open_snapshot().lookup_batch(new_ids)
+        assert present.all()
+        assert np.array_equal(cols, np.array([new_vals[t] for t, _ in STORE_TASKS]))
         crashes_ok += 1
 
     # (c) 1e6 random f32 payloads survive a store round trip bit-exactly

@@ -1,7 +1,9 @@
 """CLI: config resolution, report rendering, subcommands, exit codes."""
 
 import json
+import os
 import re
+import stat
 import struct
 import zlib
 from dataclasses import fields, is_dataclass
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from onlinekd import cli
+from onlinekd import cli, labelstore
 from onlinekd.cli import (
     build_config,
     build_report,
@@ -27,7 +29,7 @@ from onlinekd.errors import (
     SchemaError,
     StoreCorruptionError,
 )
-from onlinekd.labelstore import LabelStore, SegmentWriter, segment_filename
+from onlinekd.labelstore import LabelStore, MANIFEST_NAME, SegmentWriter
 from onlinekd.metrics import OnlineSimConfig
 from onlinekd.nncore import AdamConfig
 from onlinekd.pipeline import (
@@ -46,6 +48,8 @@ from onlinekd.pipeline import (
     write_metrics_csv,
 )
 from onlinekd.ranker import AUXILIARY, BINARY, NO_DISTILL
+
+from oracles import LOG_HEADER, log_records, segment_body
 
 
 def test_default_experiment_covers_every_family():
@@ -528,6 +532,39 @@ def test_cmd_run_twice_into_one_out_gives_identical_metrics(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def test_a_durable_run_writes_the_same_bytes_with_one_fsync_per_commit(tmp_path, monkeypatch):
+    synced = []
+    real = labelstore.os.fsync
+
+    def counting(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        return real(fd)
+
+    outs = []
+    for durable in (False, True):
+        if durable:
+            monkeypatch.setattr(labelstore.os, "fsync", counting)
+        cfg_path = tmp_path / f"exp-{durable}.yaml"
+        cfg_path.write_text(yaml.safe_dump({
+            "family": FAMILY_DISTILL,
+            "schedule": {"total_steps": 40, "eval_every": 20, "durable_store": durable},
+        }))
+        out = tmp_path / f"out-{durable}"
+        assert main(["run", str(cfg_path), "--seeds", "0,1", "--out", str(out)]) == 0
+        outs.append(out)
+    plain, durable = (
+        {p.relative_to(out): p.read_bytes() for p in sorted(out.glob(f"stores/*/{MANIFEST_NAME}"))}
+        for out in outs
+    )
+    assert len(plain) == 2 and plain == durable
+    assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
+    # each store's directory once, when its log is created, then its log
+    # once per commit
+    commits = sum(len(log_records(data)) for data in durable.values())
+    assert commits == 2 * 40
+    assert synced.count(True) == 2 and synced.count(False) == commits
+
+
 def test_cmd_run_bad_config_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "exp.yaml"
     cfg_path.write_text("family: nonsense\n")
@@ -619,42 +656,85 @@ def test_cmd_inspect_exit_codes(tmp_path, capsys):
     assert main(["inspect", str(store)]) == 0
     out = capsys.readouterr().out
     assert "status: OK" in out
-    assert "manifest version: 2" in out
-    assert "ctr(binary)" in out
-
-    seg = store / segment_filename(1)
-    data = bytearray(seg.read_bytes())
-    data[-6] ^= 0xFF  # inside the value column, before the crc
-    seg.write_bytes(bytes(data))
-    assert main(["inspect", str(store)]) == 3
-    out = capsys.readouterr().out
-    assert "CORRUPT" in out
+    assert "segments: 2  rows: 6  tasks: ctr(binary)" in out
+    assert "seg 2: teacher_version=2 rows=3 ids=[11, 13] ok" in out
+    assert "torn tail" not in out
 
     # the exit code comes from the directory, not from the error's text,
     # which names the path
     store = tmp_path / "missing-parent" / "store"
     seed_store(store)
-    manifest = store / "MANIFEST"
-    manifest.write_bytes(b"XXXX" + manifest.read_bytes()[4:])
+    log = store / MANIFEST_NAME
+    log.write_bytes(b"XXXX" + log.read_bytes()[4:])
     assert main(["inspect", str(store)]) == 3
-    assert "bad manifest magic" in capsys.readouterr().out
+    assert "bad log magic" in capsys.readouterr().out
 
 
-def test_cmd_inspect_reports_a_v1_segment_as_corrupt(tmp_path, capsys):
+@pytest.mark.parametrize("tail", [10, 3, 0])
+def test_cmd_inspect_reports_a_torn_tail_and_passes(tmp_path, capsys, tail):
+    # a crash mid-append leaves a prefix of the next record, or zeros
     store = tmp_path / "store"
     seed_store(store)
-    # segment 1 as format version 1 wrote it: one u64 per id, no runs
-    body = b"SLS1" + struct.pack("<IQQ", 1, 1, 1)
-    body += struct.pack("<H", 1) + struct.pack("<H", 3) + b"ctr" + struct.pack("<B", 0)
-    body += struct.pack("<Q", 3) + struct.pack("<3Q", 1, 2, 3) + struct.pack("<3f", 0.1, 0.2, 0.3)
-    (store / segment_filename(1)).write_bytes(
-        body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    )
+    log = store / MANIFEST_NAME
+    data = log.read_bytes()
+    debris = log_records(data)[1][:tail] if tail else bytes(40)
+    log.write_bytes(data + debris)
+    assert main(["inspect", str(store)]) == 0
+    out = capsys.readouterr().out
+    assert f"torn tail: {len(debris)} bytes after commit 2" in out
+    assert "seg 1: teacher_version=1 rows=3 ids=[1, 3] ok" in out
+    assert "seg 2: teacher_version=2 rows=3 ids=[11, 13] ok" in out
+    assert "status: OK" in out
+
+
+@pytest.mark.parametrize("record, offset, match", [
+    (1, -6, "checksum mismatch"),  # the last record, complete, in its values
+    (0, -6, "checksum mismatch"),  # a bad record before a good one
+    (0, 1, "length checksum mismatch"),  # the first record's length
+])
+def test_cmd_inspect_reports_a_bad_record_as_corrupt(tmp_path, capsys, record, offset, match):
+    store = tmp_path / "store"
+    seed_store(store)
+    log = store / MANIFEST_NAME
+    records = [bytearray(r) for r in log_records(log.read_bytes())]
+    records[record][offset] ^= 0xFF
+    log.write_bytes(LOG_HEADER + b"".join(records))
+    assert main(["inspect", str(store)]) == 3
+    out = capsys.readouterr().out
+    assert re.search(rf"status: CORRUPT \(.*record at byte \d+: {match}\)", out)
+    assert "torn tail" not in out
+
+
+def test_cmd_inspect_reports_a_record_that_does_not_decode(tmp_path, capsys):
+    store = tmp_path / "store"
+    seed_store(store)
+    log = store / MANIFEST_NAME
+    first, second = log_records(log.read_bytes())
+    # sound crcs around a body whose ctr kind byte (offset 8+8+2+2+3) is 7
+    body = bytearray(segment_body(first))
+    body[23] = 7
+    payload = struct.pack("<Q", len(body)) + zlib.compress(bytes(body), 6, wbits=-15)
+    n = struct.pack("<I", len(payload))
+    head = n + struct.pack("<I", zlib.crc32(n)) + payload
+    log.write_bytes(LOG_HEADER + head + struct.pack("<I", zlib.crc32(head)) + second)
     assert main(["inspect", str(store)]) == 3
     captured = capsys.readouterr()
-    assert re.search(r"seg 1: CORRUPT \(.*unsupported format version 1\)", captured.out)
+    assert re.search(r"commit 1: CORRUPT \(.*unknown task kind 7\)", captured.out)
     assert "seg 2: teacher_version=2 rows=3 ids=[11, 13] ok" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_cmd_inspect_names_a_format_3_store(tmp_path, capsys):
+    store = tmp_path / "store"
+    store.mkdir()
+    # a format-3 MANIFEST listing segment 1, beside its segment file
+    body = b"SLM1" + struct.pack("<QIQ", 1, 1, 1)
+    (store / MANIFEST_NAME).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    (store / "seg-0000000000000001.sls").write_bytes(b"SLS1")
+    assert main(["inspect", str(store)]) == 3
+    out = capsys.readouterr().out
+    assert "a format-3 store" in out
+    assert "stray files: seg-0000000000000001.sls" in out
 
 
 def test_cmd_replay_rebuilds_report(tmp_path, capsys):

@@ -41,15 +41,15 @@ PINS = {
     ),
     FAMILY_DISTILL: (
         "b8ec26a0f480d3d369992703617c60176a0ac8362ef1d9493e50c67267679cc4",
-        "7a2669fe8cee5ce765696a91fd468c72ba04a8768a1c30ed2105319918e114bf",
+        "013e361c890eac9e7ba160505d4dffb840856ae148625c6011a7aac3c0e00e1a",
     ),
     FAMILY_OBJECTIVE: (
         "535e79398e45c907720b6b71ea50ed4f8e7f8cd5c18c71d25a8288240b7350a5",
-        "7894183b0feb5a1d1545fb668fa93dd3df2c9e244df4744790340cc0a7b16c15",
+        "8b87553a6516c7a051629766ab8c4ab6f6f49ec5de784820b68d141be22144be",
     ),
     FAMILY_SCALE: (
         "37f649a18e3f4673b1e4c8839e2888df504b3e05b5d645d501a222a2feb9c405",
-        "7d13c7190106921278673dec2a5261e4932cf69f4471863e1f043671acd7ef8b",
+        "0f9e1abf43d680cf11a6d336c9767161d799566f759e376afb850c49624a52b5",
     ),
 }
 

@@ -1,5 +1,8 @@
-"""Label store: binary format, commit protocol, snapshots, failure modes."""
+"""Label store: log format, commit protocol, snapshots, failure modes."""
 
+import os
+import re
+import stat
 import struct
 import tracemalloc
 import zlib
@@ -10,25 +13,23 @@ import pytest
 from onlinekd import labelstore
 from onlinekd.errors import StoreCorruptionError, StoreError, WriterLockError
 from onlinekd.labelstore import (
+    LOCK_NAME,
     LabelStore,
-    ManifestData,
     MANIFEST_NAME,
     Snapshot,
-    decode_manifest,
     decode_segment,
-    encode_manifest,
     inspect_store,
-    read_manifest,
-    segment_filename,
 )
 from onlinekd.ranker import BINARY, REGRESSION
 
 from oracles import (
+    LOG_HEADER,
     assert_same_snapshot,
+    log_records,
     replay_store_contents,
     segment_body,
-    segment_file,
     segment_ids,
+    segment_record,
     stored_ids,
 )
 
@@ -61,19 +62,42 @@ def seed_store(store, rows):
             w.append(np.asarray(ids, dtype=np.uint64), values, tv)
 
 
-def signed(body):
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+def crc(data):
+    return zlib.crc32(data) & 0xFFFFFFFF
 
 
 def deflated(body):
     return zlib.compress(body, 6, wbits=-15)
 
 
-def framed(body, version=3, body_len=None, stream=None):
-    """A signed segment file around body: its deflate stream (or stream)
-    behind the header, which gives body_len (len(body) by default)."""
-    head = b"SLS1" + struct.pack("<IQ", version, len(body) if body_len is None else body_len)
-    return signed(head + (deflated(body) if stream is None else stream))
+def payload(body, body_len=None, stream=None):
+    """A record payload around body: its deflate stream (or stream) behind
+    body_len (len(body) by default)."""
+    head = struct.pack("<Q", len(body) if body_len is None else body_len)
+    return head + (deflated(body) if stream is None else stream)
+
+
+def framed(data):
+    """data as one log record: its length and the length's crc before it,
+    the crc of the whole record after it."""
+    n = struct.pack("<I", len(data))
+    head = n + struct.pack("<I", crc(n)) + data
+    return head + struct.pack("<I", crc(head))
+
+
+def payload_of(record):
+    return record[8:-4]
+
+
+def write_log(root, *records, header=LOG_HEADER):
+    """A store directory whose log holds header and records, as bytes."""
+    root.mkdir(parents=True, exist_ok=True)
+    (root / MANIFEST_NAME).write_bytes(header + b"".join(records))
+    return root
+
+
+def log_bytes(store):
+    return (store.root / MANIFEST_NAME).read_bytes()
 
 
 # the body of a segment, up to its row count
@@ -86,13 +110,13 @@ BODY_HEADER = (
 )
 
 
-def segment_with_runs(n_rows, run_first, run_len, header=BODY_HEADER, n_tasks=2):
-    """A framed segment with the given id runs and zero values, so a
-    decoder check on the runs fires rather than the checksum."""
+def payload_with_runs(n_rows, run_first, run_len, header=BODY_HEADER, n_tasks=2):
+    """A payload with the given id runs and zero values, so a decoder check
+    on the runs fires."""
     body = header + struct.pack("<QQ", n_rows, len(run_first))
     body += struct.pack(f"<{len(run_first)}Q", *run_first)
     body += struct.pack(f"<{len(run_len)}Q", *run_len)
-    return framed(body + bytes(4 * n_rows * n_tasks))
+    return payload(body + bytes(4 * n_rows * n_tasks))
 
 
 GOLDEN_BODY = (
@@ -117,11 +141,14 @@ def test_segment_golden_bytes():
         "ctr": np.array([0.25, 0.5, 0.75], dtype=np.float32),
         "ltv": np.array([1.5, 2.0, 2.5], dtype=np.float32),
     }
-    got = segment_file(7, 42, TASKS, ids, values)
-    want = signed(b"SLS1" + struct.pack("<IQ", 3, len(GOLDEN_BODY)) + GOLDEN_STREAM)
-    assert got == want == framed(GOLDEN_BODY)
+    got = segment_record(7, 42, TASKS, ids, values)
+    body = struct.pack("<Q", len(GOLDEN_BODY)) + GOLDEN_STREAM
+    n = struct.pack("<I", len(body))
+    head = n + struct.pack("<I", crc(n)) + body
+    want = head + struct.pack("<I", crc(head))
+    assert got == want == framed(payload(GOLDEN_BODY))
     assert segment_body(got) == GOLDEN_BODY
-    seg = decode_segment(want, "golden")
+    seg = decode_segment(payload_of(want), "golden")
     assert seg.segment_id == 7 and seg.teacher_version == 42
     assert seg.tasks == tuple(TASKS)
     for runs in (seg.run_first, seg.run_len, seg.run_row):
@@ -131,6 +158,24 @@ def test_segment_golden_bytes():
     assert segment_ids(seg).tolist() == [3, 9, 10]
     assert seg.values.dtype == np.float32 and not seg.values.flags.writeable
     assert seg.values.tolist() == [[0.25, 0.5, 0.75], [1.5, 2.0, 2.5]]
+
+
+def test_manifest_golden_bytes(tmp_path):
+    store = make_store(tmp_path)
+    rows = [
+        (np.array([5, 1, 3]), {"ctr": np.array([0.5, 0.1, 0.3], np.float32),
+                               "ltv": np.array([50.0, 10.0, 30.0], np.float32)}, 4),
+        (np.array([8]), {"ctr": np.ones(1, np.float32), "ltv": np.zeros(1, np.float32)}, 2),
+    ]
+    seed_store(store, rows)
+    # the header, "SLL1" and version 4, then one record per commit, its rows
+    # sorted by id
+    want = b"SLL1" + struct.pack("<I", 4) + segment_record(
+        1, 4, TASKS, [1, 3, 5], {"ctr": [0.1, 0.3, 0.5], "ltv": [10.0, 30.0, 50.0]}
+    ) + segment_record(2, 2, TASKS, [8], {"ctr": [1.0], "ltv": [0.0]})
+    assert log_bytes(store) == want
+    assert labelstore.FORMAT_VERSION == 4
+    assert sorted(p.name for p in store.root.iterdir()) == [MANIFEST_NAME, LOCK_NAME]
 
 
 TOP = 2**64 - 1
@@ -146,104 +191,79 @@ TOP = 2**64 - 1
 def test_segment_ids_round_trip_as_runs(ids, runs):
     ids = np.array(ids, dtype=np.uint64)
     vals = {name: np.arange(len(ids), dtype=np.float32) for name, _ in TASKS}
-    data = segment_file(7, 42, TASKS, ids, vals)
-    body = segment_body(data)
+    record = segment_record(7, 42, TASKS, ids, vals)
+    body = segment_body(record)
     off, k = len(BODY_HEADER), len(runs)
     assert struct.unpack_from("<QQ", body, off) == (len(ids), k)
     first, length = zip(*runs)
     assert struct.unpack_from(f"<{k}Q", body, off + 16) == first
     assert struct.unpack_from(f"<{k}Q", body, off + 16 + 8 * k) == length
     assert len(body) == off + 16 + 16 * k + 4 * len(ids) * len(TASKS)
-    seg = decode_segment(data, "p")
+    seg = decode_segment(payload_of(record), "p")
     assert (seg.n_rows, seg.min_id, seg.max_id) == (len(ids), ids[0], ids[-1])
     assert segment_ids(seg).tolist() == ids.tolist()
     assert seg.values.tolist() == [vals[name].tolist() for name, _ in TASKS]
 
 
-def test_manifest_golden_bytes():
-    got = encode_manifest(ManifestData(3, (1, 2)))
-    body = b"SLM1" + struct.pack("<Q", 3) + struct.pack("<I", 2)
-    body += struct.pack("<QQ", 1, 2)
-    want = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    assert got == want
-    m = decode_manifest(want, "golden")
-    assert m.manifest_version == 3 and m.segment_ids.tolist() == [1, 2]
-
-
 def test_decode_rejects_malformed_segments():
     ids = np.array([1], dtype=np.uint64)
     vals = {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}
-    good = segment_file(1, 0, TASKS, ids, vals)
-    body = segment_body(good)
-    with pytest.raises(StoreCorruptionError, match="magic"):
-        decode_segment(b"XXXX" + good[4:], "p")
-    for cut in (2, 10, 19):  # shorter than the frame
-        with pytest.raises(StoreCorruptionError, match="truncated file"):
+    good = payload_of(segment_record(1, 0, TASKS, ids, vals))
+    body = segment_body(framed(good))
+    for cut in (0, 2, 7):  # shorter than body_len
+        with pytest.raises(StoreCorruptionError, match="truncated record"):
             decode_segment(good[:cut], "p")
-    with pytest.raises(StoreCorruptionError, match="checksum"):
-        decode_segment(good[:-6], "p")
     with pytest.raises(StoreCorruptionError, match="truncated body"):
-        decode_segment(framed(body[:-6]), "p")
-    with pytest.raises(StoreCorruptionError, match="checksum"):
-        flipped = bytearray(good)
-        flipped[10] ^= 0xFF  # inside body_len
-        decode_segment(bytes(flipped), "p")
-    with pytest.raises(StoreCorruptionError, match="checksum"):
-        decode_segment(good + b"\x00", "p")
+        decode_segment(payload(body[:-6]), "p")
     with pytest.raises(StoreCorruptionError, match="trailing bytes after the value block"):
-        decode_segment(framed(body + b"\x00"), "p")
-    for version in (1, 2):
-        # a version-2 file: the body, uncompressed, between header and crc
-        old = signed(b"SLS1" + struct.pack("<I", version) + body)
-        with pytest.raises(StoreCorruptionError, match=f"unsupported format version {version}"):
-            decode_segment(old, "p")
+        decode_segment(payload(body + b"\x00"), "p")
     with pytest.raises(StoreCorruptionError, match="ascending"):
-        bad = segment_file(
+        bad = segment_record(
             1, 0, TASKS, np.array([5, 3], dtype=np.uint64),
             {"ctr": np.zeros(2, np.float32), "ltv": np.zeros(2, np.float32)},
         )
-        decode_segment(bad, "p")
+        decode_segment(payload_of(bad), "p")
     with pytest.raises(StoreCorruptionError, match="empty"):
-        bad = segment_file(1, 0, TASKS, np.array([], dtype=np.uint64),
-                           {"ctr": np.zeros(0, np.float32), "ltv": np.zeros(0, np.float32)})
-        decode_segment(bad, "p")
+        bad = segment_record(1, 0, TASKS, np.array([], dtype=np.uint64),
+                             {"ctr": np.zeros(0, np.float32), "ltv": np.zeros(0, np.float32)})
+        decode_segment(payload_of(bad), "p")
     with pytest.raises(StoreCorruptionError, match="task kind"):
-        # patch the ctr kind byte (body offset: 8+8+2+2+3 = 23) and re-frame
+        # patch the ctr kind byte (body offset: 8+8+2+2+3 = 23)
         patched = bytearray(body)
         assert patched[23] == 0
         patched[23] = 7
-        decode_segment(framed(bytes(patched)), "p")
+        decode_segment(payload(bytes(patched)), "p")
 
 
 def test_decode_rejects_malformed_deflate_frames():
-    body = segment_body(segment_file(
+    body = segment_body(segment_record(
         1, 0, TASKS, np.arange(40, dtype=np.uint64),
         {"ctr": np.ones(40, np.float32), "ltv": np.ones(40, np.float32)},
     ))
-    assert decode_segment(framed(body), "p").n_rows == 40
-    # every case below carries a valid crc, so the frame check fires
+    assert decode_segment(payload(body), "p").n_rows == 40
+    # every case below would carry a valid crc, so the frame check fires
     with pytest.raises(StoreCorruptionError, match="bad deflate stream"):
-        decode_segment(framed(body, stream=b"\xff" * 16), "p")  # reserved block type
+        decode_segment(payload(body, stream=b"\xff" * 16), "p")  # reserved block type
     stream = deflated(body)
     with pytest.raises(StoreCorruptionError, match="ends early"):
-        decode_segment(framed(body, stream=stream[: len(stream) // 2]), "p")
+        decode_segment(payload(body, stream=stream[: len(stream) // 2]), "p")
     with pytest.raises(StoreCorruptionError, match="inflates past body_len"):
-        decode_segment(framed(body, body_len=len(body) - 1), "p")
+        decode_segment(payload(body, body_len=len(body) - 1), "p")
     with pytest.raises(StoreCorruptionError, match=f"inflates to {len(body)} bytes"):
-        decode_segment(framed(body, body_len=len(body) + 1), "p")
+        decode_segment(payload(body, body_len=len(body) + 1), "p")
     with pytest.raises(StoreCorruptionError, match="more than"):
-        decode_segment(framed(body, body_len=2**63), "p")
+        decode_segment(payload(body, body_len=2**63), "p")
     with pytest.raises(StoreCorruptionError, match="after the end of the deflate stream"):
-        decode_segment(framed(body, stream=stream + deflated(b"more")), "p")
+        decode_segment(payload(body, stream=stream + deflated(b"more")), "p")
     with pytest.raises(StoreCorruptionError, match="after the end of the deflate stream"):
-        decode_segment(framed(body, stream=stream + b"\x00"), "p")
+        decode_segment(payload(body, stream=stream + b"\x00"), "p")
 
 
 def test_decode_stops_inflating_just_past_body_len():
     # 64 MB of zeros deflate to about 64 KB; a header that claims 1000 bytes
     # must be refused without inflating the rest
     stream = deflated(bytes(64 << 20))
-    data = framed(b"", body_len=1000, stream=stream)
+    data = payload(b"", body_len=1000, stream=stream)
     tracemalloc.start()
     try:
         with pytest.raises(StoreCorruptionError, match="inflates past body_len 1000"):
@@ -269,21 +289,22 @@ def test_decode_stops_inflating_just_past_body_len():
         "unsorted", "wraps", "sum-wraps-to-n_rows", "sum-short", "sum-long"])
 def test_decode_rejects_malformed_id_runs(n_rows, run_first, run_len, match):
     with pytest.raises(StoreCorruptionError, match=match):
-        decode_segment(segment_with_runs(n_rows, run_first, run_len), "p")
+        decode_segment(payload_with_runs(n_rows, run_first, run_len), "p")
 
 
 def test_decode_rejects_a_segment_without_tasks():
     # with no value columns nothing would bound n_rows by the body size
     header = BODY_HEADER[:16] + struct.pack("<H", 0)
-    data = segment_with_runs(2**62, [0], [2**62], header=header, n_tasks=0)
+    data = payload_with_runs(2**62, [0], [2**62], header=header, n_tasks=0)
     with pytest.raises(StoreCorruptionError, match="no tasks"):
         decode_segment(data, "p")
 
 
 def test_decode_keeps_no_memory_per_row_for_ids():
     n = 1_000_000
-    data = segment_file(1, 0, (("ctr", BINARY),), np.arange(n, dtype=np.uint64),
-                        {"ctr": np.zeros(n, np.float32)})
+    record = segment_record(1, 0, (("ctr", BINARY),), np.arange(n, dtype=np.uint64),
+                            {"ctr": np.zeros(n, np.float32)})
+    data = payload_of(record)
     tracemalloc.start()
     try:
         seg = decode_segment(data, "p")
@@ -297,26 +318,47 @@ def test_decode_keeps_no_memory_per_row_for_ids():
     assert seg.n_rows == n and seg.run_first.size == 1
 
 
-def test_decode_rejects_malformed_manifests():
-    good = encode_manifest(ManifestData(3, (1, 2)))
-    with pytest.raises(StoreCorruptionError, match="magic"):
-        decode_manifest(b"XXXX" + good[4:], "p")
-    for cut in (2, 10, 15, len(good) - 1):
-        with pytest.raises(StoreCorruptionError, match="truncated"):
-            decode_manifest(good[:cut], "p")
-    with pytest.raises(StoreCorruptionError, match="checksum"):
+def one_row_record(sid, tasks, eid, tv=0):
+    """The log record of a one-row segment with zero values."""
+    return segment_record(sid, tv, tasks, np.array([eid], dtype=np.uint64),
+                          {name: np.zeros(1, np.float32) for name, _ in tasks})
+
+
+def test_every_flipped_byte_of_a_log_is_corruption(tmp_path):
+    # each record's crcs cover every byte of it, the length included, and
+    # the header is checked: no flip reads as a torn tail or as other data
+    root = write_log(tmp_path / "store", *(one_row_record(k, TASKS, k) for k in (1, 2, 3)))
+    good = (root / MANIFEST_NAME).read_bytes()
+    assert len(LabelStore(root).open_snapshot().segments) == 3
+    for i in range(len(good)):
         flipped = bytearray(good)
-        flipped[17] ^= 0xFF  # inside the first segment id
-        decode_manifest(bytes(flipped), "p")
-    with pytest.raises(StoreCorruptionError, match="trailing"):
-        decode_manifest(good + b"\x00", "p")
-    for ids in ((1, 1), (5, 2, 5)):
-        body = b"SLM1" + struct.pack("<QI", 3, len(ids)) + struct.pack(f"<{len(ids)}Q", *ids)
-        with pytest.raises(StoreCorruptionError, match="duplicate segment ids"):
-            decode_manifest(signed(body), "p")
-    # ids out of commit order are legal as long as they are distinct
-    unordered = signed(b"SLM1" + struct.pack("<QI", 4, 3) + struct.pack("<3Q", 3, 1, 2))
-    assert decode_manifest(unordered, "p").segment_ids.tolist() == [3, 1, 2]
+        flipped[i] ^= 0x41
+        (root / MANIFEST_NAME).write_bytes(bytes(flipped))
+        with pytest.raises(StoreCorruptionError):
+            LabelStore(root).open_snapshot()
+        assert not inspect_store(root).ok
+
+
+def test_corrupted_manifest_detected(tmp_path):
+    record = one_row_record(1, TASKS, 1)
+    cases = [
+        # a format-3 MANIFEST: "SLM1" | u64 manifest_version | u32 n | ids | crc
+        (b"SLM1" + struct.pack("<QIQ", 1, 1, 1), "a format-3 store"),
+        (b"SLL1" + struct.pack("<I", 3), "unsupported format version 3"),
+        (b"SLL1" + struct.pack("<I", 5), "unsupported format version 5"),
+        (b"XXXX" + struct.pack("<I", 4), "bad log magic"),
+    ]
+    for k, (header, match) in enumerate(cases):
+        root = write_log(tmp_path / f"s{k}", record, header=header)
+        with pytest.raises(StoreCorruptionError, match=match):
+            LabelStore(root).open_snapshot()
+        before = (root / MANIFEST_NAME).read_bytes()
+        with pytest.raises(StoreCorruptionError, match=match):
+            with LabelStore(root).writer(TASKS):
+                pass
+        assert (root / MANIFEST_NAME).read_bytes() == before
+        report = inspect_store(root)
+        assert not report.ok and match in report.error
 
 
 def test_writer_append_and_read_back(tmp_path):
@@ -329,7 +371,9 @@ def test_writer_append_and_read_back(tmp_path):
             teacher_version=4,
         )
         assert sid == 1
-        assert read_manifest(store.root).manifest_version == 1
+        assert log_records(log_bytes(store)) == [segment_record(
+            1, 4, TASKS, [1, 3, 5], {"ctr": [0.1, 0.3, 0.5], "ltv": [10.0, 30.0, 50.0]}
+        )]
     snap = store.open_snapshot()
     assert len(snap.segments) == 1
     assert len(stored_ids(snap)) == 3
@@ -389,7 +433,7 @@ def test_append_validation(tmp_path):
             with pytest.raises(StoreError, match="teacher_version must be an integer"):
                 w.append(ids, ok, bad_version)
         # the failed appends committed nothing
-        assert read_manifest(store.root).manifest_version == 0
+        assert log_bytes(store) == LOG_HEADER
     with pytest.raises(StoreError, match="duplicate task names"):
         store.writer([("a", BINARY), ("a", BINARY)])
     with pytest.raises(StoreError, match="at least one"):
@@ -407,7 +451,7 @@ def test_writer_lock_excludes_second_writer(tmp_path):
                 pass
     # released on exit
     with store.writer(TASKS):
-        assert read_manifest(store.root).manifest_version == 0
+        assert log_bytes(store) == LOG_HEADER
 
 
 def test_segment_numbering_survives_writer_restarts(tmp_path):
@@ -419,7 +463,7 @@ def test_segment_numbering_survives_writer_restarts(tmp_path):
         assert w.append(ids(2), val(), 1) == 2
     with store.writer(TASKS) as w:
         assert w.append(ids(3), val(), 2) == 3
-        assert read_manifest(store.root).manifest_version == 3
+        assert len(log_records(log_bytes(store))) == 3
     snap = store.open_snapshot()
     assert [s.segment_id for s in snap.segments] == [1, 2, 3]
 
@@ -556,54 +600,52 @@ def test_open_rebuilds_when_manifest_does_not_extend_the_index(tmp_path):
         for k in (1, 2, 3)
     ])
     old = store.open_snapshot()
-    # a manifest of the same length that drops segment 2 and adds segment 4
-    (store.root / segment_filename(4)).write_bytes(one_row_segment(4, TASKS, 4))
-    (store.root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(4, (1, 3, 4))))
+    # the log cut back to its first two records, shorter than the handle read
+    records = log_records(log_bytes(store))
+    write_log(store.root, *records[:2])
     snap = store.open_snapshot()
-    assert [s.segment_id for s in snap.segments] == [1, 3, 4]
-    assert lookup_one(snap, 2) is None
-    assert lookup_one(snap, 3) == {"ctr": 3.0, "ltv": 0.0}
-    assert lookup_one(snap, 4) == {"ctr": 0.0, "ltv": 0.0}
-    assert lookup_one(old, 2) == {"ctr": 2.0, "ltv": 0.0}
-    # the rebuilt index extends as usual
+    assert [s.segment_id for s in snap.segments] == [1, 2]
+    assert lookup_one(snap, 3) is None
+    assert lookup_one(old, 3) == {"ctr": 3.0, "ltv": 0.0}
+    # the rebuilt index extends as usual, and ids rise from the last record's
     seed_store(store, [(np.array([5]), {
         "ctr": np.full(1, 5, np.float32), "ltv": np.zeros(1, np.float32)}, 0)])
     snap = store.open_snapshot()
-    assert [s.segment_id for s in snap.segments] == [1, 3, 4, 5]
+    assert [s.segment_id for s in snap.segments] == [1, 2, 3]
     assert lookup_one(snap, 5) == {"ctr": 5.0, "ltv": 0.0}
+    assert lookup_one(snap, 3) is None
+    assert_same_snapshot(snap, LabelStore(store.root).open_snapshot(), np.arange(8))
 
 
 def test_snapshot_before_a_schema_conflict_opens(tmp_path):
-    root = tmp_path / "store"
-    root.mkdir()
-    for sid in (1, 2):
-        (root / segment_filename(sid)).write_bytes(one_row_segment(sid, TASKS, sid))
-    (root / segment_filename(3)).write_bytes(one_row_segment(3, [("other", BINARY)], 3))
+    one, two = (one_row_record(sid, TASKS, sid) for sid in (1, 2))
+    other = one_row_record(3, [("other", BINARY)], 3)
+    root = write_log(tmp_path / "store", one, two)
     store = LabelStore(root)
-    (root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(2, (1, 2))))
     before = store.open_snapshot()
-    (root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(3, (1, 2, 3))))
+    write_log(root, one, two, other)
     with pytest.raises(StoreError, match="disagree on task schema"):
         store.open_snapshot()
     with pytest.raises(StoreError, match="disagree on task schema"):
         LabelStore(root).open_snapshot()
     # the prefix before the conflict still opens, on the same handle too
-    (root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(2, (1, 2))))
+    write_log(root, one, two)
     snap = store.open_snapshot()
     assert snap.tasks == before.tasks == tuple(TASKS)
     assert [s.segment_id for s in snap.segments] == [1, 2]
     assert lookup_one(snap, 2) == {"ctr": 0.0, "ltv": 0.0}
 
 
-def test_each_segment_file_is_decoded_once_per_handle(tmp_path, monkeypatch):
+def test_each_segment_is_decoded_once_per_handle(tmp_path, monkeypatch):
     decoded = []
-    real = labelstore.load_segment
+    real = labelstore.decode_segment
 
-    def counting(root, segment_id):
-        decoded.append(segment_id)
-        return real(root, segment_id)
+    def counting(data, path):
+        seg = real(data, path)
+        decoded.append(seg.segment_id)
+        return seg
 
-    monkeypatch.setattr(labelstore, "load_segment", counting)
+    monkeypatch.setattr(labelstore, "decode_segment", counting)
     store = make_store(tmp_path)
     reader = LabelStore(store.root)
     n = 25
@@ -741,94 +783,98 @@ def test_crash_leftovers_do_not_affect_readers(tmp_path):
     store = make_store(tmp_path)
     seed_store(store, [(np.array([1, 2]), {
         "ctr": np.zeros(2, np.float32), "ltv": np.zeros(2, np.float32)}, 0)])
-    # a crash mid-stage leaves a partial tmp file: readers never look at it
-    staged = segment_file(2, 1, TASKS, np.array([9], dtype=np.uint64),
+    committed = log_bytes(store)
+    torn = segment_record(2, 1, TASKS, np.array([9], dtype=np.uint64),
                           {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)})
-    (store.root / (segment_filename(2) + ".tmp")).write_bytes(staged[:17])
-    # a crash between segment rename and manifest rename leaves an orphan
-    # segment: committed reads still come from the old manifest
-    (store.root / segment_filename(3)).write_bytes(staged)
-    snap = LabelStore(store.root).open_snapshot()
-    assert len(snap.segments) == 1
-    assert len(stored_ids(snap)) == 2
-    assert lookup_one(snap, 9) is None
-    report = inspect_store(store.root)
-    assert report.ok
-    assert segment_filename(2) + ".tmp" in report.stray_files
-    assert segment_filename(3) in report.stray_files
-    # the next real commit proceeds normally over the debris
+    # a crash mid-append leaves a prefix of the record, or zeros where the
+    # file grew before its data reached the disk; stray files are debris too
+    (store.root / "MANIFEST.tmp").write_bytes(b"")
+    for tail in (torn[:3], torn[:8], torn[:-1], bytes(len(torn)), bytes(3)):
+        write_log(store.root, header=committed + tail)
+        snap = LabelStore(store.root).open_snapshot()
+        assert len(snap.segments) == 1
+        assert len(stored_ids(snap)) == 2
+        assert lookup_one(snap, 9) is None
+        report = inspect_store(store.root)
+        assert report.ok
+        assert report.torn_bytes == len(tail)
+        assert report.stray_files == ["MANIFEST.tmp"]
+    # the next writer cuts the tail off and commits after the last record
     with LabelStore(store.root).writer(TASKS) as w:
-        w.append(np.array([20], dtype=np.uint64),
-                 {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}, 1)
+        assert log_bytes(store) == committed
+        assert w.append(np.array([20], dtype=np.uint64),
+                        {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}, 1) == 2
+    assert log_bytes(store).startswith(committed)
     assert lookup_one(LabelStore(store.root).open_snapshot(), 20) is not None
+    assert inspect_store(store.root).torn_bytes == 0
+
+
+def test_a_torn_header_is_an_empty_store(tmp_path):
+    for k, header in enumerate((b"", LOG_HEADER[:3], bytes(8), bytes(40))):
+        root = write_log(tmp_path / f"s{k}", header=header)
+        assert LabelStore(root).open_snapshot().segments == []
+        report = inspect_store(root)
+        assert report.ok and report.segments == [] and report.torn_bytes == len(header)
+        store = LabelStore(root)
+        seed_store(store, [(np.array([1]), {
+            "ctr": np.zeros(1, np.float32), "ltv": np.zeros(1, np.float32)}, 0)])
+        assert log_bytes(store) == LOG_HEADER + one_row_record(1, TASKS, 1)
+
+
+def flip(store, offset):
+    """Flip one byte of the store's log, offset bytes from its end."""
+    data = bytearray(log_bytes(store))
+    data[-offset] ^= 0xFF
+    write_log(store.root, header=bytes(data))
 
 
 def test_corrupted_segment_detected(tmp_path):
     store = make_store(tmp_path)
     seed_store(store, [(np.array([1, 2]), {
         "ctr": np.zeros(2, np.float32), "ltv": np.zeros(2, np.float32)}, 0)])
-    path = store.root / segment_filename(1)
-    data = bytearray(path.read_bytes())
-    data[-6] ^= 0xFF  # inside the last value column, before the crc
-    path.write_bytes(bytes(data))
-    with pytest.raises(StoreCorruptionError):
+    flip(store, 6)  # inside the deflated values, before the crc
+    with pytest.raises(StoreCorruptionError, match="record at byte 8: checksum mismatch"):
         LabelStore(store.root).open_snapshot()
     report = inspect_store(store.root)
     assert not report.ok
-    assert not report.segments[0].ok
-    assert "checksum" in report.segments[0].error
+    assert "checksum mismatch" in report.error
+    assert report.torn_bytes == 0
 
 
-def test_corrupted_manifest_detected(tmp_path):
+def test_a_bad_record_before_a_good_one_is_corruption(tmp_path):
     store = make_store(tmp_path)
-    seed_store(store, [(np.array([1]), {
-        "ctr": np.zeros(1, np.float32), "ltv": np.zeros(1, np.float32)}, 0)])
-    path = store.root / MANIFEST_NAME
-    data = path.read_bytes()
-    path.write_bytes(data[:-3])
-    with pytest.raises(StoreCorruptionError):
-        LabelStore(store.root).open_snapshot()
-    report = inspect_store(store.root)
-    assert not report.ok and "truncated" in report.error
-
-
-def test_segment_file_header_mismatch_detected(tmp_path):
-    root = tmp_path / "store"
-    root.mkdir()
-    seg = segment_file(5, 0, TASKS, np.array([1], dtype=np.uint64),
-                       {"ctr": np.zeros(1, np.float32), "ltv": np.zeros(1, np.float32)})
-    (root / segment_filename(7)).write_bytes(seg)
-    (root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(1, (7,))))
-    with pytest.raises(StoreCorruptionError, match="disagrees"):
-        LabelStore(root).open_snapshot()
-    report = inspect_store(root)
-    assert not report.ok
-
-
-def test_missing_segment_file_detected(tmp_path):
-    store = make_store(tmp_path)
-    seed_store(store, [(np.array([1]), {
-        "ctr": np.zeros(1, np.float32), "ltv": np.zeros(1, np.float32)}, 0)])
-    (store.root / segment_filename(1)).unlink()
-    with pytest.raises(StoreCorruptionError, match="missing"):
-        LabelStore(store.root).open_snapshot()
-    report = inspect_store(store.root)
-    assert not report.ok
-
-
-def one_row_segment(sid, tasks, eid, tv=0):
-    """Encoded bytes of a one-row segment with zero values."""
-    return segment_file(sid, tv, tasks, np.array([eid], dtype=np.uint64),
-                        {name: np.zeros(1, np.float32) for name, _ in tasks})
+    seed_store(store, [
+        (np.array([k]), {"ctr": np.zeros(1, np.float32), "ltv": np.zeros(1, np.float32)}, 0)
+        for k in (1, 2, 3)
+    ])
+    records = log_records(log_bytes(store))
+    flipped = bytearray(records[1])
+    flipped[-6] ^= 0xFF  # inside the deflated values, before the crc
+    # a length that claims more than the rest of the log, and one that
+    # claims less: the length's crc catches both
+    for bad, match in [
+        (struct.pack("<I", 10_000) + records[1][4:], "length checksum mismatch"),
+        (struct.pack("<I", 5) + records[1][4:], "length checksum mismatch"),
+        (bytes(flipped), r"record at byte \d+: checksum mismatch"),
+    ]:
+        write_log(store.root, records[0], bad, records[2])
+        before = log_bytes(store)
+        with pytest.raises(StoreCorruptionError, match=match):
+            LabelStore(store.root).open_snapshot()
+        report = inspect_store(store.root)
+        assert not report.ok and re.search(match, report.error)
+        # the record before the bad one is still reported
+        assert [s.segment_id for s in report.segments] == [1]
+        with pytest.raises(StoreCorruptionError, match=match):
+            with LabelStore(store.root).writer(TASKS):
+                pass
+        assert log_bytes(store) == before
 
 
 def test_schema_disagreement_detected(tmp_path):
     # hand-written: the writer refuses to commit a second schema
-    root = tmp_path / "store"
-    root.mkdir()
-    (root / segment_filename(1)).write_bytes(one_row_segment(1, TASKS, 1))
-    (root / segment_filename(2)).write_bytes(one_row_segment(2, [("other", BINARY)], 2, 1))
-    (root / MANIFEST_NAME).write_bytes(encode_manifest(ManifestData(2, (1, 2))))
+    root = write_log(tmp_path / "store", one_row_record(1, TASKS, 1),
+                     one_row_record(2, [("other", BINARY)], 2, 1))
     with pytest.raises(StoreError, match="disagree on task schema"):
         LabelStore(root).open_snapshot()
     report = inspect_store(root)
@@ -853,19 +899,35 @@ def test_writer_refuses_a_schema_the_store_does_not_have(tmp_path):
 
 def test_writer_refuses_a_store_whose_newest_segment_is_corrupt(tmp_path):
     store = make_store(tmp_path)
-    seed_store(store, [(np.array([1, 2]), {
-        "ctr": np.zeros(2, np.float32), "ltv": np.zeros(2, np.float32)}, 0)])
-    path = store.root / segment_filename(1)
-    data = bytearray(path.read_bytes())
-    data[-6] ^= 0xFF  # inside the last value column, before the crc
-    path.write_bytes(bytes(data))
+    seed_store(store, [
+        (np.array([k]), {"ctr": np.zeros(1, np.float32), "ltv": np.zeros(1, np.float32)}, 0)
+        for k in (1, 2)
+    ])
+    records = [bytearray(r) for r in log_records(log_bytes(store))]
+    records[1][-6] ^= 0xFF  # inside the deflated values, before the crc
+    write_log(store.root, *map(bytes, records))
     before = {p.name: p.read_bytes() for p in store.root.iterdir()}
     for _ in range(2):  # the lock is released, so a second writer gets as far
-        with pytest.raises(StoreCorruptionError, match="checksum"):
+        with pytest.raises(StoreCorruptionError, match="checksum mismatch"):
             with LabelStore(store.root).writer(TASKS) as w:
                 w.append(np.array([3], dtype=np.uint64), {
                     "ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}, 1)
     assert {p.name: p.read_bytes() for p in store.root.iterdir()} == before
+
+
+def test_writer_refuses_a_last_record_that_does_not_decode(tmp_path):
+    # the crcs hold, but the ctr kind byte (body offset 23) is not a kind
+    body = bytearray(segment_body(one_row_record(1, TASKS, 1)))
+    body[23] = 7
+    root = write_log(tmp_path / "store", framed(payload(bytes(body))))
+    before = (root / MANIFEST_NAME).read_bytes()
+    with pytest.raises(StoreCorruptionError, match="task kind"):
+        with LabelStore(root).writer(TASKS):
+            pass
+    assert (root / MANIFEST_NAME).read_bytes() == before
+    report = inspect_store(root)
+    assert not report.ok and not report.error
+    assert "task kind" in report.segments[0].error
 
 
 def test_inspect_clean_store(tmp_path):
@@ -876,7 +938,7 @@ def test_inspect_clean_store(tmp_path):
     ])
     report = inspect_store(store.root)
     assert report.ok
-    assert report.manifest_version == 2
+    assert report.torn_bytes == 0
     assert report.total_rows == 3
     assert report.tasks == tuple(TASKS)
     assert [s.segment_id for s in report.segments] == [1, 2]
@@ -886,27 +948,61 @@ def test_inspect_clean_store(tmp_path):
     assert inspect_store(tmp_path / "nowhere").error == "store directory missing"
 
 
-def test_durable_writer_roundtrip(tmp_path):
+def test_a_commit_appends_one_record_and_touches_nothing_else(tmp_path):
+    # a commit costs one record whatever the store holds: the log grows by
+    # exactly the record, no byte already in it changes, and the store stays
+    # two files
+    rng = np.random.default_rng(7)
     store = make_store(tmp_path)
+    with store.writer(TASKS) as w:
+        before = log_bytes(store)
+        for k in range(200):
+            n = int(rng.integers(1, 30))
+            ids = np.sort(rng.choice(10_000, size=n, replace=False)).astype(np.uint64)
+            vals = {"ctr": rng.random(n).astype(np.float32),
+                    "ltv": rng.standard_normal(n).astype(np.float32)}
+            tv = int(rng.integers(0, 5))
+            sid = w.append(ids, vals, tv)
+            after = log_bytes(store)
+            assert after == before + segment_record(sid, tv, TASKS, ids, vals)
+            assert sorted(os.listdir(store.root)) == [MANIFEST_NAME, LOCK_NAME]
+            before = after
+    assert len(store.open_snapshot().segments) == 200
+
+
+def test_durable_writer_roundtrip(tmp_path, monkeypatch):
+    synced = []
+    real = os.fsync
+
+    def counting(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        return real(fd)
+
+    monkeypatch.setattr(labelstore.os, "fsync", counting)
+    store = make_store(tmp_path)
+    one = {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}
     with store.writer(TASKS, durable=True) as w:
-        w.append(np.array([1], dtype=np.uint64),
-                 {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}, 0)
-    assert len(stored_ids(store.open_snapshot())) == 1
+        for k in range(3):
+            w.append(np.array([k], dtype=np.uint64), one, 0)
+    # the directory once, when the log is created, then the log per commit
+    assert synced == [True, False, False, False]
+    with store.writer(TASKS, durable=True) as w:
+        w.append(np.array([9], dtype=np.uint64), one, 0)
+    assert synced == [True] + [False] * 4
+    with store.writer(TASKS) as w:
+        w.append(np.array([10], dtype=np.uint64), one, 0)
+    assert len(synced) == 5
+    assert len(stored_ids(store.open_snapshot())) == 5
 
 
 def test_snapshot_schema_guard_direct():
     seg_a, seg_b = (
-        decode_segment(segment_file(sid, 0, [(name, BINARY)], [sid], {name: [0.0]}), name)
+        decode_segment(payload_of(one_row_record(sid, [(name, BINARY)], sid)), name)
         for sid, name in ((1, "a"), (2, "b"))
     )
     index = labelstore._SegmentIndex()
-    index.extend([seg_a, seg_b])
+    index.extend([seg_a, seg_b], 0)
     assert index.conflict == 1
     assert Snapshot(index, 1).tasks == (("a", BINARY),)  # the prefix before the conflict
     with pytest.raises(StoreError):
         Snapshot(index, 2)
-
-
-def test_read_manifest_missing_is_empty(tmp_path):
-    m = read_manifest(tmp_path)
-    assert m.manifest_version == 0 and m.segment_ids.size == 0

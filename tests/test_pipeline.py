@@ -11,7 +11,7 @@ import pytest
 from onlinekd.cli import default_experiment
 from onlinekd.datagen import GenConfig, fork, init_world, next_batch
 from onlinekd.errors import ConfigError, DivergenceError, SchemaError, StoreError
-from onlinekd.labelstore import LabelStore, Snapshot, read_manifest
+from onlinekd.labelstore import MANIFEST_NAME, LabelStore, Snapshot, inspect_store
 from onlinekd.metrics import OnlineSimConfig
 from onlinekd.nncore import OptState, TrainConfig
 from onlinekd import pipeline
@@ -53,6 +53,7 @@ from onlinekd.ranker import (
 
 from oracles import (
     audit_fleet,
+    log_records,
     metric_value,
     one_shot_policy_metrics,
     segment_body,
@@ -281,7 +282,7 @@ def test_a_run_without_a_distilling_student_opens_no_snapshot(tmp_path, monkeypa
     students = [make_student(6, name=CONTROL_NAME), make_student(6, name="plain")]
     log = run_online(init_world(GEN, 6), make_teacher(6), students, sched(4), tmp_path / "s")
     assert opened == []
-    assert len(read_manifest(tmp_path / "s").segment_ids) == 4  # the teacher still writes
+    assert len(inspect_store(tmp_path / "s").segments) == 4  # the teacher still writes
     assert not [r for r in log.rows if r.metric == "coverage"]
 
 
@@ -416,7 +417,7 @@ def test_teacher_params_independent_of_fleet_and_writes(tmp_path):
     for got, want in zip(teacher_a.model.trunk.layers, teacher_b.model.trunk.layers):
         assert np.array_equal(got.weights, want.weights)
     # and the no-write run committed nothing
-    assert read_manifest(tmp_path / "b").manifest_version == 0
+    assert not (tmp_path / "b" / MANIFEST_NAME).exists()
 
 
 def test_alpha_zero_direct_is_bit_identical_to_control(tmp_path):
@@ -759,10 +760,12 @@ def test_family_default_segments_hold_one_id_run(tmp_path, family):
             cfg, students=cfg.students + (StudentDef("direct", DIRECT, ("ltv",)),)
         )
     run_experiment(cfg, tmp_path)
-    segments = sorted(tmp_path.glob("*/seg-*.sls"))
-    assert len(segments) == 3 * len(build_runs(cfg))
-    for path in segments:
-        body = segment_body(path.read_bytes())  # checks the frame, version 3
+    # log_records checks the header, version 4, and segment_body each frame
+    records = [r for log in sorted(tmp_path.glob(f"*/{MANIFEST_NAME}"))
+               for r in log_records(log.read_bytes())]
+    assert len(records) == 3 * len(build_runs(cfg))
+    for record in records:
+        body = segment_body(record)
         n_tasks, names, n_rows, n_runs = _segment_layout(body)
         assert n_runs == 1
         assert n_rows == cfg.schedule.batch_size
