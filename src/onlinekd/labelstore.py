@@ -258,8 +258,6 @@ def encode_segment(
         np.ascontiguousarray(values, dtype="<f4").tobytes(),
     ])
     payload = _U64.pack(len(body)) + zlib.compress(body, _DEFLATE_LEVEL, wbits=-15)
-    if len(payload) >= 2**32:
-        raise StoreError(f"a segment of {values.shape[1]} rows is too large for one record")
     n = _U32.pack(len(payload))
     data = b"".join([n, _U32.pack(_crc(n)), payload])
     return data + _U32.pack(_crc(data))

@@ -1,5 +1,6 @@
 """Label store: log format, commit protocol, snapshots, failure modes."""
 
+import errno
 import os
 import re
 import stat
@@ -968,6 +969,32 @@ def test_a_commit_appends_one_record_and_touches_nothing_else(tmp_path):
             assert sorted(os.listdir(store.root)) == [MANIFEST_NAME, LOCK_NAME]
             before = after
     assert len(store.open_snapshot().segments) == 200
+
+
+@pytest.mark.parametrize("failure", ["short-write", "error"])
+def test_a_failed_append_leaves_no_torn_record(tmp_path, monkeypatch, failure):
+    store = make_store(tmp_path)
+    one = {"ctr": np.ones(1, np.float32), "ltv": np.ones(1, np.float32)}
+    real = os.write
+
+    def half(fd, data):
+        written = real(fd, data[: len(data) // 2])
+        if failure == "error":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return written
+
+    with store.writer(TASKS) as w:
+        w.append(np.array([1], dtype=np.uint64), one, 0)
+        committed = log_bytes(store)
+        monkeypatch.setattr(labelstore.os, "write", half)
+        with pytest.raises(StoreError if failure == "short-write" else OSError):
+            w.append(np.array([2], dtype=np.uint64), one, 0)
+        monkeypatch.undo()
+        # the half-written record is gone, so the next commit follows the last
+        assert log_bytes(store) == committed
+        assert w.append(np.array([3], dtype=np.uint64), one, 0) == 2
+    assert [s.segment_id for s in store.open_snapshot().segments] == [1, 2]
+    assert inspect_store(store.root).torn_bytes == 0
 
 
 def test_durable_writer_roundtrip(tmp_path, monkeypatch):
