@@ -327,17 +327,18 @@ def decode_segment(payload, path: str) -> SegmentData:
     return SegmentData(segment_id, teacher_version, tasks, first, length, run_row, values)
 
 
-def _records(data, start: int, path: Path) -> tuple[list[tuple[int, memoryview]], int, str]:
+def _records(data, start: int, path: Path) -> tuple[list[tuple[memoryview, str]], int, str]:
     """Frame data, the log from byte offset start on (from its header when
     start is 0), into records and check their crcs.
 
-    Returns the (offset, payload) of each complete record, the offset just
-    past the last of them, and "" or what is corrupt at that offset. A
-    record cut short by the end of data, or a tail of zeros, ends the scan
-    without error: it is a torn tail, which a crash mid-append leaves.
+    Returns the payload of each complete record with the name errors give
+    it, the offset just past the last of them, and "" or what is corrupt at
+    that offset. A record cut short by the end of data, or a tail of zeros,
+    ends the scan without error: it is a torn tail, which a crash
+    mid-append leaves.
     """
     view = memoryview(data)
-    found: list[tuple[int, memoryview]] = []
+    found: list[tuple[memoryview, str]] = []
     off = 0
     if start == 0:
         head = bytes(view[: len(_HEADER)])
@@ -353,6 +354,7 @@ def _records(data, start: int, path: Path) -> tuple[list[tuple[int, memoryview]]
             return found, 0, f"{path}: {what}"
         off = len(_HEADER)
     while len(view) - off >= _FRAME.size:
+        where = f"{path}: record at byte {start + off}"
         n, n_crc = _FRAME.unpack_from(view, off)
         end = off + _FRAME.size + n + 4
         if _crc(view[off : off + 4]) != n_crc:
@@ -364,10 +366,10 @@ def _records(data, start: int, path: Path) -> tuple[list[tuple[int, memoryview]]
         elif _crc(view[off : end - 4]) != _U32.unpack_from(view, end - 4)[0]:
             bad = "checksum mismatch"
         else:
-            found.append((start + off, view[off + _FRAME.size : end - 4]))
+            found.append((view[off + _FRAME.size : end - 4], where))
             off = end
             continue
-        return found, start + off, f"{path}: record at byte {start + off}: {bad}"
+        return found, start + off, f"{where}: {bad}"
     return found, start + off, ""
 
 
@@ -501,9 +503,7 @@ class LabelStore:
             records, end, error = _records(data, index.end, self.log_path)
             if error:
                 raise StoreCorruptionError(error)
-            index.extend(
-                [decode_segment(p, f"{self.log_path} at byte {off}") for off, p in records], end
-            )
+            index.extend([decode_segment(*record) for record in records], end)
             self._index = index
             return Snapshot(index, len(index.segments))
 
@@ -560,8 +560,7 @@ class SegmentWriter:
         if error:
             raise StoreCorruptionError(error)
         if records:
-            off, payload = records[-1]
-            last = decode_segment(payload, f"{path} at byte {off}")
+            last = decode_segment(*records[-1])
             if last.tasks != self.tasks:
                 raise StoreError(
                     f"writer schema {list(self.tasks)} disagrees with the committed "
@@ -702,9 +701,9 @@ def inspect_store(root) -> StoreReport:
     if not report.error:
         report.torn_bytes = len(data) - end
     tasks_seen: set[tuple[tuple[str, str], ...]] = set()
-    for off, payload in records:
+    for record in records:
         try:
-            seg = decode_segment(payload, f"{path} at byte {off}")
+            seg = decode_segment(*record)
         except StoreCorruptionError as e:
             report.segments.append(SegmentInfo(0, False, str(e)))
             continue
