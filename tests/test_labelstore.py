@@ -791,7 +791,7 @@ def test_crash_leftovers_do_not_affect_readers(tmp_path):
     # file grew before its data reached the disk; stray files are debris too
     (store.root / "MANIFEST.tmp").write_bytes(b"")
     for tail in (torn[:3], torn[:8], torn[:-1], bytes(len(torn)), bytes(3)):
-        write_log(store.root, header=committed + tail)
+        (store.root / MANIFEST_NAME).write_bytes(committed + tail)
         snap = LabelStore(store.root).open_snapshot()
         assert len(snap.segments) == 1
         assert len(stored_ids(snap)) == 2
@@ -822,18 +822,13 @@ def test_a_torn_header_is_an_empty_store(tmp_path):
         assert log_bytes(store) == LOG_HEADER + one_row_record(1, TASKS, 1)
 
 
-def flip(store, offset):
-    """Flip one byte of the store's log, offset bytes from its end."""
-    data = bytearray(log_bytes(store))
-    data[-offset] ^= 0xFF
-    write_log(store.root, header=bytes(data))
-
-
 def test_corrupted_segment_detected(tmp_path):
     store = make_store(tmp_path)
     seed_store(store, [(np.array([1, 2]), {
         "ctr": np.zeros(2, np.float32), "ltv": np.zeros(2, np.float32)}, 0)])
-    flip(store, 6)  # inside the deflated values, before the crc
+    data = bytearray(log_bytes(store))
+    data[-6] ^= 0xFF  # inside the deflated values, before the crc
+    (store.root / MANIFEST_NAME).write_bytes(bytes(data))
     with pytest.raises(StoreCorruptionError, match="record at byte 8: checksum mismatch"):
         LabelStore(store.root).open_snapshot()
     report = inspect_store(store.root)
