@@ -10,7 +10,8 @@ Each MLP keeps its parameters in one flat buffer that its layers' arrays
 view; its gradients and Adam moments share that layout, so an optimizer
 step is one fused pass. A buffer with a leading member axis, (S, P), holds
 S MLPs of one topology that the forward and backward passes run together
-(one batched matmul per layer); member(i) is the MLP over row i.
+(one batched matmul per layer). A model whose MLPs view one larger
+buffer steps the same way, in one pass over it.
 
 The forward pass keeps only what backprop reads: each layer's input and
 the MLP's output. The backward pass works out each ReLU layer's gradient
@@ -70,14 +71,16 @@ class Mlp:
 
     params holds each layer's weights (row-major), then its bias, layer by
     layer, and the layers' arrays are rebound to views of it; a params
-    passed in (a row of a larger buffer) receives the layers' values.
-    starts and sizes are each layer's offset and length in its last axis.
+    passed in (a block of a larger buffer) receives the layers' values.
+    starts and sizes are each layer's offset and length in its last axis,
+    and layer_names names each layer in a divergence message.
     """
 
     layers: list[Layer]
     params: np.ndarray | None = None
     starts: np.ndarray = field(init=False, repr=False)
     sizes: np.ndarray = field(init=False, repr=False)
+    layer_names: list[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -93,6 +96,7 @@ class Mlp:
                 raise ValueError(f"layer {k} has a different member shape")
         self.sizes = np.array([(l.fan_in + 1) * l.fan_out for l in self.layers])
         self.starts = np.cumsum(self.sizes) - self.sizes
+        self.layer_names = [f"layer {k}" for k in range(len(self.layers))]
         shape = (*lead, int(self.sizes.sum()))
         if self.params is None:
             self.params = np.empty(shape)
@@ -118,11 +122,6 @@ class Mlp:
             w = buf[..., at:at + n].reshape(*lead, layer.fan_in, layer.fan_out)
             views.append((w, buf[..., at + n:at + n + layer.fan_out]))
         return views
-
-    def member(self, i: int) -> "Mlp":
-        """The MLP over row i of a stacked buffer; its arrays view that row."""
-        layers = [Layer(l.weights[i], l.bias[i], l.activation) for l in self.layers]
-        return Mlp(layers, self.params[i])
 
 
 def make_mlp(
@@ -294,15 +293,16 @@ def warmup_factor(step: int, warmup_steps: int) -> float:
 
 @dataclass
 class OptState:
-    """Adam moments laid out like one Mlp's params, plus the step counter."""
+    """Adam moments laid out like one flat params buffer (an Mlp's, or a
+    whole model's), plus the step counter."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
 
     @classmethod
-    def for_mlp(cls, mlp: Mlp) -> "OptState":
-        return cls(m=np.zeros_like(mlp.params), v=np.zeros_like(mlp.params))
+    def for_params(cls, params: np.ndarray) -> "OptState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def optimizer_step(
@@ -315,19 +315,21 @@ def optimizer_step(
 ) -> None:
     """Apply one warmup-scaled Adam step with optional per-layer update clipping.
 
-    mlp is one MLP and grads is laid out like its params. Mutates mlp
-    parameters and state in place in one pass over the flat buffer, with
-    Clippy's per-layer norms from one reduceat over the layer offsets. The
-    effective learning rate is base_lr * min(1, step / warmup_steps)
-    evaluated at the pre-increment step counter, so the very first step
-    under warmup applies a zero update.
+    mlp is one MLP, or a model laid out like one (a 1-D params buffer with
+    its layers' starts, sizes and layer_names), and grads is laid out like
+    its params. Mutates the parameters and state in place in one pass over
+    the flat buffer, with Clippy's per-layer norms from one reduceat over
+    the layer offsets. A non-finite gradient raises before anything moves,
+    naming its layer. The effective learning rate is base_lr * min(1, step /
+    warmup_steps) evaluated at the pre-increment step counter, so the very
+    first step under warmup applies a zero update.
     """
     if mlp.params.ndim != 1 or grads.shape != mlp.params.shape or state.m.shape != grads.shape:
         raise ValueError("gradient/state layout does not match the model's parameters")
     if not np.isfinite(grads).all():
         first = np.flatnonzero(~np.isfinite(grads))[0]
         k = int(np.searchsorted(mlp.starts, first, side="right")) - 1
-        raise DivergenceError(f"non-finite gradient in layer {k}", job=job)
+        raise DivergenceError(f"non-finite gradient in {mlp.layer_names[k]}", job=job)
     t = state.step
     lr = cfg.base_lr * warmup_factor(t, cfg.warmup_steps)
     b1, b2, eps = cfg.adam.beta1, cfg.adam.beta2, cfg.adam.epsilon

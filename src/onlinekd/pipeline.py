@@ -158,8 +158,8 @@ def read_metrics_csv(path) -> list[MetricRow]:
 
 @dataclass
 class TeacherJob:
-    """The continuously trained writer job; opt holds the Adam state of each
-    of model.components."""
+    """The continuously trained writer job; opt is the one Adam state of its
+    model, laid out like model.params."""
 
     name: str
     model: RankingModel
@@ -168,10 +168,10 @@ class TeacherJob:
     write_every: int
     freeze_at: int | None
     bias: dict[str, float]
-    opt: list[OptState] = field(init=False, repr=False)
+    opt: OptState = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.opt = [OptState.for_mlp(m) for m in self.model.components]
+        self.opt = OptState.for_params(self.model.params)
         names = {t.name for t in self.model.tasks}
         for task in self.write_tasks:
             if task not in names:
@@ -180,7 +180,7 @@ class TeacherJob:
     @property
     def version(self) -> int:
         """Teacher version written into segments: its update count."""
-        return self.opt[0].step  # the trunk's
+        return self.opt.step
 
 
 @dataclass
@@ -194,10 +194,10 @@ class StudentJob:
     train: TrainConfig
     alpha: dict[str, float]
     distill_alpha: np.ndarray = field(init=False, repr=False)
-    opt: list[OptState] = field(init=False, repr=False)
+    opt: OptState = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.opt = [OptState.for_mlp(m) for m in self.model.components]
+        self.opt = OptState.for_params(self.model.params)
         self.distill_alpha = np.array([float(self.alpha.get(t, 1.0)) for t in self.distill_tasks])
 
     @property

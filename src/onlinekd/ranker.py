@@ -15,8 +15,9 @@ buffer. The forward pass returns the hard logits as one (n_tasks, batch)
 array in task order and the aux logits as one (n_distill, batch) array in
 distill order; the loss takes the hard labels as (n_tasks, batch) and the
 teacher values as (n_distill, batch) with one present mask over the batch,
-and builds its gradient seeds on those rows. model.components lists the
-trunk and a view of each stack row, which the optimizer steps one at a time.
+and builds its gradient seeds on those rows. The trunk and the two stacks
+view one flat buffer, model.params, which one gradient and one Adam state
+share, so the optimizer steps a whole model in one pass.
 
 A training step computes the gradients of the joint loss (defined in
 total_loss) and nothing else: no loss value is evaluated on the step path.
@@ -125,24 +126,43 @@ class RankingModel:
 
     tower_stack stacks one tower per task (task order), aux_stack one aux
     head per distilled task (distill order; None without aux heads).
-    components is the trunk, then the Mlp over each tower row, then over
-    each aux head row. distill_rows holds the tower row of each distilled
-    task, in distill order. binary marks the cross-entropy rows of the
-    towers, (n_tasks, 1).
+    params is the one flat buffer the three view, laid out as the trunk's
+    params, then the tower stack's rows, then the aux stack's; starts,
+    sizes and layer_names give each of its layers' offset, length and name
+    ("tower ctr layer 1"), as an Mlp's do. distill_rows holds the tower row
+    of each distilled task, in distill order. binary marks the
+    cross-entropy rows of the towers, (n_tasks, 1).
     """
 
     config: ModelConfig
     trunk: Mlp
     tower_stack: Mlp
     aux_stack: Mlp | None
-    components: list[Mlp] = field(init=False, repr=False)
+    params: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
+    layer_names: list[str] = field(init=False, repr=False)
     distill_rows: np.ndarray = field(init=False, repr=False)
     binary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         names = [t.name for t in self.config.tasks]
-        stacks = [s for s in (self.tower_stack, self.aux_stack) if s is not None]
-        self.components = [self.trunk] + [s.member(i) for s in stacks for i in range(len(s.params))]
+        groups = [(self.trunk, ["trunk"]), (self.tower_stack, [f"tower {n}" for n in names])]
+        if self.aux_stack is not None:
+            groups.append((self.aux_stack, [f"aux {n}" for n in self.config.distill_tasks]))
+        self.params = np.empty(sum(mlp.params.size for mlp, _ in groups))
+        starts, self.layer_names, at = [], [], 0
+        for mlp, rows in groups:
+            block = self.params[at:at + mlp.params.size].reshape(mlp.params.shape)
+            # the passed-in params path copies mlp's values into block and
+            # rebinds its layers' arrays, which mlp shares, to views of it
+            mlp.params = Mlp(mlp.layers, block).params
+            for row in rows:
+                starts.append(at + mlp.starts)
+                self.layer_names += [f"{row} {name}" for name in mlp.layer_names]
+                at += mlp.params.shape[-1]
+        self.starts = np.concatenate(starts)
+        self.sizes = np.concatenate([mlp.sizes for mlp, rows in groups for _ in rows])
         self.distill_rows = np.array([names.index(n) for n in self.config.distill_tasks], int)
         self.binary = np.array([t.kind == BINARY for t in self.config.tasks])[:, None]
 
@@ -303,10 +323,10 @@ def compute_loss_and_grads(
     clip: float | None = None,
     *,
     job: str | None = None,
-) -> list[np.ndarray]:
-    """One full forward/backward pass: the exact gradient of the joint loss
-    for each of model.components, in its order. The labels, soft targets and
-    alpha are laid out as total_loss takes them."""
+) -> np.ndarray:
+    """One full forward/backward pass: the exact gradient of the joint loss,
+    laid out like model.params. The labels, soft targets and alpha are laid
+    out as total_loss takes them."""
     trunk_out, trunk_cache = mlp_forward(model.trunk, x, clip, job=job)
     z, tower_cache = mlp_forward(model.tower_stack, trunk_out, clip, job=job)
     z_aux, aux_cache = None, None
@@ -320,7 +340,7 @@ def compute_loss_and_grads(
     for input_grad in tower_in:
         trunk_out_grad += input_grad
 
-    aux_grads = []
+    aux_grads = np.empty(0)
     if model.aux_stack is not None:
         aux_grads, aux_in = mlp_backward(model.aux_stack, aux_cache, seeds.aux[..., None])
         # A head with no seed this step gets exact zeros, so its optimizer
@@ -331,17 +351,17 @@ def compute_loss_and_grads(
                 trunk_out_grad += input_grad
 
     trunk_grads = mlp_backward(model.trunk, trunk_cache, trunk_out_grad, input_grad=False)[0]
-    return [trunk_grads, *tower_grads, *aux_grads]
+    return np.concatenate([trunk_grads, tower_grads.ravel(), aux_grads.ravel()])
 
 
 def apply_gradients(
     model: RankingModel,
-    grads: list[np.ndarray],
-    opt: list[OptState],
+    grads: np.ndarray,
+    opt: OptState,
     cfg: TrainConfig,
     *,
     job: str | None = None,
 ) -> None:
-    """One Adam step per component; grads and opt follow model.components."""
-    for mlp, grad, state in zip(model.components, grads, opt, strict=True):
-        optimizer_step(mlp, grad, state, cfg, job=job)
+    """One Adam step over the whole model; grads and opt are laid out like
+    model.params, and Clippy still clips each layer on its own."""
+    optimizer_step(model, grads, opt, cfg, job=job)

@@ -3,10 +3,11 @@
 The reference functions are deliberately written from first principles
 (python loops, scalar math, brute-force enumeration) and share no code with
 the package under test. The test aids at the end do use the package: the
-converters from per-task mappings to the package's task-major arrays, a
-segment record encoder over per-task columns, a snapshot comparison, a
-metric-row lookup, the fleet audit, which drives run_online and records the
-soft targets each student is handed, and the one-shot slate simulation.
+converters from per-task mappings to the package's task-major arrays, the
+per-block views of a model's flat buffer, a segment record encoder over
+per-task columns, a snapshot comparison, a metric-row lookup, the fleet
+audit, which drives run_online and records the soft targets each student
+is handed, and the one-shot slate simulation.
 """
 
 from __future__ import annotations
@@ -370,6 +371,34 @@ def distill_order(model, by_task, default=None) -> np.ndarray:
     distill order (default for tasks by_task lacks), the layout of soft
     targets, aux logits and alpha."""
     return np.array([by_task.get(t, default) for t in model.config.distill_tasks])
+
+
+def model_blocks(model, flat) -> dict:
+    """Every trunk, tower and aux block of flat, a buffer laid out like
+    model.params, as {(group, task): [(weights, bias) of each layer]}, keyed
+    as ref_ranker_step keys its params: ("trunk", None), the towers in task
+    order, then the aux heads in distill order. The arrays view flat."""
+    groups = [("trunk", [None], model.trunk)]
+    groups.append(("towers", [t.name for t in model.tasks], model.tower_stack))
+    if model.aux_stack is not None:
+        groups.append(("aux", model.config.distill_tasks, model.aux_stack))
+    blocks, at = {}, 0
+    for group, names, mlp in groups:
+        rows = flat[at:at + mlp.params.size].reshape(len(names), -1)
+        at += mlp.params.size
+        for name, row in zip(names, rows, strict=True):
+            blocks[group, name] = mlp.split(row)
+    assert at == flat.size
+    return blocks
+
+
+def assert_same_params(a, b) -> None:
+    """Models a and b hold equal weights and biases in every block."""
+    got, want = model_blocks(a, a.params), model_blocks(b, b.params)
+    assert list(got) == list(want)
+    for key in got:
+        for (gw, gb), (ww, wb) in zip(got[key], want[key], strict=True):
+            assert np.array_equal(gw, ww) and np.array_equal(gb, wb), key
 
 
 def segment_record(segment_id, teacher_version, tasks, example_ids, values) -> bytes:

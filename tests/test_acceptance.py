@@ -59,6 +59,7 @@ from oracles import (
     audit_fleet,
     brute_force_auc,
     metric_value,
+    model_blocks,
     numeric_gradient,
     ref_total_loss,
     relative_error,
@@ -99,9 +100,9 @@ def _grab(log, metric, task, step):
 def _jitter_biases(model, rng):
     # move zero-init biases off the exact ReLU kink where a central
     # difference and the subgradient convention legitimately disagree
-    for mlp in model.components:
-        for layer in mlp.layers:
-            layer.bias += rng.uniform(0.01, 0.05, size=layer.bias.shape)
+    for layers in model_blocks(model, model.params).values():
+        for _, bias in layers:
+            bias += rng.uniform(0.01, 0.05, size=bias.shape)
 
 
 # --- 1. gradient correctness ------------------------------------------------
@@ -151,10 +152,11 @@ def test_c1_gradient_correctness():
             return ref_total_loss(model, *logits, hard, soft, present, alpha)
 
         grads = compute_loss_and_grads(model, x, hard, soft, present, alpha, clip)
+        params, grad_blocks = model_blocks(model, model.params), model_blocks(model, grads)
         arrays, analytic = [], []
-        for mlp, g in zip(model.components, grads, strict=True):
-            for layer, (gw, gb) in zip(mlp.layers, mlp.split(g)):
-                arrays.extend([layer.weights, layer.bias])
+        for key in params:
+            for (w, b), (gw, gb) in zip(params[key], grad_blocks[key], strict=True):
+                arrays.extend([w, b])
                 analytic.extend([gw, gb])
         numeric = numeric_gradient(loss, arrays, eps=1e-6)
         worst = max(worst, relative_error(numeric, analytic))
@@ -503,10 +505,11 @@ def test_c8_degeneracy_identities(tmp_path):
         finals[tag] = student.model
     m0, m1 = finals["direct0"], finals["plain"]
     # trunk and towers: neither model has aux heads
-    alpha_zero_ok = all(
-        np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
-        for c0, c1 in zip(m0.components, m1.components, strict=True)
-        for a, b in zip(c0.layers, c1.layers)
+    b0, b1 = model_blocks(m0, m0.params), model_blocks(m1, m1.params)
+    alpha_zero_ok = list(b0) == list(b1) and all(
+        np.array_equal(w0, w1) and np.array_equal(bias0, bias1)
+        for key in b0
+        for (w0, bias0), (w1, bias1) in zip(b0[key], b1[key], strict=True)
     )
 
     # a model compared against itself shows exactly zero lift

@@ -201,7 +201,7 @@ def test_adam_matches_scalar_reference():
     w0 = 0.3
     layer = Layer(np.array([[w0]]), np.zeros(1), IDENTITY)
     mlp = Mlp([layer])
-    state = OptState.for_mlp(mlp)
+    state = OptState.for_params(mlp.params)
     expected = scalar_adam_trajectory(
         grad_seq, cfg.base_lr, cfg.warmup_steps, 0.9, 0.999, 1e-8, w0=w0
     )
@@ -222,7 +222,7 @@ def test_adam_with_clippy_matches_scalar_reference():
     w0 = 1.0
     layer = Layer(np.array([[w0]]), np.zeros(1), IDENTITY)
     mlp = Mlp([layer])
-    state = OptState.for_mlp(mlp)
+    state = OptState.for_params(mlp.params)
     # with beta1=beta2=0 the raw Adam delta is ~lr*sign(g)
     expected = scalar_adam_trajectory(
         [1.0, 1.0], 0.5, 0, 0.0, 0.0, 1e-8, w0=w0, clippy=(0.1, 1e-3)
@@ -242,7 +242,7 @@ def test_clippy_is_per_layer_joint_over_weights_and_bias():
     )
     layer = Layer(np.array([[0.1]]), np.array([2.0]), IDENTITY)
     mlp = Mlp([layer])
-    state = OptState.for_mlp(mlp)
+    state = OptState.for_params(mlp.params)
     # raw updates ~1.0 for both params (sign normalization, lr=1); the layer
     # norm is max over weights AND bias = 2.0, so c ~= 0.1*2.0/1.0 = 0.2.
     # W-only grouping would give c = 0.01 and a visibly different weight.
@@ -259,7 +259,7 @@ def test_clippy_inactive_when_update_small():
     )
     layer = Layer(np.array([[1.0]]), np.zeros(1), IDENTITY)
     mlp = Mlp([layer])
-    state = OptState.for_mlp(mlp)
+    state = OptState.for_params(mlp.params)
     optimizer_step(mlp, np.array([1.0, 0.0]), state, cfg)
     # c = min(1, 1.5/1e-4) = 1: update passes through unchanged
     assert layer.weights[0, 0] == pytest.approx(1.0 - 1e-4, abs=1e-11)
@@ -270,7 +270,7 @@ def test_warmup_first_step_applies_zero_update():
     rng = np.random.default_rng(9)
     mlp = make_mlp([3, 2], rng)
     before = [layer.weights.copy() for layer in mlp.layers]
-    state = OptState.for_mlp(mlp)
+    state = OptState.for_params(mlp.params)
     grads = np.ones_like(mlp.params)
     optimizer_step(mlp, grads, state, cfg)
     for layer, w0 in zip(mlp.layers, before):
@@ -283,7 +283,7 @@ def test_warmup_first_step_applies_zero_update():
 def test_optimizer_step_rejects_nonfinite_grads():
     rng = np.random.default_rng(4)
     mlp = make_mlp([3, 2], rng)
-    state = OptState.for_mlp(mlp)
+    state = OptState.for_params(mlp.params)
     grads = np.zeros_like(mlp.params)
     grads[:6] = np.nan  # layer 0's weights
     with pytest.raises(DivergenceError, match="in layer 0$") as err:
@@ -296,7 +296,7 @@ def test_optimizer_step_rejects_nonfinite_grads():
 def test_optimizer_step_layer_count_mismatch():
     rng = np.random.default_rng(4)
     mlp = make_mlp([3, 4, 2], rng)
-    state = OptState.for_mlp(mlp)
+    state = OptState.for_params(mlp.params)
     with pytest.raises(ValueError):
         optimizer_step(mlp, np.zeros(3 * 4 + 4), state, TrainConfig())
 
@@ -316,7 +316,7 @@ def test_clippy_factor_is_taken_per_layer_in_the_fused_step():
     ])
     before = [np.concatenate([l.weights.ravel(), l.bias]) for l in mlp.layers]
     grads = np.linspace(-1.0, 1.5, 13)
-    optimizer_step(mlp, grads, OptState.for_mlp(mlp), cfg)
+    optimizer_step(mlp, grads, OptState.for_params(mlp.params), cfg)
     at = 0
     for layer, p, clipped in zip(mlp.layers, before, (False, True)):
         g = grads[at:at + p.size]
@@ -332,7 +332,7 @@ def test_optimizer_step_names_the_diverging_layer():
     rng = np.random.default_rng(4)
     mlp = make_mlp([3, 4, 2], rng)
     before = mlp.params.copy()
-    state = OptState.for_mlp(mlp)
+    state = OptState.for_params(mlp.params)
     grads = np.zeros_like(mlp.params)
     mlp.split(grads)[1][0][0, 0] = np.nan  # the first entry of layer 1
     with pytest.raises(DivergenceError, match="in layer 1$") as err:

@@ -14,7 +14,7 @@ from onlinekd.errors import ConfigError, DivergenceError, SchemaError, StoreErro
 from onlinekd.labelstore import MANIFEST_NAME, LabelStore, Snapshot, inspect_store
 from onlinekd.metrics import OnlineSimConfig
 from onlinekd.nncore import OptState, TrainConfig
-from onlinekd import pipeline
+from onlinekd import pipeline, ranker
 from onlinekd.pipeline import (
     CONTROL_NAME,
     CSV_HEADER,
@@ -52,6 +52,7 @@ from onlinekd.ranker import (
 )
 
 from oracles import (
+    assert_same_params,
     audit_fleet,
     log_records,
     metric_value,
@@ -387,18 +388,13 @@ def test_nodistill_student_matches_plain_training_loop(tmp_path):
     twin_world = init_world(GEN, seed)
     mc = ModelConfig(GEN.feature_dim, (8,), (5,), GEN.tasks, NO_DISTILL)
     model = build_model(mc, model_init_rng(seed, "solo"))
-    opt = [OptState.for_mlp(m) for m in model.components]
+    opt = OptState.for_params(model.params)
     train = TrainConfig(base_lr=0.05)
     for _ in range(8):
         batch = next_batch(twin_world, 24)
         grads = compute_loss_and_grads(model, batch.x, batch.labels)
         apply_gradients(model, grads, opt, train)
-    for got, want in zip(student.model.trunk.layers, model.trunk.layers):
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.bias, want.bias)
-    for mine, twin in zip(student.model.components[1:], model.components[1:], strict=True):
-        for got, want in zip(mine.layers, twin.layers):
-            assert np.array_equal(got.weights, want.weights)
+    assert_same_params(student.model, model)
 
 
 def test_teacher_params_independent_of_fleet_and_writes(tmp_path):
@@ -432,13 +428,8 @@ def test_alpha_zero_direct_is_bit_identical_to_control(tmp_path):
 
     direct, log_d = run_with(DIRECT, ("ctr", "ltv"), {"ctr": 0.0, "ltv": 0.0}, tmp_path / "d")
     control, log_c = run_with(NO_DISTILL, (), {}, tmp_path / "c")
-    for got, want in zip(direct.model.trunk.layers, control.model.trunk.layers):
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.bias, want.bias)
-    # the towers: neither student has aux heads
-    for mine, ref in zip(direct.model.components[1:], control.model.components[1:], strict=True):
-        for got, want in zip(mine.layers, ref.layers):
-            assert np.array_equal(got.weights, want.weights)
+    # the trunk and the towers: neither student has aux heads
+    assert_same_params(direct.model, control.model)
     # identical held-out metrics too
     for task in ("ctr", "sat", "aux_click"):
         assert metric_value(log_d, job="probe", task=task, metric="auc") == metric_value(
@@ -456,6 +447,31 @@ def test_frozen_teacher_stops_training_but_keeps_writing(tmp_path):
     assert len(snap.segments) == 10  # stale labels keep flowing
     assert {s.teacher_version for s in snap.segments[4:]} == {4}
     assert metric_value(log, job="aux", metric="coverage") == 1.0
+
+
+@pytest.mark.parametrize("freeze_at", [None, 4])
+def test_each_model_takes_one_optimizer_pass_per_step(tmp_path, monkeypatch, freeze_at):
+    jobs = []
+    step = ranker.optimizer_step
+
+    def counted(model, grads, state, cfg, *, job):
+        jobs.append(job)
+        step(model, grads, state, cfg, job=job)
+
+    monkeypatch.setattr(ranker, "optimizer_step", counted)
+    world = init_world(GEN, 3)
+    teacher = make_teacher(3, freeze_at=freeze_at)
+    students = [
+        make_student(3, name="aux", mode=AUXILIARY, distill=("ctr", "ltv")),
+        make_student(3, name=CONTROL_NAME),
+    ]
+    steps = 10
+    run_online(world, teacher, students, sched(steps), tmp_path / "s")
+    trained = steps if freeze_at is None else freeze_at
+    assert len(jobs) == steps * (1 + len(students)) - (steps - trained)
+    assert [jobs.count(name) for name in ("teacher", "aux", CONTROL_NAME)] == [trained, steps, steps]
+    assert teacher.version == trained
+    assert [s.opt.step for s in students] == [steps, steps]
 
 
 def test_frozen_teacher_auc_decays_under_drift(tmp_path):
@@ -554,12 +570,8 @@ def test_fleet_twins_with_shared_init_end_identical(tmp_path, monkeypatch):
     report = audit_fleet(monkeypatch, world, teacher, twins, sched(10), tmp_path / "s")
     assert report.ok
     a, b = twins
-    for got, want in zip(a.model.trunk.layers, b.model.trunk.layers):
-        assert np.array_equal(got.weights, want.weights)
-    # the towers, then the aux head
-    for mine, twin in zip(a.model.components[1:], b.model.components[1:], strict=True):
-        for got, want in zip(mine.layers, twin.layers):
-            assert np.array_equal(got.weights, want.weights)
+    # the trunk, the towers, then the aux head
+    assert_same_params(a.model, b.model)
 
 
 def test_fleet_audit_reports_a_perturbed_member(tmp_path, monkeypatch):

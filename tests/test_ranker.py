@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from onlinekd.cli import default_experiment
-from onlinekd.errors import ConfigError
+from onlinekd.errors import ConfigError, DivergenceError
 from onlinekd.nncore import IDENTITY, RELU, ClippyConfig, OptState, TrainConfig
 from onlinekd.pipeline import FAMILY_CUSTOM, TeacherDef, make_teacher_job
 from onlinekd.ranker import (
@@ -31,6 +31,7 @@ from onlinekd.ranker import (
 
 from oracles import (
     distill_order,
+    model_blocks,
     numeric_gradient,
     ref_adam_layers,
     ref_binary_ce_from_logit,
@@ -47,9 +48,6 @@ TASKS = (
     TaskSpec("ltv", REGRESSION),
     TaskSpec("aux_click", BINARY),
 )
-# model.components is the trunk, the towers in task order, then the aux heads
-TOWERS = slice(1, 1 + len(TASKS))
-AUX = slice(1 + len(TASKS), None)
 
 
 def small_config(mode, distill=("ctr", "ltv")):
@@ -89,7 +87,8 @@ def test_model_config_validation():
 
 
 def parameter_count(model):
-    return sum(l.weights.size + l.bias.size for m in model.components for l in m.layers)
+    stacks = [m for m in (model.trunk, model.tower_stack, model.aux_stack) if m is not None]
+    return sum(l.weights.size + l.bias.size for m in stacks for l in m.layers)
 
 
 @pytest.mark.parametrize("mode", [NO_DISTILL, DIRECT, AUXILIARY])
@@ -98,6 +97,7 @@ def test_parameter_count_matches_built_model(mode):
     # trunk 4->5, three towers 5->3->1, in auxiliary mode two aux heads 5->1
     aux = 2 * (5 * 1 + 1) if mode == AUXILIARY else 0
     assert parameter_count(model) == (4 * 5 + 5) + 3 * ((5 * 3 + 3) + (3 * 1 + 1)) + aux
+    assert model.params.size == parameter_count(model)
 
 
 def test_parameter_count_by_hand():
@@ -123,16 +123,18 @@ def test_scale_config_widens_trunk_only():
 def test_build_model_structure():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(3))
     assert model.trunk.layers[-1].activation == RELU
-    assert model.components[0] is model.trunk
-    for tower in model.components[TOWERS]:
-        assert tower.layers[-1].activation == IDENTITY
-        assert tower.out_dim == 1
-    assert len(model.components[AUX]) == 2  # ctr, ltv
-    for head in model.components[AUX]:
-        assert len(head.layers) == 1
-        assert head.layers[0].activation == IDENTITY
+    assert len(model.tower_stack.params) == 3  # ctr, ltv, aux_click
+    assert model.tower_stack.layers[-1].activation == IDENTITY
+    assert model.tower_stack.out_dim == 1
+    assert len(model.aux_stack.params) == 2  # ctr, ltv
+    assert len(model.aux_stack.layers) == 1
+    assert model.aux_stack.layers[0].activation == IDENTITY
+    towers = [f"tower {t} layer {k}" for t in ("ctr", "ltv", "aux_click") for k in (0, 1)]
+    aux = ["aux ctr layer 0", "aux ltv layer 0"]
+    assert model.layer_names == ["trunk layer 0", *towers, *aux]
     direct = build_model(small_config(DIRECT), np.random.default_rng(3))
-    assert direct.components[AUX] == []
+    assert direct.aux_stack is None
+    assert direct.layer_names == ["trunk layer 0", *towers]
 
 
 def test_init_bit_identical_across_modes():
@@ -145,9 +147,8 @@ def test_init_bit_identical_across_modes():
         other = models[mode]
         for a, b in zip(ref.trunk.layers, other.trunk.layers):
             assert np.array_equal(a.weights, b.weights)
-        for ref_tower, tower in zip(ref.components[TOWERS], other.components[TOWERS]):
-            for a, b in zip(ref_tower.layers, tower.layers):
-                assert np.array_equal(a.weights, b.weights)
+        for a, b in zip(ref.tower_stack.layers, other.tower_stack.layers, strict=True):
+            assert np.array_equal(a.weights, b.weights)  # every tower row
 
 
 def test_task_score_floors_binary_and_passes_regression_through():
@@ -299,9 +300,10 @@ def test_zero_coverage_gives_zero_soft_and_control_grads():
         model, x, *loss_args(model, hard, soft, present, {"ctr": 1.0, "ltv": 1.0})
     )
     grads_none = compute_loss_and_grads(model, x, *loss_args(model, hard))
-    assert np.array_equal(grads_soft[0], grads_none[0])
-    for head in grads_soft[AUX]:
-        assert not head.any()
+    got, want = model_blocks(model, grads_soft), model_blocks(model, grads_none)
+    assert_layers_equal(got["trunk", None], want["trunk", None])
+    for name in model.config.distill_tasks:
+        assert not any(gw.any() or gb.any() for gw, gb in got["aux", name])
 
 
 def test_alpha_zero_grads_bit_identical_to_no_soft():
@@ -312,9 +314,9 @@ def test_alpha_zero_grads_bit_identical_to_no_soft():
             model, x, *loss_args(model, hard, soft, present, {"ctr": 0.0, "ltv": 0.0})
         )
         without = compute_loss_and_grads(model, x, *loss_args(model, hard))
-        assert np.array_equal(with_soft[0], without[0])
-        for got, want in zip(with_soft[TOWERS], without[TOWERS]):
-            assert np.array_equal(got, want)
+        got, want = model_blocks(model, with_soft), model_blocks(model, without)
+        for key in [("trunk", None), *[("towers", t.name) for t in TASKS]]:
+            assert_layers_equal(got[key], want[key])
 
 
 GRAD_CASES = [
@@ -331,9 +333,9 @@ def jitter_biases(model, seed=99):
     whole trunk row is dead), where the subgradient convention and a central
     difference legitimately disagree."""
     rng = np.random.default_rng(seed)
-    for mlp in model.components:
-        for layer in mlp.layers:
-            layer.bias += rng.uniform(0.01, 0.05, size=layer.bias.shape)
+    for layers in model_blocks(model, model.params).values():
+        for _, bias in layers:
+            bias += rng.uniform(0.01, 0.05, size=bias.shape)
 
 
 @pytest.mark.parametrize("mode,use_soft,alpha,clip", GRAD_CASES)
@@ -347,10 +349,11 @@ def test_gradients_match_finite_differences(mode, use_soft, alpha, clip):
         return ref_total_loss(model, *model_forward(model, x, clip), *args)
 
     grads = compute_loss_and_grads(model, x, *args, clip)
+    params, grad_blocks = model_blocks(model, model.params), model_blocks(model, grads)
     arrays, analytic = [], []
-    for mlp, g in zip(model.components, grads, strict=True):
-        for layer, (gw, gb) in zip(mlp.layers, mlp.split(g)):
-            arrays.extend([layer.weights, layer.bias])
+    for key in params:
+        for (w, b), (gw, gb) in zip(params[key], grad_blocks[key], strict=True):
+            arrays.extend([w, b])
             analytic.extend([gw, gb])
     numeric = numeric_gradient(loss, arrays, eps=1e-6)
     assert relative_error(numeric, analytic) < 1e-7
@@ -362,15 +365,14 @@ def test_auxiliary_knowledge_reaches_trunk_not_tower():
     alpha = {"ctr": 1.0, "ltv": 1.0}
     with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
     without = compute_loss_and_grads(model, x, *loss_args(model, hard))
+    got, want = model_blocks(model, with_soft), model_blocks(model, without)
     # serving towers see hard-label gradients only
-    for got, want in zip(with_soft[TOWERS], without[TOWERS]):
-        assert np.array_equal(got, want)
+    for t in TASKS:
+        assert_layers_equal(got["towers", t.name], want["towers", t.name])
     # the trunk gradient changes: teacher signal flows through shared layers
-    trunk_w = [model.trunk.split(g[0])[0][0] for g in (with_soft, without)]
-    assert not np.array_equal(*trunk_w)
-    # and aux heads receive nonzero gradients (the ctr head is the first)
-    ctr = AUX.start
-    assert any(gw.any() for gw, _ in model.components[ctr].split(with_soft[ctr]))
+    assert not np.array_equal(got["trunk", None][0][0], want["trunk", None][0][0])
+    # and aux heads receive nonzero gradients
+    assert any(gw.any() for gw, _ in got["aux", "ctr"])
 
 
 def test_direct_soft_loss_lands_on_serving_tower():
@@ -379,49 +381,86 @@ def test_direct_soft_loss_lands_on_serving_tower():
     alpha = {"ctr": 1.0, "ltv": 1.0}
     with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
     without = compute_loss_and_grads(model, x, *loss_args(model, hard))
-    ctr, aux_click = TOWERS.start, TOWERS.start + 2
-    ctr_w = [model.components[ctr].split(g[ctr])[0][0] for g in (with_soft, without)]
-    assert not np.array_equal(*ctr_w)
+    got, want = model_blocks(model, with_soft), model_blocks(model, without)
+    assert not np.array_equal(got["towers", "ctr"][0][0], want["towers", "ctr"][0][0])
     # non-distilled task tower is untouched by soft labels
-    assert np.array_equal(with_soft[aux_click], without[aux_click])
+    assert_layers_equal(got["towers", "aux_click"], want["towers", "aux_click"])
 
 
 def test_apply_gradients_steps_every_component():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(10))
-    opt = [OptState.for_mlp(m) for m in model.components]
+    opt = OptState.for_params(model.params)
     before = build_model(small_config(AUXILIARY), np.random.default_rng(10))
     alpha = {"ctr": 1.0, "ltv": 1.0}
     for k in (1, 2, 3):
         x, hard, soft, present = batch_inputs(seed=k)
         grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
-        assert len(grads) == len(model.components) == 1 + 3 + 2
+        assert grads.shape == opt.m.shape == model.params.shape
         apply_gradients(model, grads, opt, TrainConfig(base_lr=0.01))
-        assert [s.step for s in opt] == [k] * len(model.components)
-    assert not np.array_equal(model.trunk.layers[0].weights, before.trunk.layers[0].weights)
+        assert opt.step == k
+    moved, start = model_blocks(model, model.params), model_blocks(before, before.params)
+    assert len(moved) == 1 + 3 + 2
+    for key in moved:
+        assert any(not np.array_equal(w, w0) for (w, _), (w0, _) in zip(moved[key], start[key]))
 
 
-def test_component_arrays_stay_views_of_the_stacked_buffers():
+def test_layer_arrays_stay_views_of_the_model_buffer():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(10))
-    opt = [OptState.for_mlp(m) for m in model.components]
+    opt = OptState.for_params(model.params)
     train = TrainConfig(base_lr=0.05, clippy=ClippyConfig())
     for step in range(10):
         x, hard, soft, present = batch_inputs(seed=step)
         alpha = {"ctr": 1.0, "ltv": 0.5}
         grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
         apply_gradients(model, grads, opt, train)
-    assert opt[0].step == 10
-    stacks = [
-        (model.trunk, model.components[:1]),
-        (model.tower_stack, model.components[TOWERS]),
-        (model.aux_stack, model.components[AUX]),
-    ]
-    for stack, parts in stacks:
-        for row, mlp in enumerate(parts):
-            assert np.shares_memory(mlp.params, stack.params)
-            assert np.array_equal(mlp.params, stack.params.reshape(-1, mlp.params.size)[row])
-            for layer in mlp.layers:
-                assert np.shares_memory(layer.weights, stack.params)
-                assert np.shares_memory(layer.bias, stack.params)
+    assert opt.step == 10
+    for stack in (model.trunk, model.tower_stack, model.aux_stack):
+        assert np.shares_memory(stack.params, model.params)
+        for layer in stack.layers:
+            assert np.shares_memory(layer.weights, model.params)
+            assert np.shares_memory(layer.bias, model.params)
+    # each block of model.params is its row of the stack's layer arrays, and
+    # the layer offsets Clippy clips by are those of the blocks
+    rows = {("trunk", None): (model.trunk, ())}
+    rows.update({("towers", t.name): (model.tower_stack, i) for i, t in enumerate(TASKS)})
+    rows.update({("aux", n): (model.aux_stack, i) for i, n in enumerate(("ctr", "ltv"))})
+    blocks = model_blocks(model, model.params)
+    assert list(blocks) == list(rows)
+    starts, sizes = [], []
+    for key, (stack, row) in rows.items():
+        for layer, (w, b) in zip(stack.layers, blocks[key], strict=True):
+            assert layer.weights[row].ctypes.data == w.ctypes.data
+            assert layer.bias[row].ctypes.data == b.ctypes.data
+            assert np.array_equal(layer.weights[row], w) and np.array_equal(layer.bias[row], b)
+            starts.append((w.ctypes.data - model.params.ctypes.data) // w.itemsize)
+            sizes.append(w.size + b.size)
+    assert model.starts.tolist() == starts and model.sizes.tolist() == sizes
+
+
+def test_a_nonfinite_gradient_names_its_block_and_layer():
+    model = build_model(small_config(AUXILIARY), np.random.default_rng(10))
+    opt = OptState.for_params(model.params)
+    train = TrainConfig(base_lr=0.01, clippy=ClippyConfig())
+    x, hard, soft, present = batch_inputs()
+    alpha = {"ctr": 1.0, "ltv": 1.0}
+    grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
+    apply_gradients(model, grads, opt, train)
+    params, m, v = model.params.copy(), opt.m.copy(), opt.v.copy()
+    for keys, message in (
+        ([("towers", "ltv", 1)], "tower ltv layer 1"),
+        ([("aux", "ltv", 0)], "aux ltv layer 0"),
+        ([("trunk", None, 0)], "trunk layer 0"),
+        # the first non-finite entry in the buffer is named
+        ([("aux", "ctr", 0), ("towers", "aux_click", 0)], "tower aux_click layer 0"),
+    ):
+        bad = grads.copy()
+        for group, name, layer in keys:
+            model_blocks(model, bad)[group, name][layer][0][-1, 0] = np.nan
+        with pytest.raises(DivergenceError, match=f"non-finite gradient in {message}$") as err:
+            apply_gradients(model, bad, opt, train, job="s0/student-a")
+        assert err.value.job == "s0/student-a"
+        assert opt.step == 1 and np.array_equal(model.params, params)
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
 
 
 @pytest.mark.parametrize("mode", [DIRECT, AUXILIARY])
@@ -441,17 +480,8 @@ def test_covered_binary_teacher_values_are_checked_on_the_step_path(mode):
     # the same value on an uncovered row is a placeholder, never read
     got = compute_loss_and_grads(model, x, *with_ctr_value(np.flatnonzero(~present)[0], 1.0))
     want = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present))
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
-
-
-def component_keys(model):
-    """(group, task) of each of model.components, as ref_ranker_step keys
-    its params: the trunk, towers in task order, aux heads in distill order."""
-    aux = model.config.distill_tasks if model.aux_stack is not None else ()
-    towers = [("towers", t.name) for t in model.tasks]
-    return [("trunk", None), *towers, *[("aux", name) for name in aux]]
+    assert got.shape == want.shape == model.params.shape
+    assert np.array_equal(got, want)
 
 
 def by_key(tree, group, name):
@@ -460,9 +490,14 @@ def by_key(tree, group, name):
 
 
 def reference_params(model):
+    """A copy of model's params as a ref_ranker_step params tree."""
+    stacks = {"trunk": model.trunk, "towers": model.tower_stack, "aux": model.aux_stack}
     ref = {"towers": {}, "aux": {}}
-    for (group, name), mlp in zip(component_keys(model), model.components, strict=True):
-        layers = [[l.weights.copy(), l.bias.copy(), l.activation == RELU] for l in mlp.layers]
+    for (group, name), block in model_blocks(model, model.params).items():
+        layers = [
+            [w.copy(), b.copy(), l.activation == RELU]
+            for (w, b), l in zip(block, stacks[group].layers, strict=True)
+        ]
         if name is None:
             ref[group] = layers
         else:
@@ -490,12 +525,12 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
     # distill order differs from task order, so aux rows and tower rows differ
     model = build_model(small_config(mode, distill=("ltv", "ctr")), np.random.default_rng(5))
     ref = reference_params(model)
-    keys = component_keys(model)
+    keys = list(model_blocks(model, model.params))
     ref_moments = {
         key: [[np.zeros_like(a) for a in (w, b, w, b)] for w, b, _ in by_key(ref, *key)]
         for key in keys
     }
-    opt = [OptState.for_mlp(m) for m in model.components]
+    opt = OptState.for_params(model.params)
     train = TrainConfig(base_lr=0.05, warmup_steps=2, clippy=ClippyConfig(sigma_rel=0.05))
     tasks = [(t.name, t.kind == BINARY) for t in TASKS]
     for step in range(5):
@@ -530,15 +565,14 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
 
         for group in ("towers", "aux"):
             assert [name for g, name in keys if g == group] == list(want[group])
-        for key, mlp, got in zip(keys, model.components, grads, strict=True):
-            assert_layers_equal(mlp.split(got), by_key(want, *key))
+        got = model_blocks(model, grads)
+        for key in keys:
+            assert_layers_equal(got[key], by_key(want, *key))
 
         apply_gradients(model, grads, opt, train)
         adam = (train.base_lr, train.warmup_steps, 0.9, 0.999, 1e-8, (0.05, 1e-3))
         for key in keys:
             ref_adam_layers(by_key(ref, *key), by_key(want, *key), ref_moments[key], step, *adam)
-        for key, mlp in zip(keys, model.components):
-            assert_layers_equal(
-                [(l.weights, l.bias) for l in mlp.layers],
-                [(w, b) for w, b, _ in by_key(ref, *key)],
-            )
+        params = model_blocks(model, model.params)
+        for key in keys:
+            assert_layers_equal(params[key], [(w, b) for w, b, _ in by_key(ref, *key)])
