@@ -24,6 +24,7 @@ Non-finite values are treated as model divergence and raise
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,14 +173,17 @@ class ForwardCache:
 
 
 def mlp_forward(
-    mlp: Mlp, x: np.ndarray, clip: float | None = None, *, job: str | None = None
+    mlp: Mlp, x: np.ndarray, clip: float | None = None, *, job: str | Sequence[str] | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the MLP on a batch, returning output and a backprop cache.
 
     x is (B, in_dim); a stacked MLP runs each member on it (or member s on
-    x[s]) and returns (S, B, out_dim). clip, when set, clamps every ReLU
-    layer's activations to [-clip, +clip] after the nonlinearity (lower
-    bound inert post-ReLU, kept symmetric).
+    x[s], broadcasting over the leading axes) and returns (S, B, out_dim).
+    clip, when set, clamps every ReLU layer's activations to [-clip, +clip]
+    after the nonlinearity (lower bound inert post-ReLU, kept symmetric).
+    A non-finite output raises with job, or, when job is a sequence naming
+    each index of the output's first axis, with the first index's name
+    whose output is non-finite.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != mlp.in_dim:
@@ -192,13 +196,15 @@ def mlp_forward(
         a = a @ layer.weights
         a += layer.bias[..., None, :]
         if layer.activation == RELU:
+            np.maximum(a, 0.0, out=a)
             if clip is not None:
-                np.clip(a, 0.0, clip, out=a)
-            else:
-                np.maximum(a, 0.0, out=a)
+                np.minimum(a, clip, out=a)
             a.flags.writeable = False
         activations.append(a)
     if not np.isfinite(a).all():
+        if job is not None and not isinstance(job, str):
+            bad = ~np.isfinite(a).reshape(len(job), -1).all(axis=1)
+            job = job[int(np.argmax(bad))]
         raise DivergenceError("non-finite values in mlp output", job=job)
     return a, ForwardCache(activations, clip)
 
@@ -231,13 +237,25 @@ def mlp_backward(
         if x_in.shape[-2:] != (batch, layer.fan_in):
             raise ValueError(f"stale cache at layer {k}: shape mismatch")
         if layer.activation == RELU:
-            live = out > 0.0 if cache.clip is None else (out > 0.0) & (out < cache.clip)
-            g = g * live
+            live = out > 0.0
+            if cache.clip is not None:
+                live &= out < cache.clip
+            if g is out_grad:  # the caller's array
+                g = g * live
+            else:
+                g *= live
         gw, gb = views[k]
         np.matmul(x_in.swapaxes(-1, -2), g, out=gw)
-        g.sum(axis=-2, out=gb)
+        if layer.fan_out == 1:
+            g.sum(axis=-2, out=gb)  # pairwise, along the contiguous batch axis
+        else:
+            # row by row, as sum adds across the batch, without its per-row loop
+            np.einsum("...bn->...n", g, out=gb)
         if k or input_grad:
-            g = g @ layer.weights.swapaxes(-1, -2)
+            # a width-1 layer's input gradient has one product per entry, as
+            # the matmul would, without a gemm call per member
+            wt = layer.weights.swapaxes(-1, -2)
+            g = g * wt if layer.fan_out == 1 else g @ wt
     return grads, g if input_grad else None
 
 
@@ -311,7 +329,7 @@ def optimizer_step(
     state: OptState,
     cfg: TrainConfig,
     *,
-    job: str | None = None,
+    job: str | Sequence[str] | None = None,
 ) -> None:
     """Apply one warmup-scaled Adam step with optional per-layer update clipping.
 
@@ -320,15 +338,18 @@ def optimizer_step(
     its params. Mutates the parameters and state in place in one pass over
     the flat buffer, with Clippy's per-layer norms from one reduceat over
     the layer offsets. A non-finite gradient raises before anything moves,
-    naming its layer. The effective learning rate is base_lr * min(1, step /
-    warmup_steps) evaluated at the pre-increment step counter, so the very
-    first step under warmup applies a zero update.
+    naming its layer, and with job, or job[k] for layer k when job is a
+    sequence naming each layer's model. The effective learning rate is
+    base_lr * min(1, step / warmup_steps) evaluated at the pre-increment
+    step counter, so the very first step under warmup applies a zero update.
     """
     if mlp.params.ndim != 1 or grads.shape != mlp.params.shape or state.m.shape != grads.shape:
         raise ValueError("gradient/state layout does not match the model's parameters")
     if not np.isfinite(grads).all():
         first = np.flatnonzero(~np.isfinite(grads))[0]
         k = int(np.searchsorted(mlp.starts, first, side="right")) - 1
+        if job is not None and not isinstance(job, str):
+            job = job[k]
         raise DivergenceError(f"non-finite gradient in {mlp.layer_names[k]}", job=job)
     t = state.step
     lr = cfg.base_lr * warmup_factor(t, cfg.warmup_steps)

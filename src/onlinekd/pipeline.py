@@ -2,10 +2,12 @@
 
 One teacher trains continuously on the stream, publishes soft labels for
 selected tasks into the columnar store, and a fleet of students trains on
-the same stream consuming those labels through per-step snapshots. Students
-never touch each other's state; a student's trajectory depends only on its
-own init, the stream, and the store bytes, so adding or removing fleet
-members cannot change anyone else's params.
+the same stream consuming those labels through per-step snapshots. The
+students of a run train as one ranker.ModelStack, but no student reads
+another's state: every stacked kernel computes each member's values exactly
+as a run of that member alone would, so a student's trajectory depends only
+on its own init, the stream, and the store bytes, and adding or removing
+fleet members cannot change anyone else's params.
 
 Per step t:
   1. draw batch_t from the stream
@@ -14,25 +16,30 @@ Per step t:
      frozen teacher keeps writing (stale) labels
   4. when any student distills, open one snapshot and look batch_t up in
      it once; every student of the step shares that lookup
-  5. students train on batch_t: hard labels plus whatever soft labels the
-     snapshot covers (coverage < 1 when writes are throttled)
+  5. the student stack trains on batch_t in one step: hard labels plus
+     whatever soft labels the snapshot covers (coverage < 1 when writes are
+     throttled)
 
-Each training step, the teacher's and every student's, takes the gradients
-of its joint loss and applies them; no loss value is computed.
+Every model trains in a stack: the teacher in a stack of its one model, the
+students in one stack built by run_online. Each training step of a stack
+makes one forward, one loss, one backward and one optimizer pass for all
+its members, taking the gradients of each member's joint loss and applying
+them; no loss value is computed.
 
 Labels travel task-major from the stream to the loss: a batch's hard labels
 are one (n_tasks, batch) array in stream-task order, which every model's
 towers share, and a snapshot lookup returns one (store tasks, batch) block
 of teacher values beside one present mask. The store's schema is the
-teacher's write_tasks; run_online works out once which store rows each
-student distills, in its distill order, and each step hands the student
-those rows and the mask as they are.
+teacher's write_tasks; run_online works out once which store row each soft
+row of the student stack reads (student by student, each in its distill
+order), and each step gathers those rows into one fresh block beside the
+mask as it is.
 
 A segment's teacher_version is the teacher's optimizer step count at the
 write. Because every student of a step takes its soft labels from the same
-lookup, the whole fleet consumes byte-identical soft labels; each takes its
-own copy of its rows beside the one read-only present mask, so no student
-can change another's.
+lookup, the whole fleet consumes byte-identical soft labels; each student's
+rows of the gathered block are its own copy beside the one read-only
+present mask, so no student can change another's.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ from .ranker import (
     PST,
     REGRESSION,
     ModelConfig,
+    ModelStack,
     RankingModel,
     apply_gradients,
     build_model,
@@ -158,8 +166,9 @@ def read_metrics_csv(path) -> list[MetricRow]:
 
 @dataclass
 class TeacherJob:
-    """The continuously trained writer job; opt is the one Adam state of its
-    model, laid out like model.params."""
+    """The continuously trained writer job. It trains as stack, a stack of
+    its one model, and opt is that stack's Adam state, laid out like
+    stack.params."""
 
     name: str
     model: RankingModel
@@ -168,10 +177,12 @@ class TeacherJob:
     write_every: int
     freeze_at: int | None
     bias: dict[str, float]
+    stack: ModelStack = field(init=False, repr=False)
     opt: OptState = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.opt = OptState.for_params(self.model.params)
+        self.stack = ModelStack([self.model], [self.name])
+        self.opt = OptState.for_params(self.stack.params)
         names = {t.name for t in self.model.tasks}
         for task in self.write_tasks:
             if task not in names:
@@ -185,19 +196,18 @@ class TeacherJob:
 
 @dataclass
 class StudentJob:
-    """A distilling or plain student. alpha maps distilled tasks to their
+    """A distilling or plain student: one member of its run's student stack,
+    which run_online builds and steps. alpha maps distilled tasks to their
     soft-loss weight (1 when absent); distill_alpha holds it as one weight
-    per distilled task, in distill order. opt is as in TeacherJob."""
+    per distilled task, in distill order."""
 
     name: str
     model: RankingModel
     train: TrainConfig
     alpha: dict[str, float]
     distill_alpha: np.ndarray = field(init=False, repr=False)
-    opt: OptState = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.opt = OptState.for_params(self.model.params)
         self.distill_alpha = np.array([float(self.alpha.get(t, 1.0)) for t in self.distill_tasks])
 
     @property
@@ -250,35 +260,9 @@ def _teacher_train(teacher: TeacherJob, batch: Batch, t: int) -> None:
         factors = [teacher.bias.get(t.name, 1.0) for t in teacher.model.tasks]
         labels = labels * np.array(factors)[:, None]
     grads = compute_loss_and_grads(
-        teacher.model,
-        batch.x,
-        labels,
-        clip=teacher.train.activation_clip,
-        job=teacher.name,
+        teacher.stack, batch.x, labels, clip=teacher.train.activation_clip
     )
-    apply_gradients(teacher.model, grads, teacher.opt, teacher.train, job=teacher.name)
-
-
-def _student_step(
-    student: StudentJob,
-    batch: Batch,
-    soft: np.ndarray | None,
-    present: np.ndarray | None,
-) -> None:
-    """soft is the student's own (n_distill, batch) float32 copy of its
-    teacher values, None when it distills nothing; present is the step's
-    shared mask."""
-    grads = compute_loss_and_grads(
-        student.model,
-        batch.x,
-        batch.labels,
-        soft,
-        present,
-        student.distill_alpha,
-        clip=student.train.activation_clip,
-        job=student.name,
-    )
-    apply_gradients(student.model, grads, student.opt, student.train, job=student.name)
+    apply_gradients(teacher.stack, grads, teacher.opt, teacher.train)
 
 
 def _simulate_online(
@@ -387,7 +371,6 @@ def run_online(
                 f"teacher {teacher.name!r}: bias on {task!r}, which is not a regression "
                 "task of the stream"
             )
-    store_rows = []  # each student's, in distill order, of the schema teacher.write_tasks
     for s in students:
         for task in s.distill_tasks:
             if task not in teacher.write_tasks:
@@ -395,13 +378,26 @@ def run_online(
                     f"student {s.name!r} distills {task!r}, which teacher "
                     f"{teacher.name!r} does not write"
                 )
-        store_rows.append(np.array([teacher.write_tasks.index(t) for t in s.distill_tasks], int))
+        if s.train != students[0].train:
+            raise ConfigError(
+                f"student {s.name!r}: its training config differs from "
+                f"{students[0].name!r}'s; a run's students train as one stack"
+            )
+    fleet = None
+    if students:  # the student stack, its Adam state, training config and alphas
+        fleet = ModelStack([s.model for s in students], [s.name for s in students])
+        fleet_opt, train = OptState.for_params(fleet.params), students[0].train
+        alpha = np.concatenate([s.distill_alpha for s in students])
+    # the store row each soft row of the fleet reads, of the schema teacher.write_tasks
+    store_rows = np.array(
+        [teacher.write_tasks.index(t) for s in students for t in s.distill_tasks], int
+    )
     store_root = Path(store_root)
     store_root.mkdir(parents=True, exist_ok=True)
     if inspect_store(store_root).segments:
         raise StoreError(f"store {store_root} already holds segments; use an empty directory")
     store = LabelStore(store_root)
-    distilling = any(s.distill_tasks for s in students)
+    distilling = store_rows.size > 0
     log = MetricsLog()
     cov_sum, cov_n = 0.0, 0  # every distilling student reads the step's one lookup
     eval_idx = 0
@@ -422,9 +418,12 @@ def run_online(
                 present.flags.writeable = False
                 cov_sum += float(present.mean())
                 cov_n += 1
-            for student, rows in zip(students, store_rows):
-                soft = values[rows] if student.distill_tasks else None
-                _student_step(student, batch, soft, present)
+            if fleet is not None:
+                soft = values[store_rows] if distilling else None
+                grads = compute_loss_and_grads(
+                    fleet, batch.x, batch.labels, soft, present, alpha, train.activation_clip
+                )
+                apply_gradients(fleet, grads, fleet_opt, train)
             final = t == sched.total_steps - 1
             periodic = sched.eval_every > 0 and (t + 1) % sched.eval_every == 0
             if final or periodic:

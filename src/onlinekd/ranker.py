@@ -16,8 +16,16 @@ array in task order and the aux logits as one (n_distill, batch) array in
 distill order; the loss takes the hard labels as (n_tasks, batch) and the
 teacher values as (n_distill, batch) with one present mask over the batch,
 and builds its gradient seeds on those rows. The trunk and the two stacks
-view one flat buffer, model.params, which one gradient and one Adam state
-share, so the optimizer steps a whole model in one pass.
+view one flat buffer, model.params.
+
+Models train as a ModelStack: models of one trunk, tower and task layout
+copied into one buffer, which one gradient and one Adam state share, with
+a member axis on the trunk, the towers and the aux heads, so one forward,
+one loss, one backward and one optimizer pass step every member. Each
+stacked matmul makes one gemm per member on that member's own operands,
+so a member's bits are those of the member trained alone, as a stack of
+one. The teacher is such a stack of one; model_forward serves and
+evaluates one model at a time.
 
 A training step computes the gradients of the joint loss (defined in
 total_loss) and nothing else: no loss value is evaluated on the step path.
@@ -31,6 +39,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .nncore import (
+    Layer,
     Mlp,
     OptState,
     RELU,
@@ -150,13 +159,9 @@ class RankingModel:
         groups = [(self.trunk, ["trunk"]), (self.tower_stack, [f"tower {n}" for n in names])]
         if self.aux_stack is not None:
             groups.append((self.aux_stack, [f"aux {n}" for n in self.config.distill_tasks]))
-        self.params = np.empty(sum(mlp.params.size for mlp, _ in groups))
+        self.bind(np.empty(sum(mlp.params.size for mlp, _ in groups)))
         starts, self.layer_names, at = [], [], 0
         for mlp, rows in groups:
-            block = self.params[at:at + mlp.params.size].reshape(mlp.params.shape)
-            # the passed-in params path copies mlp's values into block and
-            # rebinds its layers' arrays, which mlp shares, to views of it
-            mlp.params = Mlp(mlp.layers, block).params
             for row in rows:
                 starts.append(at + mlp.starts)
                 self.layer_names += [f"{row} {name}" for name in mlp.layer_names]
@@ -165,6 +170,20 @@ class RankingModel:
         self.sizes = np.concatenate([mlp.sizes for mlp, rows in groups for _ in rows])
         self.distill_rows = np.array([names.index(n) for n in self.config.distill_tasks], int)
         self.binary = np.array([t.kind == BINARY for t in self.config.tasks])[:, None]
+
+    def bind(self, params: np.ndarray) -> None:
+        """Make params, a flat buffer of this model's size, the model's own:
+        copy the values in and rebind the trunk and the stacks to views of it."""
+        at = 0
+        for mlp in (self.trunk, self.tower_stack, self.aux_stack):
+            if mlp is None:
+                continue
+            block = params[at:at + mlp.params.size].reshape(mlp.params.shape)
+            # the passed-in params path copies mlp's values into block and
+            # rebinds its layers' arrays, which mlp shares, to views of it
+            mlp.params = Mlp(mlp.layers, block).params
+            at += mlp.params.size
+        self.params = params
 
     @property
     def mode(self) -> str:
@@ -191,10 +210,117 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> RankingModel:
     return RankingModel(config=cfg, trunk=trunk, tower_stack=towers, aux_stack=aux)
 
 
+def _stacked_view(template: Mlp, params: np.ndarray) -> Mlp:
+    """An Mlp with template's layers over params, a stacked buffer laid out
+    like template's rows, keeping the values params holds."""
+    views = template.split(params)
+    return Mlp([Layer(w, b, l.activation) for l, (w, b) in zip(template.layers, views)], params)
+
+
+@dataclass
+class ModelStack:
+    """Ranking models of one trunk, tower and task layout, trained as one.
+
+    members are the models and jobs the name each one's divergence is
+    raised with. params holds every member's params in member order, each
+    member's block padded with zeros to the size of the member with most
+    aux heads, and every member is rebound to view its block, so its
+    params are always the stack's. Over params, trunk stacks the members' trunks
+    (S,), towers their towers (S, n_tasks) and aux, None when no member has
+    aux heads, their aux heads (S, most aux heads): a member with fewer
+    heads owns zero slots, which compute zero logits and take no gradient.
+    starts, sizes, layer_names and layer_jobs give each member layer's
+    offset, length (its member's padding counted in its member's last
+    layer), name and job, as a RankingModel's do.
+
+    The soft rows are one per (member, distilled task), member by member in
+    each member's distill order: the layout of the soft targets, alpha and
+    the soft seeds. direct_rows and aux_rows pick the soft rows of
+    direct-mode and auxiliary-mode members, direct_at gives the (member,
+    tower) and aux_at the (member, aux slot) of each. soft_binary marks the
+    cross-entropy soft rows, soft_scale holds each row's loss scale (1
+    binary, 2 squared error) and placeholder its value where no teacher
+    label is present.
+    """
+
+    members: list[RankingModel]
+    jobs: list[str]
+    params: np.ndarray = field(init=False, repr=False)
+    trunk: Mlp = field(init=False, repr=False)
+    towers: Mlp = field(init=False, repr=False)
+    aux: Mlp | None = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
+    layer_names: list[str] = field(init=False, repr=False)
+    layer_jobs: list[str] = field(init=False, repr=False)
+    binary: np.ndarray = field(init=False, repr=False)
+    hard_scale: np.ndarray = field(init=False, repr=False)
+    direct_rows: np.ndarray = field(init=False, repr=False)
+    direct_at: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    aux_rows: np.ndarray = field(init=False, repr=False)
+    aux_at: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    soft_binary: np.ndarray = field(init=False, repr=False)
+    soft_scale: np.ndarray = field(init=False, repr=False)
+    placeholder: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        first = self.members[0]
+        layout = lambda c: (c.feature_dim, c.trunk_widths, c.tower_widths, c.tasks)
+        for model, job in zip(self.members, self.jobs, strict=True):
+            if layout(model.config) != layout(first.config):
+                raise ConfigError(
+                    f"job {job!r}: its features, trunk, towers or tasks differ from "
+                    f"{self.jobs[0]!r}'s, so the two cannot train as one stack"
+                )
+        heads = [m for m in self.members if m.aux_stack is not None]
+        n_aux = max((len(m.config.distill_tasks) for m in heads), default=0)
+        trunk_size, tower_shape = first.trunk.params.size, first.tower_stack.params.shape
+        towers_at = trunk_size + tower_shape[0] * tower_shape[1]
+        head_size = first.trunk.out_dim + 1
+        width = towers_at + n_aux * head_size
+        self.params = np.zeros(len(self.members) * width)
+        rows = self.params.reshape(len(self.members), width)
+        starts, sizes, self.layer_names, self.layer_jobs = [], [], [], []
+        member, tower, slot, has_aux = [], [], [], []
+        for s, (model, job) in enumerate(zip(self.members, self.jobs)):
+            model.bind(rows[s, :model.params.size])
+            starts.append(model.starts + s * width)
+            sizes.append(model.sizes.copy())
+            sizes[-1][-1] += width - model.params.size
+            self.layer_names += model.layer_names
+            self.layer_jobs += [job] * len(model.layer_names)
+            member += [s] * model.distill_rows.size
+            tower += model.distill_rows.tolist()
+            slot += range(model.distill_rows.size)
+            has_aux += [model.aux_stack is not None] * model.distill_rows.size
+        self.starts, self.sizes = np.concatenate(starts), np.concatenate(sizes)
+        self.trunk = _stacked_view(first.trunk, rows[:, :trunk_size])
+        towers = rows[:, trunk_size:towers_at].reshape(len(rows), *tower_shape)
+        self.towers = _stacked_view(first.tower_stack, towers)
+        self.aux = None
+        if heads:
+            aux = rows[:, towers_at:].reshape(len(rows), n_aux, head_size)
+            self.aux = _stacked_view(heads[0].aux_stack, aux)
+        self.binary = first.binary
+        self.hard_scale = np.where(self.binary, 1.0, 2.0)
+        member, tower, slot, has_aux = (np.array(a, int) for a in (member, tower, slot, has_aux))
+        self.direct_rows, self.aux_rows = np.flatnonzero(has_aux == 0), np.flatnonzero(has_aux)
+        self.direct_at = (member[self.direct_rows], tower[self.direct_rows])
+        self.aux_at = (member[self.aux_rows], slot[self.aux_rows])
+        self.soft_binary = self.binary[tower, 0]
+        self.soft_scale = np.where(self.soft_binary, 1.0, 2.0)[:, None]
+        self.placeholder = np.where(self.soft_binary, 0.5, 0.0)[:, None]
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, without overflow."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    p = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    p /= e
+    return p
 
 
 def task_score(z: np.ndarray, kind: str) -> np.ndarray:
@@ -235,12 +361,13 @@ def _check_probabilities(p: np.ndarray) -> None:
 
 @dataclass
 class LogitSeeds:
-    """d(total)/d(logit), already batch-normalized.
+    """d(total)/d(logit), already batch-normalized, of a stack.
 
-    hard is (n_tasks, batch), including the soft seeds in direct mode; aux
-    is (n_distill, batch), None without aux heads. soft_active flags the
-    distilled tasks, in distill order, that got a soft seed (a covered
-    label, nonzero alpha).
+    hard is (members, n_tasks, batch), including the soft seeds of
+    direct-mode members; aux is (members, aux slots, batch), zero in the
+    slots without a head, None when the stack has no aux heads.
+    soft_active flags the soft rows that got a soft seed (a covered label,
+    nonzero alpha).
     """
 
     hard: np.ndarray
@@ -249,7 +376,7 @@ class LogitSeeds:
 
 
 def total_loss(
-    model: RankingModel,
+    stack: ModelStack,
     z: np.ndarray,
     z_aux: np.ndarray | None,
     labels: np.ndarray,
@@ -257,111 +384,116 @@ def total_loss(
     present: np.ndarray | None = None,
     alpha: np.ndarray | None = None,
 ) -> LogitSeeds:
-    """The gradient seed of the joint loss for every logit.
+    """The gradient seed of every member's joint loss for every logit.
 
-    The joint loss sums every task's hard loss, the batch mean of the
-    sigmoid cross-entropy from the logit (binary) or the squared error
+    A member's joint loss sums every task's hard loss, the batch mean of
+    the sigmoid cross-entropy from the logit (binary) or the squared error
     (regression), and every distilled task's soft loss times its alpha. A
     soft loss is the same per-row loss against the teacher value, summed
     over the covered examples and divided by the full batch size, so a
     coverage gap weakens the distillation signal instead of re-weighting
     the covered examples.
 
-    z and labels are the hard logits and labels, (n_tasks, n) in task order;
-    z_aux is what model_forward returns beside z. soft holds the teacher
-    values of the distilled tasks, (n_distill, n) in distill order, present
-    the (n,) mask of the examples they cover, and alpha the (n_distill,)
-    weight of each task's soft loss (1 when None). Without soft there is no
-    soft loss. In direct mode the soft loss lands on the serving logit; in
-    auxiliary mode it lands on the aux logit only, so the serving tower sees
-    hard-label gradients exclusively and teacher knowledge flows through the
-    trunk. Checked on every call: the shapes, and that every covered binary
-    teacher value lies in (0, 1).
+    z is the stack's hard logits, (members, n_tasks, n) in task order, and
+    z_aux its aux logits, (members, aux slots, n); labels are the hard
+    labels every member shares, (n_tasks, n). soft holds the teacher value
+    of each soft row, (soft rows, n), present the (n,) mask of the examples
+    they cover, and alpha the weight of each soft row (1 when None).
+    Without soft there is no soft loss. A direct-mode member's soft loss
+    lands on its serving logit; an auxiliary-mode member's lands on its aux
+    logit only, so its serving tower sees hard-label gradients exclusively
+    and teacher knowledge flows through the trunk. Checked on every call:
+    the shapes, and that every covered binary teacher value lies in (0, 1).
     """
-    if np.shape(labels) != z.shape:
-        raise ValueError(f"label shape {np.shape(labels)} != logit shape {z.shape}")
-    y = np.asarray(labels, dtype=np.float64)
-    n = z.shape[1]
-    sig = _sigmoid(z)
-    hard = (np.where(model.binary, sig, z) - y) * np.where(model.binary, 1.0, 2.0) / n
+    if np.shape(labels) != z.shape[1:]:
+        raise ValueError(f"label shape {np.shape(labels)} != logit shape {z.shape[1:]}")
+    n = z.shape[-1]
+    hard = np.where(stack.binary, _sigmoid(z), z)
+    hard -= labels
+    hard *= stack.hard_scale
+    hard /= n
 
-    rows = model.distill_rows
-    active = np.zeros(rows.size, dtype=bool)
-    aux = np.zeros((rows.size, n)) if model.mode == AUXILIARY else None
+    rows = stack.soft_binary.size
+    active = np.zeros(rows, dtype=bool)
+    aux = None if z_aux is None else np.zeros_like(z_aux)
     if soft is not None:
-        weight = np.ones(rows.size) if alpha is None else np.asarray(alpha, dtype=np.float64)
-        if (np.shape(soft), np.shape(present), weight.shape) != ((rows.size, n), (n,), rows.shape):
+        weight = np.ones(rows) if alpha is None else np.asarray(alpha, dtype=np.float64)
+        if (np.shape(soft), np.shape(present), weight.shape) != ((rows, n), (n,), (rows,)):
             raise ValueError(
                 f"soft {np.shape(soft)}, present {np.shape(present)} and alpha "
-                f"{weight.shape} do not fit {rows.size} distilled tasks x {n} rows"
+                f"{weight.shape} do not fit {rows} distilled tasks x {n} rows"
             )
         # Placeholders keep absent values out of both the seeds and the check.
-        binary = model.binary[rows]
-        safe = np.where(present, soft, np.where(binary, 0.5, 0.0))
-        _check_probabilities(safe[binary[:, 0]])
-        if model.mode == DIRECT:
-            zs, sig_s = z[rows], sig[rows]
-        else:
-            zs, sig_s = z_aux, _sigmoid(z_aux)
+        safe = np.where(present, soft, stack.placeholder)
+        _check_probabilities(safe[stack.soft_binary])
+        zs = np.empty((rows, n))
+        if stack.direct_rows.size:
+            zs[stack.direct_rows] = z[stack.direct_at]
+        if z_aux is not None:
+            zs[stack.aux_rows] = z_aux[stack.aux_at]
         active = (weight != 0.0) & present.any()
-        scale = weight[:, None] * np.where(binary, 1.0, 2.0)
-        seed = scale * (np.where(binary, sig_s, zs) - safe) * present.astype(np.float64) / n
-        if model.mode == DIRECT:
-            hard[rows[active]] += seed[active]
-        else:
-            aux = seed
+        seed = np.where(stack.soft_binary[:, None], _sigmoid(zs), zs)
+        seed -= safe
+        seed *= weight[:, None] * stack.soft_scale
+        seed *= present
+        seed /= n
+        if stack.direct_rows.size:
+            hit = active[stack.direct_rows]
+            hard[tuple(at[hit] for at in stack.direct_at)] += seed[stack.direct_rows[hit]]
+        if aux is not None:
+            aux[stack.aux_at] = seed[stack.aux_rows]
     return LogitSeeds(hard=hard, aux=aux, soft_active=active)
 
 
 def compute_loss_and_grads(
-    model: RankingModel,
+    stack: ModelStack,
     x: np.ndarray,
     labels: np.ndarray,
     soft: np.ndarray | None = None,
     present: np.ndarray | None = None,
     alpha: np.ndarray | None = None,
     clip: float | None = None,
-    *,
-    job: str | None = None,
 ) -> np.ndarray:
-    """One full forward/backward pass: the exact gradient of the joint loss,
-    laid out like model.params. The labels, soft targets and alpha are laid
-    out as total_loss takes them."""
-    trunk_out, trunk_cache = mlp_forward(model.trunk, x, clip, job=job)
-    z, tower_cache = mlp_forward(model.tower_stack, trunk_out, clip, job=job)
+    """One forward/backward pass of every member on the batch x: the exact
+    gradient of each member's joint loss, laid out like stack.params. The
+    labels, soft targets and alpha are laid out as total_loss takes them.
+
+    Each of the trunk, the towers and the aux heads runs once for the whole
+    stack; a non-finite output raises naming the first member it shows in.
+    """
+    trunk_out, trunk_cache = mlp_forward(stack.trunk, x, clip, job=stack.jobs)
+    heads_in = trunk_out[:, None]  # each member's trunk output, for each of its heads
+    z, tower_cache = mlp_forward(stack.towers, heads_in, clip, job=stack.jobs)
     z_aux, aux_cache = None, None
-    if model.aux_stack is not None:
-        z_aux, aux_cache = mlp_forward(model.aux_stack, trunk_out, clip, job=job)
+    if stack.aux is not None:
+        z_aux, aux_cache = mlp_forward(stack.aux, heads_in, clip, job=stack.jobs)
         z_aux = z_aux[..., 0]
-    seeds = total_loss(model, z[..., 0], z_aux, labels, soft, present, alpha)
+    seeds = total_loss(stack, z[..., 0], z_aux, labels, soft, present, alpha)
 
-    tower_grads, tower_in = mlp_backward(model.tower_stack, tower_cache, seeds.hard[..., None])
-    trunk_out_grad = np.zeros_like(trunk_out)
-    for input_grad in tower_in:
-        trunk_out_grad += input_grad
-
-    aux_grads = np.empty(0)
-    if model.aux_stack is not None:
-        aux_grads, aux_in = mlp_backward(model.aux_stack, aux_cache, seeds.aux[..., None])
+    tower_grads, tower_in = mlp_backward(stack.towers, tower_cache, seeds.hard[..., None])
+    trunk_out_grad = tower_in.sum(axis=1)  # task by task, as the towers' order
+    grads = [tower_grads]
+    if stack.aux is not None:
         # A head with no seed this step gets exact zeros, so its optimizer
         # moments still decay in lockstep, and adds nothing to the trunk.
-        aux_grads[~seeds.soft_active] = 0.0
-        for input_grad, active in zip(aux_in, seeds.soft_active):
-            if active:
-                trunk_out_grad += input_grad
+        active = np.zeros(stack.aux.params.shape[:-1], dtype=bool)
+        active[stack.aux_at] = seeds.soft_active[stack.aux_rows]
+        if active.any():
+            aux_grads, aux_in = mlp_backward(stack.aux, aux_cache, seeds.aux[..., None])
+            aux_grads[~active] = 0.0
+            for member, head in zip(*np.nonzero(active)):
+                trunk_out_grad[member] += aux_in[member, head]
+        else:
+            aux_grads = np.zeros(stack.aux.params.shape)
+        grads.append(aux_grads)
 
-    trunk_grads = mlp_backward(model.trunk, trunk_cache, trunk_out_grad, input_grad=False)[0]
-    return np.concatenate([trunk_grads, tower_grads.ravel(), aux_grads.ravel()])
+    trunk_grads = mlp_backward(stack.trunk, trunk_cache, trunk_out_grad, input_grad=False)[0]
+    members = trunk_grads.shape[0]
+    return np.concatenate([trunk_grads, *(g.reshape(members, -1) for g in grads)], axis=1).ravel()
 
 
-def apply_gradients(
-    model: RankingModel,
-    grads: np.ndarray,
-    opt: OptState,
-    cfg: TrainConfig,
-    *,
-    job: str | None = None,
-) -> None:
-    """One Adam step over the whole model; grads and opt are laid out like
-    model.params, and Clippy still clips each layer on its own."""
-    optimizer_step(model, grads, opt, cfg, job=job)
+def apply_gradients(stack: ModelStack, grads: np.ndarray, opt: OptState, cfg: TrainConfig) -> None:
+    """One Adam step over the whole stack; grads and opt are laid out like
+    stack.params, and Clippy still clips each member's layers on their own.
+    A non-finite gradient raises naming its layer and member."""
+    optimizer_step(stack, grads, opt, cfg, job=stack.layer_jobs)

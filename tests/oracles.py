@@ -449,10 +449,12 @@ def soft_target_records(monkeypatch, perturb=None):
     Wraps pipeline.compute_loss_and_grads and LabelStore.open_snapshot and
     yields {step: {student name: (the segment count of the step's snapshot,
     present mask, soft targets)}}, taken from every call handed soft
-    targets. A distilling student is handed its soft targets once per step,
-    so the step is the count of its earlier calls. perturb, when given, is
-    called as perturb(step, student name, soft targets) before the student
-    sees them and may change them in place.
+    targets. One such call steps a whole stack; its soft rows run member by
+    member, each member's in its distill order, so a member's soft targets
+    are its slice of those rows, a view. A distilling student is handed its
+    soft targets once per step, so the step is the count of its earlier
+    calls. perturb, when given, is called as perturb(step, student name,
+    soft targets) before the stack sees them and may change them in place.
     """
     records: dict[int, dict[str, tuple]] = {}
     calls: dict[str, int] = {}
@@ -464,13 +466,20 @@ def soft_target_records(monkeypatch, perturb=None):
         segments.append(len(snapshot.segments))
         return snapshot
 
-    def recorded(model, x, labels, soft=None, present=None, *args, job, **kwargs):
+    def recorded(stack, x, labels, soft=None, present=None, *args, **kwargs):
         if soft is not None:
-            step = calls[job] = calls.get(job, -1) + 1
-            if perturb is not None:
-                perturb(step, job, soft)
-            records.setdefault(step, {})[job] = (segments[-1], present, soft)
-        return compute(model, x, labels, soft, present, *args, job=job, **kwargs)
+            at = 0
+            for model, job in zip(stack.members, stack.jobs, strict=True):
+                rows = soft[at:at + len(model.config.distill_tasks)]
+                at += len(rows)
+                if not len(rows):
+                    continue
+                step = calls[job] = calls.get(job, -1) + 1
+                if perturb is not None:
+                    perturb(step, job, rows)
+                records.setdefault(step, {})[job] = (segments[-1], present, rows)
+            assert at == len(soft)
+        return compute(stack, x, labels, soft, present, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(LabelStore, "open_snapshot", opened)

@@ -48,6 +48,7 @@ from onlinekd.ranker import (
     MODES,
     NO_DISTILL,
     ModelConfig,
+    ModelStack,
     REGRESSION,
     build_model,
     compute_loss_and_grads,
@@ -151,7 +152,8 @@ def test_c1_gradient_correctness():
             logits = model_forward(model, x, clip)
             return ref_total_loss(model, *logits, hard, soft, present, alpha)
 
-        grads = compute_loss_and_grads(model, x, hard, soft, present, alpha, clip)
+        stack = ModelStack([model], ["c1"])
+        grads = compute_loss_and_grads(stack, x, hard, soft, present, alpha, clip)
         params, grad_blocks = model_blocks(model, model.params), model_blocks(model, grads)
         arrays, analytic = [], []
         for key in params:

@@ -13,7 +13,7 @@ from onlinekd.datagen import GenConfig, fork, init_world, next_batch
 from onlinekd.errors import ConfigError, DivergenceError, SchemaError, StoreError
 from onlinekd.labelstore import MANIFEST_NAME, LabelStore, Snapshot, inspect_store
 from onlinekd.metrics import OnlineSimConfig
-from onlinekd.nncore import OptState, TrainConfig
+from onlinekd.nncore import ClippyConfig, OptState, TrainConfig
 from onlinekd import pipeline, ranker
 from onlinekd.pipeline import (
     CONTROL_NAME,
@@ -46,6 +46,7 @@ from onlinekd.ranker import (
     DIRECT,
     NO_DISTILL,
     ModelConfig,
+    ModelStack,
     apply_gradients,
     build_model,
     compute_loss_and_grads,
@@ -388,13 +389,81 @@ def test_nodistill_student_matches_plain_training_loop(tmp_path):
     twin_world = init_world(GEN, seed)
     mc = ModelConfig(GEN.feature_dim, (8,), (5,), GEN.tasks, NO_DISTILL)
     model = build_model(mc, model_init_rng(seed, "solo"))
-    opt = OptState.for_params(model.params)
+    stack = ModelStack([model], ["solo"])
+    opt = OptState.for_params(stack.params)
     train = TrainConfig(base_lr=0.05)
     for _ in range(8):
         batch = next_batch(twin_world, 24)
-        grads = compute_loss_and_grads(model, batch.x, batch.labels)
-        apply_gradients(model, grads, opt, train)
+        grads = compute_loss_and_grads(stack, batch.x, batch.labels)
+        apply_gradients(stack, grads, opt, train)
     assert_same_params(student.model, model)
+
+
+def test_a_student_stack_equals_each_student_trained_alone(tmp_path, monkeypatch):
+    # control, direct, and auxiliary members with one and with two aux heads,
+    # one zero alpha, writes every second step (coverage < 1) and an
+    # activation clip small enough to saturate
+    train = TrainConfig(base_lr=0.05, warmup_steps=3, activation_clip=0.5,
+                        clippy=ClippyConfig())
+    specs = {
+        CONTROL_NAME: (NO_DISTILL, (), {}),
+        "direct": (DIRECT, ("ltv", "ctr"), {"ctr": 0.0}),
+        "aux-1": (AUXILIARY, ("ctr",), {}),
+        "aux-2": (AUXILIARY, ("ltv", "ctr"), {"ltv": 0.7}),
+    }
+
+    def student(name):
+        mode, distill, alpha = specs[name]
+        mc = ModelConfig(GEN.feature_dim, (8, 6), (5,), GEN.tasks, mode, distill)
+        return StudentJob(name, build_model(mc, model_init_rng(17, name)), train, alpha)
+
+    opts = {}
+    apply = pipeline.apply_gradients
+
+    def kept(stack, grads, opt, cfg):
+        opts[tuple(stack.jobs)] = opt
+        apply(stack, grads, opt, cfg)
+
+    monkeypatch.setattr(pipeline, "apply_gradients", kept)
+    steps = 11
+
+    def run(members, root):
+        teacher = make_teacher(17, write_every=2)
+        log = run_online(init_world(GEN, 17), teacher, members, sched(steps), root)
+        return log, opts[tuple(s.name for s in members)]
+
+    fleet = [student(name) for name in specs]
+    log, fleet_opt = run(fleet, tmp_path / "fleet")
+    assert metric_value(log, job="direct", metric="coverage") == 6 / steps
+    width = fleet_opt.m.size // len(fleet)
+    for s, member in enumerate(fleet):
+        alone = student(member.name)
+        _, opt = run([alone], tmp_path / member.name)
+        # every trunk, tower and aux block, and the member's Adam state
+        assert_same_params(member.model, alone.model)
+        assert opt.step == fleet_opt.step == steps
+        size = alone.model.params.size
+        for got, want in ((fleet_opt.m, opt.m), (fleet_opt.v, opt.v)):
+            assert np.array_equal(got[s * width:s * width + size], want)
+            assert not got[s * width + size:(s + 1) * width].any()  # its padding
+
+
+@pytest.mark.parametrize("change", ["features", "trunk", "tower", "tasks", "train"])
+def test_run_online_refuses_students_that_cannot_stack(tmp_path, change):
+    mc = ModelConfig(GEN.feature_dim, (8,), (5,), GEN.tasks, NO_DISTILL)
+    mc = {
+        "features": dataclasses.replace(mc, feature_dim=9),
+        "trunk": dataclasses.replace(mc, trunk_widths=(8, 4)),
+        "tower": dataclasses.replace(mc, tower_widths=(6,)),
+        "tasks": dataclasses.replace(mc, tasks=GEN.tasks[::-1]),
+    }.get(change, mc)
+    train = TrainConfig(base_lr=0.05, activation_clip=2.0 if change == "train" else None)
+    odd = StudentJob("odd", build_model(mc, model_init_rng(0, "odd")), train, {})
+    teacher = make_teacher()
+    with pytest.raises(ConfigError, match="'odd'"):
+        run_online(init_world(GEN, 0), teacher, [make_student(name=CONTROL_NAME), odd],
+                   sched(2), tmp_path / "s")
+    assert teacher.version == 0 and not (tmp_path / "s").exists()
 
 
 def test_teacher_params_independent_of_fleet_and_writes(tmp_path):
@@ -451,12 +520,14 @@ def test_frozen_teacher_stops_training_but_keeps_writing(tmp_path):
 
 @pytest.mark.parametrize("freeze_at", [None, 4])
 def test_each_model_takes_one_optimizer_pass_per_step(tmp_path, monkeypatch, freeze_at):
-    jobs = []
+    # one pass per stack and step: the teacher's, unless it is frozen, and
+    # the one of the students' stack, which steps every student
+    calls = []
     step = ranker.optimizer_step
 
-    def counted(model, grads, state, cfg, *, job):
-        jobs.append(job)
-        step(model, grads, state, cfg, job=job)
+    def counted(stack, grads, state, cfg, *, job):
+        calls.append((tuple(stack.jobs), state.step))
+        step(stack, grads, state, cfg, job=job)
 
     monkeypatch.setattr(ranker, "optimizer_step", counted)
     world = init_world(GEN, 3)
@@ -468,10 +539,12 @@ def test_each_model_takes_one_optimizer_pass_per_step(tmp_path, monkeypatch, fre
     steps = 10
     run_online(world, teacher, students, sched(steps), tmp_path / "s")
     trained = steps if freeze_at is None else freeze_at
-    assert len(jobs) == steps * (1 + len(students)) - (steps - trained)
-    assert [jobs.count(name) for name in ("teacher", "aux", CONTROL_NAME)] == [trained, steps, steps]
+    assert len(calls) == steps * 2 - (steps - trained)
+    teacher_calls = [c for c in calls if c[0] == ("teacher",)]
+    assert teacher_calls == [(("teacher",), t) for t in range(trained)]
+    fleet_calls = [c for c in calls if c[0] == ("aux", CONTROL_NAME)]
+    assert fleet_calls == [(("aux", CONTROL_NAME), t) for t in range(steps)]
     assert teacher.version == trained
-    assert [s.opt.step for s in students] == [steps, steps]
 
 
 def test_frozen_teacher_auc_decays_under_drift(tmp_path):
@@ -505,17 +578,51 @@ def test_divergence_reports_job_identity(tmp_path):
 
 def test_run_experiment_names_the_seed_and_job_that_diverged(tmp_path, monkeypatch):
     cfg = exp_cfg(FAMILY_DISTILL, seeds=(3,), distill_tasks=("ltv",))
-    step = pipeline._student_step
+    compute = pipeline.compute_loss_and_grads
 
-    def poisoned(student, *args):  # the student's own forward pass then raises
-        if student.name == "direct":
-            student.model.trunk.layers[0].weights[0, 0] = np.inf
-        step(student, *args)
+    def poisoned(stack, *args, **kwargs):  # the stack's trunk forward then raises for direct
+        if "direct" in stack.jobs:  # the members view the stack's buffer
+            stack.members[stack.jobs.index("direct")].trunk.layers[0].weights[0, 0] = np.inf
+        return compute(stack, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "_student_step", poisoned)
+    monkeypatch.setattr(pipeline, "compute_loss_and_grads", poisoned)
     with pytest.raises(DivergenceError, match="^non-finite values in mlp output$") as err:
         run_experiment(cfg, tmp_path)
     assert err.value.job == "s3/direct"
+
+
+def test_run_experiment_names_the_member_whose_gradient_diverged(tmp_path, monkeypatch):
+    cfg = exp_cfg(FAMILY_DISTILL, seeds=(3,), distill_tasks=("ltv",))
+    compute, apply = pipeline.compute_loss_and_grads, pipeline.apply_gradients
+    seen = {}
+
+    def poisoned(stack, *args, **kwargs):  # at the third step, in direct's ctr tower
+        grads = compute(stack, *args, **kwargs)
+        if "direct" in stack.jobs and seen.setdefault("calls", 0) == 2:
+            name = "tower ctr layer 1"
+            layer = [k for k, (n, job) in enumerate(zip(stack.layer_names, stack.layer_jobs))
+                     if (n, job) == (name, "direct")]
+            grads[stack.starts[layer[0]] + 3] = np.nan
+        return grads
+
+    def watched(stack, grads, opt, train):
+        if "direct" in stack.jobs:
+            seen["calls"] += 1
+            seen["stack"], seen["opt"] = stack, opt
+            seen["before"] = [a.copy() for a in (stack.params, opt.m, opt.v)] + [opt.step]
+        apply(stack, grads, opt, train)
+
+    monkeypatch.setattr(pipeline, "compute_loss_and_grads", poisoned)
+    monkeypatch.setattr(pipeline, "apply_gradients", watched)
+    with pytest.raises(DivergenceError, match="^non-finite gradient in tower ctr layer 1$") as err:
+        run_experiment(cfg, tmp_path)
+    assert err.value.job == "s3/direct"
+    # nothing of the stack moved: every member's params and its Adam state
+    stack, opt = seen["stack"], seen["opt"]
+    params, m, v, step = seen["before"]
+    assert step == opt.step == 2
+    for got, want in ((stack.params, params), (opt.m, m), (opt.v, v)):
+        assert np.array_equal(got, want)
 
 
 def test_fleet_consistency_and_rerun_identity(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from onlinekd.ranker import (
     PROB_FLOOR,
     REGRESSION,
     ModelConfig,
+    ModelStack,
     TaskSpec,
     _sigmoid,
     apply_gradients,
@@ -84,6 +85,12 @@ def test_model_config_validation():
     for trunk, tower in (((5, 0), (3,)), ((5,), (-3,))):
         with pytest.raises(ConfigError, match="widths must be >= 1"):
             ModelConfig(4, trunk, tower, TASKS, NO_DISTILL)
+
+
+def solo(model, job="solo"):
+    """model as a stack of one, the way a single model trains; the model is
+    rebound to view the stack's buffer, which has its layout."""
+    return ModelStack([model], [job])
 
 
 def parameter_count(model):
@@ -237,9 +244,10 @@ def test_total_loss_guards():
     labels = tower_order(model, hard)
     z, z_aux = model_forward(model, x)
     with pytest.raises(ValueError, match="do not fit 0 distilled tasks"):
-        total_loss(model, z, z_aux, labels, np.array([soft["ctr"]]), present)
-    aux = build_model(small_config(AUXILIARY, distill=("ctr",)), np.random.default_rng(2))
-    z, z_aux = model_forward(aux, x)
+        total_loss(solo(model), z[None], z_aux, labels, np.array([soft["ctr"]]), present)
+    aux_model = build_model(small_config(AUXILIARY, distill=("ctr",)), np.random.default_rng(2))
+    aux = solo(aux_model)
+    z, z_aux = (a[None] for a in model_forward(aux_model, x))
     ctr = np.array([soft["ctr"]])
     total_loss(aux, z, z_aux, labels, ctr, present, np.array([0.5]))  # fits
     for bad in (
@@ -297,9 +305,9 @@ def test_zero_coverage_gives_zero_soft_and_control_grads():
     x, hard, soft, present = batch_inputs()
     present[:] = False
     grads_soft = compute_loss_and_grads(
-        model, x, *loss_args(model, hard, soft, present, {"ctr": 1.0, "ltv": 1.0})
+        solo(model), x, *loss_args(model, hard, soft, present, {"ctr": 1.0, "ltv": 1.0})
     )
-    grads_none = compute_loss_and_grads(model, x, *loss_args(model, hard))
+    grads_none = compute_loss_and_grads(solo(model), x, *loss_args(model, hard))
     got, want = model_blocks(model, grads_soft), model_blocks(model, grads_none)
     assert_layers_equal(got["trunk", None], want["trunk", None])
     for name in model.config.distill_tasks:
@@ -310,10 +318,11 @@ def test_alpha_zero_grads_bit_identical_to_no_soft():
     for mode in (DIRECT, AUXILIARY):
         model = build_model(small_config(mode), np.random.default_rng(9))
         x, hard, soft, present = batch_inputs()
+        stack = solo(model)
         with_soft = compute_loss_and_grads(
-            model, x, *loss_args(model, hard, soft, present, {"ctr": 0.0, "ltv": 0.0})
+            stack, x, *loss_args(model, hard, soft, present, {"ctr": 0.0, "ltv": 0.0})
         )
-        without = compute_loss_and_grads(model, x, *loss_args(model, hard))
+        without = compute_loss_and_grads(stack, x, *loss_args(model, hard))
         got, want = model_blocks(model, with_soft), model_blocks(model, without)
         for key in [("trunk", None), *[("towers", t.name) for t in TASKS]]:
             assert_layers_equal(got[key], want[key])
@@ -348,7 +357,7 @@ def test_gradients_match_finite_differences(mode, use_soft, alpha, clip):
     def loss():
         return ref_total_loss(model, *model_forward(model, x, clip), *args)
 
-    grads = compute_loss_and_grads(model, x, *args, clip)
+    grads = compute_loss_and_grads(solo(model), x, *args, clip)
     params, grad_blocks = model_blocks(model, model.params), model_blocks(model, grads)
     arrays, analytic = [], []
     for key in params:
@@ -363,8 +372,9 @@ def test_auxiliary_knowledge_reaches_trunk_not_tower():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(14))
     x, hard, soft, present = batch_inputs()
     alpha = {"ctr": 1.0, "ltv": 1.0}
-    with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
-    without = compute_loss_and_grads(model, x, *loss_args(model, hard))
+    stack = solo(model)
+    with_soft = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present, alpha))
+    without = compute_loss_and_grads(stack, x, *loss_args(model, hard))
     got, want = model_blocks(model, with_soft), model_blocks(model, without)
     # serving towers see hard-label gradients only
     for t in TASKS:
@@ -379,8 +389,9 @@ def test_direct_soft_loss_lands_on_serving_tower():
     model = build_model(small_config(DIRECT), np.random.default_rng(14))
     x, hard, soft, present = batch_inputs()
     alpha = {"ctr": 1.0, "ltv": 1.0}
-    with_soft = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
-    without = compute_loss_and_grads(model, x, *loss_args(model, hard))
+    stack = solo(model)
+    with_soft = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present, alpha))
+    without = compute_loss_and_grads(stack, x, *loss_args(model, hard))
     got, want = model_blocks(model, with_soft), model_blocks(model, without)
     assert not np.array_equal(got["towers", "ctr"][0][0], want["towers", "ctr"][0][0])
     # non-distilled task tower is untouched by soft labels
@@ -389,14 +400,15 @@ def test_direct_soft_loss_lands_on_serving_tower():
 
 def test_apply_gradients_steps_every_component():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(10))
-    opt = OptState.for_params(model.params)
+    stack = solo(model)
+    opt = OptState.for_params(stack.params)
     before = build_model(small_config(AUXILIARY), np.random.default_rng(10))
     alpha = {"ctr": 1.0, "ltv": 1.0}
     for k in (1, 2, 3):
         x, hard, soft, present = batch_inputs(seed=k)
-        grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
+        grads = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present, alpha))
         assert grads.shape == opt.m.shape == model.params.shape
-        apply_gradients(model, grads, opt, TrainConfig(base_lr=0.01))
+        apply_gradients(stack, grads, opt, TrainConfig(base_lr=0.01))
         assert opt.step == k
     moved, start = model_blocks(model, model.params), model_blocks(before, before.params)
     assert len(moved) == 1 + 3 + 2
@@ -406,17 +418,29 @@ def test_apply_gradients_steps_every_component():
 
 def test_layer_arrays_stay_views_of_the_model_buffer():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(10))
-    opt = OptState.for_params(model.params)
+    stack = solo(model)
+    opt = OptState.for_params(stack.params)
     train = TrainConfig(base_lr=0.05, clippy=ClippyConfig())
     for step in range(10):
         x, hard, soft, present = batch_inputs(seed=step)
         alpha = {"ctr": 1.0, "ltv": 0.5}
-        grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
-        apply_gradients(model, grads, opt, train)
+        grads = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present, alpha))
+        apply_gradients(stack, grads, opt, train)
     assert opt.step == 10
-    for stack in (model.trunk, model.tower_stack, model.aux_stack):
-        assert np.shares_memory(stack.params, model.params)
-        for layer in stack.layers:
+    # a stack of one is its model's buffer, and its stacked arrays are the
+    # model's own with a member axis
+    assert model.params.size == stack.params.size
+    assert model.params.ctypes.data == stack.params.ctypes.data
+    pairs = [(stack.trunk, model.trunk), (stack.towers, model.tower_stack),
+             (stack.aux, model.aux_stack)]
+    for stacked, own in pairs:
+        assert stacked.params.ctypes.data == own.params.ctypes.data
+        for a, b in zip(stacked.layers, own.layers, strict=True):
+            assert np.array_equal(a.weights[0], b.weights) and np.array_equal(a.bias[0], b.bias)
+            assert np.shares_memory(a.weights, stack.params)
+    for mlp in (model.trunk, model.tower_stack, model.aux_stack):
+        assert np.shares_memory(mlp.params, model.params)
+        for layer in mlp.layers:
             assert np.shares_memory(layer.weights, model.params)
             assert np.shares_memory(layer.bias, model.params)
     # each block of model.params is its row of the stack's layer arrays, and
@@ -427,8 +451,8 @@ def test_layer_arrays_stay_views_of_the_model_buffer():
     blocks = model_blocks(model, model.params)
     assert list(blocks) == list(rows)
     starts, sizes = [], []
-    for key, (stack, row) in rows.items():
-        for layer, (w, b) in zip(stack.layers, blocks[key], strict=True):
+    for key, (mlp, row) in rows.items():
+        for layer, (w, b) in zip(mlp.layers, blocks[key], strict=True):
             assert layer.weights[row].ctypes.data == w.ctypes.data
             assert layer.bias[row].ctypes.data == b.ctypes.data
             assert np.array_equal(layer.weights[row], w) and np.array_equal(layer.bias[row], b)
@@ -439,12 +463,13 @@ def test_layer_arrays_stay_views_of_the_model_buffer():
 
 def test_a_nonfinite_gradient_names_its_block_and_layer():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(10))
-    opt = OptState.for_params(model.params)
+    stack = solo(model, "s0/student-a")
+    opt = OptState.for_params(stack.params)
     train = TrainConfig(base_lr=0.01, clippy=ClippyConfig())
     x, hard, soft, present = batch_inputs()
     alpha = {"ctr": 1.0, "ltv": 1.0}
-    grads = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present, alpha))
-    apply_gradients(model, grads, opt, train)
+    grads = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present, alpha))
+    apply_gradients(stack, grads, opt, train)
     params, m, v = model.params.copy(), opt.m.copy(), opt.v.copy()
     for keys, message in (
         ([("towers", "ltv", 1)], "tower ltv layer 1"),
@@ -457,7 +482,7 @@ def test_a_nonfinite_gradient_names_its_block_and_layer():
         for group, name, layer in keys:
             model_blocks(model, bad)[group, name][layer][0][-1, 0] = np.nan
         with pytest.raises(DivergenceError, match=f"non-finite gradient in {message}$") as err:
-            apply_gradients(model, bad, opt, train, job="s0/student-a")
+            apply_gradients(stack, bad, opt, train)
         assert err.value.job == "s0/student-a"
         assert opt.step == 1 and np.array_equal(model.params, params)
         assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
@@ -474,12 +499,13 @@ def test_covered_binary_teacher_values_are_checked_on_the_step_path(mode):
         values[row] = value
         return loss_args(model, hard, {**soft, "ctr": values}, present)
 
+    stack = solo(model)
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError, match="teacher probability"):
-            compute_loss_and_grads(model, x, *with_ctr_value(0, bad))
+            compute_loss_and_grads(stack, x, *with_ctr_value(0, bad))
     # the same value on an uncovered row is a placeholder, never read
-    got = compute_loss_and_grads(model, x, *with_ctr_value(np.flatnonzero(~present)[0], 1.0))
-    want = compute_loss_and_grads(model, x, *loss_args(model, hard, soft, present))
+    got = compute_loss_and_grads(stack, x, *with_ctr_value(np.flatnonzero(~present)[0], 1.0))
+    want = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present))
     assert got.shape == want.shape == model.params.shape
     assert np.array_equal(got, want)
 
@@ -530,7 +556,8 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
         key: [[np.zeros_like(a) for a in (w, b, w, b)] for w, b, _ in by_key(ref, *key)]
         for key in keys
     }
-    opt = OptState.for_params(model.params)
+    stack = solo(model)
+    opt = OptState.for_params(stack.params)
     train = TrainConfig(base_lr=0.05, warmup_steps=2, clippy=ClippyConfig(sigma_rel=0.05))
     tasks = [(t.name, t.kind == BINARY) for t in TASKS]
     for step in range(5):
@@ -542,8 +569,8 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
         alpha = None if mode == NO_DISTILL else {"ctr": a, "ltv": a}
         args = loss_args(model, hard, soft_arg, present, alpha)
         z, z_aux = model_forward(model, x, clip)
-        grads = compute_loss_and_grads(model, x, *args, clip)
-        seeds = total_loss(model, z, z_aux, *args)
+        grads = compute_loss_and_grads(stack, x, *args, clip)
+        seeds = total_loss(stack, z[None], None if z_aux is None else z_aux[None], *args)
         want_soft = {} if soft_arg is None else {k: (v, present) for k, v in soft.items()}
         hard_logits, aux_logits, hard_seeds, aux_seeds, want = ref_ranker_step(
             ref, tasks, mode == DIRECT, x, hard, want_soft, alpha or {}, clip
@@ -556,12 +583,12 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
         else:
             assert z_aux is None and aux_logits == {}
         for row, (name, _) in enumerate(tasks):
-            assert np.array_equal(seeds.hard[row], hard_seeds[name])
+            assert np.array_equal(seeds.hard[0, row], hard_seeds[name])
         if mode == AUXILIARY:
             aux_names = list(model.config.distill_tasks)
             assert {aux_names[r] for r in np.flatnonzero(seeds.soft_active)} == set(aux_seeds)
             for name, seed in aux_seeds.items():
-                assert np.array_equal(seeds.aux[aux_names.index(name)], seed)
+                assert np.array_equal(seeds.aux[0, aux_names.index(name)], seed)
 
         for group in ("towers", "aux"):
             assert [name for g, name in keys if g == group] == list(want[group])
@@ -569,7 +596,7 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
         for key in keys:
             assert_layers_equal(got[key], by_key(want, *key))
 
-        apply_gradients(model, grads, opt, train)
+        apply_gradients(stack, grads, opt, train)
         adam = (train.base_lr, train.warmup_steps, 0.9, 0.999, 1e-8, (0.05, 1e-3))
         for key in keys:
             ref_adam_layers(by_key(ref, *key), by_key(want, *key), ref_moments[key], step, *adam)
