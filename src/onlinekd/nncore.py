@@ -10,8 +10,9 @@ Each MLP keeps its parameters in one flat buffer that its layers' arrays
 view; its gradients and Adam moments share that layout, so an optimizer
 step is one fused pass. A buffer with a leading member axis, (S, P), holds
 S MLPs of one topology that the forward and backward passes run together
-(one batched matmul per layer). A model whose MLPs view one larger
-buffer steps the same way, in one pass over it.
+(one batched matmul per layer). A ranker.ModelStack, whose stacked MLPs
+view one larger buffer block by block, steps the same way, in one pass
+over it.
 
 The forward pass keeps only what backprop reads: each layer's input and
 the MLP's output. The backward pass works out each ReLU layer's gradient
@@ -312,7 +313,7 @@ def warmup_factor(step: int, warmup_steps: int) -> float:
 @dataclass
 class OptState:
     """Adam moments laid out like one flat params buffer (an Mlp's, or a
-    whole model's), plus the step counter."""
+    whole stack's), plus the step counter."""
 
     m: np.ndarray
     v: np.ndarray
@@ -333,11 +334,11 @@ def optimizer_step(
 ) -> None:
     """Apply one warmup-scaled Adam step with optional per-layer update clipping.
 
-    mlp is one MLP, or a model laid out like one (a 1-D params buffer with
-    its layers' starts, sizes and layer_names), and grads is laid out like
-    its params. Mutates the parameters and state in place in one pass over
-    the flat buffer, with Clippy's per-layer norms from one reduceat over
-    the layer offsets. A non-finite gradient raises before anything moves,
+    mlp is one MLP, or a ranker.ModelStack laid out like one (a 1-D params
+    buffer with its layers' starts, sizes and layer_names), and grads is
+    laid out like its params. Mutates the parameters and state in place in
+    one pass over the flat buffer, with Clippy's per-layer norms from one
+    reduceat over the layer offsets. A non-finite gradient raises before anything moves,
     naming its layer, and with job, or job[k] for layer k when job is a
     sequence naming each layer's model. The effective learning rate is
     base_lr * min(1, step / warmup_steps) evaluated at the pre-increment

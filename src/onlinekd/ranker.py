@@ -15,17 +15,18 @@ buffer. The forward pass returns the hard logits as one (n_tasks, batch)
 array in task order and the aux logits as one (n_distill, batch) array in
 distill order; the loss takes the hard labels as (n_tasks, batch) and the
 teacher values as (n_distill, batch) with one present mask over the batch,
-and builds its gradient seeds on those rows. The trunk and the two stacks
-view one flat buffer, model.params.
+and builds its gradient seeds on those rows.
 
 Models train as a ModelStack: models of one trunk, tower and task layout
-copied into one buffer, which one gradient and one Adam state share, with
-a member axis on the trunk, the towers and the aux heads, so one forward,
-one loss, one backward and one optimizer pass step every member. Each
-stacked matmul makes one gemm per member on that member's own operands,
-so a member's bits are those of the member trained alone, as a stack of
-one. The teacher is such a stack of one; model_forward serves and
-evaluates one model at a time.
+in one buffer, laid out block by block (every member's trunk, then every
+member's towers, then only the real aux heads), which one gradient and one
+Adam state share, so one forward, one loss, one backward and one optimizer
+pass step every member. The stack owns the layout; each model's trunk,
+towers and aux heads view its rows. Each stacked matmul makes one gemm per
+member (per aux head) on that member's own operands, so a member's bits
+are those of the member trained alone, as a stack of one. The teacher is
+such a stack of one; model_forward serves and evaluates one model at a
+time, on its views.
 
 A training step computes the gradients of the joint loss (defined in
 total_loss) and nothing else: no loss value is evaluated on the step path.
@@ -134,60 +135,15 @@ class RankingModel:
     """Trunk, task towers and (auxiliary mode) aux heads of one model.
 
     tower_stack stacks one tower per task (task order), aux_stack one aux
-    head per distilled task (distill order; None without aux heads).
-    params is the one flat buffer the three view, laid out as the trunk's
-    params, then the tower stack's rows, then the aux stack's; starts,
-    sizes and layer_names give each of its layers' offset, length and name
-    ("tower ctr layer 1"), as an Mlp's do. distill_rows holds the tower row
-    of each distilled task, in distill order. binary marks the
-    cross-entropy rows of the towers, (n_tasks, 1).
+    head per distilled task (distill order; None without aux heads). Each
+    holds its own parameters until the model joins a ModelStack, which
+    points all three at views of the member's rows of its blocks.
     """
 
     config: ModelConfig
     trunk: Mlp
     tower_stack: Mlp
     aux_stack: Mlp | None
-    params: np.ndarray = field(init=False, repr=False)
-    starts: np.ndarray = field(init=False, repr=False)
-    sizes: np.ndarray = field(init=False, repr=False)
-    layer_names: list[str] = field(init=False, repr=False)
-    distill_rows: np.ndarray = field(init=False, repr=False)
-    binary: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        names = [t.name for t in self.config.tasks]
-        groups = [(self.trunk, ["trunk"]), (self.tower_stack, [f"tower {n}" for n in names])]
-        if self.aux_stack is not None:
-            groups.append((self.aux_stack, [f"aux {n}" for n in self.config.distill_tasks]))
-        self.bind(np.empty(sum(mlp.params.size for mlp, _ in groups)))
-        starts, self.layer_names, at = [], [], 0
-        for mlp, rows in groups:
-            for row in rows:
-                starts.append(at + mlp.starts)
-                self.layer_names += [f"{row} {name}" for name in mlp.layer_names]
-                at += mlp.params.shape[-1]
-        self.starts = np.concatenate(starts)
-        self.sizes = np.concatenate([mlp.sizes for mlp, rows in groups for _ in rows])
-        self.distill_rows = np.array([names.index(n) for n in self.config.distill_tasks], int)
-        self.binary = np.array([t.kind == BINARY for t in self.config.tasks])[:, None]
-
-    def bind(self, params: np.ndarray) -> None:
-        """Make params, a flat buffer of this model's size, the model's own:
-        copy the values in and rebind the trunk and the stacks to views of it."""
-        at = 0
-        for mlp in (self.trunk, self.tower_stack, self.aux_stack):
-            if mlp is None:
-                continue
-            block = params[at:at + mlp.params.size].reshape(mlp.params.shape)
-            # the passed-in params path copies mlp's values into block and
-            # rebinds its layers' arrays, which mlp shares, to views of it
-            mlp.params = Mlp(mlp.layers, block).params
-            at += mlp.params.size
-        self.params = params
-
-    @property
-    def mode(self) -> str:
-        return self.config.mode
 
     @property
     def tasks(self) -> tuple[TaskSpec, ...]:
@@ -222,23 +178,23 @@ class ModelStack:
     """Ranking models of one trunk, tower and task layout, trained as one.
 
     members are the models and jobs the name each one's divergence is
-    raised with. params holds every member's params in member order, each
-    member's block padded with zeros to the size of the member with most
-    aux heads, and every member is rebound to view its block, so its
-    params are always the stack's. Over params, trunk stacks the members' trunks
-    (S,), towers their towers (S, n_tasks) and aux, None when no member has
-    aux heads, their aux heads (S, most aux heads): a member with fewer
-    heads owns zero slots, which compute zero logits and take no gradient.
-    starts, sizes, layer_names and layer_jobs give each member layer's
-    offset, length (its member's padding counted in its member's last
-    layer), name and job, as a RankingModel's do.
+    raised with. params is laid out block by block, and trunk, towers and
+    aux are the stacked MLPs over its blocks: every member's trunk (S,
+    P_trunk), then every member's towers (S, n_tasks, P_tower), then the
+    real aux heads (R, P_aux; aux is None when no member has any). The R
+    aux rows are member by member, each in its member's distill order, and
+    aux_member gives each row's member. Every member's trunk, tower_stack
+    and aux_stack view its rows, so its params are always the stack's.
+    starts, sizes, layer_names and layer_jobs give each layer row's offset,
+    length, name ("tower ctr layer 1") and job, in buffer order.
 
     The soft rows are one per (member, distilled task), member by member in
     each member's distill order: the layout of the soft targets, alpha and
     the soft seeds. direct_rows and aux_rows pick the soft rows of
-    direct-mode and auxiliary-mode members, direct_at gives the (member,
-    tower) and aux_at the (member, aux slot) of each. soft_binary marks the
-    cross-entropy soft rows, soft_scale holds each row's loss scale (1
+    direct-mode and auxiliary-mode members; direct_at gives the (member,
+    tower) of each direct row, and the aux rows are the aux heads in order.
+    binary marks the cross-entropy towers, (n_tasks, 1). soft_binary marks
+    the cross-entropy soft rows, soft_scale holds each row's loss scale (1
     binary, 2 squared error) and placeholder its value where no teacher
     label is present.
     """
@@ -249,6 +205,7 @@ class ModelStack:
     trunk: Mlp = field(init=False, repr=False)
     towers: Mlp = field(init=False, repr=False)
     aux: Mlp | None = field(init=False, repr=False)
+    aux_member: np.ndarray = field(init=False, repr=False)
     starts: np.ndarray = field(init=False, repr=False)
     sizes: np.ndarray = field(init=False, repr=False)
     layer_names: list[str] = field(init=False, repr=False)
@@ -258,7 +215,6 @@ class ModelStack:
     direct_rows: np.ndarray = field(init=False, repr=False)
     direct_at: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     aux_rows: np.ndarray = field(init=False, repr=False)
-    aux_at: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     soft_binary: np.ndarray = field(init=False, repr=False)
     soft_scale: np.ndarray = field(init=False, repr=False)
     placeholder: np.ndarray = field(init=False, repr=False)
@@ -272,41 +228,57 @@ class ModelStack:
                     f"job {job!r}: its features, trunk, towers or tasks differ from "
                     f"{self.jobs[0]!r}'s, so the two cannot train as one stack"
                 )
-        heads = [m for m in self.members if m.aux_stack is not None]
-        n_aux = max((len(m.config.distill_tasks) for m in heads), default=0)
-        trunk_size, tower_shape = first.trunk.params.size, first.tower_stack.params.shape
-        towers_at = trunk_size + tower_shape[0] * tower_shape[1]
-        head_size = first.trunk.out_dim + 1
-        width = towers_at + n_aux * head_size
-        self.params = np.zeros(len(self.members) * width)
-        rows = self.params.reshape(len(self.members), width)
-        starts, sizes, self.layer_names, self.layer_jobs = [], [], [], []
-        member, tower, slot, has_aux = [], [], [], []
-        for s, (model, job) in enumerate(zip(self.members, self.jobs)):
-            model.bind(rows[s, :model.params.size])
-            starts.append(model.starts + s * width)
-            sizes.append(model.sizes.copy())
-            sizes[-1][-1] += width - model.params.size
-            self.layer_names += model.layer_names
-            self.layer_jobs += [job] * len(model.layer_names)
-            member += [s] * model.distill_rows.size
-            tower += model.distill_rows.tolist()
-            slot += range(model.distill_rows.size)
-            has_aux += [model.aux_stack is not None] * model.distill_rows.size
-        self.starts, self.sizes = np.concatenate(starts), np.concatenate(sizes)
-        self.trunk = _stacked_view(first.trunk, rows[:, :trunk_size])
-        towers = rows[:, trunk_size:towers_at].reshape(len(rows), *tower_shape)
-        self.towers = _stacked_view(first.tower_stack, towers)
-        self.aux = None
-        if heads:
-            aux = rows[:, towers_at:].reshape(len(rows), n_aux, head_size)
-            self.aux = _stacked_view(heads[0].aux_stack, aux)
-        self.binary = first.binary
-        self.hard_scale = np.where(self.binary, 1.0, 2.0)
-        member, tower, slot, has_aux = (np.array(a, int) for a in (member, tower, slot, has_aux))
+        names = [t.name for t in first.tasks]
+        member, tower, has_aux = [], [], []
+        for s, model in enumerate(self.members):
+            distill = model.config.distill_tasks
+            member += [s] * len(distill)
+            tower += [names.index(n) for n in distill]
+            has_aux += [model.aux_stack is not None] * len(distill)
+        member, tower, has_aux = (np.array(a, int) for a in (member, tower, has_aux))
         self.direct_rows, self.aux_rows = np.flatnonzero(has_aux == 0), np.flatnonzero(has_aux)
         self.direct_at = (member[self.direct_rows], tower[self.direct_rows])
-        self.aux_at = (member[self.aux_rows], slot[self.aux_rows])
+        self.aux_member = member[self.aux_rows]
+
+        shapes = [(len(self.members), first.trunk.params.size),
+                  (len(self.members), *first.tower_stack.params.shape),
+                  (self.aux_member.size, first.trunk.out_dim + 1)]
+        ends = np.cumsum([np.prod(shape) for shape in shapes])
+        self.params = np.empty(ends[-1])
+        trunk, towers, aux = (
+            block.reshape(shape) for block, shape in zip(np.split(self.params, ends[:-1]), shapes)
+        )
+        # the passed-in params path copies each model's values into its rows
+        # and rebinds its layers' arrays to views of them
+        row = 0
+        for s, model in enumerate(self.members):
+            model.trunk = Mlp(model.trunk.layers, trunk[s])
+            model.tower_stack = Mlp(model.tower_stack.layers, towers[s])
+            if model.aux_stack is not None:
+                heads_at = aux[row:row + len(model.config.distill_tasks)]
+                model.aux_stack = Mlp(model.aux_stack.layers, heads_at)
+                row += len(heads_at)
+        self.trunk = _stacked_view(first.trunk, trunk)
+        self.towers = _stacked_view(first.tower_stack, towers)
+        heads = [m.aux_stack for m in self.members if m.aux_stack is not None]
+        self.aux = _stacked_view(heads[0], aux) if heads else None
+
+        rows = [(self.trunk, [("trunk", job) for job in self.jobs]),
+                (self.towers, [(f"tower {n}", job) for job in self.jobs for n in names])]
+        if self.aux is not None:
+            rows.append((self.aux, [(f"aux {names[t]}", self.jobs[s])
+                                    for t, s in zip(tower[self.aux_rows], self.aux_member)]))
+        starts, self.layer_names, self.layer_jobs, at = [], [], [], 0
+        for mlp, labels in rows:
+            for label, job in labels:
+                starts.append(at + mlp.starts)
+                self.layer_names += [f"{label} {name}" for name in mlp.layer_names]
+                self.layer_jobs += [job] * len(mlp.layer_names)
+                at += mlp.params.shape[-1]
+        self.starts = np.concatenate(starts)
+        self.sizes = np.concatenate([mlp.sizes for mlp, labels in rows for _ in labels])
+        self.binary = np.array([t.kind == BINARY for t in first.tasks])[:, None]
+        self.hard_scale = np.where(self.binary, 1.0, 2.0)
         self.soft_binary = self.binary[tower, 0]
         self.soft_scale = np.where(self.soft_binary, 1.0, 2.0)[:, None]
         self.placeholder = np.where(self.soft_binary, 0.5, 0.0)[:, None]
@@ -364,8 +336,8 @@ class LogitSeeds:
     """d(total)/d(logit), already batch-normalized, of a stack.
 
     hard is (members, n_tasks, batch), including the soft seeds of
-    direct-mode members; aux is (members, aux slots, batch), zero in the
-    slots without a head, None when the stack has no aux heads.
+    direct-mode members; aux is (R, batch), one row per aux head of the
+    stack in its order, None when the stack has no aux heads.
     soft_active flags the soft rows that got a soft seed (a covered label,
     nonzero alpha).
     """
@@ -395,11 +367,11 @@ def total_loss(
     the covered examples.
 
     z is the stack's hard logits, (members, n_tasks, n) in task order, and
-    z_aux its aux logits, (members, aux slots, n); labels are the hard
-    labels every member shares, (n_tasks, n). soft holds the teacher value
-    of each soft row, (soft rows, n), present the (n,) mask of the examples
-    they cover, and alpha the weight of each soft row (1 when None).
-    Without soft there is no soft loss. A direct-mode member's soft loss
+    z_aux its aux logits, (R, n) in the order of its aux heads; labels are
+    the hard labels every member shares, (n_tasks, n). soft holds the
+    teacher value of each soft row, (soft rows, n), present the (n,) mask
+    of the examples they cover, and alpha the weight of each soft row (1
+    when None). Without soft there is no soft loss. A direct-mode member's soft loss
     lands on its serving logit; an auxiliary-mode member's lands on its aux
     logit only, so its serving tower sees hard-label gradients exclusively
     and teacher knowledge flows through the trunk. Checked on every call:
@@ -430,7 +402,7 @@ def total_loss(
         if stack.direct_rows.size:
             zs[stack.direct_rows] = z[stack.direct_at]
         if z_aux is not None:
-            zs[stack.aux_rows] = z_aux[stack.aux_at]
+            zs[stack.aux_rows] = z_aux
         active = (weight != 0.0) & present.any()
         seed = np.where(stack.soft_binary[:, None], _sigmoid(zs), zs)
         seed -= safe
@@ -441,7 +413,7 @@ def total_loss(
             hit = active[stack.direct_rows]
             hard[tuple(at[hit] for at in stack.direct_at)] += seed[stack.direct_rows[hit]]
         if aux is not None:
-            aux[stack.aux_at] = seed[stack.aux_rows]
+            aux = seed[stack.aux_rows]
     return LogitSeeds(hard=hard, aux=aux, soft_active=active)
 
 
@@ -462,11 +434,11 @@ def compute_loss_and_grads(
     stack; a non-finite output raises naming the first member it shows in.
     """
     trunk_out, trunk_cache = mlp_forward(stack.trunk, x, clip, job=stack.jobs)
-    heads_in = trunk_out[:, None]  # each member's trunk output, for each of its heads
-    z, tower_cache = mlp_forward(stack.towers, heads_in, clip, job=stack.jobs)
+    z, tower_cache = mlp_forward(stack.towers, trunk_out[:, None], clip, job=stack.jobs)
     z_aux, aux_cache = None, None
-    if stack.aux is not None:
-        z_aux, aux_cache = mlp_forward(stack.aux, heads_in, clip, job=stack.jobs)
+    if stack.aux is not None:  # each aux head on its member's trunk output
+        aux_jobs = [stack.jobs[s] for s in stack.aux_member]
+        z_aux, aux_cache = mlp_forward(stack.aux, trunk_out[stack.aux_member], clip, job=aux_jobs)
         z_aux = z_aux[..., 0]
     seeds = total_loss(stack, z[..., 0], z_aux, labels, soft, present, alpha)
 
@@ -476,20 +448,18 @@ def compute_loss_and_grads(
     if stack.aux is not None:
         # A head with no seed this step gets exact zeros, so its optimizer
         # moments still decay in lockstep, and adds nothing to the trunk.
-        active = np.zeros(stack.aux.params.shape[:-1], dtype=bool)
-        active[stack.aux_at] = seeds.soft_active[stack.aux_rows]
+        active = seeds.soft_active[stack.aux_rows]
         if active.any():
             aux_grads, aux_in = mlp_backward(stack.aux, aux_cache, seeds.aux[..., None])
             aux_grads[~active] = 0.0
-            for member, head in zip(*np.nonzero(active)):
-                trunk_out_grad[member] += aux_in[member, head]
+            for r in np.flatnonzero(active):  # head by head, in order
+                trunk_out_grad[stack.aux_member[r]] += aux_in[r]
         else:
             aux_grads = np.zeros(stack.aux.params.shape)
         grads.append(aux_grads)
 
     trunk_grads = mlp_backward(stack.trunk, trunk_cache, trunk_out_grad, input_grad=False)[0]
-    members = trunk_grads.shape[0]
-    return np.concatenate([trunk_grads, *(g.reshape(members, -1) for g in grads)], axis=1).ravel()
+    return np.concatenate([trunk_grads.ravel(), *(g.ravel() for g in grads)])
 
 
 def apply_gradients(stack: ModelStack, grads: np.ndarray, opt: OptState, cfg: TrainConfig) -> None:

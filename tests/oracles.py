@@ -143,7 +143,7 @@ def ref_total_loss(model, z, z_aux, labels, soft=None, present=None, alpha=None)
     tasks = {t.name: (row, t.kind) for row, t in enumerate(model.tasks)}
     for d, name in enumerate(model.config.distill_tasks):
         row, kind = tasks[name]
-        logits = z_aux[d] if model.mode == AUXILIARY else z[row]
+        logits = z_aux[d] if model.config.mode == AUXILIARY else z[row]
         weight = 1.0 if alpha is None else float(alpha[d])
         covered = sum(
             row_loss(kind, float(logits[i]), float(soft[d][i])) for i in range(n) if present[i]
@@ -373,28 +373,61 @@ def distill_order(model, by_task, default=None) -> np.ndarray:
     return np.array([by_task.get(t, default) for t in model.config.distill_tasks])
 
 
-def model_blocks(model, flat) -> dict:
-    """Every trunk, tower and aux block of flat, a buffer laid out like
-    model.params, as {(group, task): [(weights, bias) of each layer]}, keyed
-    as ref_ranker_step keys its params: ("trunk", None), the towers in task
-    order, then the aux heads in distill order. The arrays view flat."""
-    groups = [("trunk", [None], model.trunk)]
-    groups.append(("towers", [t.name for t in model.tasks], model.tower_stack))
-    if model.aux_stack is not None:
-        groups.append(("aux", model.config.distill_tasks, model.aux_stack))
-    blocks, at = {}, 0
-    for group, names, mlp in groups:
-        rows = flat[at:at + mlp.params.size].reshape(len(names), -1)
+def _blocks(model, trunk, towers, aux) -> dict:
+    """model's blocks as {(group, task): [(weights, bias) of each layer]},
+    keyed as ref_ranker_step keys its params: ("trunk", None), the towers in
+    task order, then the aux heads in distill order. trunk holds the trunk's
+    (weights, bias) per layer, towers and aux those of its stacked towers
+    and aux heads (aux None without aux heads)."""
+    blocks = {("trunk", None): trunk}
+    for i, task in enumerate(model.tasks):
+        blocks["towers", task.name] = [(w[i], b[i]) for w, b in towers]
+    for d, name in enumerate(model.config.distill_tasks if aux is not None else ()):
+        blocks["aux", name] = [(w[d], b[d]) for w, b in aux]
+    return blocks
+
+
+def member_blocks(model) -> dict:
+    """Every trunk, tower and aux block of model, as _blocks gives them,
+    viewing the model's own layer arrays."""
+    pairs = lambda mlp: None if mlp is None else [(l.weights, l.bias) for l in mlp.layers]
+    return _blocks(model, pairs(model.trunk), pairs(model.tower_stack), pairs(model.aux_stack))
+
+
+def model_blocks(stack, flat) -> list[dict]:
+    """Every member's trunk, tower and aux blocks of flat, a buffer laid out
+    like stack.params, as one _blocks dict per member. flat holds the
+    members' trunks, then their towers, then the aux heads member by member;
+    the arrays view flat."""
+    views, at = [], 0
+    for mlp in (stack.trunk, stack.towers, stack.aux):
+        if mlp is None:
+            views.append(None)
+            continue
+        views.append(mlp.split(flat[at:at + mlp.params.size].reshape(mlp.params.shape)))
         at += mlp.params.size
-        for name, row in zip(names, rows, strict=True):
-            blocks[group, name] = mlp.split(row)
     assert at == flat.size
+    trunk, towers, aux = views
+    blocks, row = [], 0
+    for s, model in enumerate(stack.members):
+        heads = None
+        if model.aux_stack is not None:
+            n = len(model.config.distill_tasks)
+            heads = [(w[row:row + n], b[row:row + n]) for w, b in aux]
+            row += n
+        trunk_s, towers_s = ([(w[s], b[s]) for w, b in layers] for layers in (trunk, towers))
+        blocks.append(_blocks(model, trunk_s, towers_s, heads))
+    assert row == (0 if stack.aux is None else len(stack.aux.params))
     return blocks
 
 
 def assert_same_params(a, b) -> None:
     """Models a and b hold equal weights and biases in every block."""
-    got, want = model_blocks(a, a.params), model_blocks(b, b.params)
+    assert_same_blocks(member_blocks(a), member_blocks(b))
+
+
+def assert_same_blocks(got, want) -> None:
+    """Two {(group, task): layers} dicts hold the same blocks, bit for bit."""
     assert list(got) == list(want)
     for key in got:
         for (gw, gb), (ww, wb) in zip(got[key], want[key], strict=True):

@@ -59,6 +59,7 @@ from onlinekd.ranker import (
 from oracles import (
     audit_fleet,
     brute_force_auc,
+    member_blocks,
     metric_value,
     model_blocks,
     numeric_gradient,
@@ -101,7 +102,7 @@ def _grab(log, metric, task, step):
 def _jitter_biases(model, rng):
     # move zero-init biases off the exact ReLU kink where a central
     # difference and the subgradient convention legitimately disagree
-    for layers in model_blocks(model, model.params).values():
+    for layers in member_blocks(model).values():
         for _, bias in layers:
             bias += rng.uniform(0.01, 0.05, size=bias.shape)
 
@@ -154,7 +155,7 @@ def test_c1_gradient_correctness():
 
         stack = ModelStack([model], ["c1"])
         grads = compute_loss_and_grads(stack, x, hard, soft, present, alpha, clip)
-        params, grad_blocks = model_blocks(model, model.params), model_blocks(model, grads)
+        params, grad_blocks = member_blocks(model), model_blocks(stack, grads)[0]
         arrays, analytic = [], []
         for key in params:
             for (w, b), (gw, gb) in zip(params[key], grad_blocks[key], strict=True):
@@ -507,7 +508,7 @@ def test_c8_degeneracy_identities(tmp_path):
         finals[tag] = student.model
     m0, m1 = finals["direct0"], finals["plain"]
     # trunk and towers: neither model has aux heads
-    b0, b1 = model_blocks(m0, m0.params), model_blocks(m1, m1.params)
+    b0, b1 = member_blocks(m0), member_blocks(m1)
     alpha_zero_ok = list(b0) == list(b1) and all(
         np.array_equal(w0, w1) and np.array_equal(bias0, bias1)
         for key in b0

@@ -53,10 +53,12 @@ from onlinekd.ranker import (
 )
 
 from oracles import (
+    assert_same_blocks,
     assert_same_params,
     audit_fleet,
     log_records,
     metric_value,
+    model_blocks,
     one_shot_policy_metrics,
     segment_body,
     soft_target_records,
@@ -417,35 +419,35 @@ def test_a_student_stack_equals_each_student_trained_alone(tmp_path, monkeypatch
         mc = ModelConfig(GEN.feature_dim, (8, 6), (5,), GEN.tasks, mode, distill)
         return StudentJob(name, build_model(mc, model_init_rng(17, name)), train, alpha)
 
-    opts = {}
+    kept = {}
     apply = pipeline.apply_gradients
 
-    def kept(stack, grads, opt, cfg):
-        opts[tuple(stack.jobs)] = opt
+    def keep(stack, grads, opt, cfg):
+        kept[tuple(stack.jobs)] = stack, opt
         apply(stack, grads, opt, cfg)
 
-    monkeypatch.setattr(pipeline, "apply_gradients", kept)
+    monkeypatch.setattr(pipeline, "apply_gradients", keep)
     steps = 11
 
     def run(members, root):
         teacher = make_teacher(17, write_every=2)
         log = run_online(init_world(GEN, 17), teacher, members, sched(steps), root)
-        return log, opts[tuple(s.name for s in members)]
+        return log, *kept[tuple(s.name for s in members)]
 
     fleet = [student(name) for name in specs]
-    log, fleet_opt = run(fleet, tmp_path / "fleet")
+    log, stack, fleet_opt = run(fleet, tmp_path / "fleet")
     assert metric_value(log, job="direct", metric="coverage") == 6 / steps
-    width = fleet_opt.m.size // len(fleet)
+    sizes = 0
     for s, member in enumerate(fleet):
         alone = student(member.name)
-        _, opt = run([alone], tmp_path / member.name)
+        _, solo, opt = run([alone], tmp_path / member.name)
         # every trunk, tower and aux block, and the member's Adam state
         assert_same_params(member.model, alone.model)
         assert opt.step == fleet_opt.step == steps
-        size = alone.model.params.size
         for got, want in ((fleet_opt.m, opt.m), (fleet_opt.v, opt.v)):
-            assert np.array_equal(got[s * width:s * width + size], want)
-            assert not got[s * width + size:(s + 1) * width].any()  # its padding
+            assert_same_blocks(model_blocks(stack, got)[s], model_blocks(solo, want)[0])
+        sizes += solo.params.size
+    assert fleet_opt.m.size == sizes  # the stack holds its members' state and nothing else
 
 
 @pytest.mark.parametrize("change", ["features", "trunk", "tower", "tasks", "train"])
@@ -576,37 +578,52 @@ def test_divergence_reports_job_identity(tmp_path):
     assert err.value.job == "fragile"
 
 
-def test_run_experiment_names_the_seed_and_job_that_diverged(tmp_path, monkeypatch):
-    cfg = exp_cfg(FAMILY_DISTILL, seeds=(3,), distill_tasks=("ltv",))
-    compute = pipeline.compute_loss_and_grads
+def diverging_config(member):
+    """A seed-3 config whose one run holds member: distill-strategy's
+    direct, or aux-2, the second of two auxiliary members, whose aux rows
+    start at 1 and whose member index is 2."""
+    if member == "direct":
+        return exp_cfg(FAMILY_DISTILL, seeds=(3,), distill_tasks=("ltv",))
+    students = (StudentDef(CONTROL_NAME), StudentDef("aux-1", AUXILIARY, ("ctr",)),
+                StudentDef("aux-2", AUXILIARY, ("ltv", "ctr")))
+    return exp_cfg(FAMILY_CUSTOM, seeds=(3,), students=students)
 
-    def poisoned(stack, *args, **kwargs):  # the stack's trunk forward then raises for direct
-        if "direct" in stack.jobs:  # the members view the stack's buffer
-            stack.members[stack.jobs.index("direct")].trunk.layers[0].weights[0, 0] = np.inf
+
+def test_run_experiment_names_the_seed_and_job_that_diverged(tmp_path, monkeypatch):
+    compute = pipeline.compute_loss_and_grads
+    poison = {}
+
+    def poisoned(stack, *args, **kwargs):  # the stack's forward then raises for the member
+        if poison["member"] in stack.jobs:  # the members view the stack's buffer
+            model = stack.members[stack.jobs.index(poison["member"])]
+            # direct's trunk, or aux-2's ltv aux head (its first); NaN, as
+            # inf times a dead unit's 0 would warn
+            (model.aux_stack or model.trunk).layers[0].weights[0, 0] = np.nan
         return compute(stack, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "compute_loss_and_grads", poisoned)
-    with pytest.raises(DivergenceError, match="^non-finite values in mlp output$") as err:
-        run_experiment(cfg, tmp_path)
-    assert err.value.job == "s3/direct"
+    for member in ("direct", "aux-2"):
+        poison["member"] = member
+        with pytest.raises(DivergenceError, match="^non-finite values in mlp output$") as err:
+            run_experiment(diverging_config(member), tmp_path / member)
+        assert err.value.job == f"s3/{member}"
 
 
 def test_run_experiment_names_the_member_whose_gradient_diverged(tmp_path, monkeypatch):
-    cfg = exp_cfg(FAMILY_DISTILL, seeds=(3,), distill_tasks=("ltv",))
     compute, apply = pipeline.compute_loss_and_grads, pipeline.apply_gradients
     seen = {}
 
-    def poisoned(stack, *args, **kwargs):  # at the third step, in direct's ctr tower
+    def poisoned(stack, *args, **kwargs):  # at the third step, in the member's layer
         grads = compute(stack, *args, **kwargs)
-        if "direct" in stack.jobs and seen.setdefault("calls", 0) == 2:
-            name = "tower ctr layer 1"
+        member, name = seen["poison"]
+        if member in stack.jobs and seen["calls"] == 2:
             layer = [k for k, (n, job) in enumerate(zip(stack.layer_names, stack.layer_jobs))
-                     if (n, job) == (name, "direct")]
+                     if (n, job) == (name, member)]
             grads[stack.starts[layer[0]] + 3] = np.nan
         return grads
 
     def watched(stack, grads, opt, train):
-        if "direct" in stack.jobs:
+        if seen["poison"][0] in stack.jobs:
             seen["calls"] += 1
             seen["stack"], seen["opt"] = stack, opt
             seen["before"] = [a.copy() for a in (stack.params, opt.m, opt.v)] + [opt.step]
@@ -614,15 +631,17 @@ def test_run_experiment_names_the_member_whose_gradient_diverged(tmp_path, monke
 
     monkeypatch.setattr(pipeline, "compute_loss_and_grads", poisoned)
     monkeypatch.setattr(pipeline, "apply_gradients", watched)
-    with pytest.raises(DivergenceError, match="^non-finite gradient in tower ctr layer 1$") as err:
-        run_experiment(cfg, tmp_path)
-    assert err.value.job == "s3/direct"
-    # nothing of the stack moved: every member's params and its Adam state
-    stack, opt = seen["stack"], seen["opt"]
-    params, m, v, step = seen["before"]
-    assert step == opt.step == 2
-    for got, want in ((stack.params, params), (opt.m, m), (opt.v, v)):
-        assert np.array_equal(got, want)
+    for member, name in (("direct", "tower ctr layer 1"), ("aux-2", "aux ltv layer 0")):
+        seen.update(poison=(member, name), calls=0)
+        with pytest.raises(DivergenceError, match=f"^non-finite gradient in {name}$") as err:
+            run_experiment(diverging_config(member), tmp_path / member)
+        assert err.value.job == f"s3/{member}"
+        # nothing of the stack moved: every member's params and its Adam state
+        stack, opt = seen["stack"], seen["opt"]
+        params, m, v, step = seen["before"]
+        assert step == opt.step == 2
+        for got, want in ((stack.params, params), (opt.m, m), (opt.v, v)):
+            assert np.array_equal(got, want)
 
 
 def test_fleet_consistency_and_rerun_identity(tmp_path, monkeypatch):

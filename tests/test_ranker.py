@@ -32,6 +32,7 @@ from onlinekd.ranker import (
 
 from oracles import (
     distill_order,
+    member_blocks,
     model_blocks,
     numeric_gradient,
     ref_adam_layers,
@@ -88,8 +89,8 @@ def test_model_config_validation():
 
 
 def solo(model, job="solo"):
-    """model as a stack of one, the way a single model trains; the model is
-    rebound to view the stack's buffer, which has its layout."""
+    """model as a stack of one, the way a single model trains; the model's
+    trunk, towers and aux heads then view the stack's rows."""
     return ModelStack([model], [job])
 
 
@@ -104,7 +105,7 @@ def test_parameter_count_matches_built_model(mode):
     # trunk 4->5, three towers 5->3->1, in auxiliary mode two aux heads 5->1
     aux = 2 * (5 * 1 + 1) if mode == AUXILIARY else 0
     assert parameter_count(model) == (4 * 5 + 5) + 3 * ((5 * 3 + 3) + (3 * 1 + 1)) + aux
-    assert model.params.size == parameter_count(model)
+    assert solo(model).params.size == parameter_count(model)
 
 
 def test_parameter_count_by_hand():
@@ -138,10 +139,10 @@ def test_build_model_structure():
     assert model.aux_stack.layers[0].activation == IDENTITY
     towers = [f"tower {t} layer {k}" for t in ("ctr", "ltv", "aux_click") for k in (0, 1)]
     aux = ["aux ctr layer 0", "aux ltv layer 0"]
-    assert model.layer_names == ["trunk layer 0", *towers, *aux]
+    assert solo(model).layer_names == ["trunk layer 0", *towers, *aux]
     direct = build_model(small_config(DIRECT), np.random.default_rng(3))
     assert direct.aux_stack is None
-    assert direct.layer_names == ["trunk layer 0", *towers]
+    assert solo(direct).layer_names == ["trunk layer 0", *towers]
 
 
 def test_init_bit_identical_across_modes():
@@ -173,11 +174,12 @@ def test_model_forward_heads_by_mode():
     z, z_aux = model_forward(aux_model, x)
     assert z.shape == (3, 6)  # ctr, ltv, aux_click
     assert z_aux.shape == (2, 6)  # ctr, ltv
-    assert aux_model.distill_rows.tolist() == [0, 1]
+    aux = solo(aux_model)
+    assert aux.aux_rows.tolist() == [0, 1] and aux.aux_member.tolist() == [0, 0]
     direct = build_model(small_config(DIRECT, distill=("ltv", "ctr")), np.random.default_rng(1))
     z, z_aux = model_forward(direct, x)
     assert z.shape == (3, 6) and z_aux is None
-    assert direct.distill_rows.tolist() == [1, 0]
+    assert solo(direct).direct_at[1].tolist() == [1, 0]  # the towers of ltv, ctr
 
 
 @pytest.mark.parametrize("clip", [None, 6.0])
@@ -247,7 +249,8 @@ def test_total_loss_guards():
         total_loss(solo(model), z[None], z_aux, labels, np.array([soft["ctr"]]), present)
     aux_model = build_model(small_config(AUXILIARY, distill=("ctr",)), np.random.default_rng(2))
     aux = solo(aux_model)
-    z, z_aux = (a[None] for a in model_forward(aux_model, x))
+    z, z_aux = model_forward(aux_model, x)
+    z = z[None]
     ctr = np.array([soft["ctr"]])
     total_loss(aux, z, z_aux, labels, ctr, present, np.array([0.5]))  # fits
     for bad in (
@@ -304,11 +307,12 @@ def test_zero_coverage_gives_zero_soft_and_control_grads():
     model = build_model(small_config(AUXILIARY), np.random.default_rng(6))
     x, hard, soft, present = batch_inputs()
     present[:] = False
+    stack = solo(model)
     grads_soft = compute_loss_and_grads(
-        solo(model), x, *loss_args(model, hard, soft, present, {"ctr": 1.0, "ltv": 1.0})
+        stack, x, *loss_args(model, hard, soft, present, {"ctr": 1.0, "ltv": 1.0})
     )
-    grads_none = compute_loss_and_grads(solo(model), x, *loss_args(model, hard))
-    got, want = model_blocks(model, grads_soft), model_blocks(model, grads_none)
+    grads_none = compute_loss_and_grads(stack, x, *loss_args(model, hard))
+    got, want = model_blocks(stack, grads_soft)[0], model_blocks(stack, grads_none)[0]
     assert_layers_equal(got["trunk", None], want["trunk", None])
     for name in model.config.distill_tasks:
         assert not any(gw.any() or gb.any() for gw, gb in got["aux", name])
@@ -323,7 +327,7 @@ def test_alpha_zero_grads_bit_identical_to_no_soft():
             stack, x, *loss_args(model, hard, soft, present, {"ctr": 0.0, "ltv": 0.0})
         )
         without = compute_loss_and_grads(stack, x, *loss_args(model, hard))
-        got, want = model_blocks(model, with_soft), model_blocks(model, without)
+        got, want = model_blocks(stack, with_soft)[0], model_blocks(stack, without)[0]
         for key in [("trunk", None), *[("towers", t.name) for t in TASKS]]:
             assert_layers_equal(got[key], want[key])
 
@@ -342,7 +346,7 @@ def jitter_biases(model, seed=99):
     whole trunk row is dead), where the subgradient convention and a central
     difference legitimately disagree."""
     rng = np.random.default_rng(seed)
-    for layers in model_blocks(model, model.params).values():
+    for layers in member_blocks(model).values():
         for _, bias in layers:
             bias += rng.uniform(0.01, 0.05, size=bias.shape)
 
@@ -357,8 +361,9 @@ def test_gradients_match_finite_differences(mode, use_soft, alpha, clip):
     def loss():
         return ref_total_loss(model, *model_forward(model, x, clip), *args)
 
-    grads = compute_loss_and_grads(solo(model), x, *args, clip)
-    params, grad_blocks = model_blocks(model, model.params), model_blocks(model, grads)
+    stack = solo(model)
+    grads = compute_loss_and_grads(stack, x, *args, clip)
+    params, grad_blocks = member_blocks(model), model_blocks(stack, grads)[0]
     arrays, analytic = [], []
     for key in params:
         for (w, b), (gw, gb) in zip(params[key], grad_blocks[key], strict=True):
@@ -375,7 +380,7 @@ def test_auxiliary_knowledge_reaches_trunk_not_tower():
     stack = solo(model)
     with_soft = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present, alpha))
     without = compute_loss_and_grads(stack, x, *loss_args(model, hard))
-    got, want = model_blocks(model, with_soft), model_blocks(model, without)
+    got, want = model_blocks(stack, with_soft)[0], model_blocks(stack, without)[0]
     # serving towers see hard-label gradients only
     for t in TASKS:
         assert_layers_equal(got["towers", t.name], want["towers", t.name])
@@ -392,7 +397,7 @@ def test_direct_soft_loss_lands_on_serving_tower():
     stack = solo(model)
     with_soft = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present, alpha))
     without = compute_loss_and_grads(stack, x, *loss_args(model, hard))
-    got, want = model_blocks(model, with_soft), model_blocks(model, without)
+    got, want = model_blocks(stack, with_soft)[0], model_blocks(stack, without)[0]
     assert not np.array_equal(got["towers", "ctr"][0][0], want["towers", "ctr"][0][0])
     # non-distilled task tower is untouched by soft labels
     assert_layers_equal(got["towers", "aux_click"], want["towers", "aux_click"])
@@ -407,58 +412,60 @@ def test_apply_gradients_steps_every_component():
     for k in (1, 2, 3):
         x, hard, soft, present = batch_inputs(seed=k)
         grads = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present, alpha))
-        assert grads.shape == opt.m.shape == model.params.shape
+        assert grads.shape == opt.m.shape == stack.params.shape
         apply_gradients(stack, grads, opt, TrainConfig(base_lr=0.01))
         assert opt.step == k
-    moved, start = model_blocks(model, model.params), model_blocks(before, before.params)
+    moved, start = member_blocks(model), member_blocks(before)
     assert len(moved) == 1 + 3 + 2
     for key in moved:
         assert any(not np.array_equal(w, w0) for (w, _), (w0, _) in zip(moved[key], start[key]))
 
 
-def test_layer_arrays_stay_views_of_the_model_buffer():
-    model = build_model(small_config(AUXILIARY), np.random.default_rng(10))
-    stack = solo(model)
+def test_layer_arrays_stay_views_of_the_stack_blocks():
+    # members with 2, 0, 1 and 0 aux heads: the aux block holds the 3 real ones
+    configs = [small_config(AUXILIARY, distill=("ltv", "ctr")), small_config(DIRECT),
+               small_config(AUXILIARY, distill=("ltv",)), small_config(NO_DISTILL)]
+    models = [build_model(c, np.random.default_rng(10 + i)) for i, c in enumerate(configs)]
+    counts = [parameter_count(m) for m in models]
+    jobs = ["two", "direct", "one", "none"]
+    stack = ModelStack(models, jobs)
     opt = OptState.for_params(stack.params)
     train = TrainConfig(base_lr=0.05, clippy=ClippyConfig())
+    alpha = np.array([1.0, 0.5, 1.0, 1.0, 0.7])  # two's 2 soft rows, direct's 2, one's 1
     for step in range(10):
         x, hard, soft, present = batch_inputs(seed=step)
-        alpha = {"ctr": 1.0, "ltv": 0.5}
-        grads = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present, alpha))
+        soft_rows = np.concatenate([distill_order(m, soft) for m in models[:3]])
+        labels = tower_order(models[0], hard)
+        grads = compute_loss_and_grads(stack, x, labels, soft_rows, present, alpha)
         apply_gradients(stack, grads, opt, train)
     assert opt.step == 10
-    # a stack of one is its model's buffer, and its stacked arrays are the
-    # model's own with a member axis
-    assert model.params.size == stack.params.size
-    assert model.params.ctypes.data == stack.params.ctypes.data
-    pairs = [(stack.trunk, model.trunk), (stack.towers, model.tower_stack),
-             (stack.aux, model.aux_stack)]
-    for stacked, own in pairs:
-        assert stacked.params.ctypes.data == own.params.ctypes.data
-        for a, b in zip(stacked.layers, own.layers, strict=True):
-            assert np.array_equal(a.weights[0], b.weights) and np.array_equal(a.bias[0], b.bias)
-            assert np.shares_memory(a.weights, stack.params)
-    for mlp in (model.trunk, model.tower_stack, model.aux_stack):
-        assert np.shares_memory(mlp.params, model.params)
-        for layer in mlp.layers:
-            assert np.shares_memory(layer.weights, model.params)
-            assert np.shares_memory(layer.bias, model.params)
-    # each block of model.params is its row of the stack's layer arrays, and
-    # the layer offsets Clippy clips by are those of the blocks
-    rows = {("trunk", None): (model.trunk, ())}
-    rows.update({("towers", t.name): (model.tower_stack, i) for i, t in enumerate(TASKS)})
-    rows.update({("aux", n): (model.aux_stack, i) for i, n in enumerate(("ctr", "ltv"))})
-    blocks = model_blocks(model, model.params)
-    assert list(blocks) == list(rows)
-    starts, sizes = [], []
-    for key, (mlp, row) in rows.items():
-        for layer, (w, b) in zip(mlp.layers, blocks[key], strict=True):
-            assert layer.weights[row].ctypes.data == w.ctypes.data
-            assert layer.bias[row].ctypes.data == b.ctypes.data
-            assert np.array_equal(layer.weights[row], w) and np.array_equal(layer.bias[row], b)
-            starts.append((w.ctypes.data - model.params.ctypes.data) // w.itemsize)
-            sizes.append(w.size + b.size)
-    assert model.starts.tolist() == starts and model.sizes.tolist() == sizes
+    assert stack.params.size == sum(counts)  # no padding
+    assert stack.aux_member.tolist() == [0, 0, 2] and len(stack.aux.params) == 3
+    # every member's layer arrays view its rows of the stack's blocks
+    blocks = model_blocks(stack, stack.params)
+    for model, own in zip(models, blocks, strict=True):
+        views = member_blocks(model)
+        assert list(own) == list(views)
+        for key in own:
+            for (w, b), (vw, vb) in zip(own[key], views[key], strict=True):
+                assert (w.ctypes.data, w.strides) == (vw.ctypes.data, vw.strides)
+                assert (b.ctypes.data, b.strides) == (vb.ctypes.data, vb.strides)
+    # the blocks tile the buffer, every trunk, then every tower, then every
+    # aux head, and the layer offsets Clippy clips by are theirs
+    starts, sizes, names = [], [], []
+    label = {"trunk": "trunk", "towers": "tower", "aux": "aux"}
+    for group in label:
+        for job, own in zip(jobs, blocks):
+            for (g, task), layers in own.items():
+                for k, (w, b) in enumerate(layers if g == group else ()):
+                    starts.append((w.ctypes.data - stack.params.ctypes.data) // w.itemsize)
+                    assert b.ctypes.data == w.ctypes.data + w.nbytes  # its bias follows
+                    sizes.append(w.size + b.size)
+                    row = label[g] if task is None else f"{label[g]} {task}"
+                    names.append((f"{row} layer {k}", job))
+    assert stack.starts.tolist() == starts and stack.sizes.tolist() == sizes
+    assert np.array_equal(np.cumsum(sizes) - sizes, starts) and sum(sizes) == stack.params.size
+    assert list(zip(stack.layer_names, stack.layer_jobs)) == names
 
 
 def test_a_nonfinite_gradient_names_its_block_and_layer():
@@ -470,7 +477,7 @@ def test_a_nonfinite_gradient_names_its_block_and_layer():
     alpha = {"ctr": 1.0, "ltv": 1.0}
     grads = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present, alpha))
     apply_gradients(stack, grads, opt, train)
-    params, m, v = model.params.copy(), opt.m.copy(), opt.v.copy()
+    params, m, v = stack.params.copy(), opt.m.copy(), opt.v.copy()
     for keys, message in (
         ([("towers", "ltv", 1)], "tower ltv layer 1"),
         ([("aux", "ltv", 0)], "aux ltv layer 0"),
@@ -480,11 +487,11 @@ def test_a_nonfinite_gradient_names_its_block_and_layer():
     ):
         bad = grads.copy()
         for group, name, layer in keys:
-            model_blocks(model, bad)[group, name][layer][0][-1, 0] = np.nan
+            model_blocks(stack, bad)[0][group, name][layer][0][-1, 0] = np.nan
         with pytest.raises(DivergenceError, match=f"non-finite gradient in {message}$") as err:
             apply_gradients(stack, bad, opt, train)
         assert err.value.job == "s0/student-a"
-        assert opt.step == 1 and np.array_equal(model.params, params)
+        assert opt.step == 1 and np.array_equal(stack.params, params)
         assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
 
 
@@ -506,7 +513,7 @@ def test_covered_binary_teacher_values_are_checked_on_the_step_path(mode):
     # the same value on an uncovered row is a placeholder, never read
     got = compute_loss_and_grads(stack, x, *with_ctr_value(np.flatnonzero(~present)[0], 1.0))
     want = compute_loss_and_grads(stack, x, *loss_args(model, hard, soft, present))
-    assert got.shape == want.shape == model.params.shape
+    assert got.shape == want.shape == stack.params.shape
     assert np.array_equal(got, want)
 
 
@@ -519,7 +526,7 @@ def reference_params(model):
     """A copy of model's params as a ref_ranker_step params tree."""
     stacks = {"trunk": model.trunk, "towers": model.tower_stack, "aux": model.aux_stack}
     ref = {"towers": {}, "aux": {}}
-    for (group, name), block in model_blocks(model, model.params).items():
+    for (group, name), block in member_blocks(model).items():
         layers = [
             [w.copy(), b.copy(), l.activation == RELU]
             for (w, b), l in zip(block, stacks[group].layers, strict=True)
@@ -551,7 +558,7 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
     # distill order differs from task order, so aux rows and tower rows differ
     model = build_model(small_config(mode, distill=("ltv", "ctr")), np.random.default_rng(5))
     ref = reference_params(model)
-    keys = list(model_blocks(model, model.params))
+    keys = list(member_blocks(model))
     ref_moments = {
         key: [[np.zeros_like(a) for a in (w, b, w, b)] for w, b, _ in by_key(ref, *key)]
         for key in keys
@@ -570,7 +577,7 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
         args = loss_args(model, hard, soft_arg, present, alpha)
         z, z_aux = model_forward(model, x, clip)
         grads = compute_loss_and_grads(stack, x, *args, clip)
-        seeds = total_loss(stack, z[None], None if z_aux is None else z_aux[None], *args)
+        seeds = total_loss(stack, z[None], z_aux, *args)
         want_soft = {} if soft_arg is None else {k: (v, present) for k, v in soft.items()}
         hard_logits, aux_logits, hard_seeds, aux_seeds, want = ref_ranker_step(
             ref, tasks, mode == DIRECT, x, hard, want_soft, alpha or {}, clip
@@ -588,11 +595,11 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
             aux_names = list(model.config.distill_tasks)
             assert {aux_names[r] for r in np.flatnonzero(seeds.soft_active)} == set(aux_seeds)
             for name, seed in aux_seeds.items():
-                assert np.array_equal(seeds.aux[0, aux_names.index(name)], seed)
+                assert np.array_equal(seeds.aux[aux_names.index(name)], seed)
 
         for group in ("towers", "aux"):
             assert [name for g, name in keys if g == group] == list(want[group])
-        got = model_blocks(model, grads)
+        got = model_blocks(stack, grads)[0]
         for key in keys:
             assert_layers_equal(got[key], by_key(want, *key))
 
@@ -600,6 +607,6 @@ def test_stacked_path_matches_per_component_reference(mode, clip, coverage, a):
         adam = (train.base_lr, train.warmup_steps, 0.9, 0.999, 1e-8, (0.05, 1e-3))
         for key in keys:
             ref_adam_layers(by_key(ref, *key), by_key(want, *key), ref_moments[key], step, *adam)
-        params = model_blocks(model, model.params)
+        params = member_blocks(model)
         for key in keys:
             assert_layers_equal(params[key], [(w, b) for w, b, _ in by_key(ref, *key)])
